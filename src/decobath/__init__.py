@@ -23,6 +23,7 @@ from .errors import (
     NormalizationError,
     QuadratureError,
     SingularCorrelationError,
+    StepBudgetError,
     TraceDriftError,
 )
 from .qstate import DensityMatrix2, KrausPair, QubitAmplitudes
@@ -50,5 +51,6 @@ __all__ = [
     "SingularCorrelationError",
     "DegenerateParametersError",
     "TraceDriftError",
+    "StepBudgetError",
     "ConfigError",
 ]

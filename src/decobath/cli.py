@@ -25,6 +25,13 @@ oracle-compare     oracle.n*, oracle.seed*, grid.*
 fig2               bath.N* (50 or 100); the full parameter set is baked in
 ============  =================================================================
 
+central-sme integrates on an internal grid ``refine`` times finer than the
+output grid, with ``refine`` set by the bath's rates.  A run whose estimated
+fine step count ``grid.steps * refine`` exceeds
+``central_spin_nm.MAX_SME_STEPS`` (10**7) is refused before any integration,
+with exit code 2 and a message giving the estimate and the refine factor;
+shorten ``grid.t1`` or weaken the couplings to bring it under the cap.
+
 Defaults: ``system.a = system.b = 1/sqrt(2)``, ``bath.omega0 = 0`` where
 optional, ``bath.polarization = (0, 1)``, ``grid.t0 = 0``, ``grid.t1 = 10``
 (5 for fig2), ``grid.steps = 1000`` (20000 for fig2).  Amplitude pairs may be
@@ -38,7 +45,8 @@ prepend ``P0`` (survival probability); dephase-correlated appends
 ``gamma, Phi, chi``; oracle-compare emits ``t, ampDev, szDrift``.  Floats
 carry 17 significant digits (exact round trip), lines end with LF.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-quality abort.
+Exit codes: 0 success, 2 configuration error (including a central-sme run over
+the step cap), 3 numerical-quality abort.
 """
 
 from __future__ import annotations

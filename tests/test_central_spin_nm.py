@@ -1,16 +1,22 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+from decobath import central_spin_nm
 from decobath.central_spin import RotatedAmplitudes, SpinBathSpec
 from decobath.central_spin_nm import (
+    MAX_SME_STEPS,
+    _integrate_sme_matrix,
+    _refine_factor,
     integrate_sme,
     sme_analytic,
     sme_analytic_solution,
     sme_discrepancy_report,
     sme_rates,
 )
+from decobath.errors import StepBudgetError, TraceDriftError
 from decobath.qstate import SIGMA_Z
 from decobath.trajectory import TimeGrid
 
@@ -189,6 +195,63 @@ class TestIntegration:
         assert gamma1 > 20.0
         floor = 1.0 - 3e-9 * abs(rot.beta) ** 2 - 1e-9
         assert traj.states[-1, 1, 1].real > floor
+
+
+class TestChannelwiseIntegration:
+    def test_matches_matrix_rk4_oracle_across_blocks(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        # one mode at exact resonance exercises the series branch of the rates
+        spec = spec_with(rng.uniform(0.05, 0.15, 5), 0.9, [0.9, *rng.uniform(-1.0, 1.0, 4)])
+        rot = random_rot(rng)
+        grid = TimeGrid(0.0, 1.5, 20)
+        refine = _refine_factor(sme_rates(spec), grid)
+        whole = integrate_sme(spec, rot, grid)
+        # 7 fine steps per block: block edges fall off the sampled grid points
+        monkeypatch.setattr(central_spin_nm, "_BLOCK_ELEMENTS", 7 * spec.N)
+        blocked = integrate_sme(spec, rot, grid)
+        oracle = _integrate_sme_matrix(spec, rot, grid, refine)
+        assert refine > 7 and grid.steps * refine > 7
+        assert np.array_equal(blocked.times, oracle.times)
+        assert np.array_equal(blocked.times, whole.times)
+        # blocks continue one sequential product, so the split changes no bit
+        assert np.array_equal(blocked.states, whole.states)
+        assert np.max(np.abs(blocked.states - oracle.states)) < 1e-12
+
+    def test_refine_factor_pinned_on_acceptance_spec(self):
+        # first bath of acceptance criterion 08 (rng 808): Gamma_d-capped step
+        rng = np.random.default_rng(808)
+        spec = SpinBathSpec(
+            N=10,
+            g=rng.uniform(0.05, 0.15, 10),
+            omega0=rng.uniform(0.5, 1.5),
+            omega=rng.uniform(-0.5, 2.5, 10),
+        )
+        assert _refine_factor(sme_rates(spec), TimeGrid(0.0, 3.0, 60)) == 120
+
+    def test_trace_drift_abort_reports_first_failing_step(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        spec = random_ten_mode_spec(rng)
+        grid = TimeGrid(0.0, 1.0, 10)
+        refine = _refine_factor(sme_rates(spec), grid)
+        monkeypatch.setattr(central_spin_nm, "TRACE_ABORT", -1.0)
+        with pytest.raises(TraceDriftError) as info:
+            integrate_sme(spec, random_rot(rng), grid)
+        assert info.value.t == grid.refined(refine).times[1]
+
+    def test_step_cap_refuses_before_integrating(self):
+        # the README bath run ten times longer: ~3e8 fine steps
+        spec = spec_with(np.full(8, 1.2), 0.9, np.linspace(0.1, 2.2, 8))
+        grid = TimeGrid(0.0, 60.0, 2000)
+        expected = grid.steps * _refine_factor(sme_rates(spec), grid)
+        assert expected > MAX_SME_STEPS
+        started = time.perf_counter()
+        with pytest.raises(StepBudgetError) as info:
+            integrate_sme(spec, RotatedAmplitudes(0.6, 0.8), grid)
+        assert time.perf_counter() - started < 0.5
+        assert isinstance(info.value, ValueError)
+        assert info.value.steps == expected
+        assert str(expected) in str(info.value)
+        assert f"refine factor {expected // grid.steps}" in str(info.value)
 
 
 class TestDiscrepancyReport:

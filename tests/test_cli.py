@@ -281,6 +281,20 @@ class TestMain:
         assert main(["run", "/nonexistent/cfg.txt"]) == 2
         assert "cannot read config" in capsys.readouterr().err
 
+    def test_oversized_central_sme_refused_with_estimate(self, tmp_path, capsys):
+        # the README bath run ten times longer: ~3e8 fine RK4 steps
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "scenario = central-sme\nbath.N = 8\nbath.g = 1.2\n"
+            "bath.omega = 0.1, 0.4, 0.7, 1.0, 1.3, 1.6, 1.9, 2.2\n"
+            "bath.omega0 = 0.9\ngrid.t1 = 60\ngrid.steps = 2000\n"
+            f"output.path = {tmp_path / 'out.csv'}\n"
+        )
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "needs an estimated" in err and "refine factor" in err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
