@@ -411,24 +411,26 @@ def evolve_sector(
 def reduced_system_density(
     spec: SpinBathSpec,
     rot: RotatedAmplitudes,
-    t: float,
+    t,
     sector_state: np.ndarray,
 ) -> DensityMatrix2:
-    """System density matrix from the two-branch decomposition at time t.
+    """System density matrix from the two-branch decomposition at time(s) t.
 
     The full state is alpha e^{-iEt}|aligned> + beta sum_k c_k(t)|k flipped>;
     tracing out the bath leaves rho00 = |beta c_0|^2 and coherence
     rho01 = alpha* beta c_0 e^{+iEt} (every other cross term dies by bath
     orthogonality), which is positive semidefinite by construction.
+    ``sector_state`` is one state of length N+1 or a ``(T, N+1)`` stack
+    with ``t`` of length T, which gives one batched state.
     """
     sector_state = np.asarray(sector_state, dtype=complex)
-    if sector_state.shape != (spec.N + 1,):
+    if sector_state.shape[-1:] != (spec.N + 1,):
         raise ValueError(f"sector state must have length {spec.N + 1}")
     alpha, beta = rot.alpha, rot.beta
     energy = aligned_eigen_energy(spec).energy
-    c0 = sector_state[0]
-    p0 = abs(beta) ** 2 * abs(c0) ** 2
-    coh = np.conj(alpha) * beta * c0 * np.exp(1j * energy * t)
+    c0 = sector_state[..., 0]
+    p0 = abs(beta) ** 2 * np.abs(c0) ** 2
+    coh = np.conj(alpha) * beta * c0 * np.exp(1j * energy * np.asarray(t, dtype=float))
     # trace is exact by construction; PSD slack absorbs evolution roundoff
     return DensityMatrix2.from_parts(p0, 1.0 - p0, coh, atol=ATOL_INTEGRATED)
 

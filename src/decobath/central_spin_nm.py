@@ -71,6 +71,7 @@ MAX_SME_STEPS = 10_000_000
 #: Mode-time products evaluated per block of fine steps, so memory stays flat
 #: however many steps a run takes.
 _BLOCK_ELEMENTS = 1 << 13
+_TINY = np.finfo(float).tiny
 
 _PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 
@@ -233,7 +234,8 @@ def integrate_sme(
     resolves the coherent rotation; the returned trajectory is sampled on the
     requested grid.  Each fine step multiplies rho00 and rho01 by their RK4
     amplification factors, formed from the rates at the step's start,
-    midpoint and end; rho11 gains what rho00 loses.  Runs of more than
+    midpoint and end; rho11 gains what rho00 loses, and a coherence below
+    the smallest normal double is set to 0.  Runs of more than
     ``MAX_SME_STEPS`` fine steps raise :class:`~decobath.errors.StepBudgetError`
     up front; trace drift beyond 1e-6 at any fine step raises
     :class:`~decobath.errors.TraceDriftError`.
@@ -275,6 +277,9 @@ def integrate_sme(
         d_coh = _rk4_increment(coh_at[:-1], coh_mid, coh_at[1:], h)
         pops = np.cumprod(np.concatenate(([pop], 1.0 + d_pop)))
         cohs = np.cumprod(np.concatenate(([coh], 1.0 + d_coh)))[1:]
+        # a subnormal coherence times R ~ 1 rounds back to itself and would
+        # freeze there; flush it to the zero it is decaying towards
+        cohs[np.abs(cohs) < _TINY] = 0.0
         stats = np.cumsum(np.concatenate(([stat], -d_pop * pops[:-1])))[1:]
         pops = pops[1:]
         drift = np.abs(pops + stats - 1.0)

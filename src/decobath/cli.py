@@ -10,20 +10,27 @@ out-of-range values are all reported together, each with its line number.
 
 Scenarios and their keys
 ------------------------
-============  =================================================================
-scenario      keys (* = required)
-============  =================================================================
-dephase-markov     gamma*, system.a, system.b, bath.omega0, grid.*
-dephase-isotropic  gamma*, system.a, system.b, grid.*
-dephase-correlated spectral.family*, spectral.eta / spectral.omega_c (ohmic)
-                   or spectral.table (tabulated), thermo.beta*, bath.omega0*,
-                   system.a, system.b, grid.*
-central-exact      bath.N*, bath.g*, bath.omega*, bath.omega0*,
-                   bath.polarization.c/.d, system.a, system.b, grid.*
-central-sme        same bath keys as central-exact, grid.* (t0 pinned to 0)
-oracle-compare     oracle.n*, oracle.seed*, grid.*
-fig2               bath.N* (50 or 100); the full parameter set is baked in
-============  =================================================================
+==================  ===========================================================
+scenario            keys (* = required)
+==================  ===========================================================
+dephase-markov      gamma*, system.a, system.b, bath.omega0, grid.*
+dephase-isotropic   gamma*, system.a, system.b, grid.*
+dephase-correlated  spectral.family*, thermo.beta*, bath.omega0*, system.a,
+                    system.b, spectral.eta and spectral.omega_c (ohmic) or
+                    spectral.table (tabulated), grid.*
+central-exact       bath.N*, bath.g*, bath.omega*, bath.omega0*,
+                    bath.polarization.c, bath.polarization.d, system.a,
+                    system.b, grid.*
+central-sme         bath.N*, bath.g*, bath.omega*, bath.omega0*,
+                    bath.polarization.c, bath.polarization.d, system.a,
+                    system.b, grid.* (grid.t0 pinned to 0)
+oracle-compare      oracle.n*, oracle.seed*, grid.*
+fig2                bath.N* (50 or 100), grid.*; the bath itself is baked in
+==================  ===========================================================
+
+``grid.*`` stands for grid.t0, grid.t1 and grid.steps; every scenario also
+takes output.path.  A missing required key, or a key of another scenario, is
+reported like any other problem.
 
 central-sme integrates on an internal grid ``refine`` times finer than the
 output grid, with ``refine`` set by the bath's rates.  A run whose estimated
@@ -64,81 +71,48 @@ from .errors import (
     ConfigError,
     DegenerateParametersError,
     QuadratureError,
-    SingularCorrelationError,
     TraceDriftError,
 )
 from .qstate import QubitAmplitudes, density_from_amplitudes
 from .trajectory import TimeGrid, Trajectory
 
-SCENARIOS = (
-    "dephase-markov",
-    "dephase-isotropic",
-    "dephase-correlated",
-    "central-exact",
-    "central-sme",
-    "oracle-compare",
-    "fig2",
-)
-
-ORACLE_DEVIATION_THRESHOLD = 1e-10
-_AMPLITUDE_NORM_SLACK = 1e-6
-
-_KNOWN_KEYS = {
-    "scenario": str,
-    "system.a": complex,
-    "system.b": complex,
-    "gamma": float,
+_GRID_KEYS = {"grid.t0": float, "grid.t1": float, "grid.steps": int, "output.path": str}
+_SYSTEM_KEYS = {"system.a": complex, "system.b": complex}
+_BATH_KEYS = {
     "bath.N": int,
     "bath.g": "floats",
     "bath.omega": "floats",
     "bath.omega0": float,
     "bath.polarization.c": complex,
     "bath.polarization.d": complex,
-    "spectral.family": str,
-    "spectral.eta": float,
-    "spectral.omega_c": float,
-    "spectral.table": str,
-    "thermo.beta": float,
-    "grid.t0": float,
-    "grid.t1": float,
-    "grid.steps": int,
-    "output.path": str,
-    "oracle.n": int,
-    "oracle.seed": int,
 }
+_BATH_REQUIRED = ("bath.N", "bath.g", "bath.omega", "bath.omega0")
 
-_REQUIRED = {
-    "dephase-markov": ("gamma",),
-    "dephase-isotropic": ("gamma",),
-    "dephase-correlated": ("spectral.family", "thermo.beta", "bath.omega0"),
-    "central-exact": ("bath.N", "bath.g", "bath.omega", "bath.omega0"),
-    "central-sme": ("bath.N", "bath.g", "bath.omega", "bath.omega0"),
-    "oracle-compare": ("oracle.n", "oracle.seed"),
-    "fig2": ("bath.N",),
+#: Per scenario: every key it accepts (besides ``scenario``) with its value
+#: kind, and the keys it requires.
+_SCHEMA = {
+    "dephase-markov": (
+        {"gamma": float, **_SYSTEM_KEYS, "bath.omega0": float, **_GRID_KEYS}, ("gamma",)),
+    "dephase-isotropic": ({"gamma": float, **_SYSTEM_KEYS, **_GRID_KEYS}, ("gamma",)),
+    "dephase-correlated": (
+        {**_SYSTEM_KEYS, "bath.omega0": float, "spectral.family": str,
+         "spectral.eta": float, "spectral.omega_c": float, "spectral.table": str,
+         "thermo.beta": float, **_GRID_KEYS},
+        ("spectral.family", "thermo.beta", "bath.omega0")),
+    "central-exact": ({**_SYSTEM_KEYS, **_BATH_KEYS, **_GRID_KEYS}, _BATH_REQUIRED),
+    "central-sme": ({**_SYSTEM_KEYS, **_BATH_KEYS, **_GRID_KEYS}, _BATH_REQUIRED),
+    "oracle-compare": ({"oracle.n": int, "oracle.seed": int, **_GRID_KEYS},
+                       ("oracle.n", "oracle.seed")),
+    "fig2": ({"bath.N": int, **_GRID_KEYS}, ("bath.N",)),
 }
+SCENARIOS = tuple(_SCHEMA)
+_KINDS = {"scenario": str, **{k: v for keys, _ in _SCHEMA.values() for k, v in keys.items()}}
 
-_ALLOWED = {
-    "dephase-markov": {"scenario", "gamma", "system.a", "system.b", "bath.omega0",
-                       "grid.t0", "grid.t1", "grid.steps", "output.path"},
-    "dephase-isotropic": {"scenario", "gamma", "system.a", "system.b",
-                          "grid.t0", "grid.t1", "grid.steps", "output.path"},
-    "dephase-correlated": {"scenario", "system.a", "system.b", "bath.omega0",
-                           "spectral.family", "spectral.eta", "spectral.omega_c",
-                           "spectral.table", "thermo.beta",
-                           "grid.t0", "grid.t1", "grid.steps", "output.path"},
-    "central-exact": {"scenario", "system.a", "system.b", "bath.N", "bath.g",
-                      "bath.omega", "bath.omega0", "bath.polarization.c",
-                      "bath.polarization.d", "grid.t0", "grid.t1", "grid.steps",
-                      "output.path"},
-    "central-sme": {"scenario", "system.a", "system.b", "bath.N", "bath.g",
-                    "bath.omega", "bath.omega0", "bath.polarization.c",
-                    "bath.polarization.d", "grid.t0", "grid.t1", "grid.steps",
-                    "output.path"},
-    "oracle-compare": {"scenario", "oracle.n", "oracle.seed",
-                       "grid.t0", "grid.t1", "grid.steps", "output.path"},
-    "fig2": {"scenario", "bath.N", "grid.t0", "grid.t1", "grid.steps",
-             "output.path"},
-}
+ORACLE_DEVIATION_THRESHOLD = 1e-10
+_AMPLITUDE_NORM_SLACK = 1e-6
+#: Default (t0, t1, steps) of every scenario but fig2, and of fig2.
+_DEFAULT_GRID = (0.0, 10.0, 1000)
+_FIG2_GRID = (0.0, 5.0, 20000)
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -159,7 +133,7 @@ class ScenarioConfig:
     pol_d: complex = 1.0 + 0.0j
     spectral: Optional[dephasing_nm.SpectralDensity] = None
     thermo_beta: Optional[float] = None
-    grid: TimeGrid = field(default_factory=lambda: TimeGrid(0.0, 10.0, 1000))
+    grid: TimeGrid = field(default_factory=lambda: TimeGrid(*_DEFAULT_GRID))
     output_path: Optional[str] = None
     oracle_n: Optional[int] = None
     oracle_seed: Optional[int] = None
@@ -208,14 +182,14 @@ def parse_config(text: str) -> ScenarioConfig:
             continue
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KINDS:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
         if key in entries:
             errors.append(f"line {lineno}: duplicate key {key!r}")
             continue
         try:
-            entries[key] = (_parse_scalar(_KNOWN_KEYS[key], value), lineno)
+            entries[key] = (_parse_scalar(_KINDS[key], value), lineno)
         except ValueError as exc:
             errors.append(f"line {lineno}: {key}: {exc}")
 
@@ -230,10 +204,11 @@ def parse_config(text: str) -> ScenarioConfig:
         )
         raise ConfigError(errors)
 
+    allowed, required = _SCHEMA[scenario]
     for key, (_, lineno) in entries.items():
-        if key not in _ALLOWED[scenario]:
+        if key != "scenario" and key not in allowed:
             errors.append(f"line {lineno}: key {key!r} does not apply to scenario {scenario!r}")
-    for key in _REQUIRED[scenario]:
+    for key in required:
         if key not in entries:
             errors.append(f"config: scenario {scenario!r} requires key {key!r}")
 
@@ -300,11 +275,12 @@ def parse_config(text: str) -> ScenarioConfig:
             if eta is None or omega_c is None:
                 errors.append("config: ohmic spectral density requires "
                               "spectral.eta and spectral.omega_c")
-            elif eta < 0:
-                errors.append(f"line {line_of('spectral.eta')}: spectral.eta must be >= 0")
-            elif omega_c <= 0:
+            elif not math.isfinite(eta) or eta < 0:
+                errors.append(f"line {line_of('spectral.eta')}: "
+                              "spectral.eta must be finite and >= 0")
+            elif not math.isfinite(omega_c) or omega_c <= 0:
                 errors.append(f"line {line_of('spectral.omega_c')}: "
-                              "spectral.omega_c must be > 0")
+                              "spectral.omega_c must be finite and > 0")
             else:
                 cfg.spectral = dephasing_nm.SpectralDensity.ohmic(eta, omega_c)
         elif family == "tabulated":
@@ -340,7 +316,7 @@ def parse_config(text: str) -> ScenarioConfig:
         if cfg.oracle_seed < 0:
             errors.append(f"line {line_of('oracle.seed')}: oracle.seed must be >= 0")
 
-    default_grid = (0.0, 5.0, 20000) if scenario == "fig2" else (0.0, 10.0, 1000)
+    default_grid = _FIG2_GRID if scenario == "fig2" else _DEFAULT_GRID
     t0 = get("grid.t0", default_grid[0])
     t1 = get("grid.t1", default_grid[1])
     steps = get("grid.steps", default_grid[2])
@@ -368,75 +344,39 @@ def _spin_bath_from_config(cfg: ScenarioConfig) -> central_spin.SpinBathSpec:
     )
 
 
-def _central_exact_trajectory(spec, rot, grid) -> Trajectory:
-    sector = central_spin.evolve_sector(spec, grid=grid)
-    p0 = sector.p0
-    n = len(sector.times)
-    rho00 = np.empty(n)
-    re = np.empty(n)
-    im = np.empty(n)
-    for i in range(n):
-        rho = central_spin.reduced_system_density(
-            spec, rot, sector.times[i], sector.amplitudes[i]
-        )
-        rho00[i] = rho.rho00
-        re[i] = rho.coherence.real
-        im[i] = rho.coherence.imag
-    return Trajectory(
-        sector.times,
-        {"P0": p0, "rho00": rho00, "rho11": 1.0 - rho00, "reCoh": re, "imCoh": im},
-    )
+def _rho_columns(rho) -> dict[str, np.ndarray]:
+    """The standard columns of a batched density matrix."""
+    return {"rho00": rho.rho00, "rho11": rho.rho11,
+            "reCoh": rho.coherence.real, "imCoh": rho.coherence.imag}
 
 
 def run_scenario(cfg: ScenarioConfig) -> Trajectory:
     """Dispatch a validated config into the model modules.
 
-    Output is deterministic: the same config always yields a byte-identical
-    CSV rendering.
+    Every model call takes the whole time grid at once.  Output is
+    deterministic: the same config always yields a byte-identical CSV
+    rendering.
     """
     psi = QubitAmplitudes(cfg.system_a, cfg.system_b)
     times = cfg.grid.times
 
     if cfg.scenario == "dephase-markov":
         params = lindblad.DephasingParams(cfg.gamma, cfg.bath_omega0)
-        cols = {k: np.empty(times.size) for k in ("rho00", "rho11", "reCoh", "imCoh")}
-        for i, t in enumerate(times):
-            rho = lindblad.evolve_dephasing_markov(psi, params, t)
-            cols["rho00"][i], cols["rho11"][i] = rho.rho00, rho.rho11
-            cols["reCoh"][i], cols["imCoh"][i] = rho.coherence.real, rho.coherence.imag
-        return Trajectory(times, cols)
+        rho = lindblad.evolve_dephasing_markov(psi, params, times)
+        return Trajectory(times, _rho_columns(rho))
 
     if cfg.scenario == "dephase-isotropic":
-        rho0 = density_from_amplitudes(psi)
-        cols = {k: np.empty(times.size) for k in ("rho00", "rho11", "reCoh", "imCoh")}
-        for i, t in enumerate(times):
-            rho = lindblad.evolve_isotropic_markov(rho0, cfg.gamma, t)
-            cols["rho00"][i], cols["rho11"][i] = rho.rho00, rho.rho11
-            cols["reCoh"][i], cols["imCoh"][i] = rho.coherence.real, rho.coherence.imag
-        return Trajectory(times, cols)
+        rho = lindblad.evolve_isotropic_markov(density_from_amplitudes(psi), cfg.gamma, times)
+        return Trajectory(times, _rho_columns(rho))
 
     if cfg.scenario == "dephase-correlated":
         p = dephasing_nm.CorrelatedBathParams(
             cfg.spectral, cfg.thermo_beta, cfg.bath_omega0, psi.bloch_z
         )
-        a, b = psi.a, psi.b
-        names = ("rho00", "rho11", "reCoh", "imCoh", "gamma", "Phi", "chi")
-        cols = {k: np.empty(times.size) for k in names}
-        for i, t in enumerate(times):
-            try:
-                f = dephasing_nm.decoherence_factors(t, p)
-                gamma_total = f.gamma_total
-                chi_t = f.chi
-                phi_t = f.phi
-                coh = a * np.conj(b) * np.exp(-1j * (cfg.bath_omega0 * t + chi_t)) \
-                    * math.exp(-gamma_total)
-            except SingularCorrelationError:
-                phi_t = dephasing_nm.phi(t, p.J)
-                gamma_total, chi_t, coh = math.inf, math.nan, 0.0j
-            cols["rho00"][i], cols["rho11"][i] = abs(a) ** 2, abs(b) ** 2
-            cols["reCoh"][i], cols["imCoh"][i] = coh.real, coh.imag
-            cols["gamma"][i], cols["Phi"][i], cols["chi"][i] = gamma_total, phi_t, chi_t
-        return Trajectory(times, cols)
+        f = dephasing_nm.decoherence_factors(times, p)
+        rho = f.state(psi, p.omega0, times)
+        return Trajectory(times, {**_rho_columns(rho), "gamma": f.gamma_total,
+                                  "Phi": f.phi, "chi": f.chi})
 
     if cfg.scenario in ("central-exact", "fig2"):
         if cfg.scenario == "fig2":
@@ -447,7 +387,9 @@ def run_scenario(cfg: ScenarioConfig) -> Trajectory:
             rot = central_spin.rotate_to_polarization(
                 psi.a, psi.b, cfg.pol_c, cfg.pol_d
             )
-        return _central_exact_trajectory(spec, rot, cfg.grid)
+        sector = central_spin.evolve_sector(spec, grid=cfg.grid)
+        rho = central_spin.reduced_system_density(spec, rot, sector.times, sector.amplitudes)
+        return Trajectory(sector.times, {"P0": sector.p0, **_rho_columns(rho)})
 
     if cfg.scenario == "central-sme":
         spec = _spin_bath_from_config(cfg)
@@ -485,19 +427,6 @@ def oracle_compare_trajectory(n: int, seed: int, grid: TimeGrid) -> Trajectory:
     return Trajectory(grid.times, {"ampDev": amp_dev, "szDrift": sz_drift})
 
 
-def emit_csv(traj: Trajectory, path) -> None:
-    """Write a trajectory as CSV (header row, 17 significant digits, LF)."""
-    traj.write_csv(path)
-
-
-def _fig2_config(n: int, out: Optional[str]) -> ScenarioConfig:
-    cfg = ScenarioConfig(scenario="fig2")
-    cfg.bath_n = n
-    cfg.grid = TimeGrid(0.0, 5.0, 20000)
-    cfg.output_path = out
-    return cfg
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="decobath",
@@ -532,7 +461,8 @@ def main(argv=None) -> int:
                 return 2
             cfg = parse_config(text)
         elif args.command == "preset":
-            cfg = _fig2_config(args.n, args.out)
+            cfg = parse_config(f"scenario = fig2\nbath.N = {args.n}\n")
+            cfg.output_path = args.out
         else:  # oracle-compare
             if not 1 <= args.n <= central_spin.BRUTE_FORCE_MAX_N:
                 print(
@@ -559,27 +489,24 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    failed = False
     if cfg.scenario == "oracle-compare":
         worst = float(np.max(traj.columns["ampDev"]))
-        verdict = "PASS" if worst < ORACLE_DEVIATION_THRESHOLD else "FAIL"
+        failed = not worst < ORACLE_DEVIATION_THRESHOLD
         print(
             f"oracle-compare: max amplitude deviation {worst:.3e} "
-            f"(threshold {ORACLE_DEVIATION_THRESHOLD:g}) {verdict}"
+            f"(threshold {ORACLE_DEVIATION_THRESHOLD:g}) {'FAIL' if failed else 'PASS'}"
         )
-        if verdict == "FAIL":
-            if cfg.output_path:
-                emit_csv(traj, cfg.output_path)
-            return 3
 
     if cfg.output_path:
         try:
-            emit_csv(traj, cfg.output_path)
+            traj.write_csv(cfg.output_path)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
-    else:
+    elif not failed:
         sys.stdout.write(traj.to_csv())
-    return 0
+    return 3 if failed else 0
 
 
 if __name__ == "__main__":

@@ -316,8 +316,9 @@ def gamma_corr(t: float, p: CorrelatedBathParams) -> float:
     (the log argument never exceeds 1) and vanishes identically for
     <sigma_z> = +-1.  A log argument at or below zero means the coherence is
     annihilated outright and raises
-    :class:`~decobath.errors.SingularCorrelationError`; callers that only
-    need the density matrix map that to an exactly zero coherence.
+    :class:`~decobath.errors.SingularCorrelationError`;
+    :func:`decoherence_factors` maps that point to gamma_corr = inf, chi = nan
+    and an exactly zero coherence.
     """
     weights = _bath_weights(p.beta, p.omega0, p.sigma_z_expect)
     return _gamma_corr_from_phi(phi(t, p.J), weights)
@@ -338,55 +339,65 @@ def chi(t: float, p: CorrelatedBathParams) -> float:
 
 @dataclass(frozen=True)
 class DecoherenceFactors:
-    """All scalar factors entering the correlated-bath coherence at one time."""
+    """The factors entering the correlated-bath coherence, at one time or per time.
 
-    phi: float
-    gamma_thermal: float
-    gamma_corr: float
-    chi: float
+    Where the correlation term annihilates the coherence (the log argument
+    of gamma_corr reaches zero), ``gamma_corr`` is inf and ``chi`` is nan.
+    """
+
+    phi: np.ndarray
+    gamma_thermal: np.ndarray
+    gamma_corr: np.ndarray
+    chi: np.ndarray
 
     @property
-    def gamma_total(self) -> float:
+    def gamma_total(self) -> np.ndarray:
         return self.gamma_thermal + self.gamma_corr
 
+    def state(self, psi0: QubitAmplitudes, omega0: float, t) -> DensityMatrix2:
+        """Populations (|a|^2, |b|^2) and coherence a b* exp(-i (omega0 t + chi)) exp(-gamma).
 
-def decoherence_factors(t: float, p: CorrelatedBathParams) -> DecoherenceFactors:
-    """Compute Phi, gamma_thermal, gamma_corr and chi sharing one Phi quadrature."""
-    phi_t = phi(t, p.J)
+        The coherence is exactly 0 where ``gamma_corr`` is inf.
+        """
+        a, b = psi0.a, psi0.b
+        coh = a * np.conj(b) * np.exp(-1j * (omega0 * np.asarray(t) + self.chi)) \
+            * np.exp(-self.gamma_total)
+        coh = np.where(np.isinf(self.gamma_corr), 0j, coh)
+        return DensityMatrix2.from_parts(abs(a) ** 2, abs(b) ** 2, coh)
+
+
+def decoherence_factors(t, p: CorrelatedBathParams) -> DecoherenceFactors:
+    """Phi, gamma_thermal, gamma_corr and chi at time(s) ``t``.
+
+    Each point takes one Phi and one gamma_thermal quadrature; an array ``t``
+    gives arrays of its shape.  A point on the singular branch (see
+    :func:`gamma_corr`) gets gamma_corr = inf and chi = nan.
+    """
     weights = _bath_weights(p.beta, p.omega0, p.sigma_z_expect)
-    return DecoherenceFactors(
-        phi=phi_t,
-        gamma_thermal=gamma_thermal(t, p.J, p.beta),
-        gamma_corr=_gamma_corr_from_phi(phi_t, weights),
-        chi=_chi_from_phi(phi_t, weights),
-    )
+    t = np.asarray(t, dtype=float)
+    out = np.empty((t.size, 4))
+    # Python floats keep quad's integrands out of numpy scalar arithmetic
+    for i, ti in enumerate(t.ravel().tolist()):
+        phi_t = phi(ti, p.J)
+        try:
+            g2, chi_t = _gamma_corr_from_phi(phi_t, weights), _chi_from_phi(phi_t, weights)
+        except SingularCorrelationError:
+            g2, chi_t = math.inf, math.nan
+        out[i] = phi_t, gamma_thermal(ti, p.J, p.beta), g2, chi_t
+    return DecoherenceFactors(*out.T.reshape((4,) + t.shape))
 
 
-def rho_correlated(
-    t: float, psi0: QubitAmplitudes, p: CorrelatedBathParams
-) -> DensityMatrix2:
-    """Reduced state at time t for the system-correlated bath preparation.
+def rho_correlated(t, psi0: QubitAmplitudes, p: CorrelatedBathParams) -> DensityMatrix2:
+    """Reduced state at time(s) t for the system-correlated bath preparation.
 
     The populations are (|a|^2, |b|^2) for every t; the coherence is
-    a b* exp(-i (omega0 t + chi)) exp(-(gamma_thermal + gamma_corr)).
-    <sigma_z> is recomputed from ``psi0`` (the preparation ties them
-    definitionally), overriding ``p.sigma_z_expect``.
+    a b* exp(-i (omega0 t + chi)) exp(-(gamma_thermal + gamma_corr)), and
+    exactly 0 where the correlation term annihilates it.  <sigma_z> is
+    recomputed from ``psi0`` (the preparation ties them definitionally),
+    overriding ``p.sigma_z_expect``.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    a, b = psi0.a, psi0.b
     p_eff = replace(p, sigma_z_expect=psi0.bloch_z)
-    phi_t = phi(t, p_eff.J)
-    g1 = gamma_thermal(t, p_eff.J, p_eff.beta)
-    weights = _bath_weights(p_eff.beta, p_eff.omega0, p_eff.sigma_z_expect)
-    try:
-        g2 = _gamma_corr_from_phi(phi_t, weights)
-        chi_t = _chi_from_phi(phi_t, weights)
-        coh = a * np.conj(b) * np.exp(-1j * (p_eff.omega0 * t + chi_t)) \
-            * math.exp(-(g1 + g2))
-    except SingularCorrelationError:
-        coh = 0.0j
-    return DensityMatrix2.from_parts(abs(a) ** 2, abs(b) ** 2, coh)
+    return decoherence_factors(t, p_eff).state(psi0, p_eff.omega0, t)
 
 
 def rho_uncorrelated(

@@ -107,40 +107,42 @@ def isotropic_generator(gamma: float) -> Generator:
     return rhs
 
 
-def evolve_dephasing_markov(
-    psi0: QubitAmplitudes, params: DephasingParams, t: float
-) -> DensityMatrix2:
-    """Closed-form Markovian dephasing of a pure initial state.
+def evolve_dephasing_markov(psi0: QubitAmplitudes, params: DephasingParams, t) -> DensityMatrix2:
+    """Closed-form Markovian dephasing of a pure initial state, at time(s) ``t``.
 
     Populations stay at (|a|^2, |b|^2) for all times; the coherence is
     ``a b* exp(-i omega0 t) exp(-gamma t)``.  For gamma*t >> 1 the state is
     the statistical mixture diag(|a|^2, |b|^2): the measurement fixed point.
+    An array ``t`` gives one batched state with an entry per time.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    t = _nonnegative_times(t)
     a, b = psi0.a, psi0.b
     coh = a * np.conj(b) * np.exp(-1j * params.omega0 * t) * np.exp(-params.gamma * t)
     return DensityMatrix2.from_parts(abs(a) ** 2, abs(b) ** 2, coh)
 
 
-def evolve_isotropic_markov(
-    rho0: DensityMatrix2, gamma: float, t: float
-) -> DensityMatrix2:
+def evolve_isotropic_markov(rho0: DensityMatrix2, gamma: float, t) -> DensityMatrix2:
     """Closed-form isotropic decoherence: Bloch vector shrinks by exp(-4 gamma t).
 
     The maximally mixed state I/2 is the fixed point for every initial state.
+    An array ``t`` gives one batched state with an entry per time.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    t = _nonnegative_times(t)
     if not np.isfinite(gamma) or gamma < 0:
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     f = np.exp(-4.0 * gamma * t)
-    half = 0.5
     return DensityMatrix2.from_parts(
-        half + f * (rho0.rho00 - half),
-        half + f * (rho0.rho11 - half),
+        0.5 + f * (rho0.rho00 - 0.5),
+        0.5 + f * (rho0.rho11 - 0.5),
         f * rho0.coherence,
     )
+
+
+def _nonnegative_times(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError(f"t must be >= 0, got {np.min(t)}")
+    return t
 
 
 def _check_generator_contract(rhs: Generator, t0: float, rho0: np.ndarray) -> None:

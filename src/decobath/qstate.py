@@ -77,16 +77,20 @@ class QubitAmplitudes:
 
 
 class DensityMatrix2:
-    """A validated 2x2 density matrix.
+    """A validated 2x2 density matrix, or a batch of them validated in one call.
 
     The matrix is stored as two real populations plus one complex coherence,
-    so Hermiticity holds exactly by construction.  Construction checks
+    so Hermiticity holds exactly by construction.  Construction checks, for
+    every element of a batch,
 
     * unit trace within ``atol``,
     * positive semidefiniteness: populations and determinant above ``-atol``.
 
     ``atol`` defaults to :data:`ATOL_ANALYTIC`; paths that go through a
-    numerical integrator should pass :data:`ATOL_INTEGRATED`.
+    numerical integrator should pass :data:`ATOL_INTEGRATED`.  Scalar parts
+    give scalar properties; array parts passed to :meth:`from_parts` (e.g.
+    one entry per time point) give array properties of their broadcast
+    shape, and :attr:`matrix` then has shape ``(..., 2, 2)``.
     """
 
     __slots__ = ("_p0", "_p1", "_coh")
@@ -107,53 +111,64 @@ class DensityMatrix2:
         self._p0, self._p1, self._coh = p0, p1, coh
 
     @classmethod
-    def from_parts(cls, p0: float, p1: float, coherence: complex,
-                   *, atol: float = ATOL_ANALYTIC) -> "DensityMatrix2":
-        """Build directly from populations and the (0,1) coherence entry."""
+    def from_parts(cls, p0, p1, coherence, *, atol: float = ATOL_ANALYTIC) -> "DensityMatrix2":
+        """Build directly from populations and the (0,1) coherence entry.
+
+        The three parts broadcast against each other; one call validates a
+        whole trajectory.
+        """
         self = object.__new__(cls)
-        p0, p1, coherence = float(p0), float(p1), complex(coherence)
-        if not (np.isfinite(p0) and np.isfinite(p1)):
+        p0, p1, coherence = np.broadcast_arrays(
+            np.asarray(p0, dtype=float), np.asarray(p1, dtype=float),
+            np.asarray(coherence, dtype=complex))
+        if not (np.all(np.isfinite(p0)) and np.all(np.isfinite(p1))):
             raise ValueError("populations must be finite")
-        _require_finite("coherence", coherence)
+        if not (np.all(np.isfinite(coherence.real)) and np.all(np.isfinite(coherence.imag))):
+            raise ValueError("coherence must have finite components")
         cls._validate(p0, p1, coherence, atol)
-        self._p0, self._p1, self._coh = p0, p1, coherence
+        self._p0, self._p1, self._coh = p0[()], p1[()], coherence[()]
         return self
 
     @staticmethod
-    def _validate(p0: float, p1: float, coh: complex, atol: float) -> None:
-        trace_dev = abs(p0 + p1 - 1.0)
-        if trace_dev > atol:
-            raise ValueError(f"trace must equal 1 (deviation {trace_dev:.3e})")
-        det = p0 * p1 - abs(coh) ** 2
-        if p0 < -atol or p1 < -atol or det < -atol:
+    def _validate(p0, p1, coh, atol: float) -> None:
+        p0, p1, coh = np.asarray(p0), np.asarray(p1), np.asarray(coh)
+        trace_dev = np.abs(p0 + p1 - 1.0)
+        if np.any(trace_dev > atol):
+            raise ValueError(f"trace must equal 1 (deviation {np.max(trace_dev):.3e})")
+        det = p0 * p1 - np.abs(coh) ** 2
+        bad = (p0 < -atol) | (p1 < -atol) | (det < -atol)
+        if np.any(bad):
+            i = np.unravel_index(np.argmax(bad), bad.shape)
             raise ValueError(
                 f"matrix is not positive semidefinite "
-                f"(populations {p0:.3e}, {p1:.3e}, det {det:.3e})"
+                f"(populations {p0[i]:.3e}, {p1[i]:.3e}, det {det[i]:.3e})"
             )
 
     @property
-    def rho00(self) -> float:
+    def rho00(self):
         return self._p0
 
     @property
-    def rho11(self) -> float:
+    def rho11(self):
         return self._p1
 
     @property
-    def coherence(self) -> complex:
+    def coherence(self):
         """The (0, 1) entry <0|rho|1>."""
         return self._coh
 
     @property
     def matrix(self) -> np.ndarray:
-        """A fresh 2x2 complex array copy of the matrix."""
-        return np.array([[self._p0, self._coh],
-                         [np.conj(self._coh), self._p1]], dtype=complex)
+        """A fresh complex array of shape ``(..., 2, 2)``."""
+        m = np.empty(np.shape(self._p0) + (2, 2), dtype=complex)
+        m[..., 0, 0], m[..., 1, 1] = self._p0, self._p1
+        m[..., 0, 1], m[..., 1, 0] = self._coh, np.conj(self._coh)
+        return m
 
     def isclose(self, other: "DensityMatrix2", atol: float = 1e-12) -> bool:
-        return (abs(self._p0 - other._p0) <= atol
-                and abs(self._p1 - other._p1) <= atol
-                and abs(self._coh - other._coh) <= atol)
+        return bool(np.all(np.abs(self._p0 - other._p0) <= atol)
+                    and np.all(np.abs(self._p1 - other._p1) <= atol)
+                    and np.all(np.abs(self._coh - other._coh) <= atol))
 
     def __repr__(self) -> str:
         return (f"DensityMatrix2(rho00={self._p0!r}, rho11={self._p1!r}, "

@@ -394,6 +394,17 @@ class TestReducedDensity:
             assert np.max(np.abs(rho.matrix - rho_full)) < 1e-10
 
 
+    def test_stack_of_sector_states_gives_one_batch(self):
+        spec = SpinBathSpec(N=4, g=0.8, omega0=0.3, omega=[0.5, 1.0, -0.7, 0.2])
+        rot = RotatedAmplitudes(0.6, 0.8j)
+        traj = evolve_sector(spec, grid=TimeGrid(0.0, 3.0, 30))
+        batch = reduced_system_density(spec, rot, traj.times, traj.amplitudes)
+        assert batch.matrix.shape == (31, 2, 2)
+        for i in (0, 7, 30):
+            one = reduced_system_density(spec, rot, traj.times[i], traj.amplitudes[i])
+            assert np.max(np.abs(batch.matrix[i] - one.matrix)) <= 1e-15
+
+
 class TestMeasurementConsistency:
     def test_pre_revival_window_completes_the_measurement(self):
         # beta = 1 and a large bath: between collapse and revival the reduced

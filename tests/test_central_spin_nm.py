@@ -238,6 +238,19 @@ class TestChannelwiseIntegration:
             integrate_sme(spec, random_rot(rng), grid)
         assert info.value.t == grid.refined(refine).times[1]
 
+    def test_decayed_coherence_reaches_zero_not_a_subnormal(self):
+        # Gamma_d t^2 reaches ~e^-800 by t = 20; a subnormal rho01 times R ~ 1
+        # would round back to itself and freeze near 6e-322
+        spec = spec_with([0.5, 0.5], 0.3, [0.1, 0.5])
+        s = 1.0 / math.sqrt(2.0)
+        traj = integrate_sme(spec, RotatedAmplitudes(s, s), TimeGrid(0.0, 20.0, 200))
+        mag = np.abs(traj.states[:, 0, 1])
+        tiny = np.finfo(float).tiny
+        assert np.all((mag == 0.0) | (mag >= tiny))
+        # the 15 rows that were subnormal before the flush are exactly 0
+        assert np.all(traj.states[-15:, 0, 1] == 0.0)
+        assert mag[-16] >= tiny
+
     def test_step_cap_refuses_before_integrating(self):
         # the README bath run ten times longer: ~3e8 fine steps
         spec = spec_with(np.full(8, 1.2), 0.9, np.linspace(0.1, 2.2, 8))

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from decobath import cli
 from decobath.cli import (
-    emit_csv,
     main,
     oracle_compare_trajectory,
     parse_config,
@@ -125,6 +126,70 @@ class TestParseConfig:
         )
         assert cfg.spectral(1.0) == pytest.approx(0.4)
 
+    # scenario: (its required keys with values, a key another scenario owns)
+    SCHEMA_CASES = {
+        "dephase-markov": ({"gamma": "1"}, "oracle.n = 3"),
+        "dephase-isotropic": ({"gamma": "1"}, "bath.omega0 = 1"),
+        "dephase-correlated": ({"spectral.family": "ohmic", "thermo.beta": "2",
+                                "bath.omega0": "1"}, "gamma = 1"),
+        "central-exact": ({"bath.N": "2", "bath.g": "0.3", "bath.omega": "0.5",
+                           "bath.omega0": "1"}, "thermo.beta = 2"),
+        "central-sme": ({"bath.N": "2", "bath.g": "0.3", "bath.omega": "0.5",
+                         "bath.omega0": "1"}, "spectral.family = ohmic"),
+        "oracle-compare": ({"oracle.n": "3", "oracle.seed": "1"}, "system.a = 1"),
+        "fig2": ({"bath.N": "50"}, "bath.g = 1"),
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(SCHEMA_CASES))
+    def test_schema_required_and_foreign_keys(self, scenario):
+        required, foreign = self.SCHEMA_CASES[scenario]
+        lines = [f"scenario = {scenario}"] + [f"{k} = {v}" for k, v in required.items()]
+        for key in required:
+            kept = [ln for ln in lines if not ln.startswith(f"{key} =")]
+            with pytest.raises(ConfigError) as exc:
+                parse_config("\n".join(kept) + "\n")
+            assert f"config: scenario {scenario!r} requires key {key!r}" in exc.value.messages
+        foreign_key = foreign.split(" =")[0]
+        with pytest.raises(ConfigError) as exc:
+            parse_config("\n".join(lines + [foreign]) + "\n")
+        assert (f"line {len(lines) + 1}: key {foreign_key!r} does not apply to "
+                f"scenario {scenario!r}") in exc.value.messages
+
+    def test_module_docstring_table_matches_schema(self):
+        rows, scenario = {}, None
+        for line in cli.__doc__.split("Scenarios and their keys")[1].splitlines()[5:]:
+            if line.startswith("="):
+                break
+            if not line.startswith(" "):
+                scenario, line = line.split(None, 1)
+            rows[scenario] = rows.get(scenario, "") + " " + line
+        assert set(rows) == set(cli.SCENARIOS)
+        for scenario, text in rows.items():
+            words = set(re.findall(r"[a-zA-Z0-9_.]+\*?", text))
+            names = {"grid.*" if w.startswith("grid.") else w.rstrip("*") for w in words}
+            allowed, required = cli._SCHEMA[scenario]
+            keys = {"grid.*" if k.startswith("grid.") else k
+                    for k in allowed if k != "output.path"}
+            assert names & (set(cli._KINDS) | {"grid.*"}) == keys, scenario
+            assert {w[:-1] for w in words if w.endswith("*") and w != "grid.*"} \
+                == set(required), scenario
+
+    @pytest.mark.parametrize("key", ["spectral.eta", "spectral.omega_c"])
+    def test_infinite_ohmic_parameter_is_a_config_error(self, key, tmp_path, capsys):
+        values = {"spectral.eta": "0.5", "spectral.omega_c": "2", key: "inf"}
+        text = ("scenario = dephase-correlated\nthermo.beta = 2\nbath.omega0 = 1\n"
+                "spectral.family = ohmic\n"
+                + "".join(f"{k} = {v}\n" for k, v in values.items()))
+        line = 5 + list(values).index(key)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert any(m.startswith(f"line {line}: {key} must be finite")
+                   for m in exc.value.messages)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        assert main(["run", str(cfg)]) == 2
+        assert f"line {line}: {key} must be finite" in capsys.readouterr().err
+
     def test_beta_inf_is_zero_temperature(self):
         cfg = parse_config(
             "scenario = dephase-correlated\nthermo.beta = inf\nbath.omega0 = 1\n"
@@ -174,6 +239,12 @@ class TestRunScenario:
         assert traj.columns["P0"][0] == pytest.approx(1.0, abs=1e-12)
         assert list(traj.columns) == ["P0", "rho00", "rho11", "reCoh", "imCoh"]
 
+    def test_fig2_rho00_is_p0_bit_for_bit(self):
+        # the preset starts with the whole state in the decaying branch (beta = 1)
+        traj = run_scenario(parse_config("scenario = fig2\nbath.N = 50\n"))
+        assert traj.times.size == 20001
+        assert np.array_equal(traj.columns["rho00"], traj.columns["P0"])
+
     def test_central_exact_and_sme_run(self):
         base = (
             "bath.N = 3\nbath.g = 0.2\nbath.omega = 0.5, 1.0, 1.5\n"
@@ -220,7 +291,7 @@ class TestCsv:
         traj = Trajectory(np.array([0.0, 1.0]),
                           {"rho00": np.array([1 / 3, 2 / 3])})
         path = tmp_path / "out.csv"
-        emit_csv(traj, path)
+        traj.write_csv(path)
         lines = path.read_text().splitlines()
         assert lines[0] == "t,rho00"
         assert lines[1] == "0,0.33333333333333331"
@@ -230,7 +301,7 @@ class TestCsv:
         traj = Trajectory(np.sort(rng.uniform(0, 10, 50)),
                           {"a": rng.normal(size=50), "b": rng.uniform(-1, 1, 50)})
         path = tmp_path / "roundtrip.csv"
-        emit_csv(traj, path)
+        traj.write_csv(path)
         back = Trajectory.read_csv(path)
         assert np.array_equal(back.times, traj.times)
         assert np.array_equal(back.columns["a"], traj.columns["a"])
@@ -244,7 +315,7 @@ class TestCsv:
     def test_lf_line_endings(self, tmp_path):
         traj = Trajectory(np.array([0.0, 1.0]), {"x": np.array([1.0, 2.0])})
         path = tmp_path / "lf.csv"
-        emit_csv(traj, path)
+        traj.write_csv(path)
         raw = path.read_bytes()
         assert b"\r" not in raw
 
@@ -321,6 +392,15 @@ class TestMain:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
         assert out.exists()
+
+    def test_oracle_compare_fail_with_unwritable_out(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli, "ORACLE_DEVIATION_THRESHOLD", 0.0)
+        out = tmp_path / "missing_dir" / "x.csv"
+        code = main(["oracle-compare", "--n", "3", "--seed", "7", "--out", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.out
+        assert "cannot write trajectory" in captured.err
 
     def test_oracle_compare_n_bounds(self, capsys):
         assert main(["oracle-compare", "--n", "13", "--seed", "1", "--out", "x.csv"]) == 2

@@ -5,6 +5,7 @@ import pytest
 
 from decobath.dephasing_nm import (
     CorrelatedBathParams,
+    DecoherenceFactors,
     SpectralDensity,
     chi,
     decoherence_factors,
@@ -352,6 +353,28 @@ class TestReducedStates:
             corr = rho_correlated(t, psi, p)
             ref = rho_uncorrelated(t, psi, J, beta, omega0)
             assert abs(corr.coherence) <= abs(ref.coherence) + 1e-14
+
+    def test_time_array_matches_scalar_calls(self):
+        p = make_params(eta=0.9, omega_c=2.0, beta=1.1, omega0=0.7, z=0.28)
+        psi = QubitAmplitudes(0.8, 0.6)
+        ts = np.array([0.0, 0.4, 1.9, 3.3])
+        f = decoherence_factors(ts, p)
+        rho = rho_correlated(ts, psi, p)
+        assert f.phi.shape == ts.shape and rho.matrix.shape == (4, 2, 2)
+        for i, t in enumerate(ts):
+            one = decoherence_factors(t, p)
+            assert (f.phi[i], f.gamma_thermal[i], f.gamma_corr[i], f.chi[i]) \
+                == (one.phi, one.gamma_thermal, one.gamma_corr, one.chi)
+            assert np.max(np.abs(rho.matrix[i] - rho_correlated(t, psi, p).matrix)) <= 1e-15
+
+    def test_singular_branch_state_has_exactly_zero_coherence(self):
+        f = DecoherenceFactors(phi=np.array([0.3, math.pi / 2]),
+                               gamma_thermal=np.array([0.1, 0.2]),
+                               gamma_corr=np.array([0.05, math.inf]),
+                               chi=np.array([0.2, math.nan]))
+        rho = f.state(QubitAmplitudes(0.6, 0.8), 1.0, np.array([0.5, 1.0]))
+        assert rho.coherence[1] == 0.0 and abs(rho.coherence[0]) > 0.0
+        assert np.all(rho.rho00 == 0.6 ** 2) and np.all(rho.rho11 == 0.8 ** 2)
 
     def test_decoherence_factors_consistent_with_scalar_ops(self):
         p = make_params(eta=0.9, omega_c=2.0, beta=1.1, omega0=0.7, z=0.25)

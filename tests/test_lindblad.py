@@ -107,6 +107,21 @@ def test_evolve_dephasing_markov_rejects_negative_time():
         evolve_isotropic_markov(DensityMatrix2(0.5 * np.eye(2)), 1.0, -0.1)
 
 
+def test_closed_forms_take_a_time_array():
+    psi = QubitAmplitudes(0.6, 0.8j)
+    p = DephasingParams(0.7, omega0=1.4)
+    rho0 = density_from_amplitudes(psi)
+    ts = np.linspace(0.0, 3.0, 7)
+    markov = evolve_dephasing_markov(psi, p, ts)
+    iso = evolve_isotropic_markov(rho0, 0.3, ts)
+    assert markov.matrix.shape == iso.matrix.shape == (7, 2, 2)
+    for i, t in enumerate(ts):
+        assert np.max(np.abs(markov.matrix[i] - evolve_dephasing_markov(psi, p, t).matrix)) <= 1e-15
+        assert np.max(np.abs(iso.matrix[i] - evolve_isotropic_markov(rho0, 0.3, t).matrix)) <= 1e-15
+    with pytest.raises(ValueError):
+        evolve_dephasing_markov(psi, p, np.array([0.0, -1e-3]))
+
+
 def test_isotropic_fixed_point_is_maximally_mixed():
     mixed = DensityMatrix2(0.5 * np.eye(2))
     out = evolve_isotropic_markov(mixed, 3.0, 1.7)

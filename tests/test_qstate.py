@@ -91,6 +91,30 @@ def test_density_matrix_validation():
     DensityMatrix2.from_parts(-1e-10, 1.0 + 1e-10, 0.0, atol=1e-9)
 
 
+def test_batch_validation_catches_a_single_bad_element():
+    n = 20001
+    p0 = np.linspace(0.0, 1.0, n)
+    coh = np.sqrt(p0 * (1.0 - p0)) * np.exp(1j * np.linspace(0.0, 7.0, n))
+    rho = DensityMatrix2.from_parts(p0, 1.0 - p0, coh)
+    assert rho.rho00.shape == (n,) and rho.matrix.shape == (n, 2, 2)
+    p1 = 1.0 - p0
+    p1[12345] += 2e-12  # trace off by 2 * ATOL_ANALYTIC at one point
+    with pytest.raises(ValueError, match="trace"):
+        DensityMatrix2.from_parts(p0, p1, coh)
+    bad = coh.copy()
+    bad[777] *= 1.0 + 1e-9  # det ~ -2e-9 |coh|^2 ~ -7e-11 < -atol at one point
+    assert p0[777] * (1 - p0[777]) - abs(bad[777]) ** 2 < -1e-12
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        DensityMatrix2.from_parts(p0, 1.0 - p0, bad)
+
+
+def test_scalar_parts_give_scalar_properties():
+    rho = DensityMatrix2.from_parts(0.25, 0.75, 0.1 + 0.2j)
+    assert np.ndim(rho.rho00) == 0 and np.ndim(rho.coherence) == 0
+    assert rho.matrix.shape == (2, 2)
+    assert rho.coherence == 0.1 + 0.2j
+
+
 def test_kraus_completeness_enforced():
     with pytest.raises(CompletenessError):
         KrausPair(IDENTITY, IDENTITY)
