@@ -39,6 +39,14 @@ fine step count ``grid.steps * refine`` exceeds
 with exit code 2 and a message giving the estimate and the refine factor;
 shorten ``grid.t1`` or weaken the couplings to bring it under the cap.
 
+dephase-correlated evaluates its spectral integrals in closed form over the
+whole grid.  The thermal part of a tabulated density at finite temperature
+is integrated on fixed quadrature panels whose number grows with
+``grid.t1``; a run whose time points x (knots + quadrature nodes) exceed
+``dephasing_nm.MAX_SPECTRAL_EVALS`` (2**26) is refused before any work, and
+one whose quadrature error estimate misses its target is aborted, both with
+exit code 3.
+
 Defaults: ``system.a = system.b = 1/sqrt(2)``, ``bath.omega0 = 0`` where
 optional, ``bath.polarization = (0, 1)``, ``grid.t0 = 0``, ``grid.t1 = 10``
 (5 for fig2), ``grid.steps = 1000`` (20000 for fig2).  Amplitude pairs may be
@@ -53,7 +61,8 @@ prepend ``P0`` (survival probability); dephase-correlated appends
 carry 17 significant digits (exact round trip), lines end with LF.
 
 Exit codes: 0 success, 2 configuration error (including a central-sme run over
-the step cap), 3 numerical-quality abort.
+the step cap), 3 numerical-quality abort (including a dephase-correlated run
+over the spectral evaluation cap).
 """
 
 from __future__ import annotations

@@ -16,6 +16,29 @@ both are driven by the phase-shift integral
 Spectral-density normalization: J(w) absorbs the squared-coupling weight, so
 a bath of discrete modes corresponds to J(w) = sum_k 4 |g_k|^2 delta(w - w_k)
 in the continuum limit.
+
+:func:`decoherence_factors` evaluates Phi and gamma_thermal for a whole time
+array without adaptive quadrature:
+
+* Ohmic J = eta w exp(-w/omega_c): Phi = eta arctan(omega_c t) and, at zero
+  temperature, gamma_thermal = (eta/2) ln(1 + omega_c^2 t^2).  Expanding
+  coth(beta w/2) = 1 + 2 sum_k exp(-k beta w) (Leggett et al., RMP 59, 1,
+  1987) adds 2 eta [ln Gamma(1+x) - Re ln Gamma(1+x+it/beta)] at finite
+  temperature, x = 1/(beta omega_c); for t/beta <= (1+x)/8 that difference
+  is summed as its Hurwitz-zeta series instead, which has no cancellation.
+* Tabulated (piecewise-linear) J = c0 + c1 w on each knot segment: Phi and
+  the zero-temperature part of gamma_thermal are exact in Si, Ci and
+  Cin(x) = int_0^x (1 - cos u)/u du, with the antiderivatives evaluated at
+  every knot and differenced per segment.  The thermal excess
+  2 int J n_B (1 - cos w t)/w^2 dw, n_B = 1/(exp(beta w) - 1), is smooth and
+  decays exponentially; it is integrated with a fixed 16-point
+  Gauss-Legendre rule per panel, checked against an 8-point rule, and a run
+  whose error estimate misses the quadrature target raises
+  :class:`~decobath.errors.QuadratureError`, as does one whose node count
+  exceeds :data:`MAX_SPECTRAL_EVALS`.
+
+The scalar :func:`phi` and :func:`gamma_thermal` keep adaptive ``quad``; they
+are the oracles these forms are tested against.
 """
 
 from __future__ import annotations
@@ -26,7 +49,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import exp1
+from scipy.special import exp1, gammaln, loggamma, sici, zeta
 
 from .errors import (
     DegenerateParametersError,
@@ -57,6 +80,55 @@ _QUAD_LIMIT = 2500
 #: Ohmic support is truncated at this many cutoff widths; the remainder is
 #: covered by an analytic exponential-tail bound folded into the error budget.
 _OHMIC_SPAN = 50.0
+
+#: Largest (time point) x (knot or quadrature node) evaluation count a tabulated
+#: run may take; larger runs raise QuadratureError before allocating.  At the
+#: cap a run takes ~1.5 s when quadrature nodes dominate and ~9 s when knots
+#: do (2-core Xeon, one thread).
+MAX_SPECTRAL_EVALS = 1 << 26
+#: Time points are processed in blocks of about this many array elements.
+_BLOCK_ELEMENTS = 1 << 12
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on P_n from the asymptotic roots; unlike
+    ``numpy.polynomial.legendre.leggauss`` it needs no LAPACK, whose set-up
+    would add ~0.75 MB to every process importing this module.
+    """
+    x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    step = np.ones(n)
+    for _ in range(100):
+        p_prev, p = np.ones(n), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        slope = n * (x * p - p_prev) / (x * x - 1.0)  # P_n'(x)
+        if np.max(np.abs(step)) < 1e-15:
+            break
+        step = p / slope
+        x = x - step
+    return x, 2.0 / ((1.0 - x * x) * slope * slope)
+
+
+#: Nodes and weights on [-1, 1] of the 16-point Gauss-Legendre rule for the
+#: thermal excess (the first _GL_RULE) followed by the 8-point rule that
+#: estimates its error.
+_GL_RULE = 16
+_GL_NODES, _GL_WEIGHTS = map(np.concatenate, zip(_gauss_legendre(_GL_RULE),
+                                                 _gauss_legendre(8)))
+#: Widest phase (panel width x max(t, beta)) of one quadrature panel; the
+#: 8-point rule is then accurate to ~1e-13 relative.
+_PANEL_PHASE = 4.0
+#: Cin(x) is summed as its Taylor series up to here (10 terms reach 1e-22);
+#: above, gamma_E + ln x - Ci(x) loses at most a factor ~3 to cancellation.
+_CIN_SERIES_MAX = 1.0
+_CIN_SERIES = np.array([(-1.0) ** (k + 1) / (2 * k * math.factorial(2 * k))
+                        for k in range(1, 11)])
+#: The Ohmic thermal excess uses its zeta series for t/beta <= (1 + x)/8,
+#: where 10 terms reach 64**-10.
+_ZETA_SERIES_RADIUS = 0.125
+_ZETA_SERIES_TERMS = 10
 
 
 class SpectralDensity:
@@ -115,7 +187,7 @@ class SpectralDensity:
     @classmethod
     def from_csv(cls, path) -> "SpectralDensity":
         """Load a tabulated density from a two-column CSV file (omega, J)."""
-        data = np.loadtxt(path, delimiter=",", dtype=float, comments="#")
+        data = np.loadtxt(path, delimiter=",", dtype=float, comments="#", ndmin=2)
         if data.ndim != 2 or data.shape[1] != 2:
             raise ValueError(f"{path}: expected two columns (omega, J)")
         return cls.tabulated(data[:, 0], data[:, 1])
@@ -250,6 +322,187 @@ def gamma_thermal(t: float, J: SpectralDensity, beta: float) -> float:
     return _spectral_quad(J, f, coth_cap=cap)
 
 
+def _ohmic_factors(t: np.ndarray, J: SpectralDensity, beta: float):
+    """Phi and gamma_thermal of the Ohmic family at times t >= 0, in closed form."""
+    eta, u = J.eta, J.omega_c * t
+    phi_t = eta * np.arctan(u)
+    # log1p(u^2)/2 equals ln u to double precision long before u^2 overflows
+    g1 = eta * np.where(u < 1e100, 0.5 * np.log1p(np.minimum(u, 1e100) ** 2),
+                        np.log(np.maximum(u, 1e100)))
+    if math.isinf(beta):
+        return phi_t, g1
+    # coth = 1 + 2 sum_k exp(-k beta w) turns the excess into
+    # eta sum_{k>=1} ln(1 + y^2/(x+k)^2) = 2 eta [lnG(z) - Re lnG(z + iy)],
+    # y = t/beta, z = 1 + x; its Taylor series in y^2 has the coefficients
+    # (-1)^(m+1) zeta(2m, z)/m and converges for y < z.
+    z, y = 1.0 + 1.0 / (beta * J.omega_c), t / beta
+    m = np.arange(1, _ZETA_SERIES_TERMS + 1)
+    coeffs = (-1.0) ** (m + 1) * zeta(2.0 * m, z) / m
+    small = y <= _ZETA_SERIES_RADIUS * z
+    y_small = np.where(small, y, 0.0)
+    series = y_small ** 2 * np.polynomial.polynomial.polyval(y_small ** 2, coeffs)
+    direct = 2.0 * (gammaln(z) - loggamma(z + 1j * np.where(small, 0.0, y)).real)
+    return phi_t, g1 + eta * np.where(small, series, direct)
+
+
+def _cin(x: np.ndarray, ci: np.ndarray) -> np.ndarray:
+    """Cin(x) = int_0^x (1 - cos u)/u du for x >= 0, given Ci(x).
+
+    Cin = gamma_E + ln x - Ci(x) cancels at small x; the Taylor series is
+    used there instead.
+    """
+    x_small = np.minimum(x, _CIN_SERIES_MAX) ** 2
+    series = x_small * np.polynomial.polynomial.polyval(x_small, _CIN_SERIES)
+    large = np.euler_gamma + np.log(np.maximum(x, _CIN_SERIES_MAX)) - ci
+    return np.where(x <= _CIN_SERIES_MAX, series, large)
+
+
+def _tabulated_zero_temperature(t: np.ndarray, omega: np.ndarray, c0: np.ndarray,
+                                c1: np.ndarray):
+    """Phi and the coth -> 1 part of gamma_thermal for piecewise-linear J.
+
+    On a segment [a, b] with J = c0 + c1 w (c0 = 0 on a segment starting at
+    w = 0, since J(0) = 0 there):
+
+        Phi:   c1 [Si(wt)] + c0 t [Ci(wt) - sin(wt)/(wt)]
+        gamma: c1 [Cin(wt)] + c0 t [Si(wt) - (1 - cos wt)/(wt)]
+
+    each antiderivative [F] differenced between b and a.  Where bt <= 1 the
+    Ci difference is formed as ln(b/a) - [Cin], which keeps its precision as
+    t -> 0.  Rows are blocks of time points, columns the knots.
+    """
+    phi_t = np.empty(t.size)
+    gamma0 = np.empty(t.size)
+    rows = max(1, _BLOCK_ELEMENTS // omega.size)
+    with np.errstate(divide="ignore"):
+        log_ratio = np.log(omega[1:] / omega[:-1])  # inf on a segment from 0
+    live = c0 != 0.0
+    for start in range(0, t.size, rows):
+        tb = t[start:start + rows, None]
+        x = tb * omega
+        si, ci = sici(x)
+        cin = _cin(x, ci)
+        half = 0.5 * x
+        s, c = np.sin(half), np.cos(half)
+        positive = np.where(x > 0, half, 1.0)
+        sinc = np.where(x > 0, s * c / positive, 1.0)  # sin(x)/x
+        versin = s * s / positive  # (1 - cos x)/x
+        d_si, d_cin = np.diff(si, axis=1), np.diff(cin, axis=1)
+        # Ci(0) = -inf and ln(b/0) = inf reach only segments with c0 = 0 and
+        # the branch np.where discards
+        with np.errstate(invalid="ignore"):
+            d_ci = np.where(x[:, 1:] <= _CIN_SERIES_MAX, log_ratio - d_cin,
+                            np.diff(ci, axis=1))
+            phi_c0 = np.where(live, c0 * (d_ci - np.diff(sinc, axis=1)), 0.0)
+            gamma_c0 = np.where(live, c0 * (d_si - np.diff(versin, axis=1)), 0.0)
+        tb = tb[:, 0]
+        phi_t[start:start + rows] = (c1 * d_si).sum(axis=1) + tb * phi_c0.sum(axis=1)
+        gamma0[start:start + rows] = (c1 * d_cin).sum(axis=1) + tb * gamma_c0.sum(axis=1)
+    return phi_t, gamma0
+
+
+def _panel_plan(omega: np.ndarray, scale: float):
+    """How the thermal-excess quadrature cuts each knot segment [a, b].
+
+    Returns the number of equal panels per segment, each of phase
+    width * scale <= _PANEL_PHASE (scale = max(t_max, beta), the larger of the
+    oscillation rate of 1 - cos(w t) and the decay rate of n_B), and the
+    segments with 0 < a < b - a together with their doubling counts: those
+    are also cut at a, 2a, 4a, ..., so that every panel [p, q] has q <= 2p,
+    because J/w^2 has a pole at w = 0 unless J = c1 w (a segment from 0).
+    """
+    a, b = omega[:-1], omega[1:]
+    equal = np.ceil((b - a) * (scale / _PANEL_PHASE))
+    graded = np.flatnonzero((a > 0) & (b > 2.0 * a))
+    return equal, graded, np.floor(np.log2(b[graded] / a[graded]))
+
+
+def _thermal_panels(omega: np.ndarray, scale: float):
+    """Left ends, right ends and segment indices of the quadrature panels."""
+    a, b = omega[:-1], omega[1:]
+    equal, graded, doublings = _panel_plan(omega, scale)
+    counts = equal.astype(np.int64)
+    counts[graded] = 0
+    seg = np.repeat(np.arange(a.size), counts)
+    k = np.arange(seg.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    width = (b - a)[seg] / counts[seg]
+    lo = a[seg] + width * k
+    hi = np.where(k + 1 == counts[seg], b[seg], a[seg] + width * (k + 1))
+    parts = [(lo, hi, seg)]
+    for j, n in zip(graded, doublings):
+        edges = np.union1d(np.linspace(a[j], b[j], int(equal[j]) + 1),
+                           a[j] * 2.0 ** np.arange(1.0, n + 1.0))
+        edges = edges[edges <= b[j]]
+        parts.append((edges[:-1], edges[1:], np.full(edges.size - 1, j)))
+    return tuple(np.concatenate(cols) for cols in zip(*parts))
+
+
+def _tabulated_thermal_excess(t: np.ndarray, omega: np.ndarray, c0, c1, beta: float,
+                              gamma0: np.ndarray) -> np.ndarray:
+    """2 int J n_B (1 - cos wt)/w^2 dw by fixed Gauss-Legendre panels.
+
+    The 8-point rule on the same panels gives the error estimate; the sum of
+    |16-point - 8-point| over panels must stay under the quadrature target
+    for the total gamma_thermal = ``gamma0`` + excess at every time.
+    """
+    lo, hi, seg = _thermal_panels(omega, max(float(t.max(initial=0.0)), beta))
+    excess = np.zeros(t.size)
+    err = np.zeros(t.size)
+    chunk = max(1, _BLOCK_ELEMENTS // _GL_NODES.size)
+    for first in range(0, lo.size, chunk):
+        part = slice(first, first + chunk)
+        # nodes w and weights 4 W J(w) n_B(w)/w^2 of both rules on each panel
+        half = 0.5 * (hi[part] - lo[part])[:, None]
+        w = 0.5 * (hi[part] + lo[part])[:, None] + half * _GL_NODES
+        j = c0[seg[part], None] + c1[seg[part], None] * w
+        with np.errstate(over="ignore"):  # n_B underflows to 0, as it should
+            weights = 4.0 * half * _GL_WEIGHTS * j / (w * w * np.expm1(beta * w))
+        half_w = 0.5 * w
+        rows = max(1, _BLOCK_ELEMENTS // w.size)
+        buf = np.empty((rows,) + w.shape)
+        for start in range(0, t.size, rows):
+            tb = t[start:start + rows, None, None]
+            terms = np.multiply(tb, half_w, out=buf[:tb.shape[0]])
+            np.sin(terms, out=terms)
+            np.square(terms, out=terms)
+            terms *= weights
+            rule = terms[..., :_GL_RULE].sum(axis=2)
+            excess[start:start + rows] += rule.sum(axis=1)
+            err[start:start + rows] += np.abs(rule - terms[..., _GL_RULE:].sum(axis=2)).sum(axis=1)
+    gamma = gamma0 + excess
+    bad = np.flatnonzero(err > _REL_TOL * np.abs(gamma) + _ABS_FLOOR)
+    if bad.size:
+        i = bad[0]
+        raise QuadratureError(
+            f"estimated error {err[i]:.3e} of the thermal integral exceeds target "
+            f"for value {gamma[i]:.6e} at t = {t[i]:.6g}"
+        )
+    return gamma
+
+
+def _tabulated_factors(t: np.ndarray, J: SpectralDensity, beta: float):
+    """Phi and gamma_thermal of a tabulated J at times t >= 0."""
+    omega, values = J._omega, J._values
+    c1 = np.diff(values) / np.diff(omega)
+    c0 = values[:-1] - c1 * omega[:-1]
+    thermal = not math.isinf(beta)
+    panels = 0.0
+    if thermal:
+        equal, _, doublings = _panel_plan(omega, max(float(t.max(initial=0.0)), beta))
+        panels = float(equal.sum() + doublings.sum())
+    evals = t.size * (omega.size + _GL_NODES.size * panels)
+    if evals > MAX_SPECTRAL_EVALS:
+        raise QuadratureError(
+            f"the spectral integrals need ~{evals:.3g} evaluations, over the cap "
+            f"{MAX_SPECTRAL_EVALS:.3g}; shorten the time grid or coarsen the table"
+        )
+    phi_t, gamma_t = _tabulated_zero_temperature(t, omega, c0, c1)
+    if thermal:
+        gamma_t = _tabulated_thermal_excess(t, omega, c0, c1, beta, gamma_t)
+    zero = t == 0.0
+    return np.where(zero, 0.0, phi_t), np.where(zero, 0.0, gamma_t)
+
+
 def _bath_weights(beta: float, omega0: float, z: float) -> tuple[float, float]:
     """Stable evaluation of the two correlated-bath coefficients.
 
@@ -287,24 +540,23 @@ def _bath_weights(beta: float, omega0: float, z: float) -> tuple[float, float]:
     return r, c
 
 
-def _gamma_corr_from_phi(phi_t: float, r_c: tuple[float, float]) -> float:
+def _gamma_corr_from_phi(phi_t, r_c: tuple[float, float]) -> np.ndarray:
+    """-(1/2) ln(1 - c sin^2 Phi) elementwise; inf where the log argument is <= 0."""
     _, c = r_c
-    q = c * math.sin(phi_t) ** 2
-    if q >= 1.0:
-        raise SingularCorrelationError(
-            "correlation term annihilates the coherence (log argument <= 0)"
-        )
-    return -0.5 * math.log1p(-q)
+    q = c * np.sin(phi_t) ** 2
+    singular = q >= 1.0
+    return np.where(singular, np.inf, -0.5 * np.log1p(-np.where(singular, 0.0, q)))
 
 
-def _chi_from_phi(phi_t: float, r_c: tuple[float, float]) -> float:
+def _chi_from_phi(phi_t, r_c: tuple[float, float]) -> np.ndarray:
+    """The continuously unwrapped chi for Phi, elementwise."""
     r, _ = r_c
-    principal = math.atan2(r * math.sin(phi_t), math.cos(phi_t))
+    principal = np.arctan2(r * np.sin(phi_t), np.cos(phi_t))
     if r == 0.0:
         # vanished slope: only the sign of cos Phi survives (0 or pi)
         return principal
     # lift the principal branch by the winding of Phi so chi is continuous
-    branch = math.floor((phi_t + math.pi) / (2.0 * math.pi))
+    branch = np.floor((phi_t + math.pi) / (2.0 * math.pi))
     return principal + 2.0 * math.pi * math.copysign(1.0, r) * branch
 
 
@@ -321,7 +573,12 @@ def gamma_corr(t: float, p: CorrelatedBathParams) -> float:
     and an exactly zero coherence.
     """
     weights = _bath_weights(p.beta, p.omega0, p.sigma_z_expect)
-    return _gamma_corr_from_phi(phi(t, p.J), weights)
+    value = float(_gamma_corr_from_phi(phi(t, p.J), weights))
+    if math.isinf(value):
+        raise SingularCorrelationError(
+            "correlation term annihilates the coherence (log argument <= 0)"
+        )
+    return value
 
 
 def chi(t: float, p: CorrelatedBathParams) -> float:
@@ -334,7 +591,7 @@ def chi(t: float, p: CorrelatedBathParams) -> float:
     <sz> = -1, and chi = 0 whenever R = 0 (<sz> = tanh(beta omega0/2)).
     """
     weights = _bath_weights(p.beta, p.omega0, p.sigma_z_expect)
-    return _chi_from_phi(phi(t, p.J), weights)
+    return float(_chi_from_phi(phi(t, p.J), weights))
 
 
 @dataclass(frozen=True)
@@ -367,24 +624,23 @@ class DecoherenceFactors:
 
 
 def decoherence_factors(t, p: CorrelatedBathParams) -> DecoherenceFactors:
-    """Phi, gamma_thermal, gamma_corr and chi at time(s) ``t``.
+    """Phi, gamma_thermal, gamma_corr and chi at time(s) ``t`` >= 0.
 
-    Each point takes one Phi and one gamma_thermal quadrature; an array ``t``
-    gives arrays of its shape.  A point on the singular branch (see
-    :func:`gamma_corr`) gets gamma_corr = inf and chi = nan.
+    Phi and gamma_thermal come from the closed forms in the module docstring,
+    for the whole time array at once; an array ``t`` gives arrays of its
+    shape.  A point on the singular branch (see :func:`gamma_corr`) gets
+    gamma_corr = inf and chi = nan.
     """
-    weights = _bath_weights(p.beta, p.omega0, p.sigma_z_expect)
     t = np.asarray(t, dtype=float)
-    out = np.empty((t.size, 4))
-    # Python floats keep quad's integrands out of numpy scalar arithmetic
-    for i, ti in enumerate(t.ravel().tolist()):
-        phi_t = phi(ti, p.J)
-        try:
-            g2, chi_t = _gamma_corr_from_phi(phi_t, weights), _chi_from_phi(phi_t, weights)
-        except SingularCorrelationError:
-            g2, chi_t = math.inf, math.nan
-        out[i] = phi_t, gamma_thermal(ti, p.J, p.beta), g2, chi_t
-    return DecoherenceFactors(*out.T.reshape((4,) + t.shape))
+    times = t.ravel()
+    if not np.all(times >= 0.0):
+        raise ValueError(f"t must be >= 0, got {float(np.min(times))}")
+    factors = _ohmic_factors if p.J.family == "ohmic" else _tabulated_factors
+    phi_t, gamma1 = factors(times, p.J, p.beta)
+    weights = _bath_weights(p.beta, p.omega0, p.sigma_z_expect)
+    gamma2 = _gamma_corr_from_phi(phi_t, weights)
+    chi_t = np.where(np.isinf(gamma2), np.nan, _chi_from_phi(phi_t, weights))
+    return DecoherenceFactors(*(a.reshape(t.shape) for a in (phi_t, gamma1, gamma2, chi_t)))
 
 
 def rho_correlated(t, psi0: QubitAmplitudes, p: CorrelatedBathParams) -> DensityMatrix2:

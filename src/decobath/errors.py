@@ -26,7 +26,8 @@ class CompletenessError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """A spectral-density integral did not converge to the target accuracy."""
+    """A spectral-density integral missed its target accuracy, or was refused
+    because its quadrature work would exceed ``dephasing_nm.MAX_SPECTRAL_EVALS``."""
 
 
 class SingularCorrelationError(ArithmeticError):

@@ -404,3 +404,78 @@ class TestMain:
 
     def test_oracle_compare_n_bounds(self, capsys):
         assert main(["oracle-compare", "--n", "13", "--seed", "1", "--out", "x.csv"]) == 2
+
+
+CORRELATED_BASE = ("scenario = dephase-correlated\nbath.omega0 = 1\n"
+                   "system.a = 0.6\nsystem.b = 0.8\n")
+
+
+def _table(tmp_path, rows="0.05,0\n1.0,0.6\n2.5,0.3\n6.0,0\n"):
+    path = tmp_path / "J.csv"
+    path.write_text("# omega, J\n" + rows)
+    return path
+
+
+class TestCorrelatedClosedForms:
+    """dephase-correlated through the CLI: closed forms, refusals and exit codes."""
+
+    def test_no_adaptive_quadrature_on_the_production_path(self, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("quad called on the production path")
+
+        monkeypatch.setattr(cli.dephasing_nm, "quad", refuse)
+        table = _table(tmp_path)
+        texts = [
+            "spectral.family = ohmic\nspectral.eta = 0.9\nspectral.omega_c = 5\n"
+            "thermo.beta = 2\n",
+            "spectral.family = ohmic\nspectral.eta = 0.9\nspectral.omega_c = 5\n"
+            "thermo.beta = inf\n",
+            f"spectral.family = tabulated\nspectral.table = {table}\nthermo.beta = 2\n",
+            f"spectral.family = tabulated\nspectral.table = {table}\nthermo.beta = inf\n",
+        ]
+        for text in texts:
+            traj = run_scenario(parse_config(CORRELATED_BASE + text
+                                             + "grid.t1 = 4\ngrid.steps = 50\n"))
+            assert np.all(np.isfinite(traj.columns["gamma"]))
+
+    def test_long_ohmic_run_completes(self, tmp_path):
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "out.csv"
+        cfg.write_text(CORRELATED_BASE + "spectral.family = ohmic\nspectral.eta = 0.7\n"
+                       "spectral.omega_c = 5\nthermo.beta = 2\n"
+                       f"grid.t1 = 1e7\ngrid.steps = 200\noutput.path = {out}\n")
+        assert main(["run", str(cfg)]) == 0
+        traj = Trajectory.read_csv(out)
+        assert np.allclose(traj.columns["Phi"], 0.7 * np.arctan(5.0 * traj.times),
+                           rtol=1e-15, atol=0.0)
+        assert np.all(np.diff(traj.columns["gamma"]) > 0)
+
+    def test_oversize_tabulated_thermal_run_exits_3_fast(self, tmp_path, capsys):
+        import time
+
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(CORRELATED_BASE + "spectral.family = tabulated\n"
+                       f"spectral.table = {_table(tmp_path)}\nthermo.beta = 2\n"
+                       f"grid.t1 = 1e7\ngrid.steps = 200\noutput.path = {tmp_path / 'o.csv'}\n")
+        started = time.perf_counter()
+        assert main(["run", str(cfg)]) == 3
+        assert time.perf_counter() - started < 0.5
+        assert "over the cap" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("family", ["ohmic", "tabulated"])
+    def test_negative_start_time_exits_2(self, family, tmp_path, capsys):
+        spectral = ("spectral.eta = 0.7\nspectral.omega_c = 5\n" if family == "ohmic"
+                    else f"spectral.table = {_table(tmp_path)}\n")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(CORRELATED_BASE + f"spectral.family = {family}\n" + spectral
+                       + "thermo.beta = 2\ngrid.t0 = -1\ngrid.t1 = 1\ngrid.steps = 4\n")
+        assert main(["run", str(cfg)]) == 2
+        assert "t must be >= 0" in capsys.readouterr().err
+
+    def test_one_row_table_is_a_config_error(self, tmp_path, capsys):
+        cfg, table = tmp_path / "cfg.txt", _table(tmp_path, "0.5,0.1\n")
+        cfg.write_text(CORRELATED_BASE + "spectral.family = tabulated\n"
+                       f"spectral.table = {table}\nthermo.beta = 2\n")
+        assert main(["run", str(cfg)]) == 2
+        assert "line 6: need matching 1-d arrays with at least 2 samples" \
+            in capsys.readouterr().err

@@ -241,10 +241,21 @@ class TestGammaCorrAndChi:
         assert abs(rho.coherence) < 1e-7
 
     def test_singular_branch_raises_on_exact_hit(self):
+        # omega0 = 0 and z = 0 give correlation strength c = 1 exactly, and
+        # sin(Phi)^2 rounds to 1 at the Ohmic t* = tan(pi/(2 eta))/omega_c
         from decobath.dephasing_nm import _gamma_corr_from_phi
 
+        eta, omega_c = 1.2, 2.0
+        t_star = math.tan(math.pi / (2.0 * eta)) / omega_c
+        p = make_params(eta=eta, omega_c=omega_c, beta=2.0, omega0=0.0, z=0.0)
         with pytest.raises(SingularCorrelationError):
-            _gamma_corr_from_phi(math.pi / 2.0, (0.0, 1.0))
+            gamma_corr(t_star, p)
+        g = _gamma_corr_from_phi(np.array([0.3, math.pi / 2.0]), (0.0, 1.0))
+        assert g[0] == pytest.approx(-math.log(math.cos(0.3)), rel=1e-14)
+        assert g[1] == math.inf
+        f = decoherence_factors(np.array([0.5 * t_star, t_star]), p)
+        assert math.isinf(f.gamma_corr[1]) and math.isnan(f.chi[1])
+        assert np.isfinite(f.gamma_corr[0]) and np.isfinite(f.chi[0])
 
     def test_degenerate_zero_temperature_zero_splitting(self):
         with pytest.raises(DegenerateParametersError):
@@ -385,3 +396,152 @@ class TestReducedStates:
         assert f.gamma_corr == pytest.approx(gamma_corr(t, p), abs=1e-12)
         assert f.chi == pytest.approx(chi(t, p), abs=1e-12)
         assert f.gamma_total == f.gamma_thermal + f.gamma_corr
+
+
+def oracle_bound(value, reference):
+    """The quadrature target: relative 1e-9 plus an absolute 1e-12."""
+    return abs(value - reference) <= 1e-9 * abs(reference) + 1e-12
+
+
+ORACLE_TIMES = np.array([0.0, 1e-6, 1e-3, 0.05, 0.4, 1.3, 3.7, 9.0])
+
+
+class TestClosedFormFactors:
+    """decoherence_factors' closed forms against the scalar quad oracles."""
+
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 1.0, 3.0, 10.0, math.inf])
+    def test_ohmic_matches_quad(self, beta):
+        rng = np.random.default_rng([7, int(min(beta, 99.0) * 100)])
+        for _ in range(3):
+            J = SpectralDensity.ohmic(rng.uniform(0.05, 2.0), rng.uniform(0.3, 6.0))
+            ts = np.append(ORACLE_TIMES, rng.uniform(0.0, 12.0, 3))
+            f = decoherence_factors(ts, CorrelatedBathParams(J, beta, 0.8, 0.3))
+            assert f.phi[0] == 0.0 and f.gamma_thermal[0] == 0.0
+            for i, t in enumerate(ts):
+                assert oracle_bound(f.phi[i], phi(t, J)), (beta, t)
+                assert oracle_bound(f.gamma_thermal[i], gamma_thermal(t, J, beta)), (beta, t)
+
+    TABLES = {
+        "interior": ([0.2, 0.9, 1.5, 2.6, 3.1, 4.8, 6.0], None),
+        "from-zero": ([0.0, 0.4, 1.1, 2.0, 3.5, 5.0], None),
+        "graded": ([0.01, 1.5, 4.0], [0.4, 0.9, 0.0]),
+    }
+
+    @pytest.mark.parametrize("beta", [2.0, math.inf])
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    def test_tabulated_matches_quad(self, table, beta):
+        omega, values = self.TABLES[table]
+        rng = np.random.default_rng(11)
+        if values is None:
+            values = rng.uniform(0.1, 1.0, len(omega))
+            values[0] = values[-1] = 0.0
+        J = SpectralDensity.tabulated(omega, values)
+        ts = np.append(ORACLE_TIMES, rng.uniform(0.0, 12.0, 3))
+        f = decoherence_factors(ts, CorrelatedBathParams(J, beta, 0.8, 0.3))
+        assert f.phi[0] == 0.0 and f.gamma_thermal[0] == 0.0
+        for i, t in enumerate(ts):
+            assert oracle_bound(f.phi[i], phi(t, J)), (table, beta, t)
+            assert oracle_bound(f.gamma_thermal[i], gamma_thermal(t, J, beta)), (table, beta, t)
+
+    @pytest.mark.parametrize("eta,omega_c,beta,t", [
+        (1.0, 1.0, 1e-3, 1e-3), (1.0, 5.0, 2.0, 1e-6), (0.6, 2.0, 0.5, 0.3),
+        (0.6, 2.0, 0.5, 40.0),
+    ])
+    def test_ohmic_small_time_against_mpmath(self, eta, omega_c, beta, t):
+        # the plain ln Gamma difference loses 1.6e-9 and 2.7e-4 relative at
+        # the first two points; the zeta series keeps full precision there
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        x, y = 1 / (mp.mpf(beta) * omega_c), mp.mpf(t) / beta
+        u = mp.mpf(omega_c) * t
+        reference = eta * mp.log1p(u * u) / 2 \
+            + 2 * eta * (mp.loggamma(1 + x) - mp.re(mp.loggamma(1 + x + 1j * y)))
+        J = SpectralDensity.ohmic(eta, omega_c)
+        f = decoherence_factors(t, CorrelatedBathParams(J, beta, 1.0, 0.0))
+        assert float(f.gamma_thermal) == pytest.approx(float(reference), rel=1e-14)
+
+    @pytest.mark.parametrize("t", [1e-6, 1e-3, 2.0])
+    def test_tabulated_small_time_against_mpmath(self, t):
+        # Cin in place of ln(w) - Ci: the difference form loses 1.2e-2 at t = 1e-6
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        omega, values = [0.3, 0.8, 2.0, 3.0], [0.0, 0.5, 0.2, 0.0]
+        phi_mp = gamma_mp = mp.mpf(0)
+        for a, b, ja, jb in zip(omega[:-1], omega[1:], values[:-1], values[1:]):
+            c1 = (mp.mpf(jb) - ja) / (mp.mpf(b) - a)
+            c0 = ja - c1 * a
+            phi_mp += mp.quad(lambda w: (c0 + c1 * w) * mp.sin(w * t) / w ** 2, [a, b])
+            gamma_mp += mp.quad(
+                lambda w: (c0 + c1 * w) * 2 * mp.sin(w * t / 2) ** 2 / w ** 2, [a, b])
+        J = SpectralDensity.tabulated(omega, values)
+        f = decoherence_factors(t, CorrelatedBathParams(J, math.inf, 1.0, 0.0))
+        assert float(f.phi) == pytest.approx(float(phi_mp), rel=1e-13)
+        assert float(f.gamma_thermal) == pytest.approx(float(gamma_mp), rel=1e-13)
+
+    def test_tabulated_blocks_match_single_points(self):
+        # many time points span several blocks; each point's value must not
+        # depend on which block it fell in
+        from decobath.dephasing_nm import _BLOCK_ELEMENTS
+
+        omega = np.linspace(0.05, 10.0, 80)
+        values = omega * np.exp(-omega / 3.0)
+        values[0] = values[-1] = 0.0
+        p = CorrelatedBathParams(SpectralDensity.tabulated(omega, values), 2.0, 1.0, 0.2)
+        ts = np.linspace(0.0, 4.0, 2 * _BLOCK_ELEMENTS // 80 + 7)
+        f = decoherence_factors(ts, p)
+        for i in (0, 1, ts.size // 2, ts.size - 1):
+            one = decoherence_factors(ts[i], p)
+            assert (f.phi[i], f.gamma_thermal[i]) == (one.phi, one.gamma_thermal)
+
+    def test_tabulated_thermal_memory_is_blocked(self):
+        import tracemalloc
+
+        omega = np.linspace(0.05, 10.0, 80)
+        values = omega * np.exp(-omega / 3.0)
+        values[0] = values[-1] = 0.0
+        p = CorrelatedBathParams(SpectralDensity.tabulated(omega, values), 2.0, 1.0, 0.2)
+        ts = np.linspace(0.0, 4.0, 4001)  # unblocked: 4001 x 1920 nodes, 61 MB an array
+        tracemalloc.start()
+        try:
+            decoherence_factors(ts, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
+
+    def test_thermal_error_estimate_is_live(self, monkeypatch):
+        import decobath.dephasing_nm as dnm
+
+        J = SpectralDensity.tabulated([0.2, 1.0, 3.0], [0.0, 0.7, 0.0])
+        p = CorrelatedBathParams(J, 2.0, 1.0, 0.0)
+        decoherence_factors(np.linspace(0.0, 5.0, 11), p)
+        monkeypatch.setattr(dnm, "_REL_TOL", 0.0)
+        monkeypatch.setattr(dnm, "_ABS_FLOOR", 0.0)
+        with pytest.raises(QuadratureError, match="thermal integral"):
+            decoherence_factors(np.linspace(0.0, 5.0, 11), p)
+
+    def test_oversize_tabulated_run_is_refused_fast(self):
+        import re
+        import time
+
+        from decobath.dephasing_nm import MAX_SPECTRAL_EVALS
+
+        J = SpectralDensity.tabulated(np.linspace(0.05, 10.0, 80),
+                                      np.r_[0.0, np.full(78, 0.5), 0.0])
+        started = time.perf_counter()
+        with pytest.raises(QuadratureError, match=re.escape(f"over the cap {MAX_SPECTRAL_EVALS:.3g}")):
+            decoherence_factors(np.linspace(0.0, 1e7, 201), CorrelatedBathParams(J, 2.0, 1.0, 0.0))
+        assert time.perf_counter() - started < 0.5
+
+    def test_negative_time_rejected(self):
+        for J in (SpectralDensity.ohmic(1.0, 2.0),
+                  SpectralDensity.tabulated([0.5, 1.0], [0.2, 0.0])):
+            with pytest.raises(ValueError, match="t must be >= 0"):
+                decoherence_factors(np.array([-1.0, 0.0, 1.0]),
+                                    CorrelatedBathParams(J, 2.0, 1.0, 0.0))
+
+    def test_one_row_table_names_the_sample_count(self, tmp_path):
+        path = tmp_path / "J.csv"
+        path.write_text("# omega, J\n0.5,0.1\n")
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            SpectralDensity.from_csv(path)
