@@ -25,6 +25,7 @@ from .errors import (
     SingularCorrelationError,
     StepBudgetError,
     TraceDriftError,
+    WorkBudgetError,
 )
 from .qstate import DensityMatrix2, KrausPair, QubitAmplitudes
 from .trajectory import RhoTrajectory, TimeGrid, Trajectory
@@ -52,5 +53,6 @@ __all__ = [
     "DegenerateParametersError",
     "TraceDriftError",
     "StepBudgetError",
+    "WorkBudgetError",
     "ConfigError",
 ]

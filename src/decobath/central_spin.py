@@ -11,8 +11,17 @@ P0(t).
 Everything in this module works in the frame aligned with the bath
 polarization: :func:`rotate_to_polarization` maps arbitrary system amplitudes
 and bath polarization (c, d) into that frame, after which the bath starts in
-the all-|1> product state.  A full 2^(N+1) brute-force propagator (N <= 12)
-is included as the oracle that validates the sector reduction.
+the all-|1> product state.
+
+The reduced system state needs only the survival amplitude
+c_0(t) = sum_j |v_j0|^2 exp(-i E_j t), a sum over the spectral measure of
+the excitation-on-system state.  :func:`survival_amplitude`, the production
+path, takes that measure from the arrowhead's secular equation
+(:func:`arrowhead_eigensystem`) and sums it over the time grid in blocks:
+O(N) memory, no eigenvector formed, oversize runs refused up front.  Full
+eigenvectors come only from the dense solver in :func:`evolve_sector`, for
+general initial states and the oracle checks.  A full 2^(N+1) brute-force
+propagator (N <= 12) is the oracle that validates the sector reduction.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.linalg import expm_multiply
 
-from .errors import NormalizationError, TraceDriftError
+from .errors import NormalizationError, TraceDriftError, WorkBudgetError
 from .qstate import ATOL_ANALYTIC, ATOL_INTEGRATED, DensityMatrix2
 from .trajectory import TimeGrid
 
@@ -34,6 +43,7 @@ __all__ = [
     "RotatedAmplitudes",
     "AlignedEnergy",
     "SectorTrajectory",
+    "MAX_SECTOR_WORK",
     "FullTrajectory",
     "fig2_spec",
     "rotate_to_polarization",
@@ -41,6 +51,8 @@ __all__ = [
     "build_sector_hamiltonian",
     "sector_eigensystem",
     "arrowhead_eigensystem",
+    "spectral_work",
+    "survival_amplitude",
     "evolve_sector",
     "reduced_system_density",
     "build_full_hamiltonian",
@@ -49,13 +61,22 @@ __all__ = [
     "first_revival",
 ]
 
-#: Above this sector size the O(N^2) arrowhead secular-equation solver is
-#: used instead of the dense symmetric eigensolver.
-DENSE_EIGH_LIMIT = 2000
 #: Largest bath for the 2^(N+1) brute-force oracle (dimension 8192).
 BRUTE_FORCE_MAX_N = 12
+#: Largest estimated work (:func:`spectral_work`) of one survival-amplitude
+#: run; larger runs are refused before any large allocation.  On one Xeon
+#: core a (root, pole) or (root, time) pair costs 30-50 ns, so a run at the
+#: cap takes about a minute.
+MAX_SECTOR_WORK = 1_000_000_000
 
 _NORM_TOL = 1e-10
+#: Matrix elements per block, (roots x poles) in the secular iteration and
+#: (times x roots) in the amplitude sum, so memory stays O(N).
+_BLOCK_ELEMENTS = 1 << 17
+#: Iterations a secular root may take before the solver gives up (about 5
+#: on average, at most 10, on random baths of up to 10^4 spins).
+_SECULAR_MAX_ITER = 64
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -189,7 +210,9 @@ def build_sector_hamiltonian(spec: SpinBathSpec) -> np.ndarray:
     trace shift -(omega0 - sum g + sum omega)/2 * I makes the matrix equal the
     exact restriction of the full Hamiltonian to the sector (not merely equal
     up to a constant), so phases are directly comparable with the aligned
-    branch.
+    branch.  The shift is exactly the aligned energy E, so the matrix is
+    E I plus the aligned-frame arrowhead that :func:`survival_amplitude`
+    solves.
     """
     n = spec.N
     g, omega = spec.g, spec.omega
@@ -205,146 +228,139 @@ def build_sector_hamiltonian(spec: SpinBathSpec) -> np.ndarray:
     return h
 
 
-def _secular_roots(head: float, poles: np.ndarray, wsq: np.ndarray) -> np.ndarray:
-    """All m+1 roots of f(lam) = head - lam - sum_j wsq_j/(poles_j - lam).
+def _deflate(head: float, arm: np.ndarray, diag: np.ndarray):
+    """Split the arrowhead's poles into the secular problem and exact eigenvalues.
 
-    One root interlaces each pair of adjacent (distinct, sorted) poles plus
-    one below and one above; each is bisected to machine precision.  Interval
-    blocks of 512 keep the O(m^2) evaluation memory-bounded.
+    A coupling below 1e-15 of the matrix scale leaves its pole an eigenvalue
+    of weight 0.  Equal poles merge into one pole carrying their summed
+    squared couplings; each of the others stays an eigenvalue at the pole,
+    of weight 0.  Returns (sorted distinct poles, their squared couplings,
+    the deflated eigenvalues).
+    """
+    scale = max(abs(head), float(np.max(np.abs(diag), initial=0.0)),
+                float(np.max(np.abs(arm), initial=0.0)), 1e-300)
+    active = np.abs(arm) > 1e-15 * scale
+    d = diag[active]
+    order = np.argsort(d, kind="stable")
+    d = d[order]
+    zsq = arm[active][order] ** 2
+    first = np.flatnonzero(np.concatenate(([True], d[1:] != d[:-1])))[:d.size]
+    deflated = np.concatenate((diag[~active], np.delete(d, first)))
+    if d.size:
+        zsq = np.add.reduceat(zsq, first)
+    return d[first], zsq, deflated
+
+
+def _secular_block(head, poles, zsq, j, low, high):
+    """Roots j (an index array) of g(lam) = lam - head + sum_i zsq_i/(poles_i - lam).
+
+    Root j lies between poles j-1 and j; the outer two lie in (low, poles[0])
+    and (poles[-1], high).  Each root is tracked as tau = lam - poles[o] with
+    its origin o at the nearer pole, which the sign of g at the interval
+    midpoint picks, so the distances poles_i - lam keep full relative
+    precision however close the root is to its pole.  The step is the
+    "middle way" model of LAPACK dlaed4 (R.-C. Li): the origin pole's term
+    kept exact, a pole at the interval's other end fitted to g and g', its
+    zero in the bracket taken in cancellation-free form; a step that leaves
+    the bracket is replaced by bisection.  A root stops when |g| is below
+    its rounding bound.  Returns (roots, weights), the weights
+    1/g'(lam) = |v_0|^2 taken at the last evaluation.
     """
     m = poles.size
-    radius = float(np.sum(np.sqrt(wsq))) + 1.0
-    lo = min(head, poles[0]) - radius
-    hi = max(head, poles[-1]) + radius
-    a_all = np.concatenate(([lo], poles))
-    b_all = np.concatenate((poles, [hi]))
-    roots = np.empty(m + 1)
-    # a midpoint can land exactly on (or within one ulp of) a pole; the
-    # resulting huge or infinite term still carries the correct sign for
-    # the bracketing update
-    with np.errstate(divide="ignore", over="ignore"):
-        for start in range(0, m + 1, 512):
-            sl = slice(start, min(start + 512, m + 1))
-            a = a_all[sl].copy()
-            b = b_all[sl].copy()
-            for _ in range(120):
-                mid = 0.5 * (a + b)
-                f = head - mid \
-                    - (wsq[:, None] / (poles[:, None] - mid[None, :])).sum(axis=0)
-                above = f > 0.0  # the root lies above mid
-                a = np.where(above, mid, a)
-                b = np.where(above, b, mid)
-                if np.all((b - a) <= 1e-16 * np.maximum(np.abs(a), np.abs(b))):
-                    break
-            roots[sl] = 0.5 * (a + b)
-    return roots
+    # root j lies in (ends[j], ends[j + 1]); it starts in its left pole's frame
+    ends = np.concatenate(([low], poles, [high]))
+    o = np.maximum(j - 1, 0)
+    lo = ends[j] - poles[o]
+    hi = ends[j + 1] - poles[o]
+    tau = 0.5 * (lo + hi)
+    roots = np.empty(j.size)
+    weights = np.empty(j.size)
+    act = np.arange(j.size)
+    for it in range(_SECULAR_MAX_ITER):
+        jj, po, t = j[act], poles[o[act]], tau[act]
+        delta = np.subtract(poles, po[:, None])
+        delta -= t[:, None]
+        terms = zsq / delta
+        g = (po - head) + t + terms.sum(axis=1)
+        np.divide(terms, delta, out=delta)
+        dg = 1.0 + delta.sum(axis=1)
+        np.abs(terms, out=terms)
+        bound = 8.0 * _EPS * (np.abs(po - head) + np.abs(t) + terms.sum(axis=1))
+        above = g < 0.0  # g increases: the root lies above t
+        lo[act] = np.where(above, t, lo[act])
+        hi[act] = np.where(above, hi[act], t)
+        # converged, or the bracket is down to a few ulps
+        done = (np.abs(g) <= bound) | (
+            hi[act] - lo[act] <= 4.0 * _EPS * np.maximum(np.abs(lo[act]), np.abs(hi[act])))
+        roots[act[done]] = po[done] + t[done]
+        weights[act[done]] = 1.0 / dg[done]
+        keep = ~done
+        act, jj, g, dg, t = act[keep], jj[keep], g[keep], dg[keep], t[keep]
+        if act.size == 0:
+            return roots, weights
+        if it == 0:
+            # interior roots above the midpoint move to the right pole's frame
+            flip = above[keep] & (jj > 0) & (jj < m)
+            shift = hi[act[flip]]
+            t[flip] -= shift
+            lo[act[flip]] -= shift
+            hi[act[flip]] = 0.0
+            o[act[flip]] = jj[flip]
+        oa = o[act]
+        s = zsq[oa]
+        d_o = -t
+        # the other end q of the root's interval: a pole, or beyond the
+        # extreme poles the bound low or high standing in for the line
+        q = np.where(oa == jj, jj - 1, jj)
+        d_q = (ends[q + 1] - poles[oa]) - t
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            c = g - d_q * dg - (d_o - d_q) * (s / d_o / d_o)
+            a = (d_o + d_q) * g - d_o * d_q * dg
+            b = d_o * d_q * g
+            root_disc = np.sqrt(np.abs(a * a - 4.0 * b * c))
+            t_new = t + np.where(a <= 0.0, (a - root_disc) / (2.0 * c),
+                                 2.0 * b / (a + root_disc))
+        lo_a, hi_a = lo[act], hi[act]
+        inside = (t_new > lo_a) & (t_new < hi_a)
+        tau[act] = np.where(inside, t_new, 0.5 * (lo_a + hi_a))
+    raise np.linalg.LinAlgError(
+        f"secular equation: {act.size} of {j.size} roots did not converge "
+        f"in {_SECULAR_MAX_ITER} iterations")
 
 
 def arrowhead_eigensystem(head: float, arm: np.ndarray, diag: np.ndarray):
-    """Eigendecomposition of [[head, arm^T], [arm, diag(diag)]] in O(N^2).
+    """Spectral measure of e_0 for the arrowhead [[head, arm^T], [arm, diag(diag)]].
 
-    Solves the secular equation f(lam) = head - lam - sum_i arm_i^2/(d_i - lam)
-    by vectorized bisection, one root per interlacing interval.  Zero (or
-    negligible) arm entries and repeated diagonal values are deflated exactly.
-    Returns (eigenvalues ascending, orthonormal eigenvector columns).
+    Returns all N+1 eigenvalues in ascending order and the weights
+    |v_j0|^2 = 1/(1 + sum_i arm_i^2/(diag_i - lam_j)^2) of the first basis
+    vector, without forming any eigenvector: O(N) memory, and O(N^2) work
+    in blocks of roots.  Deflated eigenvalues (a negligible coupling, or
+    the repeats of an equal pole) have weight exactly 0.
     """
     arm = np.asarray(arm, dtype=float)
     diag = np.asarray(diag, dtype=float)
-    n = diag.size
-    scale = max(abs(head), float(np.max(np.abs(diag), initial=0.0)),
-                float(np.max(np.abs(arm), initial=0.0)), 1e-300)
-
-    order = np.argsort(diag, kind="stable")
-    d = diag[order]
-    w = arm[order]
-
-    eigvals = np.empty(n + 1)
-    eigvecs = np.zeros((n + 1, n + 1))
-    filled = 0
-
-    # positions (in sorted order) that participate in the secular problem
-    active = np.abs(w) > 1e-15 * scale
-
-    # deflate zero-weight rows: (d_i, e_i) is an exact eigenpair
-    for i in np.nonzero(~active)[0]:
-        eigvals[filled] = d[i]
-        eigvecs[1 + order[i], filled] = 1.0
-        filled += 1
-
-    # group active duplicates: a cluster of m equal poles contributes m-1
-    # eigenvalues at the pole with eigenvectors orthogonal to the weights
-    act_idx = np.nonzero(active)[0]
-    poles = []
-    weights = []
-    i = 0
-    while i < act_idx.size:
-        j = i
-        while (j + 1 < act_idx.size
-               and d[act_idx[j + 1]] - d[act_idx[i]] <= 1e-14 * scale):
-            j += 1
-        group = act_idx[i:j + 1]
-        u = w[group]
-        poles.append(float(np.mean(d[group])))
-        weights.append(float(np.linalg.norm(u)))
-        if group.size > 1:
-            # Householder: orthonormal complement of u within the group
-            m = group.size
-            v = u.astype(float).copy()
-            v[0] += math.copysign(np.linalg.norm(u), u[0] if u[0] != 0 else 1.0)
-            v /= np.linalg.norm(v)
-            hh = np.eye(m) - 2.0 * np.outer(v, v)
-            for col in range(1, m):
-                eigvals[filled] = poles[-1]
-                eigvecs[1 + order[group], filled] = hh[:, col]
-                filled += 1
-        i = j + 1
-
-    poles = np.asarray(poles)
-    wsq = np.asarray(weights) ** 2
+    head = float(head)
+    poles, zsq, deflated = _deflate(head, arm, diag)
     m = poles.size
-
     if m == 0:
-        eigvals[filled] = head
-        eigvecs[0, filled] = 1.0
-        filled += 1
+        roots, weights = np.array([head]), np.ones(1)
     else:
-        roots = _secular_roots(head, poles, wsq)
-        act_orig = order[act_idx]
-        for lam in roots:
-            vec = np.zeros(n + 1)
-            den = lam - d[act_idx]
-            hit = den == 0.0
-            if np.any(hit):
-                # a very weak coupling left the root within one ulp of its
-                # pole: the eigenvector is that basis vector to working
-                # precision
-                vec[1 + act_orig[hit][0]] = 1.0
-            else:
-                vec[0] = 1.0
-                vec[1 + act_orig] = w[act_idx] / den
-                vec /= np.linalg.norm(vec)
-            eigvals[filled] = lam
-            eigvecs[:, filled] = vec
-            filled += 1
-
-    sort = np.argsort(eigvals, kind="stable")
-    return eigvals[sort], eigvecs[:, sort]
+        radius = 2.0 * math.sqrt(float(np.sum(zsq)))  # Weyl bound, doubled
+        low = min(head, poles[0]) - radius
+        high = max(head, poles[-1]) + radius
+        roots, weights = np.empty(m + 1), np.empty(m + 1)
+        rows = max(1, _BLOCK_ELEMENTS // m)
+        for start in range(0, m + 1, rows):
+            j = np.arange(start, min(start + rows, m + 1))
+            roots[j], weights[j] = _secular_block(head, poles, zsq, j, low, high)
+    evals = np.concatenate((roots, deflated))
+    order = np.argsort(evals, kind="stable")
+    return evals[order], np.concatenate((weights, np.zeros(deflated.size)))[order]
 
 
-def sector_eigensystem(h: np.ndarray, method: str = "auto"):
-    """Eigendecomposition of the sector Hamiltonian.
-
-    ``method`` is ``"dense"`` (LAPACK symmetric solver), ``"arrowhead"`` (the
-    O(N^2) secular-equation path) or ``"auto"``, which switches to the
-    arrowhead path above :data:`DENSE_EIGH_LIMIT`.
-    """
+def sector_eigensystem(h: np.ndarray):
+    """Dense eigendecomposition of the sector Hamiltonian (LAPACK symmetric solver)."""
     h = np.asarray(h, dtype=float)
-    if method == "auto":
-        method = "dense" if h.shape[0] <= DENSE_EIGH_LIMIT else "arrowhead"
-    if method == "arrowhead":
-        return arrowhead_eigensystem(h[0, 0], h[1:, 0].copy(), np.diag(h)[1:].copy())
-    if method != "dense":
-        raise ValueError(f"unknown eigensystem method {method!r}")
     try:
         return np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -353,6 +369,59 @@ def sector_eigensystem(h: np.ndarray, method: str = "auto"):
             f"symmetric eigensolver failed on a {h.shape[0]}x{h.shape[0]} matrix "
             f"(max |H|={np.max(np.abs(h)):.3e}, symmetry deviation={sym_dev:.3e}): {exc}"
         ) from exc
+
+
+def spectral_work(poles: int, points: int) -> int:
+    """Estimated work of :func:`survival_amplitude`, in element pairs.
+
+    ``poles`` secular poles after deflation give poles + 1 roots.  Each
+    root meets every pole in each of its secular iterations and every time
+    point once in the amplitude sum; both kinds of pair cost about the
+    same (30-50 ns on one Xeon core).
+    """
+    return (poles + 1) * (poles + points)
+
+
+def survival_amplitude(spec: SpinBathSpec, grid: TimeGrid) -> np.ndarray:
+    """Aligned-frame survival amplitude a(t) = sum_j w_j exp(-i mu_j t) on ``grid``.
+
+    The sector Hamiltonian is E I plus the arrowhead with head
+    omega0 - sum g, arm g and poles omega_k - g_k, where E is the aligned
+    energy, so the excitation's amplitude is c_0(t) = exp(-iEt) a(t) with
+    (mu_j, w_j) the arrowhead's spectral measure of e_0.  Solving in this
+    frame keeps mu_j to full relative precision: no phase of size
+    sum(omega)/2 is formed and cancelled.  Runs whose :func:`spectral_work`
+    exceeds :data:`MAX_SECTOR_WORK` raise WorkBudgetError before any large
+    allocation; a sum rule |sum_j w_j - 1| above 1e-10 raises
+    TraceDriftError.  Times go in blocks, so memory stays O(N).
+    """
+    head = spec.omega0 - float(np.sum(spec.g))
+    diag = spec.omega - spec.g
+    poles = _deflate(head, spec.g, diag)[0].size
+    points = grid.steps + 1
+    work = spectral_work(poles, points)
+    if work > MAX_SECTOR_WORK:
+        raise WorkBudgetError(work, poles, points, MAX_SECTOR_WORK)
+    mu, w = arrowhead_eigensystem(head, spec.g, diag)
+    drift = abs(float(np.sum(w)) - 1.0)
+    if drift > _NORM_TOL:
+        raise TraceDriftError(drift, 0.0, _NORM_TOL)
+    keep = w > 0.0
+    mu, w = mu[keep], w[keep]
+    times = grid.times
+    amp = np.empty(times.size, dtype=complex)
+    rows = max(1, _BLOCK_ELEMENTS // mu.size)
+    for start in range(0, times.size, rows):
+        phase = np.multiply.outer(times[start:start + rows], mu)
+        part = np.cos(phase)
+        part *= w
+        # row sums, not a BLAS product: each time's sum then does not depend
+        # on how many times share its block
+        amp.real[start:start + rows] = part.sum(axis=1)
+        np.sin(phase, out=part)
+        part *= w
+        amp.imag[start:start + rows] = -part.sum(axis=1)
+    return amp
 
 
 @dataclass
@@ -379,12 +448,13 @@ def evolve_sector(
     spec: SpinBathSpec,
     initial: Optional[np.ndarray] = None,
     grid: TimeGrid = None,
-    method: str = "auto",
 ) -> SectorTrajectory:
     """Exact sector evolution psi(t) = sum_j exp(-i E_j t) <v_j|psi(0)> v_j.
 
-    ``initial`` defaults to the excitation on the system (e_0).  The norm of
-    every returned state is checked to stay within 1e-10 of one.
+    Full eigenvectors from the dense solver: the oracle path, for small
+    baths and general initial states.  ``initial`` defaults to the
+    excitation on the system (e_0).  The norm of every returned state is
+    checked to stay within 1e-10 of one.
     """
     if grid is None:
         raise ValueError("a TimeGrid is required")
@@ -397,40 +467,30 @@ def evolve_sector(
     if dev > _NORM_TOL:
         raise NormalizationError("initial sector state must be normalized", dev)
 
-    evals, evecs = sector_eigensystem(build_sector_hamiltonian(spec), method)
+    evals, evecs = sector_eigensystem(build_sector_hamiltonian(spec))
     coeff = evecs.conj().T @ initial
     times = grid.times
     phases = np.exp(-1j * np.outer(times, evals))
     amps = (phases * coeff[None, :]) @ evecs.T
     norm_drift = float(np.max(np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0)))
     if norm_drift > _NORM_TOL:
-        raise TraceDriftError(norm_drift, float(times[-1]))
+        raise TraceDriftError(norm_drift, float(times[-1]), _NORM_TOL)
     return SectorTrajectory(times, amps)
 
 
-def reduced_system_density(
-    spec: SpinBathSpec,
-    rot: RotatedAmplitudes,
-    t,
-    sector_state: np.ndarray,
-) -> DensityMatrix2:
-    """System density matrix from the two-branch decomposition at time(s) t.
+def reduced_system_density(rot: RotatedAmplitudes, amplitude) -> DensityMatrix2:
+    """System density matrix from the aligned-frame survival amplitude(s).
 
-    The full state is alpha e^{-iEt}|aligned> + beta sum_k c_k(t)|k flipped>;
-    tracing out the bath leaves rho00 = |beta c_0|^2 and coherence
-    rho01 = alpha* beta c_0 e^{+iEt} (every other cross term dies by bath
-    orthogonality), which is positive semidefinite by construction.
-    ``sector_state`` is one state of length N+1 or a ``(T, N+1)`` stack
-    with ``t`` of length T, which gives one batched state.
+    The full state is alpha e^{-iEt}|aligned> + beta sum_k c_k(t)|k flipped>
+    with c_0(t) = e^{-iEt} a(t); tracing out the bath leaves
+    rho00 = |beta a|^2 and coherence rho01 = alpha* beta a (every other
+    cross term dies by bath orthogonality), which is positive semidefinite
+    by construction.  ``amplitude`` is a scalar or an array over times,
+    which gives one batched state.
     """
-    sector_state = np.asarray(sector_state, dtype=complex)
-    if sector_state.shape[-1:] != (spec.N + 1,):
-        raise ValueError(f"sector state must have length {spec.N + 1}")
-    alpha, beta = rot.alpha, rot.beta
-    energy = aligned_eigen_energy(spec).energy
-    c0 = sector_state[..., 0]
-    p0 = abs(beta) ** 2 * np.abs(c0) ** 2
-    coh = np.conj(alpha) * beta * c0 * np.exp(1j * energy * np.asarray(t, dtype=float))
+    amplitude = np.asarray(amplitude, dtype=complex)
+    p0 = abs(rot.beta) ** 2 * np.abs(amplitude) ** 2
+    coh = np.conj(rot.alpha) * rot.beta * amplitude
     # trace is exact by construction; PSD slack absorbs evolution roundoff
     return DensityMatrix2.from_parts(p0, 1.0 - p0, coh, atol=ATOL_INTEGRATED)
 

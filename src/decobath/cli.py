@@ -32,6 +32,15 @@ fig2                bath.N* (50 or 100), grid.*; the bath itself is baked in
 takes output.path.  A missing required key, or a key of another scenario, is
 reported like any other problem.
 
+central-exact and fig2 sum the survival amplitude over the spectral measure
+of the sector Hamiltonian (secular roots and weights, then the time grid in
+blocks), so memory stays linear in bath.N.  A run whose estimated work
+(roots x (poles + time points), counting the poles left after equal
+splittings merge) exceeds ``central_spin.MAX_SECTOR_WORK`` (10**9, about a
+minute) is refused before any large allocation, with exit code 2 and a
+message giving the estimate; a sum-rule violation of the spectral weights,
+or a secular root that does not converge, aborts with exit code 3.
+
 central-sme integrates on an internal grid ``refine`` times finer than the
 output grid, with ``refine`` set by the bath's rates.  A run whose estimated
 fine step count ``grid.steps * refine`` exceeds
@@ -61,8 +70,9 @@ prepend ``P0`` (survival probability); dephase-correlated appends
 carry 17 significant digits (exact round trip), lines end with LF.
 
 Exit codes: 0 success, 2 configuration error (including a central-sme run over
-the step cap), 3 numerical-quality abort (including a dephase-correlated run
-over the spectral evaluation cap).
+the step cap and a central-exact run over the work cap), 3 numerical-quality
+abort (including a dephase-correlated run over the spectral evaluation cap and
+a central-exact or fig2 sum-rule or convergence failure).
 """
 
 from __future__ import annotations
@@ -367,6 +377,20 @@ def run_scenario(cfg: ScenarioConfig) -> Trajectory:
     rendering.
     """
     psi = QubitAmplitudes(cfg.system_a, cfg.system_b)
+    if cfg.scenario in ("central-exact", "fig2"):
+        if cfg.scenario == "fig2":
+            spec = central_spin.fig2_spec(cfg.bath_n)
+            rot = central_spin.rotate_to_polarization(1.0, 0.0, *spec.polarization)
+        else:
+            spec = _spin_bath_from_config(cfg)
+            rot = central_spin.rotate_to_polarization(
+                psi.a, psi.b, cfg.pol_c, cfg.pol_d
+            )
+        # the work cap is checked before the time grid is allocated
+        amp = central_spin.survival_amplitude(spec, cfg.grid)
+        rho = central_spin.reduced_system_density(rot, amp)
+        return Trajectory(cfg.grid.times, {"P0": np.abs(amp) ** 2, **_rho_columns(rho)})
+
     times = cfg.grid.times
 
     if cfg.scenario == "dephase-markov":
@@ -386,19 +410,6 @@ def run_scenario(cfg: ScenarioConfig) -> Trajectory:
         rho = f.state(psi, p.omega0, times)
         return Trajectory(times, {**_rho_columns(rho), "gamma": f.gamma_total,
                                   "Phi": f.phi, "chi": f.chi})
-
-    if cfg.scenario in ("central-exact", "fig2"):
-        if cfg.scenario == "fig2":
-            spec = central_spin.fig2_spec(cfg.bath_n)
-            rot = central_spin.rotate_to_polarization(1.0, 0.0, *spec.polarization)
-        else:
-            spec = _spin_bath_from_config(cfg)
-            rot = central_spin.rotate_to_polarization(
-                psi.a, psi.b, cfg.pol_c, cfg.pol_d
-            )
-        sector = central_spin.evolve_sector(spec, grid=cfg.grid)
-        rho = central_spin.reduced_system_density(spec, rot, sector.times, sector.amplitudes)
-        return Trajectory(sector.times, {"P0": sector.p0, **_rho_columns(rho)})
 
     if cfg.scenario == "central-sme":
         spec = _spin_bath_from_config(cfg)
@@ -491,7 +502,7 @@ def main(argv=None) -> int:
 
     try:
         traj = run_scenario(cfg)
-    except (TraceDriftError, QuadratureError) as exc:
+    except (TraceDriftError, QuadratureError, np.linalg.LinAlgError) as exc:
         print(f"error: numerical quality abort: {exc}", file=sys.stderr)
         return 3
     except (ValueError, DegenerateParametersError) as exc:

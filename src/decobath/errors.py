@@ -43,19 +43,25 @@ class DegenerateParametersError(ValueError):
 
 
 class TraceDriftError(RuntimeError):
-    """Trace drift during master-equation integration exceeded the abort limit.
+    """A conserved trace or norm drifted past its abort limit.
+
+    Raised by master-equation integration, by sector evolution's norm check
+    and by the spectral path's sum rule (the weights of the initial state
+    must sum to its norm, 1, as they do at t = 0).
 
     Attributes:
         drift: The measured trace drift.
-        t: Integration time at which the abort triggered.
+        t: Time at which the abort triggered.
+        limit: The abort threshold.
     """
 
-    def __init__(self, drift: float, t: float):
+    def __init__(self, drift: float, t: float, limit: float = 1e-6):
         super().__init__(
-            f"trace drift {drift:.3e} at t={t:.6g} exceeds abort threshold 1e-6"
+            f"trace drift {drift:.3e} at t={t:.6g} exceeds abort threshold {limit:g}"
         )
         self.drift = drift
         self.t = t
+        self.limit = limit
 
 
 class ConfigError(ValueError):
@@ -90,4 +96,29 @@ class StepBudgetError(ValueError):
         )
         self.steps = steps
         self.refine = refine
+        self.limit = limit
+
+
+class WorkBudgetError(ValueError):
+    """A central-spin spectral run's estimated work exceeds the cap.
+
+    Raised before any large allocation, so an oversized bath or grid is
+    refused at once instead of running for hours.
+
+    Attributes:
+        work: Estimated element pairs (``central_spin.spectral_work``).
+        poles: Secular poles left after deflation.
+        points: Time points of the grid.
+        limit: The work cap.
+    """
+
+    def __init__(self, work: int, poles: int, points: int, limit: int):
+        super().__init__(
+            f"central-spin run needs an estimated {work} element pairs "
+            f"({poles} secular poles after deflation, {points} time points), "
+            f"above the cap of {limit}"
+        )
+        self.work = work
+        self.poles = poles
+        self.points = points
         self.limit = limit

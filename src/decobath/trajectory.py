@@ -86,11 +86,10 @@ class Trajectory:
         17 digits make the float round trip exact, so re-parsing an emitted
         file reproduces the trajectory bit for bit.
         """
-        lines = [",".join(self.column_names)]
         cols = [self.times, *self.columns.values()]
-        for i in range(self.times.size):
-            lines.append(",".join(f"{float(c[i]):.17g}" for c in cols))
-        return "\n".join(lines) + "\n"
+        row = ",".join(["{:.17g}"] * len(cols)).format
+        rows = np.column_stack(cols).astype(float, copy=False).tolist()
+        return "\n".join([",".join(self.column_names), *(row(*r) for r in rows)]) + "\n"
 
     def write_csv(self, path) -> None:
         """Write :meth:`to_csv` output to ``path``; I/O errors carry the path."""

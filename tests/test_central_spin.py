@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from decobath import central_spin
 from decobath.central_spin import (
     RotatedAmplitudes,
     SpinBathSpec,
@@ -19,8 +22,10 @@ from decobath.central_spin import (
     rotate_to_polarization,
     sector_eigensystem,
     sector_indices,
+    spectral_work,
+    survival_amplitude,
 )
-from decobath.errors import NormalizationError
+from decobath.errors import NormalizationError, TraceDriftError, WorkBudgetError
 from decobath.trajectory import TimeGrid
 
 
@@ -205,66 +210,202 @@ class TestEvolveSector:
             evolve_sector(spec, bad, TimeGrid(0.0, 1.0, 10))
 
 
+def aligned_arrowhead(spec):
+    """(head, arm, poles) of the sector Hamiltonian in the aligned frame."""
+    return spec.omega0 - float(np.sum(spec.g)), spec.g, spec.omega - spec.g
+
+
+def dense_measure(head, arm, diag):
+    """Eigenvalues and |v_j0|^2 of the arrowhead from the dense solver."""
+    n = diag.size
+    h = np.zeros((n + 1, n + 1))
+    h[0, 0] = head
+    h[0, 1:] = h[1:, 0] = arm
+    h[np.arange(1, n + 1), np.arange(1, n + 1)] = diag
+    evals, evecs = np.linalg.eigh(h)
+    return evals, evecs[0] ** 2
+
+
+def mpmath_measure(head, arm, diag, dps=40):
+    """Eigenvalues and |v_j0|^2 at ``dps`` digits, rounded to floats."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        n = len(diag)
+        a = mpmath.zeros(n + 1, n + 1)
+        a[0, 0] = mpmath.mpf(float(head))
+        for i in range(n):
+            a[0, i + 1] = a[i + 1, 0] = mpmath.mpf(float(arm[i]))
+            a[i + 1, i + 1] = mpmath.mpf(float(diag[i]))
+        evals, evecs = mpmath.eigsy(a)
+        order = sorted(range(n + 1), key=lambda k: evals[k])
+        return (np.array([float(evals[k]) for k in order]),
+                np.array([float(evecs[0, k] ** 2) for k in order]))
+
+
 class TestArrowheadSolver:
     def test_small_against_dense(self):
         rng = np.random.default_rng(40)
         for n in (1, 2, 5, 17):
             spec = random_spec(rng, n)
             h = build_sector_hamiltonian(spec)
-            ed, vd = sector_eigensystem(h, "dense")
-            ea, va = sector_eigensystem(h, "arrowhead")
+            ed, vd = sector_eigensystem(h)
+            ea, wa = arrowhead_eigensystem(h[0, 0], h[1:, 0], np.diag(h)[1:])
             assert np.max(np.abs(ed - ea)) < 1e-12 * max(1.0, np.max(np.abs(ed)))
-            assert np.max(np.abs(va.T @ va - np.eye(n + 1))) < 1e-10
-            assert np.max(np.abs(va @ np.diag(ea) @ va.T - h)) < 1e-10
+            assert np.max(np.abs(wa - vd[0] ** 2)) < 1e-12
+            assert abs(np.sum(wa) - 1.0) < 1e-14
 
     def test_deflation_zero_couplings(self):
         h = np.diag([0.0, 1.0, 2.0, 3.0]).astype(float)
         h[0, 1] = h[1, 0] = 0.7  # couple only the first bath state
-        ea, va = arrowhead_eigensystem(h[0, 0], h[1:, 0], np.diag(h)[1:])
-        ed, _ = np.linalg.eigh(h)
+        ea, wa = arrowhead_eigensystem(h[0, 0], h[1:, 0], np.diag(h)[1:])
+        ed, vd = np.linalg.eigh(h)
         assert np.max(np.abs(ea - ed)) < 1e-12
-        assert np.max(np.abs(va @ np.diag(ea) @ va.T - h)) < 1e-12
+        assert np.max(np.abs(wa - vd[0] ** 2)) < 1e-12
+        # the uncoupled poles are eigenvalues of weight exactly 0
+        assert np.array_equal(wa[np.isin(ea, [2.0, 3.0])], [0.0, 0.0])
 
     def test_duplicate_poles(self):
         # three bath states share a splitting: two exact eigenvalues sit there
         spec = SpinBathSpec(N=4, g=[1.0, 1.0, 1.0, 0.5], omega0=0.3,
                             omega=[1.0, 1.0, 1.0, -0.6])
         h = build_sector_hamiltonian(spec)
-        ed, _ = sector_eigensystem(h, "dense")
-        ea, va = sector_eigensystem(h, "arrowhead")
+        ed, vd = sector_eigensystem(h)
+        ea, wa = arrowhead_eigensystem(h[0, 0], h[1:, 0], np.diag(h)[1:])
         assert np.max(np.abs(ed - ea)) < 1e-12
-        assert np.max(np.abs(va.T @ va - np.eye(5))) < 1e-12
-        assert np.max(np.abs(va @ np.diag(ea) @ va.T - h)) < 1e-12
+        assert np.max(np.abs(wa - vd[0] ** 2)) < 1e-12
+        assert np.count_nonzero(wa[ea == h[1, 1]] == 0.0) == 2
+        assert abs(np.sum(wa) - 1.0) < 1e-14
 
     def test_near_degenerate_weak_coupling(self):
         # couplings weak enough that the root sits within one ulp of its pole
         spec = SpinBathSpec(N=3, g=[1e-12, 1.0, 0.5], omega0=0.2,
                             omega=[1.0, -0.4, 0.7])
         h = build_sector_hamiltonian(spec)
-        ed, _ = sector_eigensystem(h, "dense")
-        ea, va = sector_eigensystem(h, "arrowhead")
-        assert np.all(np.isfinite(va))
-        assert np.max(np.abs(ed - ea)) < 1e-10
-        assert np.max(np.abs(va.T @ va - np.eye(4))) < 1e-8
+        ed, vd = sector_eigensystem(h)
+        ea, wa = arrowhead_eigensystem(h[0, 0], h[1:, 0], np.diag(h)[1:])
+        assert np.all(np.isfinite(wa)) and np.all(wa > 0.0)
+        assert np.max(np.abs(ed - ea)) < 1e-12
+        assert np.max(np.abs(wa - vd[0] ** 2)) < 1e-12
 
     def test_cross_validation_at_n500(self):
         rng = np.random.default_rng(500)
         spec = random_spec(rng, 500)
         h = build_sector_hamiltonian(spec)
-        ed, _ = sector_eigensystem(h, "dense")
-        ea, va = sector_eigensystem(h, "arrowhead")
+        ed, vd = sector_eigensystem(h)
+        ea, wa = arrowhead_eigensystem(h[0, 0], h[1:, 0], np.diag(h)[1:])
         scale = float(np.max(np.abs(ed)))
-        assert np.max(np.abs(ed - ea)) < 1e-9 * scale
-        assert np.max(np.abs(va.T @ va - np.eye(501))) < 1e-8
+        assert np.max(np.abs(ed - ea)) < 1e-12 * scale
+        assert np.max(np.abs(wa - vd[0] ** 2)) < 1e-12
         # survival probability through both paths
-        v0 = excitation_on_system(500)
         ts = np.linspace(0.0, 3.0, 40)
-        c = va.T @ v0
-        p_arrow = np.abs((np.exp(-1j * np.outer(ts, ea)) * c) @ va.T[:, 0]) ** 2
-        evals, evecs = np.linalg.eigh(h)
-        cd = evecs.T @ v0
-        p_dense = np.abs((np.exp(-1j * np.outer(ts, evals)) * cd) @ evecs.T[:, 0]) ** 2
-        assert np.max(np.abs(p_arrow - p_dense)) < 1e-8
+        p_arrow = np.abs(np.exp(-1j * np.outer(ts, ea)) @ wa) ** 2
+        p_dense = np.abs(np.exp(-1j * np.outer(ts, ed)) @ vd[0] ** 2) ** 2
+        assert np.max(np.abs(p_arrow - p_dense)) < 1e-12
+
+    @pytest.mark.parametrize("case", ["random", "zero-coupling", "equal-poles",
+                                      "three-pole-cluster", "weak-1e-12", "fig2-16"])
+    def test_roots_and_weights_against_mpmath(self, case):
+        rng = np.random.default_rng(7)
+        head, arm, diag = {
+            "random": lambda: (0.3, rng.uniform(0.5, 2.0, 8), rng.uniform(-2.0, 2.0, 8)),
+            "zero-coupling": lambda: (0.2, np.array([0.7, 0.0, 0.4, 0.0]),
+                                      np.array([1.0, 2.0, 3.0, -1.0])),
+            "equal-poles": lambda: (0.3, np.array([1.0, 1.0, 1.0, 0.5]),
+                                    np.array([0.0, 0.0, 0.0, -1.1])),
+            "three-pole-cluster": lambda: (0.3, np.array([0.3, 0.6, 0.2, 0.5, 0.4]),
+                                           np.array([1.0, 1.0 + 1e-9, 1.0 + 2e-9, -1.1, 2.0])),
+            "weak-1e-12": lambda: aligned_arrowhead(SpinBathSpec(
+                N=3, g=[1e-12, 1.0, 0.5], omega0=0.2, omega=[1.0, -0.4, 0.7])),
+            "fig2-16": lambda: aligned_arrowhead(fig2_spec(16)),
+        }[case]()
+        ea, wa = arrowhead_eigensystem(head, arm, diag)
+        er, wr = mpmath_measure(head, arm, diag)
+        assert np.max(np.abs(ea - er) / np.maximum(1.0, np.abs(er))) < 1e-14
+        assert np.max(np.abs(wa - wr)) < 1e-14
+        if case in ("zero-coupling", "equal-poles"):
+            assert np.count_nonzero(wa == 0.0) == 2
+
+    def test_trace_shift_is_minus_aligned_energy(self):
+        rng = np.random.default_rng(41)
+        spec = random_spec(rng, 9)
+        head, arm, diag = aligned_arrowhead(spec)
+        h = build_sector_hamiltonian(spec)
+        energy = aligned_eigen_energy(spec).energy
+        assert np.array_equal(h[1:, 0], arm)
+        shift = np.diag(h) - np.concatenate(([head], diag))
+        assert np.max(np.abs(shift - energy)) < 1e-14 * max(1.0, abs(energy))
+
+
+class TestSurvivalAmplitude:
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_against_dense_eigh(self, n):
+        rng = np.random.default_rng([n, 2])
+        g = rng.uniform(0.01, 0.04, n)
+        spec = SpinBathSpec(N=n, g=g, omega0=float(np.sum(g)) + 1.0,
+                            omega=rng.uniform(0.5, 1.5, n))
+        grid = TimeGrid(0.0, 40.0, 400)
+        ed, wd = dense_measure(*aligned_arrowhead(spec))
+        ea, wa = arrowhead_eigensystem(*aligned_arrowhead(spec))
+        assert np.max(np.abs(wa - wd)) < 1e-12
+        amp = survival_amplitude(spec, grid)
+        ref = np.exp(-1j * np.outer(grid.times, ed)) @ wd
+        assert np.max(np.abs(amp - ref)) < 1e-12
+
+    def test_matches_dense_sector_evolution(self):
+        # c_0(t) = exp(-iEt) a(t) against the full-eigenvector oracle path
+        rng = np.random.default_rng(17)
+        spec = random_spec(rng, 12)
+        grid = TimeGrid(0.0, 5.0, 200)
+        sector = evolve_sector(spec, grid=grid)
+        energy = aligned_eigen_energy(spec).energy
+        amp = survival_amplitude(spec, grid)
+        c0 = np.exp(-1j * energy * grid.times) * amp
+        assert np.max(np.abs(c0 - sector.amplitudes[:, 0])) < 1e-12
+
+    def test_blocked_runs_are_bit_identical(self, monkeypatch):
+        spec = fig2_spec(50)
+        grid = TimeGrid(0.0, 5.0, 2000)
+        whole = survival_amplitude(spec, grid)
+        measure = arrowhead_eigensystem(*aligned_arrowhead(spec))
+        monkeypatch.setattr(central_spin, "_BLOCK_ELEMENTS", 7 * 51)
+        assert np.array_equal(survival_amplitude(spec, grid), whole)
+        blocked = arrowhead_eigensystem(*aligned_arrowhead(spec))
+        assert all(np.array_equal(a, b) for a, b in zip(blocked, measure))
+
+    def test_memory_stays_linear_in_the_bath(self):
+        rng = np.random.default_rng(5000)
+        n = 5000
+        g = rng.uniform(0.01, 0.04, n)
+        spec = SpinBathSpec(N=n, g=g, omega0=float(np.sum(g)) + 1.0,
+                            omega=rng.uniform(0.5, 1.5, n))
+        tracemalloc.start()
+        try:
+            survival_amplitude(spec, TimeGrid(0.0, 40.0, 400))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (N+1)^2 eigenvector matrix alone would be 200 MB
+        assert peak < 10e6
+
+    def test_sum_rule_abort_is_live(self, monkeypatch):
+        spec = SpinBathSpec(N=3, g=0.5, omega0=0.2, omega=[1.0, -0.4, 0.7])
+        monkeypatch.setattr(central_spin, "_NORM_TOL", -1.0)
+        with pytest.raises(TraceDriftError, match="trace drift"):
+            survival_amplitude(spec, TimeGrid(0.0, 1.0, 10))
+
+    def test_unconverged_secular_roots_raise(self, monkeypatch):
+        monkeypatch.setattr(central_spin, "_SECULAR_MAX_ITER", 1)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            survival_amplitude(fig2_spec(50), TimeGrid(0.0, 1.0, 10))
+
+    def test_work_estimate_and_cap(self):
+        assert spectral_work(3, 10) == 4 * 13
+        spec = SpinBathSpec(N=4, g=0.5, omega0=0.2, omega=[1.0, 2.0, 3.0, 4.0])
+        points = central_spin.MAX_SECTOR_WORK // 5
+        with pytest.raises(WorkBudgetError) as info:
+            survival_amplitude(spec, TimeGrid(0.0, 1.0, points))
+        assert info.value.poles == 4 and info.value.points == points + 1
+        assert info.value.work == spectral_work(4, points + 1)
 
 
 class TestBruteForce:
@@ -358,9 +499,9 @@ class TestReducedDensity:
     def test_pure_aligned_branch(self):
         spec = SpinBathSpec(N=3, g=1.0, omega0=0.5, omega=[0.1, 0.2, 0.3])
         rot = RotatedAmplitudes(1.0, 0.0)
-        traj = evolve_sector(spec, grid=TimeGrid(0.0, 3.0, 30))
+        amp = survival_amplitude(spec, TimeGrid(0.0, 3.0, 30))
         for i in (0, 15, 30):
-            rho = reduced_system_density(spec, rot, traj.times[i], traj.amplitudes[i])
+            rho = reduced_system_density(rot, amp[i])
             assert rho.rho11 == pytest.approx(1.0, abs=1e-12)
             assert abs(rho.coherence) == pytest.approx(0.0, abs=1e-12)
 
@@ -369,7 +510,7 @@ class TestReducedDensity:
         alpha, beta = random_pair(rng)
         rot = RotatedAmplitudes(alpha, beta)
         spec = SpinBathSpec(N=4, g=0.8, omega0=0.3, omega=[0.5, 1.0, -0.7, 0.2])
-        rho = reduced_system_density(spec, rot, 0.0, excitation_on_system(4))
+        rho = reduced_system_density(rot, survival_amplitude(spec, TimeGrid(0.0, 1.0, 1))[0])
         psi = np.array([beta, alpha])
         assert np.max(np.abs(rho.matrix - np.outer(psi, psi.conj()))) < 1e-12
 
@@ -381,27 +522,24 @@ class TestReducedDensity:
         grid = TimeGrid(0.0, 4.0, 40)
         pairs = [(beta, alpha)] + [(0.0, 1.0)] * n
         full = brute_force_evolve(spec, product_state(pairs), grid)
-        sector = evolve_sector(spec, grid=grid)
+        amp = survival_amplitude(spec, grid)
         rot = RotatedAmplitudes(alpha, beta)
         for i in (0, 13, 27, 40):
-            state = full.states[i].reshape([2] * (n + 1))
             # partial trace over bath: system occupies bit 0 (last axis varies
             # fastest in our bit order, so reshape to (bath, system))
             psi_mat = full.states[i].reshape(-1, 2)
             rho_full = psi_mat.T @ psi_mat.conj()
-            rho = reduced_system_density(spec, rot, grid.times[i],
-                                         sector.amplitudes[i])
+            rho = reduced_system_density(rot, amp[i])
             assert np.max(np.abs(rho.matrix - rho_full)) < 1e-10
-
 
     def test_stack_of_sector_states_gives_one_batch(self):
         spec = SpinBathSpec(N=4, g=0.8, omega0=0.3, omega=[0.5, 1.0, -0.7, 0.2])
         rot = RotatedAmplitudes(0.6, 0.8j)
-        traj = evolve_sector(spec, grid=TimeGrid(0.0, 3.0, 30))
-        batch = reduced_system_density(spec, rot, traj.times, traj.amplitudes)
+        amp = survival_amplitude(spec, TimeGrid(0.0, 3.0, 30))
+        batch = reduced_system_density(rot, amp)
         assert batch.matrix.shape == (31, 2, 2)
         for i in (0, 7, 30):
-            one = reduced_system_density(spec, rot, traj.times[i], traj.amplitudes[i])
+            one = reduced_system_density(rot, amp[i])
             assert np.max(np.abs(batch.matrix[i] - one.matrix)) <= 1e-15
 
 
@@ -412,15 +550,10 @@ class TestMeasurementConsistency:
         # picture demands
         spec = fig2_spec(100)
         grid = TimeGrid(0.0, 4.5, 15000)
-        traj = evolve_sector(spec, grid=grid)
-        rot = RotatedAmplitudes(0.0, 1.0)
+        rho = reduced_system_density(RotatedAmplitudes(0.0, 1.0),
+                                     survival_amplitude(spec, grid))
         window = (grid.times > 0.5) & (grid.times < 3.5)
-        rho11_min = 1.0
-        for i in np.nonzero(window)[0][::150]:
-            rho = reduced_system_density(spec, rot, grid.times[i],
-                                         traj.amplitudes[i])
-            rho11_min = min(rho11_min, rho.rho11)
-        assert rho11_min > 0.9
+        assert np.min(rho.rho11[window]) > 0.9
 
 
 class TestRevivalDetection:

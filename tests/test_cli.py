@@ -1,10 +1,11 @@
 import math
 import re
+import time
 
 import numpy as np
 import pytest
 
-from decobath import cli
+from decobath import central_spin, cli
 from decobath.cli import (
     main,
     oracle_compare_trajectory,
@@ -319,6 +320,48 @@ class TestCsv:
         raw = path.read_bytes()
         assert b"\r" not in raw
 
+    @staticmethod
+    def _f_string_render(traj):
+        """The cell-by-cell render the row formatter replaced, as the reference."""
+        lines = [",".join(traj.column_names)]
+        cols = [traj.times, *traj.columns.values()]
+        for i in range(traj.times.size):
+            lines.append(",".join(f"{float(c[i]):.17g}" for c in cols))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("text", [
+        MINIMAL_MARKOV + "bath.omega0 = 1.3\ngrid.steps = 300\n",
+        "scenario = dephase-isotropic\ngamma = 0.7\ngrid.steps = 300\n",
+        # starts on the Ohmic singular point t* = tan(pi/(2 eta))/omega_c:
+        # gamma = inf and chi = nan in the first row
+        "scenario = dephase-correlated\nthermo.beta = 2\nbath.omega0 = 0\n"
+        "spectral.family = ohmic\nspectral.eta = 1.2\nspectral.omega_c = 2\n"
+        f"grid.t0 = {math.tan(math.pi / 2.4) / 2.0!r}\ngrid.t1 = 4\ngrid.steps = 50\n",
+        "scenario = central-exact\nbath.N = 3\nbath.g = 0.4\n"
+        "bath.omega = 0.2, 0.9, 1.4\nbath.omega0 = 0.6\ngrid.t1 = 30\n",
+        "scenario = central-sme\nbath.N = 3\nbath.g = 0.1\n"
+        "bath.omega = 0.2, 0.9, 1.4\nbath.omega0 = 0.6\ngrid.t1 = 2\ngrid.steps = 40\n",
+        "scenario = oracle-compare\noracle.n = 4\noracle.seed = 3\ngrid.steps = 50\n",
+        "scenario = fig2\nbath.N = 50\n",
+    ])
+    def test_render_matches_cell_by_cell_formatting(self, text):
+        traj = run_scenario(parse_config(text))
+        assert traj.to_csv() == self._f_string_render(traj)
+        if "correlated" in text:
+            assert "inf" in traj.to_csv() and "nan" in traj.to_csv()
+
+    def test_render_of_special_values(self):
+        tiny = np.finfo(float).tiny
+        values = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, tiny / 3, -5e-324,
+                           tiny, 1e308, -1 / 3])
+        traj = Trajectory(np.arange(values.size, dtype=float),
+                          {"x": values, "y": values[::-1].copy(),
+                           "n": np.arange(values.size)})
+        text = traj.to_csv()
+        assert text == self._f_string_render(traj)
+        assert ",inf," in text and ",nan," in text and "\n3,-0," in text
+        assert "4.9406564584124654e-324" in text
+
     def test_population_sum_validated(self):
         with pytest.raises(ValueError, match="sum to 1"):
             Trajectory(np.array([0.0, 1.0]),
@@ -365,6 +408,65 @@ class TestMain:
         err = capsys.readouterr().err
         assert "needs an estimated" in err and "refine factor" in err
         assert not (tmp_path / "out.csv").exists()
+
+    def test_oversized_central_exact_refused_fast_with_estimate(
+            self, monkeypatch, tmp_path, capsys):
+        # 10^5 distinct splittings: ~10^10 secular pairs.  The solver is made
+        # to raise, so a missing refusal fails here instead of running.
+        def never(*args):
+            raise AssertionError("the oversize secular problem was started")
+
+        monkeypatch.setattr(central_spin, "arrowhead_eigensystem", never)
+        n = 100_000
+        omega = ", ".join(map(repr, np.linspace(0.5, 1.5, n).tolist()))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            f"scenario = central-exact\nbath.N = {n}\nbath.g = 0.001\n"
+            f"bath.omega = {omega}\nbath.omega0 = 1.1\n"
+            f"output.path = {tmp_path / 'out.csv'}\n"
+        )
+        started = time.perf_counter()
+        assert main(["run", str(cfg)]) == 2
+        assert time.perf_counter() - started < 0.5
+        err = capsys.readouterr().err
+        work = central_spin.spectral_work(n, 1001)
+        assert f"needs an estimated {work} element pairs" in err
+        assert f"{n} secular poles" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_uniform_large_bath_deflates_to_rabi(self, tmp_path):
+        # 10^5 identical bath spins deflate to one pole with coupling g sqrt(N)
+        n, g, omega, omega0 = 100_000, 0.003, 0.8, 301.0
+        cfg = tmp_path / "cfg.txt"
+        out = tmp_path / "out.csv"
+        cfg.write_text(
+            f"scenario = central-exact\nbath.N = {n}\nbath.g = {g}\n"
+            f"bath.omega = {omega}\nbath.omega0 = {omega0}\n"
+            f"system.a = 0.6\nsystem.b = 0.8\noutput.path = {out}\n"
+        )
+        assert main(["run", str(cfg)]) == 0
+        cols = Trajectory.read_csv(out).columns
+        t = TimeGrid(0.0, 10.0, 1000).times
+        half = 0.5 * ((omega0 - n * g) - (omega - g))
+        rabi = math.sqrt(half ** 2 + n * g * g)
+        amp = np.exp(-0.5j * ((omega0 - n * g) + (omega - g)) * t) * (
+            np.cos(rabi * t) - 1j * (half / rabi) * np.sin(rabi * t))
+        # bath along |1>: alpha = b, beta = a
+        assert np.max(np.abs(cols["P0"] - np.abs(amp) ** 2)) < 1e-12
+        assert np.max(np.abs(cols["reCoh"] + 1j * cols["imCoh"] - 0.8 * 0.6 * amp)) < 1e-12
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("_NORM_TOL", -1.0, "trace drift"),
+        ("_SECULAR_MAX_ITER", 1, "did not converge"),
+    ])
+    def test_spectral_quality_aborts_exit_3(self, monkeypatch, tmp_path, capsys,
+                                            name, value, message):
+        monkeypatch.setattr(central_spin, name, value)
+        out = tmp_path / "out.csv"
+        assert main(["preset", "fig2", "--n", "50", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical quality abort" in err and message in err
+        assert not out.exists()
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
