@@ -23,7 +23,6 @@ from .errors import (
     NormalizationError,
     QuadratureError,
     SingularCorrelationError,
-    StepBudgetError,
     TraceDriftError,
     WorkBudgetError,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "SingularCorrelationError",
     "DegenerateParametersError",
     "TraceDriftError",
-    "StepBudgetError",
     "WorkBudgetError",
     "ConfigError",
 ]

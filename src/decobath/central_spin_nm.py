@@ -20,17 +20,19 @@ and the Lamb-shift Hamiltonian
 The jump operator maps the excited branch |0> onto the stationary branch |1>
 (written as a raising operator in conventions that label the occupied level
 |1>).  The generator never mixes the population and coherence channels, so
-the direct integration steps two scalar linear equations,
+the equation splits into two scalar linear equations,
 
     rho00' = -2 Gamma_0 rho00,
     rho01' = (-i (omega_r + Lambda) - 4 Gamma_d - Gamma_0) rho01,
 
-with classic RK4, vectorized over the steps; rho11 collects what leaves
-rho00.  The module carries both that integration and the equation's claimed
-closed-form solution; the two population channels agree to integrator
-accuracy, while the coherence channels differ by a constant factor on the
-dephasing exponent.  That gap is deliberately not patched:
-:func:`sme_discrepancy_report` quantifies it instead.
+whose rate integrals are finite mode sums; rho11 collects what leaves
+rho00.  :func:`integrate_sme` evaluates that exact solution over the whole
+time array, and the full 2x2 generator stepped by the generic RK4
+integrator (:func:`_integrate_sme_matrix`) stays as its oracle.  The module
+also carries the equation's claimed closed-form solution.  Its population
+channel is the exact one, while its coherence channel differs in the
+dephasing exponent and the Lamb phase.  That gap is deliberately not
+patched: :func:`sme_discrepancy_report` quantifies it instead.
 """
 
 from __future__ import annotations
@@ -42,13 +44,11 @@ from typing import Callable
 import numpy as np
 
 from .central_spin import RotatedAmplitudes, SpinBathSpec
-from .errors import StepBudgetError, TraceDriftError
-from .lindblad import TRACE_ABORT, dissipator, integrate_master
+from .lindblad import _nonnegative_times, dissipator, integrate_master
 from .qstate import DensityMatrix2, SIGMA_MINUS, SIGMA_Z
 from .trajectory import RhoTrajectory, TimeGrid, Trajectory
 
 __all__ = [
-    "MAX_SME_STEPS",
     "SmeRates",
     "SmeSolution",
     "SmeDiscrepancyReport",
@@ -61,16 +61,11 @@ __all__ = [
 
 #: Detunings below this switch to Taylor series of the oscillatory kernels.
 _RESONANCE_EPS = 1e-10
-#: Internal RK4 step ceiling: max over the grid of Gamma_d times the step.
+#: Oracle RK4 step ceiling: max over the grid of Gamma_d times the step.
 _GAMMA_D_STEP = 1e-3
-#: Largest fine RK4 step count (grid steps times refine factor) a run may take;
-#: larger runs are refused before any array is allocated.  On one Xeon core a
-#: step costs ~1.4 us for eight modes and ~9 us for a hundred, so the cap is
-#: 15-90 s of work (the README's bath under central-sme needs 3.3 M steps).
-MAX_SME_STEPS = 10_000_000
-#: Mode-time products evaluated per block of fine steps, so memory stays flat
-#: however many steps a run takes.
-_BLOCK_ELEMENTS = 1 << 13
+#: Mode-time products evaluated per block of time points, so memory stays
+#: flat in (time points) x (modes).
+_BLOCK_ELEMENTS = 1 << 15
 _TINY = np.finfo(float).tiny
 
 _PROJ0 = np.diag([1.0, 0.0]).astype(complex)
@@ -122,6 +117,25 @@ def _arc_minus_sin_over_sq(delta: np.ndarray, t) -> np.ndarray:
     x = delta * t
     series = delta * t**3 / 6.0 * (1.0 - x * x / 20.0 + x**4 / 840.0)
     return np.where(small, series, (x - np.sin(x)) / (safe * safe))
+
+
+def _mode_sum(spec: SpinBathSpec, kernel, t) -> np.ndarray:
+    """sum_k g_k^2 kernel(delta_k, t) for each entry of ``t``, in blocks of times.
+
+    Each block holds at most ``_BLOCK_ELEMENTS`` mode-time products; a row's
+    sum does not depend on the blocking, so any block size gives the same
+    bits.  A scalar ``t`` gives a scalar.
+    """
+    t = np.asarray(t, dtype=float)
+    flat = t.reshape(-1)
+    gsq = spec.g * spec.g
+    delta = spec.omega0 - spec.omega
+    out = np.empty(flat.size)
+    rows = max(1, _BLOCK_ELEMENTS // spec.N)
+    for start in range(0, flat.size, rows):
+        block = flat[start:start + rows, None]
+        out[start:start + rows] = np.sum(gsq * kernel(delta, block), axis=-1)
+    return out.reshape(t.shape)[()]
 
 
 @dataclass(frozen=True)
@@ -179,7 +193,7 @@ def _sme_generator(spec: SpinBathSpec):
 
 
 def _refine_factor(rates: SmeRates, grid: TimeGrid) -> int:
-    """Fine RK4 steps per grid step.
+    """Fine RK4 steps per grid step for the oracle :func:`_integrate_sme_matrix`.
 
     Keeps max(Gamma_d) * step below ``_GAMMA_D_STEP`` and the step below
     0.05 over the largest rate sampled at eight points of the grid.
@@ -198,25 +212,15 @@ def _refine_factor(rates: SmeRates, grid: TimeGrid) -> int:
     return max(1, int(math.ceil(grid.dt / h_target))) if math.isfinite(h_target) else 1
 
 
-def _rk4_increment(a1: np.ndarray, a2: np.ndarray, a4: np.ndarray, h: float) -> np.ndarray:
-    """R - 1 for classic RK4 steps of y' = a(t) y.
-
-    ``a1``, ``a2`` and ``a4`` are the rates at each step's start, midpoint and
-    end; one step maps y to R y.
-    """
-    k2 = a2 * (1.0 + (0.5 * h) * a1)
-    k3 = a2 * (1.0 + (0.5 * h) * k2)
-    k4 = a4 * (1.0 + h * k3)
-    return (h / 6.0) * (a1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _integrate_sme_matrix(
     spec: SpinBathSpec, rot: RotatedAmplitudes, grid: TimeGrid, refine: int
 ) -> RhoTrajectory:
-    """Reference path: the full 2x2 generator stepped by :func:`integrate_master`.
+    """Oracle path: the full 2x2 generator stepped by :func:`integrate_master`.
 
-    Same refined grid and RK4 scheme as :func:`integrate_sme`, one Python
-    step at a time; kept as the oracle for the channel-wise integration.
+    Classic RK4 on a grid ``refine`` times finer than ``grid``, one Python
+    step at a time, sampled back on ``grid``; :func:`_refine_factor` gives
+    the step the checks use.  It shares no code with the closed-form
+    channels of :func:`integrate_sme`, which it is kept to check.
     """
     psi = np.array([rot.beta, rot.alpha])
     rho0 = DensityMatrix2(np.outer(psi, psi.conj()))
@@ -226,76 +230,38 @@ def _integrate_sme_matrix(
 
 def integrate_sme(
     spec: SpinBathSpec, rot: RotatedAmplitudes, grid: TimeGrid
-) -> RhoTrajectory:
-    """Direct RK4 integration of the master equation from the rotated state.
+) -> DensityMatrix2:
+    """Exact solution of the master equation from the rotated state, on ``grid``.
 
     The grid must start at t = 0 (the rates are defined from the preparation
-    time).  An internal refinement keeps max(Gamma_d) * step below 1e-3 and
-    resolves the coherent rotation; the returned trajectory is sampled on the
-    requested grid.  Each fine step multiplies rho00 and rho01 by their RK4
-    amplification factors, formed from the rates at the step's start,
-    midpoint and end; rho11 gains what rho00 loses, and a coherence below
-    the smallest normal double is set to 0.  Runs of more than
-    ``MAX_SME_STEPS`` fine steps raise :class:`~decobath.errors.StepBudgetError`
-    up front; trace drift beyond 1e-6 at any fine step raises
-    :class:`~decobath.errors.TraceDriftError`.
+    time).  Both channels integrate in closed form over the whole time array,
+
+        rho00 = |beta|^2 exp(-gamma_1),
+        rho11 = |alpha|^2 - |beta|^2 expm1(-gamma_1),
+        rho01 = beta alpha* exp(-i (omega_r t + gamma_d)
+                                - 2 (sum g)^2 t^2 - gamma_1 / 2),
+
+    where gamma_1 = 2 int Gamma_0 and gamma_d = int Lambda are the mode sums
+    of :func:`sme_analytic_solution`.  rho11 is formed with expm1, not as
+    1 - rho00, so it keeps its relative accuracy when it is small; a
+    coherence below the smallest normal double is set to 0.  Returns one
+    batched state with an entry per grid time.
     """
     if grid.t0 != 0.0:
         raise ValueError("the master-equation grid must start at t = 0")
-    refine = _refine_factor(sme_rates(spec), grid)
-    total = grid.steps * refine
-    if total > MAX_SME_STEPS:
-        raise StepBudgetError(total, refine, MAX_SME_STEPS)
-
-    psi = np.array([rot.beta, rot.alpha])  # (|0>, |1>) components
-    rho0 = DensityMatrix2(np.outer(psi, psi.conj())).matrix
-    gsq = spec.g * spec.g
-    delta = spec.omega0 - spec.omega
+    t = grid.times
+    sol = sme_analytic_solution(spec)
+    gamma_1 = sol.gamma_1(t)
     gsum = float(np.sum(spec.g))
     omega_r = spec.omega0 - gsum
-    h = grid.t1 / total  # the refined grid's step, as np.linspace computes it
-
-    def channel_rates(t: np.ndarray):
-        """Rates a(t) of rho00' = a rho00 and rho01' = a rho01, per time."""
-        g0 = np.sum(gsq * _sin_over(delta, t[:, None]), axis=-1)
-        lam = np.sum(gsq * _versin_over(delta, t[:, None]), axis=-1)
-        gd = gsum * gsum * t
-        return -2.0 * g0, -1j * (omega_r + lam) - 4.0 * gd - g0
-
-    states = np.empty((grid.steps + 1, 2, 2), dtype=complex)
-    states[0] = rho0
-    pop, coh, stat = rho0[0, 0].real, rho0[0, 1], rho0[1, 1].real
-    block = max(1, _BLOCK_ELEMENTS // spec.N)
-    for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total) + 1)
-        t = idx * h  # bit-identical to the refined grid's times
-        if idx[-1] == total:
-            t[-1] = grid.t1
-        pop_at, coh_at = channel_rates(t)
-        pop_mid, coh_mid = channel_rates(t[:-1] + 0.5 * h)
-        d_pop = _rk4_increment(pop_at[:-1], pop_mid, pop_at[1:], h)
-        d_coh = _rk4_increment(coh_at[:-1], coh_mid, coh_at[1:], h)
-        pops = np.cumprod(np.concatenate(([pop], 1.0 + d_pop)))
-        cohs = np.cumprod(np.concatenate(([coh], 1.0 + d_coh)))[1:]
-        # a subnormal coherence times R ~ 1 rounds back to itself and would
-        # freeze there; flush it to the zero it is decaying towards
-        cohs[np.abs(cohs) < _TINY] = 0.0
-        stats = np.cumsum(np.concatenate(([stat], -d_pop * pops[:-1])))[1:]
-        pops = pops[1:]
-        drift = np.abs(pops + stats - 1.0)
-        bad = np.flatnonzero(drift > TRACE_ABORT)
-        if bad.size:
-            raise TraceDriftError(float(drift[bad[0]]), float(t[bad[0] + 1]))
-        kept = idx[1:] % refine == 0
-        rows = idx[1:][kept] // refine
-        states[rows, 0, 0] = pops[kept]
-        states[rows, 1, 1] = stats[kept]
-        states[rows, 0, 1] = cohs[kept]
-        states[rows, 1, 0] = np.conj(cohs[kept])
-        pop, coh, stat = pops[-1], cohs[-1], stats[-1]
-    times = np.arange(0, total + 1, refine) * h
-    times[-1] = grid.t1
-    return RhoTrajectory(times, states)
+    p_beta = abs(rot.beta) ** 2
+    coh = rot.beta * np.conj(rot.alpha) * np.exp(
+        -1j * (omega_r * t + sol.gamma_d_phase(t)) - (2.0 * (gsum * t) ** 2 + 0.5 * gamma_1)
+    )
+    coh[np.abs(coh) < _TINY] = 0.0
+    return DensityMatrix2.from_parts(
+        p_beta * np.exp(-gamma_1), abs(rot.alpha) ** 2 - p_beta * np.expm1(-gamma_1), coh
+    )
 
 
 @dataclass(frozen=True)
@@ -319,19 +285,17 @@ def sme_analytic_solution(spec: SpinBathSpec) -> SmeSolution:
     gamma_1(t) = 2 sum_k g_k^2 (1 - cos(delta_k t)) / delta_k^2,
     gamma_d(t) = sum_k g_k^2 (delta_k t - sin(delta_k t)) / delta_k^2,
     G1 = exp(-gamma_1),  G2 = exp(-2 i gamma_d) exp(-(sum g)^2 t^2 / 2).
+
+    The sums run over the time array in blocks, so memory stays flat in
+    (time points) x (modes).
     """
-    g = spec.g
-    gsq = g * g
-    delta = spec.omega0 - spec.omega
-    gsum = float(np.sum(g))
+    gsum = float(np.sum(spec.g))
 
     def gamma_1(t):
-        t = np.asarray(t, dtype=float)
-        return 2.0 * np.sum(gsq * _versin_over_sq(delta, t[..., None]), axis=-1)
+        return 2.0 * _mode_sum(spec, _versin_over_sq, t)
 
     def gamma_d(t):
-        t = np.asarray(t, dtype=float)
-        return np.sum(gsq * _arc_minus_sin_over_sq(delta, t[..., None]), axis=-1)
+        return _mode_sum(spec, _arc_minus_sin_over_sq, t)
 
     def g1(t):
         return np.exp(-gamma_1(t))
@@ -343,34 +307,33 @@ def sme_analytic_solution(spec: SpinBathSpec) -> SmeSolution:
     return SmeSolution(gamma_1, gamma_d, g1, g2)
 
 
-def sme_analytic(
-    spec: SpinBathSpec, rot: RotatedAmplitudes, t: float
-) -> DensityMatrix2:
-    """The claimed closed-form state at time t.
+def sme_analytic(spec: SpinBathSpec, rot: RotatedAmplitudes, t) -> DensityMatrix2:
+    """The claimed closed-form state at time(s) t.
 
     Entries are (|beta|^2 G1, alpha* beta G2; c.c., 1 - |beta|^2 G1).  The
     form is positive semidefinite for nonnegative couplings (then
-    |G2|^2 <= G1); construction fails loudly otherwise.
+    |G2|^2 <= G1); construction fails loudly otherwise.  An array ``t``
+    gives one batched state with an entry per time; negative times are
+    refused.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    t = _nonnegative_times(t)
     sol = sme_analytic_solution(spec)
-    p0 = abs(rot.beta) ** 2 * float(sol.G1(t))
-    coh = np.conj(rot.alpha) * rot.beta * complex(sol.G2(t))
+    p0 = abs(rot.beta) ** 2 * sol.G1(t)
+    coh = np.conj(rot.alpha) * rot.beta * sol.G2(t)
     return DensityMatrix2.from_parts(p0, 1.0 - p0, coh)
 
 
 @dataclass
 class SmeDiscrepancyReport:
-    """Per-time gap between the integrated equation and the closed form.
+    """Per-time gap between the master equation's solution and the closed form.
 
-    The integrated coherence is moved to the frame rotating at omega_r before
+    The solved coherence is moved to the frame rotating at omega_r before
     comparison (the closed form carries no free phase), so the phase channel
     isolates the Lamb-shift-induced part.  ``best_fit_dephasing_factor`` is
-    the least-squares constant kappa such that the integrated coherence
+    the least-squares constant kappa such that the solved coherence
     magnitude decays like exp(-kappa * (sum g)^2 t^2 / 2): the closed form
-    corresponds to kappa = 1, a direct expansion of the dephasing dissipator
-    to kappa = 4, and the fitted value also absorbs the (smaller) jump-channel
+    corresponds to kappa = 1, the master equation's dephasing dissipator to
+    kappa = 4, and the fitted value also absorbs the (smaller) jump-channel
     damping.  The factor is reported as data, never asserted.
     """
 
@@ -407,19 +370,19 @@ class SmeDiscrepancyReport:
 def sme_discrepancy_report(
     spec: SpinBathSpec, rot: RotatedAmplitudes, grid: TimeGrid
 ) -> SmeDiscrepancyReport:
-    """Integrate the master equation and score it against the closed form."""
-    traj = integrate_sme(spec, rot, grid)
+    """Solve the master equation on ``grid`` and score it against the closed form."""
+    rho = integrate_sme(spec, rot, grid)
     sol = sme_analytic_solution(spec)
-    times = traj.times
+    times = grid.times
 
-    pop_int = traj.states[:, 0, 0].real
+    pop_int = rho.rho00
     pop_ana = abs(rot.beta) ** 2 * sol.G1(times)
     pop_dev = np.abs(pop_int - pop_ana)
 
     gsum = float(np.sum(spec.g))
     omega_r = spec.omega0 - gsum
     c0 = np.conj(rot.alpha) * rot.beta
-    coh_int = traj.states[:, 0, 1] * np.exp(1j * omega_r * times)
+    coh_int = rho.coherence * np.exp(1j * omega_r * times)
     coh_ana = c0 * sol.G2(times)
     mag_dev = np.abs(np.abs(coh_int) - np.abs(coh_ana))
 

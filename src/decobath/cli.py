@@ -41,12 +41,9 @@ minute) is refused before any large allocation, with exit code 2 and a
 message giving the estimate; a sum-rule violation of the spectral weights,
 or a secular root that does not converge, aborts with exit code 3.
 
-central-sme integrates on an internal grid ``refine`` times finer than the
-output grid, with ``refine`` set by the bath's rates.  A run whose estimated
-fine step count ``grid.steps * refine`` exceeds
-``central_spin_nm.MAX_SME_STEPS`` (10**7) is refused before any integration,
-with exit code 2 and a message giving the estimate and the refine factor;
-shorten ``grid.t1`` or weaken the couplings to bring it under the cap.
+central-sme evaluates the exact solution of its two decoupled channels over
+the whole grid (finite mode sums in blocks of time points), so its work is
+O(time points x bath.N) whatever the rates or the span.
 
 dephase-correlated evaluates its spectral integrals in closed form over the
 whole grid.  The thermal part of a tabulated density at finite temperature
@@ -69,10 +66,10 @@ prepend ``P0`` (survival probability); dephase-correlated appends
 ``gamma, Phi, chi``; oracle-compare emits ``t, ampDev, szDrift``.  Floats
 carry 17 significant digits (exact round trip), lines end with LF.
 
-Exit codes: 0 success, 2 configuration error (including a central-sme run over
-the step cap and a central-exact run over the work cap), 3 numerical-quality
-abort (including a dephase-correlated run over the spectral evaluation cap and
-a central-exact or fig2 sum-rule or convergence failure).
+Exit codes: 0 success, 2 configuration error (including a central-exact run
+over the work cap), 3 numerical-quality abort (including a dephase-correlated
+run over the spectral evaluation cap and a central-exact or fig2 sum-rule or
+convergence failure).
 """
 
 from __future__ import annotations
@@ -414,8 +411,8 @@ def run_scenario(cfg: ScenarioConfig) -> Trajectory:
     if cfg.scenario == "central-sme":
         spec = _spin_bath_from_config(cfg)
         rot = central_spin.rotate_to_polarization(psi.a, psi.b, cfg.pol_c, cfg.pol_d)
-        traj = central_spin_nm.integrate_sme(spec, rot, cfg.grid)
-        return traj.to_trajectory()
+        rho = central_spin_nm.integrate_sme(spec, rot, cfg.grid)
+        return Trajectory(times, _rho_columns(rho))
 
     if cfg.scenario == "oracle-compare":
         return oracle_compare_trajectory(cfg.oracle_n, cfg.oracle_seed, cfg.grid)

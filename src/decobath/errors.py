@@ -77,28 +77,6 @@ class ConfigError(ValueError):
         self.messages = list(messages)
 
 
-class StepBudgetError(ValueError):
-    """A master-equation run would take more fine RK4 steps than the cap.
-
-    Raised before any integration work, so an oversized run is refused at
-    once instead of running for tens of minutes.
-
-    Attributes:
-        steps: Estimated fine step count (grid steps times refine factor).
-        refine: Fine steps per grid step.
-        limit: The step cap.
-    """
-
-    def __init__(self, steps: int, refine: int, limit: int):
-        super().__init__(
-            f"master-equation run needs an estimated {steps} RK4 steps "
-            f"(refine factor {refine}), above the cap of {limit}"
-        )
-        self.steps = steps
-        self.refine = refine
-        self.limit = limit
-
-
 class WorkBudgetError(ValueError):
     """A central-spin spectral run's estimated work exceeds the cap.
 

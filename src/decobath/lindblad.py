@@ -4,8 +4,9 @@ The integrator here is deliberately a plain fixed-step classic Runge-Kutta
 scheme: deterministic, reproducible trajectories matter more than speed at
 2x2 scale, and every analytic solution in the package is cross-checked
 against it.  It remains the generic oracle: the central-spin master
-equation's production path steps its two decoupled channels with the same
-RK4 scheme, vectorized, and is tested against :func:`integrate_master`.
+equation's production path evaluates the exact solution of its two
+decoupled channels, and is tested against :func:`integrate_master`
+stepping the full 2x2 generator.
 """
 
 from __future__ import annotations

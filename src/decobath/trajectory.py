@@ -140,15 +140,3 @@ class RhoTrajectory:
     @property
     def final(self) -> DensityMatrix2:
         return self.density_matrix(-1)
-
-    def to_trajectory(self) -> Trajectory:
-        """Standard column view: populations plus real/imaginary coherence."""
-        return Trajectory(
-            self.times,
-            {
-                "rho00": self.states[:, 0, 0].real.copy(),
-                "rho11": self.states[:, 1, 1].real.copy(),
-                "reCoh": self.states[:, 0, 1].real.copy(),
-                "imCoh": self.states[:, 0, 1].imag.copy(),
-            },
-        )

@@ -19,6 +19,11 @@ from decobath.trajectory import TimeGrid, Trajectory
 
 
 MINIMAL_MARKOV = "scenario = dephase-markov\ngamma = 1.0\n"
+#: The README's central-spin bath under the master equation, without a grid.
+README_SME = (
+    "scenario = central-sme\nbath.N = 8\nbath.g = 1.2\n"
+    "bath.omega = 0.1, 0.4, 0.7, 1.0, 1.3, 1.6, 1.9, 2.2\nbath.omega0 = 0.9\n"
+)
 
 
 class TestParseConfig:
@@ -256,6 +261,20 @@ class TestRunScenario:
         sme = run_scenario(parse_config("scenario = central-sme\n" + base))
         assert sme.columns["rho00"][0] + sme.columns["rho11"][0] == pytest.approx(1.0)
 
+    def test_central_sme_never_steps_rk4(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("RK4 reached on the central-sme production path")
+
+        # any RK4 path needs the oracle's step rule or the generic integrator
+        monkeypatch.setattr(cli.central_spin_nm, "integrate_master", refuse)
+        monkeypatch.setattr(cli.central_spin_nm, "_refine_factor", refuse)
+        rotation = ("scenario = central-sme\nbath.N = 3\nbath.g = 0.03, 0.02, 0.05\n"
+                    "bath.omega = -0.4, 0.8, 2.1\nbath.omega0 = 60\n")
+        for text in (README_SME + "grid.t1 = 6\ngrid.steps = 2000\n",
+                     rotation + "grid.t1 = 3\ngrid.steps = 60\n"):
+            traj = run_scenario(parse_config(text))
+            assert np.all(np.isfinite(traj.columns["reCoh"]))
+
     def test_oracle_compare_deviation_below_threshold(self):
         traj = oracle_compare_trajectory(6, 42, TimeGrid(0.0, 5.0, 100))
         assert float(np.max(traj.columns["ampDev"])) < 1e-10
@@ -395,19 +414,23 @@ class TestMain:
         assert main(["run", "/nonexistent/cfg.txt"]) == 2
         assert "cannot read config" in capsys.readouterr().err
 
-    def test_oversized_central_sme_refused_with_estimate(self, tmp_path, capsys):
-        # the README bath run ten times longer: ~3e8 fine RK4 steps
+    def test_long_readme_central_sme_completes_fast(self, tmp_path):
+        # the README bath run ten times longer: ~3e8 steps at the RK4
+        # oracle's step, one mode sum per time point on the exact path
+        out = tmp_path / "out.csv"
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(
-            "scenario = central-sme\nbath.N = 8\nbath.g = 1.2\n"
-            "bath.omega = 0.1, 0.4, 0.7, 1.0, 1.3, 1.6, 1.9, 2.2\n"
-            "bath.omega0 = 0.9\ngrid.t1 = 60\ngrid.steps = 2000\n"
-            f"output.path = {tmp_path / 'out.csv'}\n"
-        )
-        assert main(["run", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert "needs an estimated" in err and "refine factor" in err
-        assert not (tmp_path / "out.csv").exists()
+        cfg.write_text(README_SME + f"grid.t1 = 60\ngrid.steps = 2000\noutput.path = {out}\n")
+        started = time.perf_counter()
+        assert main(["run", str(cfg)]) == 0
+        assert time.perf_counter() - started < 2.0
+        traj = Trajectory.read_csv(out)
+        rot = central_spin.rotate_to_polarization(
+            1 / math.sqrt(2), 1 / math.sqrt(2), 0.0, 1.0)
+        delta = 0.9 - np.array([0.1, 0.4, 0.7, 1.0, 1.3, 1.6, 1.9, 2.2])
+        s = np.sin(0.5 * np.outer(traj.times, delta))
+        gamma_1 = np.sum(1.44 * 4.0 * s * s / delta**2, axis=1)
+        expected = abs(rot.beta) ** 2 * np.exp(-gamma_1)
+        assert np.max(np.abs(traj.columns["rho00"] - expected)) < 1e-14
 
     def test_oversized_central_exact_refused_fast_with_estimate(
             self, monkeypatch, tmp_path, capsys):
