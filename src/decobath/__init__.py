@@ -12,21 +12,22 @@ solutions and independent numerical oracles:
   non-Markovian master equation with time-dependent rates
   (:mod:`.central_spin`, :mod:`.central_spin_nm`).
 
+Both share the states of :mod:`.qstate` and the grids of :mod:`.trajectory`;
+a measurement's outcome is read off the dynamics, not applied as operators.
+
 :mod:`.cli` turns configs into CSV trajectories; see the README for usage.
 """
 
 from . import central_spin, central_spin_nm, cli, dephasing_nm, lindblad, qstate
 from .errors import (
-    CompletenessError,
     ConfigError,
     DegenerateParametersError,
     NormalizationError,
     QuadratureError,
-    SingularCorrelationError,
     TraceDriftError,
     WorkBudgetError,
 )
-from .qstate import DensityMatrix2, KrausPair, QubitAmplitudes
+from .qstate import DensityMatrix2, QubitAmplitudes
 from .trajectory import RhoTrajectory, TimeGrid, Trajectory
 
 __version__ = "0.1.0"
@@ -41,14 +42,11 @@ __all__ = [
     "cli",
     "DensityMatrix2",
     "QubitAmplitudes",
-    "KrausPair",
     "TimeGrid",
     "Trajectory",
     "RhoTrajectory",
     "NormalizationError",
-    "CompletenessError",
     "QuadratureError",
-    "SingularCorrelationError",
     "DegenerateParametersError",
     "TraceDriftError",
     "WorkBudgetError",

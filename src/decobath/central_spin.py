@@ -81,18 +81,18 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class SpinBathSpec:
-    """Couplings, splittings and polarization of the spin bath.
+    """Couplings and splittings of the spin bath, in the polarization frame.
 
     ``g`` and ``omega`` accept scalars (uniform over the bath) or length-N
-    arrays.  ``polarization`` is the normalized amplitude pair (c, d) of each
-    bath spin, defaulting to (0, 1): bath already aligned with the frame.
+    arrays.  The bath starts in the all-|1> state of that frame; a bath
+    polarized along (c, d) enters only through :func:`rotate_to_polarization`
+    of the system amplitudes.
     """
 
     N: int
     g: np.ndarray
     omega0: float
     omega: np.ndarray
-    polarization: tuple[complex, complex] = (0.0 + 0.0j, 1.0 + 0.0j)
 
     def __post_init__(self):
         if int(self.N) != self.N or self.N < 1:
@@ -108,11 +108,6 @@ class SpinBathSpec:
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "omega0", float(self.omega0))
-        c, d = (complex(x) for x in self.polarization)
-        dev = abs(abs(c) ** 2 + abs(d) ** 2 - 1.0)
-        if dev > ATOL_ANALYTIC:
-            raise NormalizationError("polarization (c, d) must be normalized", dev)
-        object.__setattr__(self, "polarization", (c, d))
 
     @property
     def uniform_coupling(self) -> bool:

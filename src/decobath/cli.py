@@ -356,7 +356,6 @@ def _spin_bath_from_config(cfg: ScenarioConfig) -> central_spin.SpinBathSpec:
         g=cfg.bath_g,
         omega0=cfg.bath_omega0,
         omega=cfg.bath_omega,
-        polarization=(cfg.pol_c, cfg.pol_d),
     )
 
 
@@ -377,7 +376,7 @@ def run_scenario(cfg: ScenarioConfig) -> Trajectory:
     if cfg.scenario in ("central-exact", "fig2"):
         if cfg.scenario == "fig2":
             spec = central_spin.fig2_spec(cfg.bath_n)
-            rot = central_spin.rotate_to_polarization(1.0, 0.0, *spec.polarization)
+            rot = central_spin.rotate_to_polarization(1.0, 0.0, 0.0, 1.0)
         else:
             spec = _spin_bath_from_config(cfg)
             rot = central_spin.rotate_to_polarization(
@@ -481,16 +480,8 @@ def main(argv=None) -> int:
             cfg = parse_config(f"scenario = fig2\nbath.N = {args.n}\n")
             cfg.output_path = args.out
         else:  # oracle-compare
-            if not 1 <= args.n <= central_spin.BRUTE_FORCE_MAX_N:
-                print(
-                    f"error: --n must be in [1, {central_spin.BRUTE_FORCE_MAX_N}]",
-                    file=sys.stderr,
-                )
-                return 2
-            cfg = ScenarioConfig(scenario="oracle-compare")
-            cfg.oracle_n = args.n
-            cfg.oracle_seed = args.seed
-            cfg.grid = TimeGrid(0.0, 5.0, 200)
+            cfg = parse_config(f"scenario = oracle-compare\noracle.n = {args.n}\n"
+                               f"oracle.seed = {args.seed}\ngrid.t1 = 5\ngrid.steps = 200\n")
             cfg.output_path = args.out
     except ConfigError as exc:
         for message in exc.messages:

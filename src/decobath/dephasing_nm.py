@@ -17,8 +17,9 @@ Spectral-density normalization: J(w) absorbs the squared-coupling weight, so
 a bath of discrete modes corresponds to J(w) = sum_k 4 |g_k|^2 delta(w - w_k)
 in the continuum limit.
 
-:func:`decoherence_factors` evaluates Phi and gamma_thermal for a whole time
-array without adaptive quadrature:
+:func:`decoherence_factors`, :func:`rho_correlated` and
+:func:`rho_uncorrelated` evaluate Phi and gamma_thermal for a whole time array
+without adaptive quadrature:
 
 * Ohmic J = eta w exp(-w/omega_c): Phi = eta arctan(omega_c t) and, at zero
   temperature, gamma_thermal = (eta/2) ln(1 + omega_c^2 t^2).  Expanding
@@ -51,11 +52,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import exp1, gammaln, loggamma, sici, zeta
 
-from .errors import (
-    DegenerateParametersError,
-    QuadratureError,
-    SingularCorrelationError,
-)
+from .errors import DegenerateParametersError, QuadratureError
 from .qstate import DensityMatrix2, QubitAmplitudes
 
 __all__ = [
@@ -64,8 +61,6 @@ __all__ = [
     "DecoherenceFactors",
     "phi",
     "gamma_thermal",
-    "gamma_corr",
-    "chi",
     "decoherence_factors",
     "rho_correlated",
     "rho_uncorrelated",
@@ -224,6 +219,11 @@ class SpectralDensity:
         return 2.0 * self.eta * coth_cap * float(exp1(_OHMIC_SPAN))
 
 
+def _check_beta(beta: float) -> None:
+    if math.isnan(beta) or beta <= 0:
+        raise ValueError(f"beta must be > 0 (inf = zero temperature), got {beta}")
+
+
 @dataclass(frozen=True)
 class CorrelatedBathParams:
     """Parameters of the system-correlated thermal preparation.
@@ -240,8 +240,7 @@ class CorrelatedBathParams:
     sigma_z_expect: float
 
     def __post_init__(self):
-        if math.isnan(self.beta) or self.beta <= 0:
-            raise ValueError(f"beta must be > 0 (inf = zero temperature), got {self.beta}")
+        _check_beta(self.beta)
         if not np.isfinite(self.omega0):
             raise ValueError("omega0 must be finite")
         if not np.isfinite(self.sigma_z_expect) or abs(self.sigma_z_expect) > 1 + 1e-12:
@@ -302,8 +301,7 @@ def gamma_thermal(t: float, J: SpectralDensity, beta: float) -> float:
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    if math.isnan(beta) or beta <= 0:
-        raise ValueError(f"beta must be > 0 (inf = zero temperature), got {beta}")
+    _check_beta(beta)
     if t == 0.0:
         return 0.0
     zero_temperature = math.isinf(beta)
@@ -541,7 +539,10 @@ def _bath_weights(beta: float, omega0: float, z: float) -> tuple[float, float]:
 
 
 def _gamma_corr_from_phi(phi_t, r_c: tuple[float, float]) -> np.ndarray:
-    """-(1/2) ln(1 - c sin^2 Phi) elementwise; inf where the log argument is <= 0."""
+    """gamma_corr = -(1/2) ln(1 - c sin^2 Phi) >= 0, c of :func:`_bath_weights`.
+
+    inf where the log argument is <= 0: the coherence is annihilated outright.
+    """
     _, c = r_c
     q = c * np.sin(phi_t) ** 2
     singular = q >= 1.0
@@ -549,7 +550,11 @@ def _gamma_corr_from_phi(phi_t, r_c: tuple[float, float]) -> np.ndarray:
 
 
 def _chi_from_phi(phi_t, r_c: tuple[float, float]) -> np.ndarray:
-    """The continuously unwrapped chi for Phi, elementwise."""
+    """The phase shift chi, tan chi = R tan Phi, continuous from chi(0) = 0.
+
+    R is that of :func:`_bath_weights`; the principal branch is lifted by the
+    winding of Phi.
+    """
     r, _ = r_c
     principal = np.arctan2(r * np.sin(phi_t), np.cos(phi_t))
     if r == 0.0:
@@ -558,40 +563,6 @@ def _chi_from_phi(phi_t, r_c: tuple[float, float]) -> np.ndarray:
     # lift the principal branch by the winding of Phi so chi is continuous
     branch = np.floor((phi_t + math.pi) / (2.0 * math.pi))
     return principal + 2.0 * math.pi * math.copysign(1.0, r) * branch
-
-
-def gamma_corr(t: float, p: CorrelatedBathParams) -> float:
-    """Correlation part of the dephasing exponent.
-
-    gamma_corr = -(1/2) ln[1 - (1 - <sz>^2) sin^2 Phi / (cosh - <sz> sinh)^2]
-    with the hyperbolic functions taken at beta*omega0/2.  The value is >= 0
-    (the log argument never exceeds 1) and vanishes identically for
-    <sigma_z> = +-1.  A log argument at or below zero means the coherence is
-    annihilated outright and raises
-    :class:`~decobath.errors.SingularCorrelationError`;
-    :func:`decoherence_factors` maps that point to gamma_corr = inf, chi = nan
-    and an exactly zero coherence.
-    """
-    weights = _bath_weights(p.beta, p.omega0, p.sigma_z_expect)
-    value = float(_gamma_corr_from_phi(phi(t, p.J), weights))
-    if math.isinf(value):
-        raise SingularCorrelationError(
-            "correlation term annihilates the coherence (log argument <= 0)"
-        )
-    return value
-
-
-def chi(t: float, p: CorrelatedBathParams) -> float:
-    """Correlation-induced phase shift, continuously unwrapped.
-
-    Defined through tan chi = R tan Phi with
-    R = (sinh - <sz> cosh)/(cosh - <sz> sinh); the principal branch is lifted
-    by the winding number of Phi so that chi is continuous in t, starting from
-    chi(0) = 0.  Special values: chi = -Phi at <sz> = +1, chi = +Phi at
-    <sz> = -1, and chi = 0 whenever R = 0 (<sz> = tanh(beta omega0/2)).
-    """
-    weights = _bath_weights(p.beta, p.omega0, p.sigma_z_expect)
-    return float(_chi_from_phi(phi(t, p.J), weights))
 
 
 @dataclass(frozen=True)
@@ -623,20 +594,26 @@ class DecoherenceFactors:
         return DensityMatrix2.from_parts(abs(a) ** 2, abs(b) ** 2, coh)
 
 
+def _spectral_factors(t: np.ndarray, J: SpectralDensity, beta: float):
+    """Phi and gamma_thermal, flattened, at the times ``t`` >= 0 in closed form."""
+    _check_beta(beta)
+    times = t.ravel()
+    if not np.all(times >= 0.0):
+        raise ValueError(f"t must be >= 0, got {float(np.min(times))}")
+    factors = _ohmic_factors if J.family == "ohmic" else _tabulated_factors
+    return factors(times, J, beta)
+
+
 def decoherence_factors(t, p: CorrelatedBathParams) -> DecoherenceFactors:
     """Phi, gamma_thermal, gamma_corr and chi at time(s) ``t`` >= 0.
 
     Phi and gamma_thermal come from the closed forms in the module docstring,
     for the whole time array at once; an array ``t`` gives arrays of its
-    shape.  A point on the singular branch (see :func:`gamma_corr`) gets
-    gamma_corr = inf and chi = nan.
+    shape.  A point where the correlation term annihilates the coherence
+    (see :func:`_gamma_corr_from_phi`) gets gamma_corr = inf and chi = nan.
     """
     t = np.asarray(t, dtype=float)
-    times = t.ravel()
-    if not np.all(times >= 0.0):
-        raise ValueError(f"t must be >= 0, got {float(np.min(times))}")
-    factors = _ohmic_factors if p.J.family == "ohmic" else _tabulated_factors
-    phi_t, gamma1 = factors(times, p.J, p.beta)
+    phi_t, gamma1 = _spectral_factors(t, p.J, p.beta)
     weights = _bath_weights(p.beta, p.omega0, p.sigma_z_expect)
     gamma2 = _gamma_corr_from_phi(phi_t, weights)
     chi_t = np.where(np.isinf(gamma2), np.nan, _chi_from_phi(phi_t, weights))
@@ -656,21 +633,17 @@ def rho_correlated(t, psi0: QubitAmplitudes, p: CorrelatedBathParams) -> Density
     return decoherence_factors(t, p_eff).state(psi0, p_eff.omega0, t)
 
 
-def rho_uncorrelated(
-    t: float,
-    psi0: QubitAmplitudes,
-    J: SpectralDensity,
-    beta: float,
-    omega0: float,
-) -> DensityMatrix2:
+def rho_uncorrelated(t, psi0: QubitAmplitudes, J: SpectralDensity, beta: float,
+                     omega0: float) -> DensityMatrix2:
     """Reference solution for an initially factorized system-bath state.
 
     Identical structure to :func:`rho_correlated` with chi == 0 and
-    gamma_corr == 0: the coherence is a b* exp(-i omega0 t) exp(-gamma_thermal).
+    gamma_corr == 0: the coherence is a b* exp(-i omega0 t) exp(-gamma_thermal),
+    from the same closed forms.  An array ``t`` gives one batched state.  No
+    preparation is involved, so beta = inf with omega0 = 0 is allowed.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    a, b = psi0.a, psi0.b
-    g1 = gamma_thermal(t, J, beta)
-    coh = a * np.conj(b) * np.exp(-1j * omega0 * t) * math.exp(-g1)
-    return DensityMatrix2.from_parts(abs(a) ** 2, abs(b) ** 2, coh)
+    t = np.asarray(t, dtype=float)
+    phi_t, gamma1 = _spectral_factors(t, J, beta)
+    zero = np.zeros(t.shape)
+    return DecoherenceFactors(phi_t.reshape(t.shape), gamma1.reshape(t.shape),
+                              zero, zero).state(psi0, omega0, t)

@@ -13,29 +13,9 @@ class NormalizationError(ValueError):
         self.deviation = deviation
 
 
-class CompletenessError(ValueError):
-    """A pair of measurement operators violates M0^dag M0 + M1^dag M1 = I.
-
-    Attributes:
-        deviation: Largest entrywise deviation from the identity.
-    """
-
-    def __init__(self, message: str, deviation: float):
-        super().__init__(f"{message} (deviation {deviation:.3e})")
-        self.deviation = deviation
-
-
 class QuadratureError(RuntimeError):
     """A spectral-density integral missed its target accuracy, or was refused
     because its quadrature work would exceed ``dephasing_nm.MAX_SPECTRAL_EVALS``."""
-
-
-class SingularCorrelationError(ArithmeticError):
-    """The correlated-bath log argument vanished: the coherence is annihilated.
-
-    Callers that only need the density matrix should map this to an
-    exactly zero off-diagonal element.
-    """
 
 
 class DegenerateParametersError(ValueError):

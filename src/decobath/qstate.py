@@ -1,4 +1,4 @@
-"""Exact 2x2 complex linear algebra for qubit states and measurement operators.
+"""Qubit states: amplitudes, validated 2x2 density matrices, Pauli matrices.
 
 Spin convention (used by every module in this package)
 ------------------------------------------------------
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompletenessError, NormalizationError
+from .errors import NormalizationError
 
 #: Validation tolerance on analytically constructed states.
 ATOL_ANALYTIC = 1e-12
@@ -28,14 +28,13 @@ ATOL_ANALYTIC = 1e-12
 #: where integrator error dominates.
 ATOL_INTEGRATED = 1e-9
 
-IDENTITY = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |0><1|
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |1><0|
 
-for _m in (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, SIGMA_PLUS, SIGMA_MINUS):
+for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, SIGMA_PLUS, SIGMA_MINUS):
     _m.setflags(write=False)
 del _m
 
@@ -175,75 +174,7 @@ class DensityMatrix2:
                 f"coherence={self._coh!r})")
 
 
-@dataclass(frozen=True)
-class KrausPair:
-    """Two measurement operators satisfying M0^dag M0 + M1^dag M1 = I."""
-
-    M0: np.ndarray
-    M1: np.ndarray
-
-    def __post_init__(self):
-        m0 = np.array(self.M0, dtype=complex)
-        m1 = np.array(self.M1, dtype=complex)
-        if m0.shape != (2, 2) or m1.shape != (2, 2):
-            raise ValueError("measurement operators must be 2x2")
-        if not (np.all(np.isfinite(m0.view(float)))
-                and np.all(np.isfinite(m1.view(float)))):
-            raise ValueError("measurement operators must be finite")
-        total = m0.conj().T @ m0 + m1.conj().T @ m1
-        deviation = float(np.max(np.abs(total - IDENTITY)))
-        if deviation > ATOL_ANALYTIC:
-            raise CompletenessError(
-                "operators do not satisfy the completeness relation", deviation
-            )
-        m0.setflags(write=False)
-        m1.setflags(write=False)
-        object.__setattr__(self, "M0", m0)
-        object.__setattr__(self, "M1", m1)
-
-
 def density_from_amplitudes(psi: QubitAmplitudes) -> DensityMatrix2:
     """Rank-1 density matrix |psi><psi| of a pure state."""
     a, b = psi.a, psi.b
     return DensityMatrix2.from_parts(abs(a) ** 2, abs(b) ** 2, a * np.conj(b))
-
-
-def bloch_z(rho: DensityMatrix2) -> float:
-    """Bloch-vector z component rho00 - rho11, in [-1, 1]."""
-    return rho.rho00 - rho.rho11
-
-
-def apply_kraus(rho: DensityMatrix2, pair: KrausPair) -> DensityMatrix2:
-    """Apply the channel rho -> M0 rho M0^dag + M1 rho M1^dag.
-
-    Trace and Hermiticity are preserved for any completeness-satisfying pair.
-    """
-    m = rho.matrix
-    out = (pair.M0 @ m @ pair.M0.conj().T
-           + pair.M1 @ m @ pair.M1.conj().T)
-    return DensityMatrix2(out)
-
-
-def dephasing_projectors() -> KrausPair:
-    """Measurement operators of the fixed-axis (sigma_z) measurement.
-
-    M0 = (I + sigma_z)/2 = |0><0| and M1 = (I - sigma_z)/2 = |1><1|; applying
-    the channel keeps populations and deletes coherences, reproducing the
-    long-time dephasing fixed point.
-    """
-    return KrausPair((IDENTITY + SIGMA_Z) / 2.0, (IDENTITY - SIGMA_Z) / 2.0)
-
-
-def excitation_capture_pair() -> KrausPair:
-    """Measurement operators of the excitation-capture (central-spin) channel.
-
-    M0 = (I - sigma_z)/2 = |1><1| fires when the system already sits in the
-    stationary branch |1>, leaving the bath undisturbed.  M1 absorbs the
-    excited branch: it maps |0> onto the post-measurement state |1>, the same
-    way a photodetector absorbs a photon and returns to vacuum.  Under the
-    sign convention of this module that flip operator is ``SIGMA_MINUS``
-    (texts that label the occupied level |1> write the same operator as a
-    raising operator).  Completeness holds exactly:
-    |1><1| + |0><0| = I.
-    """
-    return KrausPair((IDENTITY - SIGMA_Z) / 2.0, SIGMA_MINUS)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qstate import ATOL_INTEGRATED, DensityMatrix2
+from .qstate import ATOL_INTEGRATED
 
 
 @dataclass(frozen=True)
@@ -100,17 +100,12 @@ class Trajectory:
             raise OSError(f"cannot write trajectory to {path!r}: {exc}") from exc
 
     @classmethod
-    def read_csv(cls, path_or_text) -> "Trajectory":
-        """Parse a CSV produced by :meth:`to_csv` (first column must be t)."""
+    def read_csv(cls, path) -> "Trajectory":
+        """Parse a CSV file written by :meth:`write_csv` (first column must be t)."""
         import io
-        import os
 
-        if isinstance(path_or_text, (str, os.PathLike)) and os.path.exists(path_or_text):
-            with open(path_or_text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        else:
-            text = str(path_or_text)
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
         header = lines[0].split(",")
         if header[0] != "t":
             raise ValueError("first CSV column must be t")
@@ -133,10 +128,3 @@ class RhoTrajectory:
                 f"states shape {self.states.shape} does not match "
                 f"{self.times.size} time points"
             )
-
-    def density_matrix(self, index: int, *, atol: float = ATOL_INTEGRATED) -> DensityMatrix2:
-        return DensityMatrix2(self.states[index], atol=atol)
-
-    @property
-    def final(self) -> DensityMatrix2:
-        return self.density_matrix(-1)

@@ -82,11 +82,9 @@ def test_acceptance_03_correlated_bath_closed_forms():
                                                rng.uniform(0.5, 4.0)),
             beta, omega0, z,
         )
-        t = rng.uniform(0.0, 8.0)
-        phi_t = dephasing_nm.phi(t, p.J)
-        assert abs(dephasing_nm.chi(t, p)) <= 1e-10
-        assert abs(dephasing_nm.gamma_corr(t, p)
-                   - (-math.log(abs(math.cos(phi_t))))) <= 1e-10
+        f = dephasing_nm.decoherence_factors(rng.uniform(0.0, 8.0), p)
+        assert abs(f.chi) <= 1e-10
+        assert abs(f.gamma_corr - (-math.log(abs(math.cos(f.phi))))) <= 1e-10
     _report(3, "correlated-bath closed forms and special values", started)
 
 

@@ -52,9 +52,6 @@ class TestSpec:
             SpinBathSpec(N=0, g=1.0, omega0=0.0, omega=1.0)
         with pytest.raises(ValueError):
             SpinBathSpec(N=2, g=np.inf, omega0=0.0, omega=1.0)
-        with pytest.raises(NormalizationError):
-            SpinBathSpec(N=1, g=1.0, omega0=0.0, omega=1.0,
-                         polarization=(1.0, 1.0))
 
     def test_fig2_parameters(self):
         spec = fig2_spec(50)

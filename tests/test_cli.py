@@ -327,6 +327,12 @@ class TestCsv:
         assert np.array_equal(back.columns["a"], traj.columns["a"])
         assert np.array_equal(back.columns["b"], traj.columns["b"])
 
+    def test_read_csv_takes_paths_only(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            Trajectory.read_csv(tmp_path / "typo.csv")
+        with pytest.raises(FileNotFoundError):
+            Trajectory.read_csv("t,x\n0,1\n")
+
     def test_single_point_trajectory(self):
         traj = Trajectory(np.array([0.5]), {"x": np.array([1.0])})
         text = traj.to_csv()
@@ -529,6 +535,22 @@ class TestMain:
 
     def test_oracle_compare_n_bounds(self, capsys):
         assert main(["oracle-compare", "--n", "13", "--seed", "1", "--out", "x.csv"]) == 2
+        assert "oracle.n must be in [1, 12]" in capsys.readouterr().err
+
+    def test_oracle_compare_negative_seed_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["oracle-compare", "--n", "3", "--seed", "-1", "--out", str(out)]) == 2
+        assert "oracle.seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oracle_compare_subcommand_equals_run(self, tmp_path):
+        sub, run = tmp_path / "sub.csv", tmp_path / "run.csv"
+        assert main(["oracle-compare", "--n", "4", "--seed", "9", "--out", str(sub)]) == 0
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("scenario = oracle-compare\noracle.n = 4\noracle.seed = 9\n"
+                       f"grid.t1 = 5\ngrid.steps = 200\noutput.path = {run}\n")
+        assert main(["run", str(cfg)]) == 0
+        assert sub.read_bytes() == run.read_bytes()
 
 
 CORRELATED_BASE = ("scenario = dephase-correlated\nbath.omega0 = 1\n"

@@ -7,19 +7,13 @@ from decobath.dephasing_nm import (
     CorrelatedBathParams,
     DecoherenceFactors,
     SpectralDensity,
-    chi,
     decoherence_factors,
-    gamma_corr,
     gamma_thermal,
     phi,
     rho_correlated,
     rho_uncorrelated,
 )
-from decobath.errors import (
-    DegenerateParametersError,
-    QuadratureError,
-    SingularCorrelationError,
-)
+from decobath.errors import DegenerateParametersError, QuadratureError
 from decobath.qstate import QubitAmplitudes, density_from_amplitudes
 
 
@@ -162,13 +156,13 @@ class TestGammaCorrAndChi:
     def test_polarized_states_have_no_correlation_term(self):
         for z in (1.0, -1.0):
             p = make_params(z=z)
-            assert gamma_corr(1.3, p) == 0.0
+            assert decoherence_factors(1.3, p).gamma_corr == 0.0
 
     def test_zero_phase_shift_gives_zero(self):
         # eta = 0 kills Phi identically
-        p = make_params(eta=0.0, z=0.4)
-        assert gamma_corr(2.0, p) == 0.0
-        assert chi(2.0, p) == 0.0
+        f = decoherence_factors(2.0, make_params(eta=0.0, z=0.4))
+        assert f.gamma_corr == 0.0
+        assert f.chi == 0.0
 
     def test_thermal_expectation_simplification(self):
         # z = tanh(beta omega0 / 2): gamma_corr = -ln|cos Phi|, chi = 0.
@@ -184,23 +178,21 @@ class TestGammaCorrAndChi:
             p = make_params(eta=eta, omega_c=rng.uniform(0.5, 4.0),
                             beta=beta, omega0=omega0,
                             z=math.tanh(beta * omega0 / 2.0))
-            t = rng.uniform(0.0, 8.0)
-            phi_t = phi(t, p.J)
-            assert chi(t, p) == pytest.approx(0.0, abs=1e-10)
-            assert gamma_corr(t, p) == pytest.approx(
-                -math.log(abs(math.cos(phi_t))), abs=1e-10
+            f = decoherence_factors(rng.uniform(0.0, 8.0), p)
+            assert f.chi == pytest.approx(0.0, abs=1e-10)
+            assert f.gamma_corr == pytest.approx(
+                -math.log(abs(math.cos(f.phi))), abs=1e-10
             )
 
     def test_chi_sign_at_full_polarization(self):
-        p_up = make_params(eta=0.7, z=1.0)
-        p_dn = make_params(eta=0.7, z=-1.0)
-        for t in (0.4, 1.1, 3.0):
-            phi_t = phi(t, p_up.J)
-            assert chi(t, p_up) == pytest.approx(-phi_t, abs=1e-12)
-            assert chi(t, p_dn) == pytest.approx(+phi_t, abs=1e-12)
+        ts = np.array([0.4, 1.1, 3.0])
+        f_up = decoherence_factors(ts, make_params(eta=0.7, z=1.0))
+        f_dn = decoherence_factors(ts, make_params(eta=0.7, z=-1.0))
+        assert f_up.chi == pytest.approx(-f_up.phi, abs=1e-12)
+        assert f_dn.chi == pytest.approx(+f_dn.phi, abs=1e-12)
 
     def test_chi_zero_at_t0(self):
-        assert chi(0.0, make_params(z=0.3)) == 0.0
+        assert decoherence_factors(0.0, make_params(z=0.3)).chi == 0.0
 
     def test_chi_continuous_across_branches(self):
         # eta = 3 drives Phi through several multiples of pi/2; the closed-form
@@ -209,11 +201,10 @@ class TestGammaCorrAndChi:
         x = 0.5 * p.beta * p.omega0
         r = (math.sinh(x) - p.sigma_z_expect * math.cosh(x)) / (
             math.cosh(x) - p.sigma_z_expect * math.sinh(x))
-        ts = np.linspace(0.0, 12.0, 400)
-        phis = np.array([phi(t, p.J) for t in ts])
-        principal = np.arctan2(r * np.sin(phis), np.cos(phis))
+        f = decoherence_factors(np.linspace(0.0, 12.0, 400), p)
+        principal = np.arctan2(r * np.sin(f.phi), np.cos(f.phi))
         reference = np.unwrap(principal)
-        values = np.array([chi(t, p) for t in ts])
+        values = f.chi
         assert np.max(np.abs(values - reference)) < 1e-9
         assert np.max(np.abs(np.diff(values))) < 0.5  # no branch jumps
 
@@ -225,7 +216,7 @@ class TestGammaCorrAndChi:
                 beta=rng.uniform(0.1, 8.0), omega0=rng.uniform(-4.0, 4.0),
                 z=rng.uniform(-1.0, 1.0),
             )
-            assert gamma_corr(rng.uniform(0.0, 10.0), p) >= 0.0
+            assert decoherence_factors(rng.uniform(0.0, 10.0), p).gamma_corr >= 0.0
 
     def test_singular_point_annihilates_coherence(self):
         # at z = tanh(beta omega0/2) and Phi = pi/2 the log argument hits zero;
@@ -248,8 +239,6 @@ class TestGammaCorrAndChi:
         eta, omega_c = 1.2, 2.0
         t_star = math.tan(math.pi / (2.0 * eta)) / omega_c
         p = make_params(eta=eta, omega_c=omega_c, beta=2.0, omega0=0.0, z=0.0)
-        with pytest.raises(SingularCorrelationError):
-            gamma_corr(t_star, p)
         g = _gamma_corr_from_phi(np.array([0.3, math.pi / 2.0]), (0.0, 1.0))
         assert g[0] == pytest.approx(-math.log(math.cos(0.3)), rel=1e-14)
         assert g[1] == math.inf
@@ -378,6 +367,23 @@ class TestReducedStates:
                 == (one.phi, one.gamma_thermal, one.gamma_corr, one.chi)
             assert np.max(np.abs(rho.matrix[i] - rho_correlated(t, psi, p).matrix)) <= 1e-15
 
+    def test_uncorrelated_time_array_is_one_batch_without_quad(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("quad called")
+
+        monkeypatch.setattr("decobath.dephasing_nm.quad", refuse)
+        psi = QubitAmplitudes(0.6, 0.8j)
+        J = SpectralDensity.ohmic(0.9, 2.0)
+        ts = np.array([0.0, 0.4, 1.9, 3.3])
+        for beta, omega0 in ((1.1, 0.7), (math.inf, 0.0)):
+            rho = rho_uncorrelated(ts, psi, J, beta, omega0)
+            assert rho.matrix.shape == (4, 2, 2)
+            for i, t in enumerate(ts):
+                one = rho_uncorrelated(t, psi, J, beta, omega0)
+                assert np.ndim(one.coherence) == 0 and one.coherence == rho.coherence[i]
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            rho_uncorrelated(np.array([0.0, -1.0]), psi, J, 1.0, 0.0)
+
     def test_singular_branch_state_has_exactly_zero_coherence(self):
         f = DecoherenceFactors(phi=np.array([0.3, math.pi / 2]),
                                gamma_thermal=np.array([0.1, 0.2]),
@@ -391,10 +397,17 @@ class TestReducedStates:
         p = make_params(eta=0.9, omega_c=2.0, beta=1.1, omega0=0.7, z=0.25)
         t = 1.9
         f = decoherence_factors(t, p)
-        assert f.phi == pytest.approx(phi(t, p.J), abs=1e-12)
+        phi_t, z = phi(t, p.J), p.sigma_z_expect
+        cosh, sinh = math.cosh(0.5 * p.beta * p.omega0), math.sinh(0.5 * p.beta * p.omega0)
+        gamma_corr = -0.5 * math.log(
+            1.0 - (1.0 - z * z) * math.sin(phi_t) ** 2 / (cosh - z * sinh) ** 2)
+        # Phi < pi here, so chi is the principal branch of tan chi = R tan Phi
+        r = (sinh - z * cosh) / (cosh - z * sinh)
+        chi = math.atan2(r * math.sin(phi_t), math.cos(phi_t))
+        assert f.phi == pytest.approx(phi_t, abs=1e-12)
         assert f.gamma_thermal == pytest.approx(gamma_thermal(t, p.J, p.beta), abs=1e-12)
-        assert f.gamma_corr == pytest.approx(gamma_corr(t, p), abs=1e-12)
-        assert f.chi == pytest.approx(chi(t, p), abs=1e-12)
+        assert f.gamma_corr == pytest.approx(gamma_corr, abs=1e-12)
+        assert f.chi == pytest.approx(chi, abs=1e-12)
         assert f.gamma_total == f.gamma_thermal + f.gamma_corr
 
 

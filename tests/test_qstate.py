@@ -1,20 +1,14 @@
 import numpy as np
 import pytest
 
-from decobath.errors import CompletenessError, NormalizationError
+from decobath.errors import NormalizationError
 from decobath.qstate import (
     DensityMatrix2,
-    IDENTITY,
-    KrausPair,
     QubitAmplitudes,
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_Z,
-    apply_kraus,
-    bloch_z,
     density_from_amplitudes,
-    dephasing_projectors,
-    excitation_capture_pair,
 )
 
 
@@ -71,11 +65,9 @@ def test_density_from_amplitudes_outer_product_oracle():
 
 
 def test_bloch_z_values():
-    assert bloch_z(density_from_amplitudes(QubitAmplitudes(1.0, 0.0))) == 1.0
-    mixed = DensityMatrix2(0.5 * np.eye(2))
-    assert bloch_z(mixed) == 0.0
-    rho = DensityMatrix2(np.diag([0.3, 0.7]).astype(complex))
-    assert bloch_z(rho) == pytest.approx(-0.4, abs=1e-15)
+    assert QubitAmplitudes(1.0, 0.0).bloch_z == 1.0
+    assert QubitAmplitudes(0.0, 1.0j).bloch_z == -1.0
+    assert QubitAmplitudes(np.sqrt(0.3), np.sqrt(0.7)).bloch_z == pytest.approx(-0.4, abs=1e-15)
 
 
 def test_density_matrix_validation():
@@ -115,41 +107,6 @@ def test_scalar_parts_give_scalar_properties():
     assert rho.coherence == 0.1 + 0.2j
 
 
-def test_kraus_completeness_enforced():
-    with pytest.raises(CompletenessError):
-        KrausPair(IDENTITY, IDENTITY)
-    pair = KrausPair(IDENTITY, np.zeros((2, 2)))
-    rho = density_from_amplitudes(QubitAmplitudes(0.6, 0.8))
-    out = apply_kraus(rho, pair)
-    assert out.isclose(rho, atol=1e-15)
-
-
-def test_dephasing_projectors_deliver_statistical_mixture():
-    a, b = np.sqrt(0.3), np.sqrt(0.7)
-    rho = density_from_amplitudes(QubitAmplitudes(a, b))
-    out = apply_kraus(rho, dephasing_projectors())
-    assert out.rho00 == pytest.approx(0.3, abs=1e-15)
-    assert out.rho11 == pytest.approx(0.7, abs=1e-15)
-    assert out.coherence == 0.0
-
-
-def test_excitation_capture_pair_completeness_and_action():
-    pair = excitation_capture_pair()
-    total = pair.M0.conj().T @ pair.M0 + pair.M1.conj().T @ pair.M1
-    assert np.array_equal(total, IDENTITY)  # exact, not approximate
-    # oracle: apply the channel by direct 2x2 arithmetic to a superposition
-    a, b = np.sqrt(0.3), np.sqrt(0.7)
-    rho = density_from_amplitudes(QubitAmplitudes(a, b))
-    m = rho.matrix
-    expected = pair.M0 @ m @ pair.M0.conj().T + pair.M1 @ m @ pair.M1.conj().T
-    out = apply_kraus(rho, pair)
-    assert np.allclose(out.matrix, expected, atol=1e-15)
-    # the channel dumps everything into |1>: measurement completed
-    out0 = apply_kraus(density_from_amplitudes(QubitAmplitudes(1.0, 0.0)), pair)
-    assert out0.rho11 == pytest.approx(1.0, abs=1e-15)
-    assert out0.coherence == 0.0
-
-
 def test_constructed_states_satisfy_invariants_randomized():
     rng = np.random.default_rng(20240811)
     for _ in range(200):
@@ -160,24 +117,9 @@ def test_constructed_states_satisfy_invariants_randomized():
         assert np.linalg.det(m).real >= -1e-12
 
 
-def test_apply_kraus_preserves_trace_for_random_completed_pairs():
-    # complete a random contraction M0 into a valid pair via M1 = sqrt(I - M0+M0)
-    rng = np.random.default_rng(512)
-    for _ in range(50):
-        m0 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        m0 *= 0.9 / np.linalg.norm(m0, ord=2)
-        gap = IDENTITY - m0.conj().T @ m0
-        evals, evecs = np.linalg.eigh(gap)
-        m1 = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
-        pair = KrausPair(m0, m1)
-        rho = density_from_amplitudes(random_amplitudes(rng))
-        out = apply_kraus(rho, pair)
-        assert abs(out.rho00 + out.rho11 - 1.0) <= 1e-12
-
-
 def test_bloch_z_matches_amplitude_formula():
     rng = np.random.default_rng(77)
     for _ in range(100):
         psi = random_amplitudes(rng)
         rho = density_from_amplitudes(psi)
-        assert abs(bloch_z(rho) - (abs(psi.a) ** 2 - abs(psi.b) ** 2)) <= 1e-12
+        assert abs(psi.bloch_z - (rho.rho00 - rho.rho11)) <= 1e-12
