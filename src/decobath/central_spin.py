@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sparse
@@ -41,7 +41,6 @@ from .trajectory import TimeGrid
 __all__ = [
     "SpinBathSpec",
     "RotatedAmplitudes",
-    "AlignedEnergy",
     "SectorTrajectory",
     "MAX_SECTOR_WORK",
     "FullTrajectory",
@@ -63,10 +62,11 @@ __all__ = [
 
 #: Largest bath for the 2^(N+1) brute-force oracle (dimension 8192).
 BRUTE_FORCE_MAX_N = 12
-#: Largest estimated work (:func:`spectral_work`) of one survival-amplitude
-#: run; larger runs are refused before any large allocation.  On one Xeon
-#: core a (root, pole) or (root, time) pair costs 30-50 ns, so a run at the
-#: cap takes about a minute.
+#: Largest estimated work of one survival-amplitude run (:func:`spectral_work`)
+#: or one channel-exponent pass (``central_spin_nm.channel_exponents``, mode
+#: x time pairs); larger runs are refused before any large allocation.  On
+#: one Xeon core a (root, pole), (root, time) or (mode, time) pair costs
+#: 30-50 ns, so a run at the cap takes about a minute.
 MAX_SECTOR_WORK = 1_000_000_000
 
 _NORM_TOL = 1e-10
@@ -108,10 +108,6 @@ class SpinBathSpec:
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "omega0", float(self.omega0))
-
-    @property
-    def uniform_coupling(self) -> bool:
-        return bool(np.all(self.g == self.g[0]))
 
     @property
     def dim_full(self) -> int:
@@ -177,24 +173,13 @@ def rotate_to_polarization(
     return RotatedAmplitudes(alpha, beta)
 
 
-class AlignedEnergy(NamedTuple):
-    """Energy of the fully aligned product state, with a generalization flag."""
-
-    energy: float
-    #: True when the couplings are non-uniform and the sum-of-couplings
-    #: generalization replaced the uniform-coupling value g*N.
-    generalized: bool
-
-
-def aligned_eigen_energy(spec: SpinBathSpec) -> AlignedEnergy:
+def aligned_eigen_energy(spec: SpinBathSpec) -> float:
     """Exact eigenenergy of the aligned state |1> x |1...1>.
 
-    For uniform coupling this is g N / 2 - (omega0 + sum_k omega_k) / 2.
-    Non-uniform couplings replace g N by sum_k g_k; the result is flagged
-    ``generalized`` in that case.
+    (sum_k g_k) / 2 - (omega0 + sum_k omega_k) / 2; for uniform coupling
+    sum_k g_k is g N.
     """
-    energy = 0.5 * float(np.sum(spec.g)) - 0.5 * (spec.omega0 + float(np.sum(spec.omega)))
-    return AlignedEnergy(energy, not spec.uniform_coupling)
+    return 0.5 * float(np.sum(spec.g)) - 0.5 * (spec.omega0 + float(np.sum(spec.omega)))
 
 
 def build_sector_hamiltonian(spec: SpinBathSpec) -> np.ndarray:
@@ -396,7 +381,8 @@ def survival_amplitude(spec: SpinBathSpec, grid: TimeGrid) -> np.ndarray:
     points = grid.steps + 1
     work = spectral_work(poles, points)
     if work > MAX_SECTOR_WORK:
-        raise WorkBudgetError(work, poles, points, MAX_SECTOR_WORK)
+        raise WorkBudgetError(work, poles, points, MAX_SECTOR_WORK,
+                              "secular poles after deflation")
     mu, w = arrowhead_eigensystem(head, spec.g, diag)
     drift = abs(float(np.sum(w)) - 1.0)
     if drift > _NORM_TOL:

@@ -26,12 +26,16 @@ the equation splits into two scalar linear equations,
     rho01' = (-i (omega_r + Lambda) - 4 Gamma_d - Gamma_0) rho01,
 
 whose rate integrals are finite mode sums; rho11 collects what leaves
-rho00.  :func:`integrate_sme` evaluates that exact solution over the whole
-time array, and the full 2x2 generator stepped by the generic RK4
-integrator (:func:`_integrate_sme_matrix`) stays as its oracle.  The module
-also carries the equation's claimed closed-form solution.  Its population
-channel is the exact one, while its coherence channel differs in the
-dephasing exponent and the Lamb phase.  That gap is deliberately not
+rho00.  :func:`channel_exponents` forms both integrals in one blocked pass
+over (time points) x (modes), refusing passes over
+``central_spin.MAX_SECTOR_WORK`` pairs up front.  :func:`integrate_sme`
+builds the exact solution from them over the whole time array, and the full
+2x2 generator stepped by the generic RK4 integrator
+(:func:`_integrate_sme_matrix`, with the rates of :func:`sme_rates`) stays
+as its oracle; the two share no code.  The module also carries the
+equation's claimed closed-form solution, :func:`sme_analytic`.  Its
+population channel is the exact one, while its coherence channel differs in
+the dephasing exponent and the Lamb phase.  That gap is deliberately not
 patched: :func:`sme_discrepancy_report` quantifies it instead.
 """
 
@@ -43,18 +47,18 @@ from typing import Callable
 
 import numpy as np
 
-from .central_spin import RotatedAmplitudes, SpinBathSpec
+from .central_spin import MAX_SECTOR_WORK, RotatedAmplitudes, SpinBathSpec
+from .errors import WorkBudgetError
 from .lindblad import _nonnegative_times, dissipator, integrate_master
 from .qstate import DensityMatrix2, SIGMA_MINUS, SIGMA_Z
 from .trajectory import RhoTrajectory, TimeGrid, Trajectory
 
 __all__ = [
     "SmeRates",
-    "SmeSolution",
     "SmeDiscrepancyReport",
     "sme_rates",
+    "channel_exponents",
     "integrate_sme",
-    "sme_analytic_solution",
     "sme_analytic",
     "sme_discrepancy_report",
 ]
@@ -66,6 +70,10 @@ _GAMMA_D_STEP = 1e-3
 #: Mode-time products evaluated per block of time points, so memory stays
 #: flat in (time points) x (modes).
 _BLOCK_ELEMENTS = 1 << 15
+#: Horner coefficients, highest order first, of
+#: (x - sin x)/x^3 = sum_k (-1)^k x^(2k)/(2k+3)!; ten terms reach rounding
+#: for |x| < 1, where x - sin x itself cancels.
+_ARC_SERIES = tuple((-1.0) ** k / math.factorial(2 * k + 3) for k in reversed(range(10)))
 _TINY = np.finfo(float).tiny
 
 _PROJ0 = np.diag([1.0, 0.0]).astype(complex)
@@ -100,42 +108,60 @@ def _versin_over(delta: np.ndarray, t) -> np.ndarray:
     return out
 
 
-def _versin_over_sq(delta: np.ndarray, t) -> np.ndarray:
-    """(1 - cos(delta t))/delta^2, series across resonances; t may be an array."""
-    small = np.abs(delta) < _RESONANCE_EPS
-    safe = np.where(small, 1.0, delta)
-    x = delta * t
-    series = 0.5 * t * t * (1.0 - x * x / 12.0 + x**4 / 360.0)
-    s = np.sin(0.5 * x)
-    return np.where(small, series, 2.0 * s * s / (safe * safe))
+def channel_exponents(spec: SpinBathSpec, t) -> tuple[np.ndarray, np.ndarray]:
+    """Decay and Lamb-phase exponents of the two channels at time(s) t.
 
+        gamma_1(t) = 2 sum_k g_k^2 (1 - cos(delta_k t)) / delta_k^2,
+        gamma_d(t) = sum_k g_k^2 (delta_k t - sin(delta_k t)) / delta_k^2,
 
-def _arc_minus_sin_over_sq(delta: np.ndarray, t) -> np.ndarray:
-    """(delta t - sin(delta t))/delta^2, series across resonances."""
-    small = np.abs(delta) < _RESONANCE_EPS
-    safe = np.where(small, 1.0, delta)
-    x = delta * t
-    series = delta * t**3 / 6.0 * (1.0 - x * x / 20.0 + x**4 / 840.0)
-    return np.where(small, series, (x - np.sin(x)) / (safe * safe))
-
-
-def _mode_sum(spec: SpinBathSpec, kernel, t) -> np.ndarray:
-    """sum_k g_k^2 kernel(delta_k, t) for each entry of ``t``, in blocks of times.
-
-    Each block holds at most ``_BLOCK_ELEMENTS`` mode-time products; a row's
-    sum does not depend on the blocking, so any block size gives the same
-    bits.  A scalar ``t`` gives a scalar.
+    with delta_k = omega0 - omega_k; gamma_1 = 2 int Gamma_0 and
+    gamma_d = int Lambda.  Both sums share one pass over the time array in
+    blocks of ``_BLOCK_ELEMENTS`` mode-time products, so memory stays flat in
+    (time points) x (modes); a row's sums do not depend on the blocking, so
+    any block size gives the same bits.  gamma_1 takes a Taylor series for
+    the modes detuned by less than ``_RESONANCE_EPS``, and only for them.
+    gamma_d's x - sin x (x = delta t) cancels whenever |x| is small, so for
+    |x| < 1 it is x t^2 times the series of (x - sin x)/x^3, which also
+    gives exactly 0 at resonance.  A scalar ``t`` gives scalars.  More than
+    ``MAX_SECTOR_WORK`` mode-time pairs raise WorkBudgetError before the
+    first block.
     """
     t = np.asarray(t, dtype=float)
     flat = t.reshape(-1)
+    work = flat.size * spec.N
+    if work > MAX_SECTOR_WORK:
+        raise WorkBudgetError(work, spec.N, flat.size, MAX_SECTOR_WORK, "bath modes")
     gsq = spec.g * spec.g
     delta = spec.omega0 - spec.omega
-    out = np.empty(flat.size)
+    small = np.abs(delta) < _RESONANCE_EPS
+    resonant = bool(np.any(small))
+    dsq = delta * delta
+    # a zero here is a resonance (or an underflow), whose terms take a series
+    dsq[dsq == 0.0] = 1.0
+    gamma_1 = np.empty(flat.size)
+    gamma_d = np.empty(flat.size)
     rows = max(1, _BLOCK_ELEMENTS // spec.N)
     for start in range(0, flat.size, rows):
-        block = flat[start:start + rows, None]
-        out[start:start + rows] = np.sum(gsq * kernel(delta, block), axis=-1)
-    return out.reshape(t.shape)[()]
+        block = slice(start, start + rows)
+        tb = flat[block, None]
+        x = delta * tb
+        s = np.sin(0.5 * x)
+        versin = 2.0 * s * s / dsq
+        if resonant:
+            xs = x[:, small]
+            versin[:, small] = 0.5 * tb * tb * (1.0 - xs * xs / 12.0 + xs**4 / 360.0)
+        arc = (x - np.sin(x)) / dsq
+        near = np.abs(x) < 1.0
+        if np.any(near):
+            xn = x[near]
+            u = xn * xn
+            series = _ARC_SERIES[0]
+            for c in _ARC_SERIES[1:]:
+                series = series * u + c
+            arc[near] = xn * np.broadcast_to(tb * tb, x.shape)[near] * series
+        gamma_1[block] = 2.0 * np.sum(gsq * versin, axis=-1)
+        gamma_d[block] = np.sum(gsq * arc, axis=-1)
+    return gamma_1.reshape(t.shape)[()], gamma_d.reshape(t.shape)[()]
 
 
 @dataclass(frozen=True)
@@ -241,8 +267,9 @@ def integrate_sme(
         rho01 = beta alpha* exp(-i (omega_r t + gamma_d)
                                 - 2 (sum g)^2 t^2 - gamma_1 / 2),
 
-    where gamma_1 = 2 int Gamma_0 and gamma_d = int Lambda are the mode sums
-    of :func:`sme_analytic_solution`.  rho11 is formed with expm1, not as
+    where gamma_1 = 2 int Gamma_0 and gamma_d = int Lambda come from one
+    pass of :func:`channel_exponents`, which refuses a bath and grid over
+    its work cap with WorkBudgetError.  rho11 is formed with expm1, not as
     1 - rho00, so it keeps its relative accuracy when it is small; a
     coherence below the smallest normal double is set to 0.  Returns one
     batched state with an entry per grid time.
@@ -250,13 +277,12 @@ def integrate_sme(
     if grid.t0 != 0.0:
         raise ValueError("the master-equation grid must start at t = 0")
     t = grid.times
-    sol = sme_analytic_solution(spec)
-    gamma_1 = sol.gamma_1(t)
+    gamma_1, gamma_d = channel_exponents(spec, t)
     gsum = float(np.sum(spec.g))
     omega_r = spec.omega0 - gsum
     p_beta = abs(rot.beta) ** 2
     coh = rot.beta * np.conj(rot.alpha) * np.exp(
-        -1j * (omega_r * t + sol.gamma_d_phase(t)) - (2.0 * (gsum * t) ** 2 + 0.5 * gamma_1)
+        -1j * (omega_r * t + gamma_d) - (2.0 * (gsum * t) ** 2 + 0.5 * gamma_1)
     )
     coh[np.abs(coh) < _TINY] = 0.0
     return DensityMatrix2.from_parts(
@@ -264,63 +290,23 @@ def integrate_sme(
     )
 
 
-@dataclass(frozen=True)
-class SmeSolution:
-    """Closed-form ingredients of the claimed analytic solution.
-
-    ``G1(0) = G2(0) = 1`` and both stay inside the unit disc;
-    ``|G2(t)| = exp(-(sum g)^2 t^2 / 2)`` exactly (the phase factor is
-    unimodular).  All four callables accept scalars or arrays.
-    """
-
-    gamma_1: Callable[[np.ndarray], np.ndarray]
-    gamma_d_phase: Callable[[np.ndarray], np.ndarray]
-    G1: Callable[[np.ndarray], np.ndarray]
-    G2: Callable[[np.ndarray], np.ndarray]
-
-
-def sme_analytic_solution(spec: SpinBathSpec) -> SmeSolution:
-    """Closed-form decay/phase functions, evaluated as finite mode sums.
-
-    gamma_1(t) = 2 sum_k g_k^2 (1 - cos(delta_k t)) / delta_k^2,
-    gamma_d(t) = sum_k g_k^2 (delta_k t - sin(delta_k t)) / delta_k^2,
-    G1 = exp(-gamma_1),  G2 = exp(-2 i gamma_d) exp(-(sum g)^2 t^2 / 2).
-
-    The sums run over the time array in blocks, so memory stays flat in
-    (time points) x (modes).
-    """
-    gsum = float(np.sum(spec.g))
-
-    def gamma_1(t):
-        return 2.0 * _mode_sum(spec, _versin_over_sq, t)
-
-    def gamma_d(t):
-        return _mode_sum(spec, _arc_minus_sin_over_sq, t)
-
-    def g1(t):
-        return np.exp(-gamma_1(t))
-
-    def g2(t):
-        t = np.asarray(t, dtype=float)
-        return np.exp(-2j * gamma_d(t)) * np.exp(-0.5 * (gsum * t) ** 2)
-
-    return SmeSolution(gamma_1, gamma_d, g1, g2)
-
-
 def sme_analytic(spec: SpinBathSpec, rot: RotatedAmplitudes, t) -> DensityMatrix2:
     """The claimed closed-form state at time(s) t.
 
-    Entries are (|beta|^2 G1, alpha* beta G2; c.c., 1 - |beta|^2 G1).  The
-    form is positive semidefinite for nonnegative couplings (then
-    |G2|^2 <= G1); construction fails loudly otherwise.  An array ``t``
-    gives one batched state with an entry per time; negative times are
-    refused.
+    Entries are (|beta|^2 G1, alpha* beta G2; c.c., 1 - |beta|^2 G1) with
+    G1 = exp(-gamma_1) and G2 = exp(-2 i gamma_d) exp(-(sum g)^2 t^2 / 2),
+    the exponents of :func:`channel_exponents`; G1(0) = G2(0) = 1 and
+    |G2| = exp(-(sum g)^2 t^2 / 2) exactly.  The form is positive
+    semidefinite for nonnegative couplings (then |G2|^2 <= G1);
+    construction fails loudly otherwise.  An array ``t`` gives one batched
+    state with an entry per time; negative times are refused.
     """
     t = _nonnegative_times(t)
-    sol = sme_analytic_solution(spec)
-    p0 = abs(rot.beta) ** 2 * sol.G1(t)
-    coh = np.conj(rot.alpha) * rot.beta * sol.G2(t)
-    return DensityMatrix2.from_parts(p0, 1.0 - p0, coh)
+    gamma_1, gamma_d = channel_exponents(spec, t)
+    gsum = float(np.sum(spec.g))
+    p0 = abs(rot.beta) ** 2 * np.exp(-gamma_1)
+    g2 = np.exp(-2j * gamma_d) * np.exp(-0.5 * (gsum * t) ** 2)
+    return DensityMatrix2.from_parts(p0, 1.0 - p0, np.conj(rot.alpha) * rot.beta * g2)
 
 
 @dataclass
@@ -372,18 +358,16 @@ def sme_discrepancy_report(
 ) -> SmeDiscrepancyReport:
     """Solve the master equation on ``grid`` and score it against the closed form."""
     rho = integrate_sme(spec, rot, grid)
-    sol = sme_analytic_solution(spec)
     times = grid.times
+    gamma_1, gamma_d = channel_exponents(spec, times)
 
-    pop_int = rho.rho00
-    pop_ana = abs(rot.beta) ** 2 * sol.G1(times)
-    pop_dev = np.abs(pop_int - pop_ana)
+    pop_dev = np.abs(rho.rho00 - abs(rot.beta) ** 2 * np.exp(-gamma_1))
 
     gsum = float(np.sum(spec.g))
     omega_r = spec.omega0 - gsum
     c0 = np.conj(rot.alpha) * rot.beta
     coh_int = rho.coherence * np.exp(1j * omega_r * times)
-    coh_ana = c0 * sol.G2(times)
+    coh_ana = c0 * (np.exp(-2j * gamma_d) * np.exp(-0.5 * (gsum * times) ** 2))
     mag_dev = np.abs(np.abs(coh_int) - np.abs(coh_ana))
 
     floor = 1e-12 * max(abs(c0), 1e-300)

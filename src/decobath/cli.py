@@ -43,7 +43,9 @@ or a secular root that does not converge, aborts with exit code 3.
 
 central-sme evaluates the exact solution of its two decoupled channels over
 the whole grid (finite mode sums in blocks of time points), so its work is
-O(time points x bath.N) whatever the rates or the span.
+O(time points x bath.N).  A run whose time points x bath.N exceed the same
+``central_spin.MAX_SECTOR_WORK`` is refused before its first block, with
+exit code 2 and the estimate in the message.
 
 dephase-correlated evaluates its spectral integrals in closed form over the
 whole grid.  The thermal part of a tabulated density at finite temperature
@@ -66,10 +68,10 @@ prepend ``P0`` (survival probability); dephase-correlated appends
 ``gamma, Phi, chi``; oracle-compare emits ``t, ampDev, szDrift``.  Floats
 carry 17 significant digits (exact round trip), lines end with LF.
 
-Exit codes: 0 success, 2 configuration error (including a central-exact run
-over the work cap), 3 numerical-quality abort (including a dephase-correlated
-run over the spectral evaluation cap and a central-exact or fig2 sum-rule or
-convergence failure).
+Exit codes: 0 success, 2 configuration error (including a central-exact or
+central-sme run over the work cap), 3 numerical-quality abort (including a
+dephase-correlated run over the spectral evaluation cap and a central-exact
+or fig2 sum-rule or convergence failure).
 """
 
 from __future__ import annotations

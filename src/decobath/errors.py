@@ -58,25 +58,27 @@ class ConfigError(ValueError):
 
 
 class WorkBudgetError(ValueError):
-    """A central-spin spectral run's estimated work exceeds the cap.
+    """A central-spin run's estimated work exceeds the cap.
 
     Raised before any large allocation, so an oversized bath or grid is
     refused at once instead of running for hours.
 
     Attributes:
-        work: Estimated element pairs (``central_spin.spectral_work``).
-        poles: Secular poles left after deflation.
+        work: Estimated element pairs.
+        size: Count of the bath terms the work scales with, described by
+            ``terms``: secular poles after deflation
+            (``central_spin.spectral_work``) or bath modes
+            (``central_spin_nm.channel_exponents``).
         points: Time points of the grid.
         limit: The work cap.
     """
 
-    def __init__(self, work: int, poles: int, points: int, limit: int):
+    def __init__(self, work: int, size: int, points: int, limit: int, terms: str):
         super().__init__(
             f"central-spin run needs an estimated {work} element pairs "
-            f"({poles} secular poles after deflation, {points} time points), "
-            f"above the cap of {limit}"
+            f"({size} {terms}, {points} time points), above the cap of {limit}"
         )
         self.work = work
-        self.poles = poles
+        self.size = size
         self.points = points
         self.limit = limit

@@ -463,6 +463,23 @@ class TestMain:
         assert f"{n} secular poles" in err
         assert not (tmp_path / "out.csv").exists()
 
+    def test_oversized_central_sme_refused_fast_with_estimate(self, tmp_path, capsys):
+        # 10^5 modes x 10002 times: just over the cap, ~1 min if it ran
+        n, points = 100_000, 10_002
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            f"scenario = central-sme\nbath.N = {n}\nbath.g = 0.001\nbath.omega = 0.8\n"
+            f"bath.omega0 = 1.1\ngrid.steps = {points - 1}\n"
+            f"output.path = {tmp_path / 'out.csv'}\n"
+        )
+        started = time.perf_counter()
+        assert main(["run", str(cfg)]) == 2
+        assert time.perf_counter() - started < 0.5
+        err = capsys.readouterr().err
+        assert f"needs an estimated {n * points} element pairs ({n} bath modes, " \
+               f"{points} time points), above the cap of {central_spin.MAX_SECTOR_WORK}" in err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_uniform_large_bath_deflates_to_rabi(self, tmp_path):
         # 10^5 identical bath spins deflate to one pole with coupling g sqrt(N)
         n, g, omega, omega0 = 100_000, 0.003, 0.8, 301.0
