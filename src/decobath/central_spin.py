@@ -84,9 +84,10 @@ class SpinBathSpec:
     """Couplings and splittings of the spin bath, in the polarization frame.
 
     ``g`` and ``omega`` accept scalars (uniform over the bath) or length-N
-    arrays.  The bath starts in the all-|1> state of that frame; a bath
-    polarized along (c, d) enters only through :func:`rotate_to_polarization`
-    of the system amplitudes.
+    arrays; any other length, a bath size below 1 or a non-finite value is
+    refused with ValueError.  The bath starts in the all-|1> state of that
+    frame; a bath polarized along (c, d) enters only through
+    :func:`rotate_to_polarization` of the system amplitudes.
     """
 
     N: int
@@ -98,8 +99,12 @@ class SpinBathSpec:
         if int(self.N) != self.N or self.N < 1:
             raise ValueError(f"N must be a positive integer, got {self.N}")
         object.__setattr__(self, "N", int(self.N))
-        g = np.broadcast_to(np.asarray(self.g, dtype=float), (self.N,)).copy()
-        omega = np.broadcast_to(np.asarray(self.omega, dtype=float), (self.N,)).copy()
+        g, omega = np.asarray(self.g, dtype=float), np.asarray(self.omega, dtype=float)
+        for name, values in (("g", g), ("omega", omega)):
+            if values.shape not in ((), (1,), (self.N,)):
+                raise ValueError(f"{name} needs 1 or N = {self.N} values, got {values.size}")
+        g = np.broadcast_to(g, (self.N,)).copy()
+        omega = np.broadcast_to(omega, (self.N,)).copy()
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(omega))
                 and np.isfinite(self.omega0)):
             raise ValueError("couplings and splittings must be finite")

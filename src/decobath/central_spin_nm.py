@@ -63,8 +63,9 @@ __all__ = [
     "sme_discrepancy_report",
 ]
 
-#: Detunings below this switch to Taylor series of the oscillatory kernels.
-_RESONANCE_EPS = 1e-10
+#: Phases x = delta t below this take the kernels' leading terms, which are
+#: exact to rounding there; above it sin^2(x/2) cannot underflow.
+_SMALL_PHASE = 1e-100
 #: Oracle RK4 step ceiling: max over the grid of Gamma_d times the step.
 _GAMMA_D_STEP = 1e-3
 #: Mode-time products evaluated per block of time points, so memory stays
@@ -80,32 +81,18 @@ _PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 
 
 def _sin_over(delta: np.ndarray, t) -> np.ndarray:
-    """sin(delta t)/delta with a 3-term series across resonances; t may be an array.
-
-    The series is evaluated only when some detuning is resonant: its x**4
-    term costs several times the sine.
-    """
-    small = np.abs(delta) < _RESONANCE_EPS
-    safe = np.where(small, 1.0, delta)
+    """sin(delta t)/delta, or its leading term t at a tiny phase; t may be an array."""
     x = delta * t
-    out = np.sin(x) / safe
-    if np.any(small):
-        series = t * (1.0 - x * x / 6.0 + x**4 / 120.0)
-        out = np.where(small, series, out)
-    return out
+    out = np.sin(x) / np.where(delta == 0.0, 1.0, delta)
+    return np.where(np.abs(x) < _SMALL_PHASE, t, out)
 
 
 def _versin_over(delta: np.ndarray, t) -> np.ndarray:
-    """(1 - cos(delta t))/delta with a 3-term series across resonances; t may be an array."""
-    small = np.abs(delta) < _RESONANCE_EPS
-    safe = np.where(small, 1.0, delta)
+    """(1 - cos(delta t))/delta, or its leading term delta t^2/2 at a tiny phase."""
     x = delta * t
     s = np.sin(0.5 * x)
-    out = 2.0 * s * s / safe
-    if np.any(small):
-        series = delta * t * t * 0.5 * (1.0 - x * x / 12.0 + x**4 / 360.0)
-        out = np.where(small, series, out)
-    return out
+    out = 2.0 * s * s / np.where(delta == 0.0, 1.0, delta)
+    return np.where(np.abs(x) < _SMALL_PHASE, 0.5 * x * t, out)
 
 
 def channel_exponents(spec: SpinBathSpec, t) -> tuple[np.ndarray, np.ndarray]:
@@ -118,13 +105,13 @@ def channel_exponents(spec: SpinBathSpec, t) -> tuple[np.ndarray, np.ndarray]:
     gamma_d = int Lambda.  Both sums share one pass over the time array in
     blocks of ``_BLOCK_ELEMENTS`` mode-time products, so memory stays flat in
     (time points) x (modes); a row's sums do not depend on the blocking, so
-    any block size gives the same bits.  gamma_1 takes a Taylor series for
-    the modes detuned by less than ``_RESONANCE_EPS``, and only for them.
-    gamma_d's x - sin x (x = delta t) cancels whenever |x| is small, so for
-    |x| < 1 it is x t^2 times the series of (x - sin x)/x^3, which also
-    gives exactly 0 at resonance.  A scalar ``t`` gives scalars.  More than
-    ``MAX_SECTOR_WORK`` mode-time pairs raise WorkBudgetError before the
-    first block.
+    any block size gives the same bits.  With x = delta t, gamma_1's term is
+    the closed form 2 sin^2(x/2)/delta^2, or its leading term t^2/2 where
+    |x| < ``_SMALL_PHASE`` or delta^2 underflows to 0.  gamma_d's x - sin x
+    cancels whenever |x| is small, so for |x| < 1 it is x t^2 times the
+    series of (x - sin x)/x^3, which also gives exactly 0 at resonance.  A
+    scalar ``t`` gives scalars.  More than ``MAX_SECTOR_WORK`` mode-time
+    pairs raise WorkBudgetError before the first block.
     """
     t = np.asarray(t, dtype=float)
     flat = t.reshape(-1)
@@ -133,11 +120,10 @@ def channel_exponents(spec: SpinBathSpec, t) -> tuple[np.ndarray, np.ndarray]:
         raise WorkBudgetError(work, spec.N, flat.size, MAX_SECTOR_WORK, "bath modes")
     gsq = spec.g * spec.g
     delta = spec.omega0 - spec.omega
-    small = np.abs(delta) < _RESONANCE_EPS
-    resonant = bool(np.any(small))
     dsq = delta * delta
-    # a zero here is a resonance (or an underflow), whose terms take a series
-    dsq[dsq == 0.0] = 1.0
+    # a zero here is a resonance or an underflow, whose terms take t^2/2
+    vanished = dsq == 0.0
+    dsq[vanished] = 1.0
     gamma_1 = np.empty(flat.size)
     gamma_d = np.empty(flat.size)
     rows = max(1, _BLOCK_ELEMENTS // spec.N)
@@ -147,11 +133,12 @@ def channel_exponents(spec: SpinBathSpec, t) -> tuple[np.ndarray, np.ndarray]:
         x = delta * tb
         s = np.sin(0.5 * x)
         versin = 2.0 * s * s / dsq
-        if resonant:
-            xs = x[:, small]
-            versin[:, small] = 0.5 * tb * tb * (1.0 - xs * xs / 12.0 + xs**4 / 360.0)
+        ax = np.abs(x)
+        lead = (ax < _SMALL_PHASE) | vanished
+        if np.any(lead):
+            versin[lead] = np.broadcast_to(0.5 * tb * tb, x.shape)[lead]
         arc = (x - np.sin(x)) / dsq
-        near = np.abs(x) < 1.0
+        near = ax < 1.0
         if np.any(near):
             xn = x[near]
             u = xn * xn
@@ -180,9 +167,9 @@ class SmeRates:
 def sme_rates(spec: SpinBathSpec) -> SmeRates:
     """Construct the rate functions for a given bath specification.
 
-    Resonant modes (detuning below 1e-10) are evaluated by series: a mode at
-    exact resonance contributes g_k^2 t to Gamma_0 and nothing to the Lamb
-    shift.  For small t, Gamma_0(t) -> t sum_k g_k^2.
+    A mode whose phase delta_k t is below ``_SMALL_PHASE`` takes the kernels'
+    leading terms: a mode at exact resonance contributes g_k^2 t to Gamma_0
+    and nothing to the Lamb shift.  For small t, Gamma_0(t) -> t sum_k g_k^2.
     """
     g = spec.g
     delta = spec.omega0 - spec.omega

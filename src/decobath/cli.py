@@ -5,8 +5,15 @@ Config grammar
 Flat ``dotted.key = value`` lines; ``#`` starts a comment (whole-line or
 trailing); blank lines are ignored.  Values are plain numbers, Python-style
 complex literals (``0.6+0.2j``), comma-separated number lists where an array
-is expected, or strings.  Unknown keys, missing required keys and
-out-of-range values are all reported together, each with its line number.
+is expected, or strings.  Every number must be finite; only thermo.beta
+takes ``inf`` (zero temperature).
+
+The values are then passed to the constructors of the scenario's model
+objects (amplitudes, dephasing or correlated-bath parameters, spectral
+density, spin bath, time grid), the one place each range rule is checked.
+Unknown keys, missing required keys, malformed values and refusals are all
+reported together; a refusal names the lines and keys of the object's
+inputs (``config:`` when all of them are defaults).
 
 Scenarios and their keys
 ------------------------
@@ -29,8 +36,9 @@ fig2                bath.N* (50 or 100), grid.*; the bath itself is baked in
 ==================  ===========================================================
 
 ``grid.*`` stands for grid.t0, grid.t1 and grid.steps; every scenario also
-takes output.path.  A missing required key, or a key of another scenario, is
-reported like any other problem.
+takes output.path.  The dephase-* models start at the preparation time, so
+they require grid.t0 >= 0.  A missing required key, or a key of another
+scenario, is reported like any other problem.
 
 central-exact and fig2 sum the survival amplitude over the spectral measure
 of the sector Hamiltonian (secular roots and weights, then the time grid in
@@ -77,10 +85,11 @@ or fig2 sum-rule or convergence failure).
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
@@ -126,6 +135,12 @@ _SCHEMA = {
 SCENARIOS = tuple(_SCHEMA)
 _KINDS = {"scenario": str, **{k: v for keys, _ in _SCHEMA.values() for k, v in keys.items()}}
 
+#: What each scenario's models require of grid.t0, beyond the grid's own
+#: t0 < t1: they start from the preparation time.
+_T0_RULES = {"dephase-markov": ">= 0", "dephase-isotropic": ">= 0",
+             "dephase-correlated": ">= 0", "central-sme": "0"}
+_POLARIZATION_KEYS = ("bath.polarization.c", "bath.polarization.d")
+
 ORACLE_DEVIATION_THRESHOLD = 1e-10
 _AMPLITUDE_NORM_SLACK = 1e-6
 #: Default (t0, t1, steps) of every scenario but fig2, and of fig2.
@@ -137,59 +152,66 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 @dataclass
 class ScenarioConfig:
-    """Fully validated scenario parameters."""
+    """A validated scenario: the model objects :func:`run_scenario` passes on.
+
+    ``psi`` holds the system amplitudes (dephase-* and central-* scenarios);
+    ``params`` the :class:`~decobath.lindblad.DephasingParams`
+    (dephase-markov, and dephase-isotropic through its ``gamma``) or the
+    :class:`~decobath.dephasing_nm.CorrelatedBathParams` (dephase-correlated);
+    ``spec`` and ``rot`` the spin bath and the rotated amplitudes
+    (central-exact, central-sme, fig2); ``oracle`` the (n, seed) pair of
+    oracle-compare.  A field its scenario does not use is None.
+    """
 
     scenario: str
-    system_a: complex = complex(_INV_SQRT2)
-    system_b: complex = complex(_INV_SQRT2)
-    gamma: Optional[float] = None
-    bath_n: Optional[int] = None
-    bath_g: Optional[np.ndarray] = None
-    bath_omega: Optional[np.ndarray] = None
-    bath_omega0: float = 0.0
-    pol_c: complex = 0.0 + 0.0j
-    pol_d: complex = 1.0 + 0.0j
-    spectral: Optional[dephasing_nm.SpectralDensity] = None
-    thermo_beta: Optional[float] = None
-    grid: TimeGrid = field(default_factory=lambda: TimeGrid(*_DEFAULT_GRID))
+    grid: TimeGrid
+    psi: Optional[QubitAmplitudes] = None
+    params: Union[lindblad.DephasingParams, dephasing_nm.CorrelatedBathParams, None] = None
+    spec: Optional[central_spin.SpinBathSpec] = None
+    rot: Optional[central_spin.RotatedAmplitudes] = None
+    oracle: Optional[tuple[int, int]] = None
     output_path: Optional[str] = None
-    oracle_n: Optional[int] = None
-    oracle_seed: Optional[int] = None
 
 
-def _parse_scalar(kind, text: str):
-    if kind is str:
-        return text
-    if kind is int:
-        value = int(text)
-        return value
-    if kind is float:
-        value = float(text)  # accepts inf for thermo.beta
-        if math.isnan(value):
-            raise ValueError("nan is not a valid value")
-        return value
+def _parse_value(kind, text: str):
+    """A value by the grammar of its kind, and whether it is finite."""
+    if kind in (str, int):
+        return kind(text), True
     if kind is complex:
         value = complex(text.replace(" ", ""))
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise ValueError("value must be finite")
-        return value
+        return value, cmath.isfinite(value)
     if kind == "floats":
-        parts = [p for p in text.split(",") if p.strip()]
-        values = np.array([float(p) for p in parts], dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("all list entries must be finite")
-        return values
-    raise AssertionError(kind)
+        value = np.array([float(p) for p in text.split(",") if p.strip()], dtype=float)
+        return value, bool(np.isfinite(value).all())
+    value = float(text)
+    return value, math.isfinite(value)
+
+
+def _unit_pair(x: complex, y: complex, names: str) -> tuple[complex, complex]:
+    """(x, y) rescaled to unit norm; refused unless within the decimal-rounding slack.
+
+    The check takes the norm by hypot over the four components, so an
+    amplitude like 1e200 is refused rather than overflowing when squared.
+    """
+    norm = math.hypot(x.real, x.imag, y.real, y.imag)
+    if not abs(norm * norm - 1.0) <= _AMPLITUDE_NORM_SLACK:
+        raise ValueError(f"{names} must be normalized within 1e-6 "
+                         f"(squared norm {norm * norm:.8g})")
+    s = math.sqrt(abs(x) ** 2 + abs(y) ** 2)
+    return x / s, y / s
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse and validate a config document.
+    """Parse a config document and build the model objects it describes.
 
+    Each value is read by the grammar of its key's kind; each object is then
+    built by its model's constructor, the one place its rules are checked.
     Raises :class:`~decobath.errors.ConfigError` carrying *every* problem
-    found, not just the first.
+    found, not just the first, each with the lines of the keys involved.
     """
     errors: list[str] = []
-    entries: dict[str, tuple[object, int]] = {}
+    entries: dict[str, tuple[object, int]] = {}  # the keys whose values are valid
+    seen: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -198,167 +220,125 @@ def parse_config(text: str) -> ScenarioConfig:
         if "=" not in line:
             errors.append(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
             continue
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KINDS:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
-        if key in entries:
+        if key in seen:
             errors.append(f"line {lineno}: duplicate key {key!r}")
             continue
+        seen.add(key)
         try:
-            entries[key] = (_parse_scalar(_KINDS[key], value), lineno)
+            value, finite = _parse_value(_KINDS[key], value)
         except ValueError as exc:
             errors.append(f"line {lineno}: {key}: {exc}")
+            continue
+        if not finite and not (key == "thermo.beta" and value == math.inf):
+            errors.append(f"line {lineno}: {key} must be finite")
+            continue
+        entries[key] = (value, lineno)
 
     if "scenario" not in entries:
-        errors.append("config: missing required key 'scenario'")
-        raise ConfigError(errors)
+        raise ConfigError(errors + ["config: missing required key 'scenario'"])
     scenario, scen_line = entries["scenario"]
     if scenario not in SCENARIOS:
-        errors.append(
-            f"line {scen_line}: unknown scenario {scenario!r} "
-            f"(choose from {', '.join(SCENARIOS)})"
-        )
-        raise ConfigError(errors)
+        raise ConfigError(errors + [f"line {scen_line}: unknown scenario {scenario!r} "
+                                    f"(choose from {', '.join(SCENARIOS)})"])
 
     allowed, required = _SCHEMA[scenario]
-    for key, (_, lineno) in entries.items():
+    for key, (_, lineno) in list(entries.items()):
         if key != "scenario" and key not in allowed:
             errors.append(f"line {lineno}: key {key!r} does not apply to scenario {scenario!r}")
+            del entries[key]
     for key in required:
-        if key not in entries:
+        if key not in seen:
             errors.append(f"config: scenario {scenario!r} requires key {key!r}")
 
     def get(key, default=None):
         return entries[key][0] if key in entries else default
 
-    def line_of(key):
-        return entries[key][1]
+    def build(keys, make):
+        """``make()``, or None with its refusal prefixed by the lines of ``keys``."""
+        try:
+            return make()
+        except (OSError, ValueError) as exc:
+            given = sorted((entries[k][1], k) for k in keys if k in entries)
+            where = ", ".join(f"line {n}: {k}" for n, k in given) or "config"
+            errors.append(f"{where}: {exc}")
+            return None
 
-    cfg = ScenarioConfig(scenario=scenario)
+    psi = params = spec = rot = oracle = None
+    if "system.a" in allowed:
+        psi = build(_SYSTEM_KEYS, lambda: QubitAmplitudes(*_unit_pair(
+            get("system.a", complex(_INV_SQRT2)), get("system.b", complex(_INV_SQRT2)),
+            "system.a/system.b")))
 
-    if get("gamma") is not None:
-        cfg.gamma = get("gamma")
-        if cfg.gamma < 0:
-            errors.append(f"line {line_of('gamma')}: gamma must be >= 0")
-    cfg.bath_omega0 = get("bath.omega0", 0.0)
+    if scenario in ("dephase-markov", "dephase-isotropic") and "gamma" in entries:
+        params = build(("gamma", "bath.omega0"), lambda: lindblad.DephasingParams(
+            get("gamma"), get("bath.omega0", 0.0)))
 
-    a, b = get("system.a", cfg.system_a), get("system.b", cfg.system_b)
-    norm = abs(a) ** 2 + abs(b) ** 2
-    if abs(norm - 1.0) > _AMPLITUDE_NORM_SLACK or norm == 0.0:
-        errors.append(
-            "config: system.a/system.b must be normalized within 1e-6 "
-            f"(|a|^2+|b|^2 = {norm:.8g})"
-        )
-    else:
-        s = math.sqrt(norm)
-        cfg.system_a, cfg.system_b = a / s, b / s
-
-    c, d = get("bath.polarization.c", cfg.pol_c), get("bath.polarization.d", cfg.pol_d)
-    norm = abs(c) ** 2 + abs(d) ** 2
-    if abs(norm - 1.0) > _AMPLITUDE_NORM_SLACK or norm == 0.0:
-        errors.append(
-            "config: bath.polarization.c/.d must be normalized within 1e-6 "
-            f"(|c|^2+|d|^2 = {norm:.8g})"
-        )
-    else:
-        s = math.sqrt(norm)
-        cfg.pol_c, cfg.pol_d = c / s, d / s
-
-    if "bath.N" in entries:
-        cfg.bath_n = get("bath.N")
-        if cfg.bath_n < 1:
-            errors.append(f"line {line_of('bath.N')}: bath.N must be >= 1")
-            cfg.bath_n = None
-    if scenario == "fig2" and cfg.bath_n is not None and cfg.bath_n not in (50, 100):
-        errors.append(f"line {line_of('bath.N')}: the fig2 preset ships N = 50 or N = 100")
-
-    for key, attr in (("bath.g", "bath_g"), ("bath.omega", "bath_omega")):
-        if key not in entries:
-            continue
-        values = get(key)
-        if cfg.bath_n is not None and values.size not in (1, cfg.bath_n):
-            errors.append(
-                f"line {line_of(key)}: {key} needs 1 or bath.N={cfg.bath_n} values, "
-                f"got {values.size}"
-            )
-        else:
-            setattr(cfg, attr, values)
-
-    if scenario == "dephase-correlated" and "spectral.family" in entries:
-        family = get("spectral.family")
-        if family == "ohmic":
-            eta, omega_c = get("spectral.eta"), get("spectral.omega_c")
-            if eta is None or omega_c is None:
-                errors.append("config: ohmic spectral density requires "
-                              "spectral.eta and spectral.omega_c")
-            elif not math.isfinite(eta) or eta < 0:
-                errors.append(f"line {line_of('spectral.eta')}: "
-                              "spectral.eta must be finite and >= 0")
-            elif not math.isfinite(omega_c) or omega_c <= 0:
-                errors.append(f"line {line_of('spectral.omega_c')}: "
-                              "spectral.omega_c must be finite and > 0")
-            else:
-                cfg.spectral = dephasing_nm.SpectralDensity.ohmic(eta, omega_c)
+    elif scenario == "dephase-correlated":
+        family, J = get("spectral.family"), None
+        eta, omega_c, table = get("spectral.eta"), get("spectral.omega_c"), get("spectral.table")
+        if family == "ohmic" and (eta is None or omega_c is None):
+            errors.append("config: ohmic spectral density requires "
+                          "spectral.eta and spectral.omega_c")
+        elif family == "ohmic":
+            J = build(("spectral.eta", "spectral.omega_c"),
+                      lambda: dephasing_nm.SpectralDensity.ohmic(eta, omega_c))
+        elif family == "tabulated" and table is None:
+            errors.append("config: tabulated spectral density requires spectral.table")
         elif family == "tabulated":
-            table = get("spectral.table")
-            if table is None:
-                errors.append("config: tabulated spectral density requires spectral.table")
-            else:
-                try:
-                    cfg.spectral = dephasing_nm.SpectralDensity.from_csv(table)
-                except (OSError, ValueError) as exc:
-                    errors.append(f"line {line_of('spectral.table')}: {exc}")
+            J = build(("spectral.table",), lambda: dephasing_nm.SpectralDensity.from_csv(table))
+        elif family is not None:
+            errors.append(f"line {entries['spectral.family'][1]}: spectral.family must be "
+                          f"'ohmic' or 'tabulated', got {family!r}")
+        if "thermo.beta" in entries and "bath.omega0" in entries:
+            # built even when J or psi failed, so that its own refusals are
+            # reported with theirs; the config is refused then anyway
+            params = build(("thermo.beta", "bath.omega0"),
+                           lambda: dephasing_nm.CorrelatedBathParams(
+                               J, get("thermo.beta"), get("bath.omega0"),
+                               psi.bloch_z if psi else 0.0))
+
+    elif scenario in ("central-exact", "central-sme"):
+        if all(key in entries for key in _BATH_REQUIRED):
+            spec = build(_BATH_REQUIRED, lambda: central_spin.SpinBathSpec(
+                N=get("bath.N"), g=get("bath.g"), omega0=get("bath.omega0"),
+                omega=get("bath.omega")))
+        pol = build(_POLARIZATION_KEYS, lambda: _unit_pair(
+            get("bath.polarization.c", 0j), get("bath.polarization.d", 1 + 0j),
+            "bath.polarization.c/.d"))
+        if psi and pol:
+            rot = build((*_SYSTEM_KEYS, *_POLARIZATION_KEYS),
+                        lambda: central_spin.rotate_to_polarization(psi.a, psi.b, *pol))
+
+    elif scenario == "fig2" and "bath.N" in entries:
+        if get("bath.N") in (50, 100):
+            # the preset starts with the whole state in the decaying branch
+            spec = central_spin.fig2_spec(get("bath.N"))
+            rot = central_spin.RotatedAmplitudes(0.0, 1.0)
         else:
-            errors.append(
-                f"line {line_of('spectral.family')}: spectral.family must be "
-                f"'ohmic' or 'tabulated', got {family!r}"
-            )
+            errors.append(f"line {entries['bath.N'][1]}: the fig2 preset ships N = 50 or N = 100")
 
-    if "thermo.beta" in entries:
-        cfg.thermo_beta = get("thermo.beta")
-        if cfg.thermo_beta <= 0:
-            errors.append(f"line {line_of('thermo.beta')}: thermo.beta must be > 0 "
-                          "(inf selects zero temperature)")
+    elif scenario == "oracle-compare":
+        oracle = (get("oracle.n"), get("oracle.seed"))
+        if "oracle.n" in entries and not 1 <= oracle[0] <= central_spin.BRUTE_FORCE_MAX_N:
+            errors.append(f"line {entries['oracle.n'][1]}: oracle.n must be in "
+                          f"[1, {central_spin.BRUTE_FORCE_MAX_N}]")
+        if "oracle.seed" in entries and oracle[1] < 0:
+            errors.append(f"line {entries['oracle.seed'][1]}: oracle.seed must be >= 0")
 
-    if "oracle.n" in entries:
-        cfg.oracle_n = get("oracle.n")
-        if not 1 <= cfg.oracle_n <= central_spin.BRUTE_FORCE_MAX_N:
-            errors.append(
-                f"line {line_of('oracle.n')}: oracle.n must be in "
-                f"[1, {central_spin.BRUTE_FORCE_MAX_N}]"
-            )
-    if "oracle.seed" in entries:
-        cfg.oracle_seed = get("oracle.seed")
-        if cfg.oracle_seed < 0:
-            errors.append(f"line {line_of('oracle.seed')}: oracle.seed must be >= 0")
-
-    default_grid = _FIG2_GRID if scenario == "fig2" else _DEFAULT_GRID
-    t0 = get("grid.t0", default_grid[0])
-    t1 = get("grid.t1", default_grid[1])
-    steps = get("grid.steps", default_grid[2])
-    try:
-        cfg.grid = TimeGrid(t0, t1, steps)
-    except ValueError as exc:
-        errors.append(f"config: invalid grid: {exc}")
-    if scenario == "central-sme" and t0 != 0.0:
-        errors.append("config: central-sme requires grid.t0 = 0")
-
-    cfg.output_path = get("output.path")
+    grid_keys = ("grid.t0", "grid.t1", "grid.steps")
+    defaults = _FIG2_GRID if scenario == "fig2" else _DEFAULT_GRID
+    grid = build(grid_keys, lambda: TimeGrid(*map(get, grid_keys, defaults)))
+    rule, t0 = _T0_RULES.get(scenario), get("grid.t0", 0.0)
+    if rule and not (t0 >= 0.0 if rule == ">= 0" else t0 == 0.0):
+        errors.append(f"line {entries['grid.t0'][1]}: grid.t0 must be {rule} for {scenario}")
 
     if errors:
         raise ConfigError(errors)
-    return cfg
-
-
-def _spin_bath_from_config(cfg: ScenarioConfig) -> central_spin.SpinBathSpec:
-    return central_spin.SpinBathSpec(
-        N=cfg.bath_n,
-        g=cfg.bath_g,
-        omega0=cfg.bath_omega0,
-        omega=cfg.bath_omega,
-    )
+    return ScenarioConfig(scenario, grid, psi, params, spec, rot, oracle, get("output.path"))
 
 
 def _rho_columns(rho) -> dict[str, np.ndarray]:
@@ -368,57 +348,37 @@ def _rho_columns(rho) -> dict[str, np.ndarray]:
 
 
 def run_scenario(cfg: ScenarioConfig) -> Trajectory:
-    """Dispatch a validated config into the model modules.
+    """Pass a validated config's model objects to the model modules.
 
     Every model call takes the whole time grid at once.  Output is
     deterministic: the same config always yields a byte-identical CSV
     rendering.
     """
-    psi = QubitAmplitudes(cfg.system_a, cfg.system_b)
     if cfg.scenario in ("central-exact", "fig2"):
-        if cfg.scenario == "fig2":
-            spec = central_spin.fig2_spec(cfg.bath_n)
-            rot = central_spin.rotate_to_polarization(1.0, 0.0, 0.0, 1.0)
-        else:
-            spec = _spin_bath_from_config(cfg)
-            rot = central_spin.rotate_to_polarization(
-                psi.a, psi.b, cfg.pol_c, cfg.pol_d
-            )
         # the work cap is checked before the time grid is allocated
-        amp = central_spin.survival_amplitude(spec, cfg.grid)
-        rho = central_spin.reduced_system_density(rot, amp)
+        amp = central_spin.survival_amplitude(cfg.spec, cfg.grid)
+        rho = central_spin.reduced_system_density(cfg.rot, amp)
         return Trajectory(cfg.grid.times, {"P0": np.abs(amp) ** 2, **_rho_columns(rho)})
 
-    times = cfg.grid.times
-
-    if cfg.scenario == "dephase-markov":
-        params = lindblad.DephasingParams(cfg.gamma, cfg.bath_omega0)
-        rho = lindblad.evolve_dephasing_markov(psi, params, times)
-        return Trajectory(times, _rho_columns(rho))
-
-    if cfg.scenario == "dephase-isotropic":
-        rho = lindblad.evolve_isotropic_markov(density_from_amplitudes(psi), cfg.gamma, times)
-        return Trajectory(times, _rho_columns(rho))
-
-    if cfg.scenario == "dephase-correlated":
-        p = dephasing_nm.CorrelatedBathParams(
-            cfg.spectral, cfg.thermo_beta, cfg.bath_omega0, psi.bloch_z
-        )
-        f = dephasing_nm.decoherence_factors(times, p)
-        rho = f.state(psi, p.omega0, times)
-        return Trajectory(times, {**_rho_columns(rho), "gamma": f.gamma_total,
-                                  "Phi": f.phi, "chi": f.chi})
-
     if cfg.scenario == "central-sme":
-        spec = _spin_bath_from_config(cfg)
-        rot = central_spin.rotate_to_polarization(psi.a, psi.b, cfg.pol_c, cfg.pol_d)
-        rho = central_spin_nm.integrate_sme(spec, rot, cfg.grid)
-        return Trajectory(times, _rho_columns(rho))
+        rho = central_spin_nm.integrate_sme(cfg.spec, cfg.rot, cfg.grid)
+        return Trajectory(cfg.grid.times, _rho_columns(rho))
 
     if cfg.scenario == "oracle-compare":
-        return oracle_compare_trajectory(cfg.oracle_n, cfg.oracle_seed, cfg.grid)
+        return oracle_compare_trajectory(*cfg.oracle, cfg.grid)
 
-    raise AssertionError(cfg.scenario)
+    times = cfg.grid.times
+    if cfg.scenario == "dephase-markov":
+        rho = lindblad.evolve_dephasing_markov(cfg.psi, cfg.params, times)
+    elif cfg.scenario == "dephase-isotropic":
+        rho = lindblad.evolve_isotropic_markov(
+            density_from_amplitudes(cfg.psi), cfg.params.gamma, times)
+    else:  # dephase-correlated
+        f = dephasing_nm.decoherence_factors(times, cfg.params)
+        rho = f.state(cfg.psi, cfg.params.omega0, times)
+        return Trajectory(times, {**_rho_columns(rho), "gamma": f.gamma_total,
+                                  "Phi": f.phi, "chi": f.chi})
+    return Trajectory(times, _rho_columns(rho))
 
 
 def oracle_compare_trajectory(n: int, seed: int, grid: TimeGrid) -> Trajectory:

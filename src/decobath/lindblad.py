@@ -131,7 +131,7 @@ def evolve_isotropic_markov(rho0: DensityMatrix2, gamma: float, t) -> DensityMat
     t = _nonnegative_times(t)
     if not np.isfinite(gamma) or gamma < 0:
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
-    f = np.exp(-4.0 * gamma * t)
+    f = np.exp(-4.0 * (gamma * t))  # not (-4 gamma) t: -inf * 0 at gamma = 1e308
     return DensityMatrix2.from_parts(
         0.5 + f * (rho0.rho00 - 0.5),
         0.5 + f * (rho0.rho11 - 0.5),

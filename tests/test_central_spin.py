@@ -52,6 +52,12 @@ class TestSpec:
         with pytest.raises(ValueError):
             SpinBathSpec(N=2, g=np.inf, omega0=0.0, omega=1.0)
 
+    @pytest.mark.parametrize("g, omega, name, size", [
+        ([1.0, 2.0], 1.0, "g", 2), (1.0, np.ones(4), "omega", 4), (1.0, [], "omega", 0)])
+    def test_mode_array_length_is_named(self, g, omega, name, size):
+        with pytest.raises(ValueError, match=f"^{name} needs 1 or N = 3 values, got {size}$"):
+            SpinBathSpec(N=3, g=g, omega0=0.0, omega=omega)
+
     def test_fig2_parameters(self):
         spec = fig2_spec(50)
         assert spec.omega0 == 4.0 * 49

@@ -54,6 +54,18 @@ class TestRates:
         for t in (0.1, 1.0, 7.3):
             assert rates.Gamma_0(t) == pytest.approx(g * g * t, rel=1e-14)
 
+    def test_near_resonant_mode_at_long_times(self):
+        # delta = 5e-11: the kernels switch on the phase delta t, not on |delta|
+        rates = sme_rates(spec_with([1.0], 0.0, [-5e-11]))
+        for t in (1e9, 1e11):
+            with mpmath.workdps(40):
+                x = mpmath.mpf(5e-11) * mpmath.mpf(t)
+                ref_0 = mpmath.sin(x) / mpmath.mpf(5e-11)
+                ref_lam = (1 - mpmath.cos(x)) / mpmath.mpf(5e-11)
+            assert abs(rates.Gamma_0(t) - ref_0) <= 1e-14 * abs(ref_0)
+            lam = rates.lamb_shift(t)[0, 0] - rates.lamb_shift(0.0)[0, 0]
+            assert abs(lam - ref_lam) <= 1e-14 * abs(ref_lam)
+
     def test_small_time_expansion(self):
         spec = spec_with([0.2, 0.5, 0.1], 1.0, [0.3, 1.4, -0.2])
         rates = sme_rates(spec)
@@ -207,8 +219,11 @@ class TestChannelExponents:
         times=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=4),
     )
     # a lone mode at |delta| = 2e-10, delta = 1e-9 at t = 100, and the
-    # README bath at t = 1e-4: the Lamb phase once lost 100%, 3% and 3e-8
+    # README bath at t = 1e-4: the Lamb phase once lost 100%, 3% and 3e-8;
+    # delta = 5e-11 at t = 1e9 and 1e11: gamma_1 took its resonance series
+    # by |delta| alone and was off by 8e-13 and 11x
     @example(modes=[(1.0, 2e-10)], omega0=0.0, times=[1.0, 50.0])
+    @example(modes=[(1.0, 5e-11)], omega0=0.0, times=[1e9, 1e11])
     @example(modes=[(1.0, 1e-9)], omega0=0.0, times=[100.0])
     @example(modes=[(1.2, 0.9 - w) for w in (0.1, 0.4, 0.7, 1.0, 1.3, 1.6, 1.9, 2.2)],
              omega0=0.9, times=[1e-4])

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import math
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from decobath import central_spin, cli
 from decobath.cli import (
@@ -14,7 +18,7 @@ from decobath.cli import (
 )
 from decobath.errors import ConfigError
 from decobath.lindblad import DephasingParams, evolve_dephasing_markov
-from decobath.qstate import QubitAmplitudes
+from decobath.qstate import DensityMatrix2
 from decobath.trajectory import TimeGrid, Trajectory
 
 
@@ -30,8 +34,8 @@ class TestParseConfig:
     def test_minimal_markov_accepts_documented_defaults(self):
         cfg = parse_config(MINIMAL_MARKOV)
         assert cfg.scenario == "dephase-markov"
-        assert cfg.gamma == 1.0
-        assert cfg.system_a == pytest.approx(1 / math.sqrt(2))
+        assert cfg.params == DephasingParams(1.0, 0.0)
+        assert cfg.psi.a == pytest.approx(1 / math.sqrt(2))
         assert cfg.grid.t0 == 0.0 and cfg.grid.t1 == 10.0 and cfg.grid.steps == 1000
         assert cfg.output_path is None
 
@@ -40,13 +44,14 @@ class TestParseConfig:
             "# full-line comment\n\nscenario = dephase-markov\n"
             "gamma = 2.0  # trailing comment\n"
         )
-        assert cfg.gamma == 2.0
+        assert cfg.params.gamma == 2.0
 
     def test_bath_n_zero_rejected_with_message(self):
         text = "scenario = central-exact\nbath.N = 0\nbath.g = 1\nbath.omega = 1\nbath.omega0 = 1\n"
         with pytest.raises(ConfigError) as exc:
             parse_config(text)
-        assert any("bath.N must be >= 1" in m for m in exc.value.messages)
+        assert any(m.startswith("line 2: bath.N,") and "N must be a positive integer" in m
+                   for m in exc.value.messages)
 
     def test_all_errors_collected_with_line_numbers(self):
         text = (
@@ -91,18 +96,18 @@ class TestParseConfig:
         cfg = parse_config(
             MINIMAL_MARKOV + "system.a = 0.70710678\nsystem.b = 0.70710678\n"
         )
-        assert abs(cfg.system_a) ** 2 + abs(cfg.system_b) ** 2 == pytest.approx(1.0, abs=1e-15)
+        assert abs(cfg.psi.a) ** 2 + abs(cfg.psi.b) ** 2 == pytest.approx(1.0, abs=1e-15)
 
     def test_complex_values_parsed(self):
         cfg = parse_config(MINIMAL_MARKOV + "system.a = 0.6\nsystem.b = 0.8j\n")
-        assert cfg.system_b == 0.8j
+        assert cfg.psi.b == 0.8j
 
     def test_mode_arrays_checked_against_bath_n(self):
         text = (
             "scenario = central-exact\nbath.N = 3\nbath.g = 1, 2\n"
             "bath.omega = 0.5\nbath.omega0 = 1\n"
         )
-        with pytest.raises(ConfigError, match="bath.g needs 1 or bath.N=3"):
+        with pytest.raises(ConfigError, match="line 3: bath.g, .*: g needs 1 or N = 3 values"):
             parse_config(text)
 
     def test_central_sme_requires_zero_start(self):
@@ -110,7 +115,7 @@ class TestParseConfig:
             "scenario = central-sme\nbath.N = 2\nbath.g = 0.1\n"
             "bath.omega = 0.5, 1.0\nbath.omega0 = 1\ngrid.t0 = 1\n"
         )
-        with pytest.raises(ConfigError, match="grid.t0 = 0"):
+        with pytest.raises(ConfigError, match="line 6: grid.t0 must be 0 for central-sme"):
             parse_config(text)
 
     def test_spectral_family_validation(self):
@@ -130,7 +135,7 @@ class TestParseConfig:
             "spectral.family = tabulated\n"
             f"spectral.table = {table}\n"
         )
-        assert cfg.spectral(1.0) == pytest.approx(0.4)
+        assert cfg.params.J(1.0) == pytest.approx(0.4)
 
     # scenario: (its required keys with values, a key another scenario owns)
     SCHEMA_CASES = {
@@ -201,16 +206,15 @@ class TestParseConfig:
             "scenario = dephase-correlated\nthermo.beta = inf\nbath.omega0 = 1\n"
             "spectral.family = ohmic\nspectral.eta = 0.5\nspectral.omega_c = 2\n"
         )
-        assert math.isinf(cfg.thermo_beta)
+        assert math.isinf(cfg.params.beta)
 
 
 class TestRunScenario:
     def test_dephase_markov_matches_library_path(self):
         cfg = parse_config(MINIMAL_MARKOV + "grid.t1 = 2\ngrid.steps = 4\n")
         traj = run_scenario(cfg)
-        psi = QubitAmplitudes(cfg.system_a, cfg.system_b)
         for i, t in enumerate(traj.times):
-            rho = evolve_dephasing_markov(psi, DephasingParams(1.0), t)
+            rho = evolve_dephasing_markov(cfg.psi, DephasingParams(1.0), t)
             assert traj.columns["reCoh"][i] == rho.coherence.real
             assert traj.columns["rho00"][i] == rho.rho00
 
@@ -294,8 +298,6 @@ class TestRunScenario:
         "grid.t1 = 2\ngrid.steps = 40\n",
     ])
     def test_every_record_is_a_valid_density_matrix(self, text):
-        from decobath.qstate import DensityMatrix2
-
         traj = run_scenario(parse_config(text))
         for i in range(len(traj)):
             DensityMatrix2.from_parts(
@@ -304,6 +306,170 @@ class TestRunScenario:
                 traj.columns["reCoh"][i] + 1j * traj.columns["imCoh"][i],
                 atol=1e-9,
             )
+
+
+    def test_isotropic_gamma_1e308_mixes_at_once(self, tmp_path):
+        # gamma t overflows to inf at t > 0; at t = 0 the exponent is 0, not nan
+        text = ("scenario = dephase-isotropic\ngamma = 1e308\nsystem.a = 0.6\n"
+                "system.b = 0.8j\ngrid.steps = 4\n")
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "out.csv"
+        cfg.write_text(text + f"output.path = {out}\n")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["run", str(cfg)]) == 0
+        cols = Trajectory.read_csv(out).columns
+        psi = parse_config(text).psi
+        assert cols["rho00"][0] == abs(psi.a) ** 2 and cols["rho11"][0] == abs(psi.b) ** 2
+        assert cols["reCoh"][0] + 1j * cols["imCoh"][0] == psi.a * np.conj(psi.b)
+        for name, value in (("rho00", 0.5), ("rho11", 0.5), ("reCoh", 0.0), ("imCoh", 0.0)):
+            assert np.all(cols[name][1:] == value), name
+
+
+def test_readme_examples_run():
+    """Every ini block of README.md is a valid config that runs."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert blocks
+    for block in blocks:
+        text = "".join(line for line in block.splitlines(keepends=True)
+                       if not line.startswith("output.path"))
+        cfg = parse_config(text)
+        assert len(run_scenario(cfg)) == cfg.grid.steps + 1
+
+
+_BATH = "bath.N = 2\nbath.g = 0.3\nbath.omega = 0.5, 1\n"
+_OHMIC = ("scenario = dephase-correlated\nspectral.family = ohmic\nspectral.eta = 1\n"
+          "spectral.omega_c = 5\n")
+_MARKOV, _ISOTROPIC = "scenario = dephase-markov\n", "scenario = dephase-isotropic\n"
+_EXACT = "scenario = central-exact\n" + _BATH
+#: Configs once refused only at run time without a line, or with a traceback:
+#: (text, the key whose line the refusal must name).
+_REFUSALS = {
+    "markov-gamma-inf": (_MARKOV + "gamma = inf\n", "gamma"),
+    "isotropic-gamma-inf": (_ISOTROPIC + "gamma = inf\n", "gamma"),
+    "markov-omega0-inf": (_MARKOV + "gamma = 1\nbath.omega0 = inf\n", "bath.omega0"),
+    "exact-omega0-inf": (_EXACT + "bath.omega0 = inf\n", "bath.omega0"),
+    "sme-omega0-inf": ("scenario = central-sme\n" + _BATH + "bath.omega0 = inf\n",
+                       "bath.omega0"),
+    "zero-t-beta": (_OHMIC + "thermo.beta = inf\nbath.omega0 = 0\n", "thermo.beta"),
+    "zero-t-omega0": (_OHMIC + "thermo.beta = inf\nbath.omega0 = 0\n", "bath.omega0"),
+    "markov-t0": (_MARKOV + "gamma = 1\ngrid.t0 = -1\n", "grid.t0"),
+    "isotropic-t0": (_ISOTROPIC + "gamma = 1\ngrid.t0 = -1\n", "grid.t0"),
+    "correlated-t0": (_OHMIC + "thermo.beta = 2\nbath.omega0 = 1\ngrid.t0 = -1\n", "grid.t0"),
+    "system-a-1e200": (_MARKOV + "gamma = 1\nsystem.a = 1e200\n", "system.a"),
+    "system-b-1e200": (_EXACT + "bath.omega0 = 1\nsystem.b = 1e200\n", "system.b"),
+    "polarization-c-1e200": (_EXACT + "bath.omega0 = 1\nbath.polarization.c = 1e200\n",
+                             "bath.polarization.c"),
+    "polarization-d-1e200": ("scenario = central-sme\n" + _BATH
+                             + "bath.omega0 = 1\nbath.polarization.d = 1e200\n",
+                             "bath.polarization.d"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_refusal_names_the_line_of_its_key(case, tmp_path, capsys):
+    """Values that only a model rule refuses (or that once overflowed) exit 2 at once."""
+    text, key = _REFUSALS[case]
+    cfg, out = tmp_path / "cfg.txt", tmp_path / "out.csv"
+    cfg.write_text(text + f"output.path = {out}\n")
+    line = next(n for n, ln in enumerate(text.splitlines(), 1) if ln.startswith(f"{key} ="))
+    started = time.perf_counter()
+    assert main(["run", str(cfg)]) == 2
+    assert time.perf_counter() - started < 0.5
+    err = capsys.readouterr().err.splitlines()
+    assert any(re.match(rf"error: (line \d+: [\w.]+, )*line {line}: {re.escape(key)}\b", m)
+               for m in err), err
+    assert not out.exists()
+
+
+#: A typical valid value of each key; the bath has N = 2 modes.
+_PLAIN = {"gamma": "0.5", "system.a": "0.70710678", "system.b": "0.70710678j",
+          "bath.omega0": "0.9", "bath.N": "2", "bath.g": "0.3", "bath.omega": "0.5, 1.2",
+          "bath.polarization.c": "0", "bath.polarization.d": "1",
+          "spectral.family": "ohmic", "spectral.eta": "0.7", "spectral.omega_c": "5",
+          "thermo.beta": "2", "grid.t0": "0", "grid.t1": "3", "grid.steps": "20",
+          "oracle.n": "3", "oracle.seed": "1"}
+#: Hard values drawn for every key kind: zeros, units, extremes, non-finite
+#: values, a list, a complex number and text.
+_SPECIAL = ["0", "-0", "1", "-1", "1e-308", "1e200", "1e308", "inf", "-inf", "nan",
+            "0.6, 0.8", "0.6+0.8j", "text"]
+
+
+def _hard_values(key: str):
+    """The hard values of a key's kind, with grid times kept within 20."""
+    if key in ("grid.t0", "grid.t1"):
+        return st.sampled_from([v for v in _SPECIAL if v not in ("1e200", "1e308")] + ["20"])
+    if key == "grid.steps":
+        return st.sampled_from(_SPECIAL + ["50"])
+    if cli._KINDS[key] is int:
+        return st.sampled_from(_SPECIAL + ["8"])
+    if key == "spectral.family":
+        return st.sampled_from(["tabulated", "text"])
+    return st.sampled_from(_SPECIAL)
+
+
+@st.composite
+def _config_texts(draw, table: str) -> str:
+    """A scenario's keys: up to three take hard values, the rest typical ones.
+
+    Required keys and grid.steps always appear (runs stay small, and most
+    configs reach the model constructors); other keys are left out one
+    time in four.
+    """
+    scenario = draw(st.sampled_from(cli.SCENARIOS))
+    allowed, required = cli._SCHEMA[scenario]
+    keys = [key for key in allowed if key != "output.path"]
+    hard = draw(st.sets(st.sampled_from(keys), max_size=3))
+    lines = [f"scenario = {scenario}"]
+    for key in keys:
+        if key in hard:
+            lines.append(f"{key} = {draw(_hard_values(key))}")
+        elif key in required or key == "grid.steps" or draw(st.integers(0, 3)):
+            lines.append(f"{key} = {table if key == 'spectral.table' else _PLAIN[key]}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    """A directory holding a valid spectral table, J.csv."""
+    return _table(tmp_path_factory.mktemp("configs")).parent
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_config_runs_clean_or_is_refused(data, config_dir):
+    """Config texts over the schema either run to a valid CSV or are refused.
+
+    Up to three keys of a drawn scenario take values from a fixed set of
+    hard cases of their kind (zeros, units, 1e-308, 1e200, 1e308,
+    infinities, nan, a list, a complex number, text), the others typical
+    valid values.  A run must exit 0 with finite, unit-trace, positive
+    semidefinite states on stdout; a refusal must exit 2 or 3 with
+    ``error:`` lines (or oracle-compare's FAIL verdict); nothing may raise.
+    The drawn work is kept small (bath.N <= 8, grid.steps <= 50, |grid.t0|
+    and grid.t1 <= 20): oversize runs are refused through their work
+    estimates, which are tested on their own, never by running them.
+    """
+    text = data.draw(_config_texts(str(config_dir / "J.csv")))
+    cfg = config_dir / "cfg.txt"
+    cfg.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            np.errstate(all="ignore"):
+        code = main(["run", str(cfg)])
+    if code != 0:
+        assert code in (2, 3), (text, code)
+        assert err.getvalue().startswith("error: ") or "FAIL" in out.getvalue(), text
+        return
+    lines = out.getvalue().splitlines()  # oracle-compare prints its verdict first
+    header, *rows = lines[next(i for i, ln in enumerate(lines) if ln.startswith("t,")):]
+    names = header.split(",")
+    values = np.array([[float(v) for v in row.split(",")] for row in rows])
+    cols = dict(zip(names, values.T))
+    for name in {"t", "P0", "rho00", "rho11", "reCoh", "imCoh", "ampDev"} & set(cols):
+        assert np.all(np.isfinite(cols[name])), (text, name)
+    if "rho00" in cols:
+        DensityMatrix2.from_parts(cols["rho00"], cols["rho11"],
+                                  cols["reCoh"] + 1j * cols["imCoh"], atol=1e-9)
 
 
 class TestCsv:
@@ -413,7 +579,7 @@ class TestMain:
         cfg.write_text("scenario = dephase-markov\ngamma = -1\nnope = 2\n")
         assert main(["run", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert "gamma must be >= 0" in err
+        assert "line 2: gamma: gamma must be finite and >= 0" in err
         assert "unknown key" in err
 
     def test_run_missing_file(self, capsys):
@@ -634,12 +800,14 @@ class TestCorrelatedClosedForms:
         cfg.write_text(CORRELATED_BASE + f"spectral.family = {family}\n" + spectral
                        + "thermo.beta = 2\ngrid.t0 = -1\ngrid.t1 = 1\ngrid.steps = 4\n")
         assert main(["run", str(cfg)]) == 2
-        assert "t must be >= 0" in capsys.readouterr().err
+        line = 9 if family == "ohmic" else 8
+        assert f"line {line}: grid.t0 must be >= 0 for dephase-correlated" \
+            in capsys.readouterr().err
 
     def test_one_row_table_is_a_config_error(self, tmp_path, capsys):
         cfg, table = tmp_path / "cfg.txt", _table(tmp_path, "0.5,0.1\n")
         cfg.write_text(CORRELATED_BASE + "spectral.family = tabulated\n"
                        f"spectral.table = {table}\nthermo.beta = 2\n")
         assert main(["run", str(cfg)]) == 2
-        assert "line 6: need matching 1-d arrays with at least 2 samples" \
+        assert "line 6: spectral.table: need matching 1-d arrays with at least 2 samples" \
             in capsys.readouterr().err
