@@ -22,6 +22,12 @@ O(N) memory, no eigenvector formed, oversize runs refused up front.  Full
 eigenvectors come only from the dense solver in :func:`evolve_sector`, for
 general initial states and the oracle checks.  A full 2^(N+1) brute-force
 propagator (N <= 12) is the oracle that validates the sector reduction.
+
+Only that oracle needs scipy (``scipy.sparse`` for the Hamiltonian,
+``expm_multiply`` for the propagation), so both are imported inside
+:func:`build_full_hamiltonian` and :func:`brute_force_evolve`: the
+production paths then start with numpy alone, which saves a short run most
+of its start-up time.
 """
 
 from __future__ import annotations
@@ -31,8 +37,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import NormalizationError, TraceDriftError, WorkBudgetError
 from .qstate import ATOL_ANALYTIC, ATOL_INTEGRATED, DensityMatrix2
@@ -488,7 +492,7 @@ def _spin_bits(n_spins: int) -> np.ndarray:
 
 def build_full_hamiltonian(
     spec: SpinBathSpec, field_unitary: Optional[np.ndarray] = None
-) -> sparse.csr_matrix:
+) -> "scipy.sparse.csr_matrix":
     """Sparse 2^(N+1) Hamiltonian of the system plus bath register.
 
     Spin k occupies bit k of the basis index (bit set = spin in |1>); the
@@ -497,6 +501,8 @@ def build_full_hamiltonian(
     axis while the Heisenberg couplings stay rotation invariant.  Restricted
     to N <= 12.
     """
+    import scipy.sparse
+
     n = spec.N
     if n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force limited to N <= {BRUTE_FORCE_MAX_N}, got {n}")
@@ -544,7 +550,7 @@ def build_full_hamiltonian(
         cols.append(dst)
         vals.append(np.full(src.size, spec.g[k - 1], dtype=complex))
 
-    h = sparse.coo_matrix(
+    h = scipy.sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dim, dim),
     ).tocsr()
@@ -608,6 +614,8 @@ def brute_force_evolve(
     Uses a scaling-and-squaring matrix exponential applied to the state
     vector over the whole grid in one pass.  Norm drift beyond 1e-9 aborts.
     """
+    from scipy.sparse.linalg import expm_multiply
+
     initial = np.asarray(initial, dtype=complex)
     if initial.shape != (spec.dim_full,):
         raise ValueError(f"initial state must have length {spec.dim_full}")

@@ -40,6 +40,13 @@ takes output.path.  The dephase-* models start at the preparation time, so
 they require grid.t0 >= 0.  A missing required key, or a key of another
 scenario, is reported like any other problem.
 
+A run whose largest phase passes 2**53 is refused, since no digit of the
+phase modulo 2 pi is left there: Omega max(|grid.t0|, |grid.t1|) > 2**53,
+with Omega |bath.omega0| (dephase-markov), that or the top knot of a
+tabulated density (dephase-correlated), or |omega0| + max |omega_k| +
+2 sum |g_k| for a spin bath (central-*, fig2, oracle-compare's seeded bath).
+The refusal names the lines of the grid and frequency keys.
+
 central-exact and fig2 sum the survival amplitude over the spectral measure
 of the sector Hamiltonian (secular roots and weights, then the time grid in
 blocks), so memory stays linear in bath.N.  A run whose estimated work
@@ -76,10 +83,11 @@ prepend ``P0`` (survival probability); dephase-correlated appends
 ``gamma, Phi, chi``; oracle-compare emits ``t, ampDev, szDrift``.  Floats
 carry 17 significant digits (exact round trip), lines end with LF.
 
-Exit codes: 0 success, 2 configuration error (including a central-exact or
-central-sme run over the work cap), 3 numerical-quality abort (including a
-dephase-correlated run over the spectral evaluation cap and a central-exact
-or fig2 sum-rule or convergence failure).
+Exit codes: 0 success, 2 configuration error (including a phase past 2**53
+and a central-exact or central-sme run over the work cap), 3
+numerical-quality abort (including a dephase-correlated run over the
+spectral evaluation cap and a central-exact or fig2 sum-rule or convergence
+failure).
 """
 
 from __future__ import annotations
@@ -140,6 +148,13 @@ _KINDS = {"scenario": str, **{k: v for keys, _ in _SCHEMA.values() for k, v in k
 _T0_RULES = {"dephase-markov": ">= 0", "dephase-isotropic": ">= 0",
              "dephase-correlated": ">= 0", "central-sme": "0"}
 _POLARIZATION_KEYS = ("bath.polarization.c", "bath.polarization.d")
+#: Beyond this a phase omega t is spaced >= 2 rad apart in doubles, so no
+#: digit of it modulo 2 pi is left.
+_PHASE_LIMIT = 2.0 ** 53
+#: The keys the phase bound is taken from: the grid's ends and each
+#: scenario's frequency keys (only those of the scenario at hand are given).
+_PHASE_KEYS = ("grid.t0", "grid.t1", *_BATH_REQUIRED, "spectral.table", "oracle.n",
+               "oracle.seed")
 
 ORACLE_DEVIATION_THRESHOLD = 1e-10
 _AMPLITUDE_NORM_SLACK = 1e-6
@@ -201,6 +216,28 @@ def _unit_pair(x: complex, y: complex, names: str) -> tuple[complex, complex]:
     return x / s, y / s
 
 
+def _spin_bath_frequency(spec: central_spin.SpinBathSpec) -> float:
+    """|omega0| + max |omega_k| + 2 sum |g_k|, a bound on the bath's frequencies.
+
+    It bounds every Gershgorin disc of the sector Hamiltonian's arrowhead
+    and every detuning omega0 - omega_k of the master equation.
+    """
+    with np.errstate(over="ignore"):
+        return (abs(spec.omega0) + float(np.max(np.abs(spec.omega)))
+                + 2.0 * float(np.sum(np.abs(spec.g))))
+
+
+def _oracle_bath(n: int, seed: int) -> central_spin.SpinBathSpec:
+    """The seeded random bath of oracle-compare."""
+    rng = np.random.default_rng(seed)
+    return central_spin.SpinBathSpec(
+        N=n,
+        g=rng.uniform(0.5, 2.0, n),
+        omega0=rng.uniform(-2.0, 2.0),
+        omega=rng.uniform(-2.0, 2.0, n),
+    )
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse a config document and build the model objects it describes.
 
@@ -257,17 +294,19 @@ def parse_config(text: str) -> ScenarioConfig:
     def get(key, default=None):
         return entries[key][0] if key in entries else default
 
+    def where(keys):
+        given = sorted((entries[k][1], k) for k in keys if k in entries)
+        return ", ".join(f"line {n}: {k}" for n, k in given) or "config"
+
     def build(keys, make):
         """``make()``, or None with its refusal prefixed by the lines of ``keys``."""
         try:
             return make()
         except (OSError, ValueError) as exc:
-            given = sorted((entries[k][1], k) for k in keys if k in entries)
-            where = ", ".join(f"line {n}: {k}" for n, k in given) or "config"
-            errors.append(f"{where}: {exc}")
+            errors.append(f"{where(keys)}: {exc}")
             return None
 
-    psi = params = spec = rot = oracle = None
+    psi = params = spec = rot = oracle = bath = None
     if "system.a" in allowed:
         psi = build(_SYSTEM_KEYS, lambda: QubitAmplitudes(*_unit_pair(
             get("system.a", complex(_INV_SQRT2)), get("system.b", complex(_INV_SQRT2)),
@@ -322,12 +361,16 @@ def parse_config(text: str) -> ScenarioConfig:
             errors.append(f"line {entries['bath.N'][1]}: the fig2 preset ships N = 50 or N = 100")
 
     elif scenario == "oracle-compare":
-        oracle = (get("oracle.n"), get("oracle.seed"))
-        if "oracle.n" in entries and not 1 <= oracle[0] <= central_spin.BRUTE_FORCE_MAX_N:
+        n, seed = oracle = (get("oracle.n"), get("oracle.seed"))
+        if n is not None and not 1 <= n <= central_spin.BRUTE_FORCE_MAX_N:
             errors.append(f"line {entries['oracle.n'][1]}: oracle.n must be in "
                           f"[1, {central_spin.BRUTE_FORCE_MAX_N}]")
-        if "oracle.seed" in entries and oracle[1] < 0:
+            n = None
+        if seed is not None and seed < 0:
             errors.append(f"line {entries['oracle.seed'][1]}: oracle.seed must be >= 0")
+            seed = None
+        if None not in (n, seed):
+            bath = _oracle_bath(n, seed)
 
     grid_keys = ("grid.t0", "grid.t1", "grid.steps")
     defaults = _FIG2_GRID if scenario == "fig2" else _DEFAULT_GRID
@@ -335,6 +378,19 @@ def parse_config(text: str) -> ScenarioConfig:
     rule, t0 = _T0_RULES.get(scenario), get("grid.t0", 0.0)
     if rule and not (t0 >= 0.0 if rule == ">= 0" else t0 == 0.0):
         errors.append(f"line {entries['grid.t0'][1]}: grid.t0 must be {rule} for {scenario}")
+
+    # omega bounds the frequencies whose phase omega t the scenario's model forms
+    omega = 0.0
+    if spec or bath:  # the central-* scenarios, fig2 and oracle-compare
+        omega = _spin_bath_frequency(spec or bath)
+    elif isinstance(params, lindblad.DephasingParams):  # 0 for dephase-isotropic
+        omega = abs(params.omega0)
+    elif isinstance(params, dephasing_nm.CorrelatedBathParams) and params.J:
+        omega = max(abs(params.omega0), params.J.phase_frequency)
+    phase = omega * max(abs(grid.t0), abs(grid.t1)) if grid else 0.0
+    if phase > _PHASE_LIMIT:
+        errors.append(f"{where(_PHASE_KEYS)}: the largest phase omega*t reaches "
+                      f"{phase:.3g}, over 2**53: no digit of it is left")
 
     if errors:
         raise ConfigError(errors)
@@ -387,13 +443,7 @@ def oracle_compare_trajectory(n: int, seed: int, grid: TimeGrid) -> Trajectory:
     Columns: per-time maximum amplitude deviation over the N+1 sector basis
     states, and the drift of the conserved total sigma_z expectation.
     """
-    rng = np.random.default_rng(seed)
-    spec = central_spin.SpinBathSpec(
-        N=n,
-        g=rng.uniform(0.5, 2.0, n),
-        omega0=rng.uniform(-2.0, 2.0),
-        omega=rng.uniform(-2.0, 2.0, n),
-    )
+    spec = _oracle_bath(n, seed)
     pairs = [(1.0, 0.0)] + [(0.0, 1.0)] * n  # excitation on the system
     full = central_spin.brute_force_evolve(
         spec, central_spin.product_state(pairs), grid

@@ -40,6 +40,13 @@ without adaptive quadrature:
 
 The scalar :func:`phi` and :func:`gamma_thermal` keep adaptive ``quad``; they
 are the oracles these forms are tested against.
+
+scipy is imported inside the functions that use it: ``scipy.special`` in the
+finite-temperature Ohmic and the tabulated closed forms and in the
+quadrature tail bound,
+``scipy.integrate`` only in the adaptive oracles.  Importing this module
+then costs numpy alone, so the central-spin and Markov scenarios, which
+import it through the CLI but never call it, start without scipy.
 """
 
 from __future__ import annotations
@@ -49,8 +56,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.special import exp1, gammaln, loggamma, sici, zeta
 
 from .errors import DegenerateParametersError, QuadratureError
 from .qstate import DensityMatrix2, QubitAmplitudes
@@ -194,6 +199,15 @@ class SpectralDensity:
             return np.where(omega >= 0, out, 0.0)
         return np.interp(omega, self._omega, self._values, left=0.0, right=0.0)
 
+    @property
+    def phase_frequency(self) -> float:
+        """Largest w whose phase w t the closed forms take modulo 2 pi.
+
+        The top knot of a tabulated density (its Si and Ci terms); 0 for the
+        Ohmic family, whose arctan and log-Gamma forms take omega_c t whole.
+        """
+        return 0.0 if self.family == "ohmic" else float(self._omega[-1])
+
     def ratio(self, w: float) -> float:
         """J(w)/w for scalar w > 0, stable down to subnormal w."""
         if self.family == "ohmic":
@@ -216,6 +230,8 @@ class SpectralDensity:
         """
         if self.family == "tabulated":
             return 0.0
+        from scipy.special import exp1
+
         return 2.0 * self.eta * coth_cap * float(exp1(_OHMIC_SPAN))
 
 
@@ -258,7 +274,21 @@ def _coth(x: float) -> float:
     return 1.0 / x + x / 3.0 - x**3 / 45.0
 
 
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on the first call.
+
+    The name stays a module attribute only because the bench tracer wraps
+    ``dephasing_nm.quad`` in place; it goes once the tracer patches through
+    a name table (ROADMAP item 2).
+    """
+    import scipy.integrate
+
+    return scipy.integrate.quad(*args, **kwargs)
+
+
 def _spectral_quad(J: SpectralDensity, f, coth_cap: float) -> float:
+    from scipy.integrate import IntegrationWarning
+
     lo, hi, pts = J._quad_interval()
     with warnings.catch_warnings():
         # accuracy is judged from the returned error estimate below
@@ -329,6 +359,8 @@ def _ohmic_factors(t: np.ndarray, J: SpectralDensity, beta: float):
                         np.log(np.maximum(u, 1e100)))
     if math.isinf(beta):
         return phi_t, g1
+    from scipy.special import gammaln, loggamma, zeta
+
     # coth = 1 + 2 sum_k exp(-k beta w) turns the excess into
     # eta sum_{k>=1} ln(1 + y^2/(x+k)^2) = 2 eta [lnG(z) - Re lnG(z + iy)],
     # y = t/beta, z = 1 + x; its Taylor series in y^2 has the coefficients
@@ -369,6 +401,8 @@ def _tabulated_zero_temperature(t: np.ndarray, omega: np.ndarray, c0: np.ndarray
     Ci difference is formed as ln(b/a) - [Cin], which keeps its precision as
     t -> 0.  Rows are blocks of time points, columns the knots.
     """
+    from scipy.special import sici
+
     phi_t = np.empty(t.size)
     gamma0 = np.empty(t.size)
     rows = max(1, _BLOCK_ELEMENTS // omega.size)

@@ -341,8 +341,9 @@ _OHMIC = ("scenario = dephase-correlated\nspectral.family = ohmic\nspectral.eta 
           "spectral.omega_c = 5\n")
 _MARKOV, _ISOTROPIC = "scenario = dephase-markov\n", "scenario = dephase-isotropic\n"
 _EXACT = "scenario = central-exact\n" + _BATH
-#: Configs once refused only at run time without a line, or with a traceback:
-#: (text, the key whose line the refusal must name).
+#: Configs once refused only at run time without a line, or with a traceback,
+#: or (exact-t1-1e300) run to numbers with no digit of their phase left:
+#: (text, the keys whose lines the refusal must name).
 _REFUSALS = {
     "markov-gamma-inf": (_MARKOV + "gamma = inf\n", "gamma"),
     "isotropic-gamma-inf": (_ISOTROPIC + "gamma = inf\n", "gamma"),
@@ -362,22 +363,33 @@ _REFUSALS = {
     "polarization-d-1e200": ("scenario = central-sme\n" + _BATH
                              + "bath.omega0 = 1\nbath.polarization.d = 1e200\n",
                              "bath.polarization.d"),
+    # the largest phase omega*t passes 2**53
+    "oracle-compare-t1-1e300": (
+        "scenario = oracle-compare\noracle.n = 1\noracle.seed = 0\n"
+        "grid.t0 = -1\ngrid.t1 = 1e300\n", "oracle.n", "oracle.seed", "grid.t0", "grid.t1"),
+    "markov-omega0-1e308": (_MARKOV + "gamma = 1\nbath.omega0 = 1e308\n", "bath.omega0"),
+    "sme-omega-1e308": ("scenario = central-sme\n" + _BATH.replace("0.5, 1", "1e308, 0.9")
+                        + "bath.omega0 = 1\n", "bath.N", "bath.g", "bath.omega",
+                        "bath.omega0"),
+    "exact-t1-1e300": (_EXACT + "bath.omega0 = 1\ngrid.t1 = 1e300\n",
+                       "bath.N", "bath.g", "bath.omega", "bath.omega0", "grid.t1"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_REFUSALS))
 def test_refusal_names_the_line_of_its_key(case, tmp_path, capsys):
     """Values that only a model rule refuses (or that once overflowed) exit 2 at once."""
-    text, key = _REFUSALS[case]
+    text, *keys = _REFUSALS[case]
     cfg, out = tmp_path / "cfg.txt", tmp_path / "out.csv"
     cfg.write_text(text + f"output.path = {out}\n")
-    line = next(n for n, ln in enumerate(text.splitlines(), 1) if ln.startswith(f"{key} ="))
     started = time.perf_counter()
     assert main(["run", str(cfg)]) == 2
     assert time.perf_counter() - started < 0.5
     err = capsys.readouterr().err.splitlines()
-    assert any(re.match(rf"error: (line \d+: [\w.]+, )*line {line}: {re.escape(key)}\b", m)
-               for m in err), err
+    for key in keys:
+        line = next(n for n, ln in enumerate(text.splitlines(), 1) if ln.startswith(f"{key} ="))
+        assert any(re.match(rf"error: (line \d+: [\w.]+, )*line {line}: {re.escape(key)}\b", m)
+                   for m in err), (key, err)
     assert not out.exists()
 
 
