@@ -18,7 +18,7 @@ a measurement's outcome is read off the dynamics, not applied as operators.
 :mod:`.cli` turns configs into CSV trajectories; see the README for usage.
 """
 
-from . import central_spin, central_spin_nm, cli, dephasing_nm, lindblad, qstate
+from . import central_spin, central_spin_nm, dephasing_nm, lindblad, qstate
 from .errors import (
     ConfigError,
     DegenerateParametersError,
@@ -39,7 +39,6 @@ __all__ = [
     "dephasing_nm",
     "central_spin",
     "central_spin_nm",
-    "cli",
     "DensityMatrix2",
     "QubitAmplitudes",
     "TimeGrid",

@@ -39,8 +39,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NormalizationError, TraceDriftError, WorkBudgetError
-from .qstate import ATOL_ANALYTIC, ATOL_INTEGRATED, DensityMatrix2
-from .trajectory import TimeGrid
+from .qstate import ATOL_INTEGRATED, DensityMatrix2, QubitAmplitudes, unit_pair
+from .trajectory import TimeGrid, positive_count
 
 __all__ = [
     "SpinBathSpec",
@@ -66,6 +66,8 @@ __all__ = [
 
 #: Largest bath for the 2^(N+1) brute-force oracle (dimension 8192).
 BRUTE_FORCE_MAX_N = 12
+#: Norm drift of the brute-force register above this aborts the run.
+BRUTE_FORCE_NORM_ABORT = 1e-9
 #: Largest estimated work of one survival-amplitude run (:func:`spectral_work`)
 #: or one channel-exponent pass (``central_spin_nm.channel_exponents``, mode
 #: x time pairs); larger runs are refused before any large allocation.  On
@@ -100,9 +102,7 @@ class SpinBathSpec:
     omega: np.ndarray
 
     def __post_init__(self):
-        if int(self.N) != self.N or self.N < 1:
-            raise ValueError(f"N must be a positive integer, got {self.N}")
-        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "N", positive_count(self.N, "N"))
         g, omega = np.asarray(self.g, dtype=float), np.asarray(self.omega, dtype=float)
         for name, values in (("g", g), ("omega", omega)):
             if values.shape not in ((), (1,), (self.N,)):
@@ -156,27 +156,19 @@ class RotatedAmplitudes:
     beta: complex
 
     def __post_init__(self):
-        alpha, beta = complex(self.alpha), complex(self.beta)
-        dev = abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0)
-        if dev > ATOL_ANALYTIC:
-            raise NormalizationError("|alpha|^2 + |beta|^2 must equal 1", dev)
+        alpha, beta = unit_pair(self.alpha, self.beta, ("alpha", "beta"))
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
 
 
-def rotate_to_polarization(
-    a: complex, b: complex, c: complex, d: complex
-) -> RotatedAmplitudes:
-    """Rotate system amplitudes (a, b) into the frame of bath polarization (c, d).
+def rotate_to_polarization(psi: QubitAmplitudes, pol: QubitAmplitudes) -> RotatedAmplitudes:
+    """Rotate system amplitudes psi = (a, b) into the frame of bath polarization (c, d).
 
     In the rotated frame each bath spin reads |1>' and the system becomes
     alpha |1>' + beta |0>' with alpha = a c* + b d* and beta = a d - b c.
-    The map is unitary, so the output is normalized whenever the inputs are.
+    Both pairs are normalized by construction and the map is unitary.
     """
-    for name, (x, y) in (("(a, b)", (a, b)), ("(c, d)", (c, d))):
-        dev = abs(abs(x) ** 2 + abs(y) ** 2 - 1.0)
-        if dev > ATOL_ANALYTIC:
-            raise NormalizationError(f"{name} must be normalized", dev)
+    a, b, c, d = psi.a, psi.b, pol.a, pol.b
     alpha = a * np.conj(c) + b * np.conj(d)
     beta = a * d - b * c
     return RotatedAmplitudes(alpha, beta)
@@ -394,7 +386,7 @@ def survival_amplitude(spec: SpinBathSpec, grid: TimeGrid) -> np.ndarray:
                               "secular poles after deflation")
     mu, w = arrowhead_eigensystem(head, spec.g, diag)
     drift = abs(float(np.sum(w)) - 1.0)
-    if drift > _NORM_TOL:
+    if not drift <= _NORM_TOL:
         raise TraceDriftError(drift, 0.0, _NORM_TOL)
     keep = w > 0.0
     mu, w = mu[keep], w[keep]
@@ -427,6 +419,17 @@ class SectorTrajectory:
         return np.abs(self.amplitudes[:, 0]) ** 2
 
 
+def _unit_state(vector, length: int, what: str) -> np.ndarray:
+    """``vector`` as a complex array, refused unless of ``length`` and unit norm."""
+    vector = np.asarray(vector, dtype=complex)
+    if vector.shape != (length,):
+        raise ValueError(f"initial state must have length {length}")
+    dev = abs(float(np.sum(np.abs(vector) ** 2)) - 1.0)
+    if not dev <= _NORM_TOL:
+        raise NormalizationError(f"initial {what} state must be normalized", dev)
+    return vector
+
+
 def excitation_on_system(n: int) -> np.ndarray:
     """Sector basis state e_0: the excitation sits on the system spin."""
     v = np.zeros(n + 1, dtype=complex)
@@ -443,19 +446,13 @@ def evolve_sector(
 
     Full eigenvectors from the dense solver: the oracle path, for small
     baths and general initial states.  ``initial`` defaults to the
-    excitation on the system (e_0).  The norm of every returned state is
-    checked to stay within 1e-10 of one.
+    excitation on the system (e_0).  Its norm, and that of every returned
+    state, must be within 1e-10 of one (NaN is refused).
     """
     if grid is None:
         raise ValueError("a TimeGrid is required")
-    if initial is None:
-        initial = excitation_on_system(spec.N)
-    initial = np.asarray(initial, dtype=complex)
-    if initial.shape != (spec.N + 1,):
-        raise ValueError(f"initial state must have length {spec.N + 1}")
-    dev = abs(float(np.sum(np.abs(initial) ** 2)) - 1.0)
-    if dev > _NORM_TOL:
-        raise NormalizationError("initial sector state must be normalized", dev)
+    initial = _unit_state(excitation_on_system(spec.N) if initial is None else initial,
+                          spec.N + 1, "sector")
 
     evals, evecs = sector_eigensystem(build_sector_hamiltonian(spec))
     coeff = evecs.conj().T @ initial
@@ -463,7 +460,7 @@ def evolve_sector(
     phases = np.exp(-1j * np.outer(times, evals))
     amps = (phases * coeff[None, :]) @ evecs.T
     norm_drift = float(np.max(np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0)))
-    if norm_drift > _NORM_TOL:
+    if not norm_drift <= _NORM_TOL:
         raise TraceDriftError(norm_drift, float(times[-1]), _NORM_TOL)
     return SectorTrajectory(times, amps)
 
@@ -612,16 +609,12 @@ def brute_force_evolve(
     """Propagate the full 2^(N+1) register exactly (N <= 12).
 
     Uses a scaling-and-squaring matrix exponential applied to the state
-    vector over the whole grid in one pass.  Norm drift beyond 1e-9 aborts.
+    vector over the whole grid in one pass.  A non-unit ``initial`` (NaN
+    included) is refused; norm drift beyond BRUTE_FORCE_NORM_ABORT aborts.
     """
     from scipy.sparse.linalg import expm_multiply
 
-    initial = np.asarray(initial, dtype=complex)
-    if initial.shape != (spec.dim_full,):
-        raise ValueError(f"initial state must have length {spec.dim_full}")
-    dev = abs(float(np.sum(np.abs(initial) ** 2)) - 1.0)
-    if dev > _NORM_TOL:
-        raise NormalizationError("initial register state must be normalized", dev)
+    initial = _unit_state(initial, spec.dim_full, "register")
     h = build_full_hamiltonian(spec, field_unitary)
     states = expm_multiply(
         -1j * h, initial, start=grid.t0, stop=grid.t1,
@@ -629,8 +622,8 @@ def brute_force_evolve(
     )
     norms = np.linalg.norm(states, axis=1)
     drift = float(np.max(np.abs(norms - 1.0)))
-    if drift > 1e-9:
-        raise TraceDriftError(drift, float(grid.t1))
+    if not drift <= BRUTE_FORCE_NORM_ABORT:
+        raise TraceDriftError(drift, float(grid.t1), BRUTE_FORCE_NORM_ABORT)
     return FullTrajectory(spec, grid.times, states)
 
 

@@ -49,9 +49,9 @@ import numpy as np
 
 from .central_spin import MAX_SECTOR_WORK, RotatedAmplitudes, SpinBathSpec
 from .errors import WorkBudgetError
-from .lindblad import _nonnegative_times, dissipator, integrate_master
+from .lindblad import dissipator, integrate_master
 from .qstate import DensityMatrix2, SIGMA_MINUS, SIGMA_Z
-from .trajectory import RhoTrajectory, TimeGrid, Trajectory
+from .trajectory import RhoTrajectory, TimeGrid, Trajectory, nonnegative_times
 
 __all__ = [
     "SmeRates",
@@ -288,7 +288,7 @@ def sme_analytic(spec: SpinBathSpec, rot: RotatedAmplitudes, t) -> DensityMatrix
     construction fails loudly otherwise.  An array ``t`` gives one batched
     state with an entry per time; negative times are refused.
     """
-    t = _nonnegative_times(t)
+    t = nonnegative_times(t)
     gamma_1, gamma_d = channel_exponents(spec, t)
     gsum = float(np.sum(spec.g))
     p0 = abs(rot.beta) ** 2 * np.exp(-gamma_1)

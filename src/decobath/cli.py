@@ -36,9 +36,11 @@ fig2                bath.N* (50 or 100), grid.*; the bath itself is baked in
 ==================  ===========================================================
 
 ``grid.*`` stands for grid.t0, grid.t1 and grid.steps; every scenario also
-takes output.path.  The dephase-* models start at the preparation time, so
-they require grid.t0 >= 0.  A missing required key, or a key of another
-scenario, is reported like any other problem.
+takes output.path.  A step too fine for the endpoints to resolve (times not
+strictly increasing) is refused with the grid's lines.  The dephase-*
+models start at the preparation time, so they require grid.t0 >= 0.  A
+missing required key, or a key of another scenario, is reported like any
+other problem.
 
 A run whose largest phase passes 2**53 is refused, since no digit of the
 phase modulo 2 pi is left there: Omega max(|grid.t0|, |grid.t1|) > 2**53,
@@ -102,12 +104,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import central_spin, central_spin_nm, dephasing_nm, lindblad
-from .errors import (
-    ConfigError,
-    DegenerateParametersError,
-    QuadratureError,
-    TraceDriftError,
-)
+from .errors import ConfigError, QuadratureError, TraceDriftError
 from .qstate import QubitAmplitudes, density_from_amplitudes
 from .trajectory import TimeGrid, Trajectory
 
@@ -173,9 +170,9 @@ class ScenarioConfig:
     ``params`` the :class:`~decobath.lindblad.DephasingParams`
     (dephase-markov, and dephase-isotropic through its ``gamma``) or the
     :class:`~decobath.dephasing_nm.CorrelatedBathParams` (dephase-correlated);
-    ``spec`` and ``rot`` the spin bath and the rotated amplitudes
-    (central-exact, central-sme, fig2); ``oracle`` the (n, seed) pair of
-    oracle-compare.  A field its scenario does not use is None.
+    ``spec`` the spin bath (central-*, fig2, oracle-compare's seeded bath)
+    and ``rot`` the rotated amplitudes (central-*, fig2).  A field its
+    scenario does not use is None.
     """
 
     scenario: str
@@ -184,7 +181,6 @@ class ScenarioConfig:
     params: Union[lindblad.DephasingParams, dephasing_nm.CorrelatedBathParams, None] = None
     spec: Optional[central_spin.SpinBathSpec] = None
     rot: Optional[central_spin.RotatedAmplitudes] = None
-    oracle: Optional[tuple[int, int]] = None
     output_path: Optional[str] = None
 
 
@@ -306,7 +302,7 @@ def parse_config(text: str) -> ScenarioConfig:
             errors.append(f"{where(keys)}: {exc}")
             return None
 
-    psi = params = spec = rot = oracle = bath = None
+    psi = params = spec = rot = None
     if "system.a" in allowed:
         psi = build(_SYSTEM_KEYS, lambda: QubitAmplitudes(*_unit_pair(
             get("system.a", complex(_INV_SQRT2)), get("system.b", complex(_INV_SQRT2)),
@@ -345,12 +341,11 @@ def parse_config(text: str) -> ScenarioConfig:
             spec = build(_BATH_REQUIRED, lambda: central_spin.SpinBathSpec(
                 N=get("bath.N"), g=get("bath.g"), omega0=get("bath.omega0"),
                 omega=get("bath.omega")))
-        pol = build(_POLARIZATION_KEYS, lambda: _unit_pair(
+        pol = build(_POLARIZATION_KEYS, lambda: QubitAmplitudes(*_unit_pair(
             get("bath.polarization.c", 0j), get("bath.polarization.d", 1 + 0j),
-            "bath.polarization.c/.d"))
+            "bath.polarization.c/.d")))
         if psi and pol:
-            rot = build((*_SYSTEM_KEYS, *_POLARIZATION_KEYS),
-                        lambda: central_spin.rotate_to_polarization(psi.a, psi.b, *pol))
+            rot = central_spin.rotate_to_polarization(psi, pol)
 
     elif scenario == "fig2" and "bath.N" in entries:
         if get("bath.N") in (50, 100):
@@ -361,7 +356,7 @@ def parse_config(text: str) -> ScenarioConfig:
             errors.append(f"line {entries['bath.N'][1]}: the fig2 preset ships N = 50 or N = 100")
 
     elif scenario == "oracle-compare":
-        n, seed = oracle = (get("oracle.n"), get("oracle.seed"))
+        n, seed = get("oracle.n"), get("oracle.seed")
         if n is not None and not 1 <= n <= central_spin.BRUTE_FORCE_MAX_N:
             errors.append(f"line {entries['oracle.n'][1]}: oracle.n must be in "
                           f"[1, {central_spin.BRUTE_FORCE_MAX_N}]")
@@ -370,7 +365,7 @@ def parse_config(text: str) -> ScenarioConfig:
             errors.append(f"line {entries['oracle.seed'][1]}: oracle.seed must be >= 0")
             seed = None
         if None not in (n, seed):
-            bath = _oracle_bath(n, seed)
+            spec = _oracle_bath(n, seed)
 
     grid_keys = ("grid.t0", "grid.t1", "grid.steps")
     defaults = _FIG2_GRID if scenario == "fig2" else _DEFAULT_GRID
@@ -381,8 +376,8 @@ def parse_config(text: str) -> ScenarioConfig:
 
     # omega bounds the frequencies whose phase omega t the scenario's model forms
     omega = 0.0
-    if spec or bath:  # the central-* scenarios, fig2 and oracle-compare
-        omega = _spin_bath_frequency(spec or bath)
+    if spec:  # the central-* scenarios, fig2 and oracle-compare
+        omega = _spin_bath_frequency(spec)
     elif isinstance(params, lindblad.DephasingParams):  # 0 for dephase-isotropic
         omega = abs(params.omega0)
     elif isinstance(params, dephasing_nm.CorrelatedBathParams) and params.J:
@@ -394,7 +389,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     if errors:
         raise ConfigError(errors)
-    return ScenarioConfig(scenario, grid, psi, params, spec, rot, oracle, get("output.path"))
+    return ScenarioConfig(scenario, grid, psi, params, spec, rot, get("output.path"))
 
 
 def _rho_columns(rho) -> dict[str, np.ndarray]:
@@ -421,7 +416,7 @@ def run_scenario(cfg: ScenarioConfig) -> Trajectory:
         return Trajectory(cfg.grid.times, _rho_columns(rho))
 
     if cfg.scenario == "oracle-compare":
-        return oracle_compare_trajectory(*cfg.oracle, cfg.grid)
+        return oracle_compare_trajectory(cfg.spec, cfg.grid)
 
     times = cfg.grid.times
     if cfg.scenario == "dephase-markov":
@@ -437,14 +432,13 @@ def run_scenario(cfg: ScenarioConfig) -> Trajectory:
     return Trajectory(times, _rho_columns(rho))
 
 
-def oracle_compare_trajectory(n: int, seed: int, grid: TimeGrid) -> Trajectory:
-    """Brute-force versus sector evolution on a seeded random bath.
+def oracle_compare_trajectory(spec: central_spin.SpinBathSpec, grid: TimeGrid) -> Trajectory:
+    """Brute-force versus sector evolution on the bath ``spec``.
 
     Columns: per-time maximum amplitude deviation over the N+1 sector basis
     states, and the drift of the conserved total sigma_z expectation.
     """
-    spec = _oracle_bath(n, seed)
-    pairs = [(1.0, 0.0)] + [(0.0, 1.0)] * n  # excitation on the system
+    pairs = [(1.0, 0.0)] + [(0.0, 1.0)] * spec.N  # excitation on the system
     full = central_spin.brute_force_evolve(
         spec, central_spin.product_state(pairs), grid
     )
@@ -505,7 +499,7 @@ def main(argv=None) -> int:
     except (TraceDriftError, QuadratureError, np.linalg.LinAlgError) as exc:
         print(f"error: numerical quality abort: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, DegenerateParametersError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

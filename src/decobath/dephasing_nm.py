@@ -59,6 +59,7 @@ import numpy as np
 
 from .errors import DegenerateParametersError, QuadratureError
 from .qstate import DensityMatrix2, QubitAmplitudes
+from .trajectory import nonnegative_times
 
 __all__ = [
     "SpectralDensity",
@@ -307,10 +308,9 @@ def phi(t: float, J: SpectralDensity) -> float:
     """Phase-shift integral Phi(t) = int_0^inf dw J(w) sin(w t) / w^2.
 
     Phi(0) = 0 and the integrand is odd in t.  For the Ohmic family this
-    equals eta * arctan(omega_c t).
+    equals eta * arctan(omega_c t).  ``t`` must be finite and >= 0.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    t = float(nonnegative_times(t))
     if t == 0.0:
         return 0.0
 
@@ -326,11 +326,10 @@ def phi(t: float, J: SpectralDensity) -> float:
 def gamma_thermal(t: float, J: SpectralDensity, beta: float) -> float:
     """Thermal dephasing exponent int dw J(w) (1 - cos w t)/w^2 coth(beta w / 2).
 
-    ``beta = math.inf`` selects zero temperature (coth -> 1).  The value is
-    nonnegative; it is not monotone for oscillatory spectral densities.
+    ``beta = math.inf`` selects zero temperature (coth -> 1); ``t`` must be
+    finite and >= 0.  The value is nonnegative; oscillatory J make it non-monotone.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    t = float(nonnegative_times(t))
     _check_beta(beta)
     if t == 0.0:
         return 0.0
@@ -629,24 +628,21 @@ class DecoherenceFactors:
 
 
 def _spectral_factors(t: np.ndarray, J: SpectralDensity, beta: float):
-    """Phi and gamma_thermal, flattened, at the times ``t`` >= 0 in closed form."""
+    """Phi and gamma_thermal, flattened, at checked times ``t`` in closed form."""
     _check_beta(beta)
-    times = t.ravel()
-    if not np.all(times >= 0.0):
-        raise ValueError(f"t must be >= 0, got {float(np.min(times))}")
     factors = _ohmic_factors if J.family == "ohmic" else _tabulated_factors
-    return factors(times, J, beta)
+    return factors(t.ravel(), J, beta)
 
 
 def decoherence_factors(t, p: CorrelatedBathParams) -> DecoherenceFactors:
-    """Phi, gamma_thermal, gamma_corr and chi at time(s) ``t`` >= 0.
+    """Phi, gamma_thermal, gamma_corr and chi at finite time(s) ``t`` >= 0.
 
     Phi and gamma_thermal come from the closed forms in the module docstring,
     for the whole time array at once; an array ``t`` gives arrays of its
     shape.  A point where the correlation term annihilates the coherence
     (see :func:`_gamma_corr_from_phi`) gets gamma_corr = inf and chi = nan.
     """
-    t = np.asarray(t, dtype=float)
+    t = nonnegative_times(t)
     phi_t, gamma1 = _spectral_factors(t, p.J, p.beta)
     weights = _bath_weights(p.beta, p.omega0, p.sigma_z_expect)
     gamma2 = _gamma_corr_from_phi(phi_t, weights)
@@ -676,7 +672,7 @@ def rho_uncorrelated(t, psi0: QubitAmplitudes, J: SpectralDensity, beta: float,
     from the same closed forms.  An array ``t`` gives one batched state.  No
     preparation is involved, so beta = inf with omega0 = 0 is allowed.
     """
-    t = np.asarray(t, dtype=float)
+    t = nonnegative_times(t)
     phi_t, gamma1 = _spectral_factors(t, J, beta)
     zero = np.zeros(t.shape)
     return DecoherenceFactors(phi_t.reshape(t.shape), gamma1.reshape(t.shape),

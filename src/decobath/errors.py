@@ -35,7 +35,7 @@ class TraceDriftError(RuntimeError):
         limit: The abort threshold.
     """
 
-    def __init__(self, drift: float, t: float, limit: float = 1e-6):
+    def __init__(self, drift: float, t: float, limit: float):
         super().__init__(
             f"trace drift {drift:.3e} at t={t:.6g} exceeds abort threshold {limit:g}"
         )

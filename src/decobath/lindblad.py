@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import TraceDriftError
 from .qstate import DensityMatrix2, QubitAmplitudes, SIGMA_X, SIGMA_Y, SIGMA_Z
-from .trajectory import RhoTrajectory, TimeGrid
+from .trajectory import RhoTrajectory, TimeGrid, nonnegative_times
 
 __all__ = [
     "DephasingParams",
@@ -51,10 +51,14 @@ class DephasingParams:
     omega0: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.gamma) or self.gamma < 0:
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        _check_rate(self.gamma)
         if not np.isfinite(self.omega0):
             raise ValueError("omega0 must be finite")
+
+
+def _check_rate(gamma: float) -> None:
+    if not (gamma >= 0 and np.isfinite(gamma)):
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
 
 
 def dissipator(op: np.ndarray, rho: np.ndarray | DensityMatrix2) -> np.ndarray:
@@ -95,8 +99,7 @@ def isotropic_generator(gamma: float) -> Generator:
     Expanding the three dissipators contracts the whole Bloch vector at rate
     4*gamma, so the solution is rho(t) = I/2 + exp(-4 gamma t) (rho0 - I/2).
     """
-    if not np.isfinite(gamma) or gamma < 0:
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    _check_rate(gamma)
 
     def rhs(t: float, rho: np.ndarray) -> np.ndarray:
         return (gamma / 2.0) * (
@@ -116,7 +119,7 @@ def evolve_dephasing_markov(psi0: QubitAmplitudes, params: DephasingParams, t) -
     the statistical mixture diag(|a|^2, |b|^2): the measurement fixed point.
     An array ``t`` gives one batched state with an entry per time.
     """
-    t = _nonnegative_times(t)
+    t = nonnegative_times(t)
     a, b = psi0.a, psi0.b
     coh = a * np.conj(b) * np.exp(-1j * params.omega0 * t) * np.exp(-params.gamma * t)
     return DensityMatrix2.from_parts(abs(a) ** 2, abs(b) ** 2, coh)
@@ -128,22 +131,14 @@ def evolve_isotropic_markov(rho0: DensityMatrix2, gamma: float, t) -> DensityMat
     The maximally mixed state I/2 is the fixed point for every initial state.
     An array ``t`` gives one batched state with an entry per time.
     """
-    t = _nonnegative_times(t)
-    if not np.isfinite(gamma) or gamma < 0:
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    t = nonnegative_times(t)
+    _check_rate(gamma)
     f = np.exp(-4.0 * (gamma * t))  # not (-4 gamma) t: -inf * 0 at gamma = 1e308
     return DensityMatrix2.from_parts(
         0.5 + f * (rho0.rho00 - 0.5),
         0.5 + f * (rho0.rho11 - 0.5),
         f * rho0.coherence,
     )
-
-
-def _nonnegative_times(t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError(f"t must be >= 0, got {np.min(t)}")
-    return t
 
 
 def _check_generator_contract(rhs: Generator, t0: float, rho0: np.ndarray) -> None:
@@ -167,8 +162,8 @@ def integrate_master(
     """Fixed-step 4th-order Runge-Kutta integration of d(rho)/dt = rhs(t, rho).
 
     The generator must be trace-free and Hermiticity-preserving (checked at
-    the initial state).  Trace drift is monitored at every step; drift beyond
-    1e-6 aborts with :class:`~decobath.errors.TraceDriftError`.
+    the initial state).  Trace drift beyond :data:`TRACE_ABORT`, or a NaN
+    trace, at any step aborts with :class:`~decobath.errors.TraceDriftError`.
     """
     rho = rho0.matrix
     _check_generator_contract(rhs, grid.t0, rho)
@@ -184,7 +179,7 @@ def integrate_master(
         k4 = rhs(t + h, rho + h * k3)
         rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         drift = abs(rho[0, 0].real + rho[1, 1].real - 1.0)
-        if drift > TRACE_ABORT:
-            raise TraceDriftError(drift, times[i + 1])
+        if not drift <= TRACE_ABORT:
+            raise TraceDriftError(drift, times[i + 1], TRACE_ABORT)
         out[i + 1] = rho
     return RhoTrajectory(times, out)

@@ -16,6 +16,8 @@ All arithmetic is IEEE double precision; no arbitrary-precision types are used.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +41,18 @@ for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, SIGMA_PLUS, SIGMA_MINUS):
 del _m
 
 
-def _require_finite(name: str, *values: complex) -> None:
-    for v in values:
-        if not (np.isfinite(v.real) and np.isfinite(v.imag)):
-            raise ValueError(f"{name} must have finite components, got {v!r}")
+def unit_pair(x, y, names: tuple[str, str] = ("a", "b")) -> tuple[complex, complex]:
+    """(x, y) as complex numbers, refused unless finite with |x|^2 + |y|^2 = 1
+    within :data:`ATOL_ANALYTIC` (the norm by hypot, so 1e200 cannot overflow)."""
+    x, y = complex(x), complex(y)
+    for v in (x, y):
+        if not cmath.isfinite(v):
+            raise ValueError(f"amplitude must have finite components, got {v!r}")
+    norm = math.hypot(x.real, x.imag, y.real, y.imag)
+    deviation = abs(norm * norm - 1.0)
+    if not deviation <= ATOL_ANALYTIC:
+        raise NormalizationError(f"|{names[0]}|^2 + |{names[1]}|^2 must equal 1", deviation)
+    return x, y
 
 
 @dataclass(frozen=True)
@@ -53,21 +63,9 @@ class QubitAmplitudes:
     b: complex
 
     def __post_init__(self):
-        a, b = complex(self.a), complex(self.b)
-        _require_finite("amplitude", a, b)
-        deviation = abs(abs(a) ** 2 + abs(b) ** 2 - 1.0)
-        if deviation > ATOL_ANALYTIC:
-            raise NormalizationError("|a|^2 + |b|^2 must equal 1", deviation)
+        a, b = unit_pair(self.a, self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    @classmethod
-    def normalized(cls, a: complex, b: complex) -> "QubitAmplitudes":
-        """Build amplitudes from an unnormalized pair by explicit rescaling."""
-        norm = np.hypot(abs(a), abs(b))
-        if norm == 0.0 or not np.isfinite(norm):
-            raise ValueError("cannot normalize a zero or non-finite amplitude pair")
-        return cls(a / norm, b / norm)
 
     @property
     def bloch_z(self) -> float:

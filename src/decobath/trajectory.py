@@ -8,12 +8,33 @@ import numpy as np
 
 from .qstate import ATOL_INTEGRATED
 
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
+
+
+def positive_count(value, name: str) -> int:
+    """``value`` as an int, refused unless it is a whole number >= 1 (NaN and inf too)."""
+    if not (1 <= value < np.inf and value % 1 == 0):
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+    return int(value)
+
+
+def nonnegative_times(t) -> np.ndarray:
+    """``t`` as a float array, refused unless every entry is finite and >= 0."""
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0.0) & (t < np.inf)):
+        worst = np.min(t) if not np.min(t) >= 0.0 else np.max(t)
+        raise ValueError(f"t must be >= 0 and finite, got {worst}")
+    return t
+
 
 @dataclass(frozen=True)
 class TimeGrid:
     """A uniform time grid with ``steps`` intervals from t0 to t1.
 
-    ``times`` has ``steps + 1`` points including both endpoints.
+    ``times`` has ``steps + 1`` strictly increasing points including both
+    endpoints.  Rounding t0 + k dt moves neighbours closer by < 3.5 eps
+    max(|t0|, |t1|), so a step dt not above 4 eps max(|t0|, |t1|), or below
+    the smallest normal double, is refused before any time exists.
     """
 
     t0: float
@@ -25,9 +46,12 @@ class TimeGrid:
             raise ValueError("grid endpoints must be finite")
         if not self.t1 > self.t0:
             raise ValueError(f"require t1 > t0, got [{self.t0}, {self.t1}]")
-        if int(self.steps) != self.steps or self.steps < 1:
-            raise ValueError(f"steps must be a positive integer, got {self.steps}")
-        object.__setattr__(self, "steps", int(self.steps))
+        object.__setattr__(self, "steps", positive_count(self.steps, "steps"))
+        # span / bound > steps: a huge int ``steps`` is never converted to float
+        span, scale = self.t1 - self.t0, max(abs(self.t0), abs(self.t1))
+        if not (span < np.inf and span / max(4.0 * _EPS * scale, _TINY) > self.steps):
+            raise ValueError(f"{self.steps} steps over [{self.t0}, {self.t1}] are finer than the "
+                             f"endpoints resolve: the times would not be strictly increasing")
 
     @property
     def dt(self) -> float:

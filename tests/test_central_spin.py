@@ -26,12 +26,17 @@ from decobath.central_spin import (
     survival_amplitude,
 )
 from decobath.errors import NormalizationError, TraceDriftError, WorkBudgetError
+from decobath.qstate import QubitAmplitudes
 from decobath.trajectory import TimeGrid
 
 
 def random_pair(rng):
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
     return tuple(v / np.linalg.norm(v))
+
+
+def rotate(a, b, c, d):
+    return rotate_to_polarization(QubitAmplitudes(a, b), QubitAmplitudes(c, d))
 
 
 def random_spec(rng, n):
@@ -71,7 +76,7 @@ class TestRotation:
     def test_bath_already_aligned(self):
         # (c, d) = (0, 1): alpha = b, beta = a
         a, b = 0.6, 0.8j
-        rot = rotate_to_polarization(a, b, 0.0, 1.0)
+        rot = rotate(a, b, 0.0, 1.0)
         assert rot.alpha == pytest.approx(b)
         assert rot.beta == pytest.approx(a)
 
@@ -79,7 +84,7 @@ class TestRotation:
         rng = np.random.default_rng(3)
         for _ in range(20):
             c, d = random_pair(rng)
-            rot = rotate_to_polarization(c, d, c, d)
+            rot = rotate(c, d, c, d)
             assert rot.alpha == pytest.approx(1.0, abs=1e-12)
             assert abs(rot.beta) == pytest.approx(0.0, abs=1e-12)
 
@@ -92,15 +97,15 @@ class TestRotation:
             r = np.array([[d, -c], [np.conj(c), np.conj(d)]])
             assert np.max(np.abs(r.conj().T @ r - np.eye(2))) < 1e-12
             expect = r @ np.array([a, b])
-            rot = rotate_to_polarization(a, b, c, d)
+            rot = rotate(a, b, c, d)
             assert rot.beta == pytest.approx(expect[0], abs=1e-12)
             assert rot.alpha == pytest.approx(expect[1], abs=1e-12)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(NormalizationError):
-            rotate_to_polarization(1.0, 1.0, 0.0, 1.0)
+            rotate(1.0, 1.0, 0.0, 1.0)
         with pytest.raises(NormalizationError):
-            rotate_to_polarization(1.0, 0.0, 0.5, 0.5)
+            rotate(1.0, 0.0, 0.5, 0.5)
 
 
 class TestAlignedEnergy:
@@ -464,6 +469,25 @@ class TestBruteForce:
         fidelity = np.abs(full.states @ v.conj())
         assert np.max(np.abs(fidelity - 1.0)) < 1e-10
 
+    def test_norm_drift_abort_names_its_threshold(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        spec = random_spec(np.random.default_rng(56), 3)
+        v = np.zeros(spec.dim_full, complex)
+        v[aligned_index(3)] = 1.0
+        grid = TimeGrid(0.0, 1.0, 10)
+        propagate = scipy.sparse.linalg.expm_multiply
+        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply",
+                            lambda *args, **kw: propagate(*args, **kw) * (1.0 + 1e-8))
+        with pytest.raises(TraceDriftError, match=r"threshold 1e-09$"):
+            brute_force_evolve(spec, v, grid)
+        monkeypatch.setattr(central_spin, "BRUTE_FORCE_NORM_ABORT", 2e-8)
+        brute_force_evolve(spec, v, grid)
+        monkeypatch.setattr(central_spin, "BRUTE_FORCE_NORM_ABORT", -1.0)
+        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", propagate)
+        with pytest.raises(TraceDriftError, match=r"threshold -1$"):
+            brute_force_evolve(spec, v, grid)
+
     def test_basis_covariance_under_polarization_rotation(self):
         # tilting every field axis by R and starting from a (c, d)-polarized
         # bath is the same experiment as the z-axis problem in rotated labels
@@ -478,7 +502,7 @@ class TestBruteForce:
         tilted = brute_force_evolve(
             spec, product_state([(a, b)] + [(c, d)] * n), grid, field_unitary=r
         )
-        rot = rotate_to_polarization(a, b, c, d)
+        rot = rotate(a, b, c, d)
         straight = brute_force_evolve(
             spec,
             product_state([(rot.beta, rot.alpha)] + [(0.0, 1.0)] * n),

@@ -17,7 +17,7 @@ from decobath.central_spin_nm import (
     sme_discrepancy_report,
     sme_rates,
 )
-from decobath.qstate import SIGMA_Z
+from decobath.qstate import SIGMA_Z, QubitAmplitudes
 from decobath.trajectory import TimeGrid
 
 
@@ -433,7 +433,7 @@ class TestDiscrepancyReport:
         from decobath.central_spin import fig2_spec, rotate_to_polarization
 
         spec = fig2_spec(50)
-        rot = rotate_to_polarization(0.6, 0.8, 0.0, 1.0)
+        rot = rotate_to_polarization(QubitAmplitudes(0.6, 0.8), QubitAmplitudes(0.0, 1.0))
         rep = sme_discrepancy_report(spec, rot, TimeGrid(0.0, 0.01, 100))
         assert math.isfinite(rep.best_fit_dephasing_factor)
         summary = rep.summary()

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -18,7 +21,7 @@ from decobath.cli import (
 )
 from decobath.errors import ConfigError
 from decobath.lindblad import DephasingParams, evolve_dephasing_markov
-from decobath.qstate import DensityMatrix2
+from decobath.qstate import DensityMatrix2, QubitAmplitudes
 from decobath.trajectory import TimeGrid, Trajectory
 
 
@@ -280,7 +283,7 @@ class TestRunScenario:
             assert np.all(np.isfinite(traj.columns["reCoh"]))
 
     def test_oracle_compare_deviation_below_threshold(self):
-        traj = oracle_compare_trajectory(6, 42, TimeGrid(0.0, 5.0, 100))
+        traj = oracle_compare_trajectory(cli._oracle_bath(6, 42), TimeGrid(0.0, 5.0, 100))
         assert float(np.max(traj.columns["ampDev"])) < 1e-10
         assert float(np.max(traj.columns["szDrift"])) < 1e-10
 
@@ -598,6 +601,33 @@ class TestMain:
         assert main(["run", "/nonexistent/cfg.txt"]) == 2
         assert "cannot read config" in capsys.readouterr().err
 
+    def test_unresolvable_grid_refused_before_running(self, tmp_path, capsys):
+        # five ulps of 1 cut into 1000 steps: the grid refuses it with its
+        # three lines, before the model runs or any CSV is written
+        out = tmp_path / "out.csv"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("scenario = dephase-markov\ngamma = 1\ngrid.t0 = 1\n"
+                       "grid.t1 = 1.000000000000001\ngrid.steps = 1000\n"
+                       f"output.path = {out}\n")
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "line 3: grid.t0, line 4: grid.t1, line 5: grid.steps: " in err
+        assert "strictly increasing" in err
+        assert not out.exists()
+
+    def test_python_m_runs_the_module_once(self, tmp_path):
+        # the package does not import cli, so runpy finds no half-run copy
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                          os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "dev.csv"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "decobath.cli",
+             "oracle-compare", "--n", "2", "--seed", "1", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text().startswith("t,ampDev,szDrift\n")
+
     def test_long_readme_central_sme_completes_fast(self, tmp_path):
         # the README bath run ten times longer: ~3e8 steps at the RK4
         # oracle's step, one mode sum per time point on the exact path
@@ -609,7 +639,7 @@ class TestMain:
         assert time.perf_counter() - started < 2.0
         traj = Trajectory.read_csv(out)
         rot = central_spin.rotate_to_polarization(
-            1 / math.sqrt(2), 1 / math.sqrt(2), 0.0, 1.0)
+            QubitAmplitudes(1 / math.sqrt(2), 1 / math.sqrt(2)), QubitAmplitudes(0.0, 1.0))
         delta = 0.9 - np.array([0.1, 0.4, 0.7, 1.0, 1.3, 1.6, 1.9, 2.2])
         s = np.sin(0.5 * np.outer(traj.times, delta))
         gamma_1 = np.sum(1.44 * 4.0 * s * s / delta**2, axis=1)

@@ -273,7 +273,7 @@ class TestReducedStates:
 
     def test_long_time_collapse(self):
         # strong coupling at finite temperature: gamma_thermal >= 20 at late t
-        psi = QubitAmplitudes.normalized(1.0, 1.0)
+        psi = QubitAmplitudes(math.sqrt(0.5), math.sqrt(0.5))
         p = make_params(eta=4.0, omega_c=3.0, beta=0.05, omega0=1.0, z=0.0)
         t = 30.0
         assert gamma_thermal(t, p.J, p.beta) > 20.0

@@ -215,6 +215,18 @@ def test_integrate_master_aborts_on_trace_drift():
         integrate_master(rho0, leaky, TimeGrid(0.0, 10.0, 100))
 
 
+def test_integrate_master_aborts_on_nan_trace():
+    # zero at t0, so the contract check passes; NaN at every later time
+    rho0 = DensityMatrix2(np.diag([0.4, 0.6]).astype(complex))
+
+    def nan_after_start(t, rho):
+        return np.zeros((2, 2), complex) if t == 0.0 else np.full((2, 2), np.nan, complex)
+
+    with pytest.raises(TraceDriftError, match="abort threshold 1e-06") as exc:
+        integrate_master(rho0, nan_after_start, TimeGrid(0.0, 1.0, 10))
+    assert np.isnan(exc.value.drift)
+
+
 def test_steady_state_structure_of_master_equation_generator():
     # generator form (r/2) L[sigma_z, .]: diagonal states are exact fixed
     # points and off-diagonal entries decay at rate 2r
