@@ -21,13 +21,14 @@ path, takes that measure from the arrowhead's secular equation
 O(N) memory, no eigenvector formed, oversize runs refused up front.  Full
 eigenvectors come only from the dense solver in :func:`evolve_sector`, for
 general initial states and the oracle checks.  A full 2^(N+1) brute-force
-propagator (N <= 12) is the oracle that validates the sector reduction.
+propagator (N <= 12) is the oracle that validates the sector reduction: one
+Chebyshev expansion of exp(-iHt) over the whole time grid, its Bessel
+weights from numpy.
 
-Only that oracle needs scipy (``scipy.sparse`` for the Hamiltonian,
-``expm_multiply`` for the propagation), so both are imported inside
-:func:`build_full_hamiltonian` and :func:`brute_force_evolve`: the
-production paths then start with numpy alone, which saves a short run most
-of its start-up time.
+Only that oracle needs scipy, and only ``scipy.sparse`` for the
+Hamiltonian, imported inside :func:`build_full_hamiltonian` and
+:func:`brute_force_evolve`: the production paths then start with numpy
+alone, which saves a short run most of its start-up time.
 """
 
 from __future__ import annotations
@@ -68,11 +69,12 @@ __all__ = [
 BRUTE_FORCE_MAX_N = 12
 #: Norm drift of the brute-force register above this aborts the run.
 BRUTE_FORCE_NORM_ABORT = 1e-9
-#: Largest estimated work of one survival-amplitude run (:func:`spectral_work`)
-#: or one channel-exponent pass (``central_spin_nm.channel_exponents``, mode
-#: x time pairs); larger runs are refused before any large allocation.  On
-#: one Xeon core a (root, pole), (root, time) or (mode, time) pair costs
-#: 30-50 ns, so a run at the cap takes about a minute.
+#: Largest estimated work of one survival-amplitude run (:func:`spectral_work`),
+#: one channel-exponent pass (``central_spin_nm.channel_exponents``, mode
+#: x time pairs) or one brute-force propagation (:func:`brute_force_evolve`);
+#: larger runs are refused before any large allocation.  On one Xeon core a
+#: (root, pole), (root, time) or (mode, time) pair costs 30-50 ns, so a run
+#: at the cap takes about a minute; a brute-force element costs ~0.3 ns.
 MAX_SECTOR_WORK = 1_000_000_000
 
 _NORM_TOL = 1e-10
@@ -83,6 +85,22 @@ _BLOCK_ELEMENTS = 1 << 17
 #: on average, at most 10, on random baths of up to 10^4 spins).
 _SECULAR_MAX_ITER = 64
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+#: The Chebyshev series of the brute-force propagator stops where the Bessel
+#: bound on its dropped tail, 2 sum_{k>K} |J_k(x)|, falls below this.
+_CHEBYSHEV_TAIL = 1e-17
+#: Orders above a column's degree where Miller's backward recurrence starts;
+#: its start error then reaches the kept orders damped below J_K(x) ~ 1e-17.
+_MILLER_MARGIN = 8
+#: Chebyshev vectors held at once, and time points per product with them,
+#: so the propagator's scratch does not grow with the degree or the grid.
+_CHEBYSHEV_CHUNK = 64
+_CHEBYSHEV_TIMES = 32
+#: Costs in the brute-force work estimate beyond its elements (~0.3 ns
+#: each): one Bessel weight of Miller's recurrence (~10 ns) and the fixed
+#: interpreter and call overhead of one Chebyshev step (~20 us).
+_BESSEL_WORK = 32
+_CHEBYSHEV_STEP_WORK = 65_536
 
 
 @dataclass(frozen=True)
@@ -600,6 +618,72 @@ class FullTrajectory:
         return self.states[:, aligned_index(self.spec.N)]
 
 
+def _chebyshev_degrees(x) -> np.ndarray:
+    """Chebyshev degree K for each x = r |t| >= 0, as whole floats.
+
+    K is the least order at which a bound on the dropped Bessel tail
+    2 sum_{k>K} |J_k(x)| falls below ``_CHEBYSHEV_TAIL``.  That tail is at
+    most 2 (e^{x/2} - 1), so K = 0 where this is below it.  Otherwise
+    K > x, where Kapteyn's inequality bounds |J_n(x)| by
+    exp(n (tanh a - a)), cosh a = n/x, and each next bound is smaller by at
+    least e^{-a}: the tail past n is then at most
+    2 exp(n (tanh a - a)) / (e^a - 1), which falls with n, so doubling and
+    then bisection find the least n it puts below the target.
+    """
+    x = np.asarray(x, dtype=float)
+    log_tail = math.log(_CHEBYSHEV_TAIL / 2.0)
+
+    def tail_small(n):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            a = np.arccosh(n / x)
+            return n * (np.tanh(a) - a) - np.log(np.expm1(a)) <= log_tail
+
+    # lo never qualifies (K > x); lo + gap does once the doubling stops
+    lo, gap = np.floor(x), np.ones_like(x)
+    for _ in range(64):
+        short = ~tail_small(lo + gap)
+        if not short.any():
+            break
+        gap[short] *= 2.0
+    hi = lo + gap
+    for _ in range(64):
+        open_ = hi - lo > 1.0
+        if not open_.any():
+            break
+        mid = np.floor(0.5 * (lo + hi))
+        small = tail_small(mid)
+        hi = np.where(open_ & small, mid, hi)
+        lo = np.where(open_ & ~small, mid, lo)
+    return np.where(x <= 2.0 * math.log1p(0.5 * _CHEBYSHEV_TAIL), 0.0, hi)
+
+
+def _bessel_table(x: np.ndarray, degrees: np.ndarray, rows: int) -> np.ndarray:
+    """J_k(x_j) for k < ``rows``, one column per x_j >= 0 of degree ``degrees[j]``.
+
+    Miller's backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}: column j
+    starts from (J_s, J_{s+1}) = (1, 0) at s = degree + ``_MILLER_MARGIN``
+    and runs down to k = 0, then is normalised by J_0 + 2 sum_k J_2k = 1.
+    A column of degree 0 (x below about 1e-17) is (1, 0, 0, ...).  The
+    other columns grow from their seed 1 by at most ~1e161 (at x ~ 1e-17,
+    degree 1) before the normalisation, so nothing overflows.
+    """
+    starts = np.where(degrees > 0, degrees + _MILLER_MARGIN, 0.0).astype(np.intp)
+    top = int(starts.max())
+    table = np.zeros((max(top, rows) + 2, x.size))
+    table[starts, np.arange(x.size)] = 1.0
+    two_over_x = np.divide(2.0, x, out=np.zeros_like(x), where=degrees > 0)
+    step = np.empty(x.size)
+    # rows above a column's start hold 0, so adding the recurrence seeds
+    # the column at its start row and continues it below
+    for k in range(top, 0, -1):
+        np.multiply(two_over_x, table[k], out=step)
+        step *= k
+        step -= table[k + 1]
+        table[k - 1] += step
+    table /= table[0] + 2.0 * table[2::2].sum(axis=0)
+    return table[:rows]
+
+
 def brute_force_evolve(
     spec: SpinBathSpec,
     initial: np.ndarray,
@@ -608,23 +692,80 @@ def brute_force_evolve(
 ) -> FullTrajectory:
     """Propagate the full 2^(N+1) register exactly (N <= 12).
 
-    Uses a scaling-and-squaring matrix exponential applied to the state
-    vector over the whole grid in one pass.  A non-unit ``initial`` (NaN
-    included) is refused; norm drift beyond BRUTE_FORCE_NORM_ABORT aborts.
+    One Chebyshev expansion (Tal-Ezer & Kosloff 1984) serves the whole
+    grid.  With [lo, hi] the Gershgorin bounds of H's rows, c their centre
+    and r their half-width, H^ = (H - c)/r has its spectrum in [-1, 1] and
+
+        psi(t) = e^{-ict} sum_k (2 - delta_k0) J_k(rt) (-i)^k T_k(H^) psi(0),
+
+    with the vectors U_k = (-i)^k T_k(H^) psi(0) from the three-term
+    recurrence U_{k+1} = -2i H^ U_k + U_{k-1}.  The series stops at the
+    degree K whose Bessel tail at r max|t| is below 1e-17; the weights
+    J_k(rt) come from Miller's recurrence in numpy.  Chunks of U_k meet
+    blocks of time points in fixed-size real products, so memory is the
+    states plus a fixed scratch.
+
+    The estimated work K (nnz(H) + points 2^(N+1)), plus the Bessel
+    weights and a fixed cost per term, is checked against MAX_SECTOR_WORK
+    before any weight or state is allocated; a larger run raises
+    WorkBudgetError.  A non-unit ``initial`` (NaN included) is refused;
+    norm drift beyond BRUTE_FORCE_NORM_ABORT aborts.
     """
-    from scipy.sparse.linalg import expm_multiply
+    import scipy.sparse
 
     initial = _unit_state(initial, spec.dim_full, "register")
     h = build_full_hamiltonian(spec, field_unitary)
-    states = expm_multiply(
-        -1j * h, initial, start=grid.t0, stop=grid.t1,
-        num=grid.steps + 1, endpoint=True,
-    )
-    norms = np.linalg.norm(states, axis=1)
+    dim = spec.dim_full
+    diag = h.diagonal().real
+    radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
+    lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
+    centre, half = 0.5 * (lo + hi), max(0.5 * (hi - lo), _TINY)
+    # U_{k+1} = step U_k + U_{k-1}
+    step = (h - centre * scipy.sparse.identity(dim, format="csr")) * (-2j / half)
+
+    points = grid.steps + 1
+    order = int(_chebyshev_degrees(half * max(abs(grid.t0), abs(grid.t1))))
+    work = order * (step.nnz + points * (dim + _BESSEL_WORK) + _CHEBYSHEV_STEP_WORK)
+    if work > MAX_SECTOR_WORK:
+        raise WorkBudgetError(work, order, points, MAX_SECTOR_WORK,
+                              f"Chebyshev terms on a {dim}-state register")
+
+    times = grid.times
+    x = half * np.abs(times)
+    degrees = _chebyshev_degrees(x)
+    weights = _bessel_table(x, degrees, order + 1)
+    weights[1:] *= 2.0
+    weights[1::2, times < 0.0] *= -1.0  # J_k(-x) = (-1)^k J_k(x)
+
+    states = np.zeros((times.size, dim), dtype=complex)
+    vectors = np.empty((min(_CHEBYSHEV_CHUNK, order + 1), dim), dtype=complex)
+    part = np.empty((min(_CHEBYSHEV_TIMES, times.size), 2 * dim))
+    # complex rows viewed as real pairs: real weights times complex vectors
+    # is one real matrix product
+    states_re, vectors_re = states.view(float), vectors.view(float)
+    for k0 in range(0, order + 1, _CHEBYSHEV_CHUNK):
+        count = min(_CHEBYSHEV_CHUNK, order + 1 - k0)
+        for j in range(count):
+            # from the second chunk on, rows -1 and -2 still hold the last
+            # two vectors of the previous (full) chunk
+            if k0 + j == 0:
+                vectors[0] = initial
+            elif k0 + j == 1:
+                np.multiply(step @ initial, 0.5, out=vectors[1])
+            else:
+                np.add(step @ vectors[j - 1], vectors[j - 2], out=vectors[j])
+        for b0 in range(0, times.size, _CHEBYSHEV_TIMES):
+            rows = slice(b0, b0 + _CHEBYSHEV_TIMES)
+            n = min(_CHEBYSHEV_TIMES, times.size - b0)
+            np.matmul(weights[k0:k0 + count, rows].T, vectors_re[:count], out=part[:n])
+            states_re[rows] += part[:n]
+    states *= np.exp(-1j * centre * times)[:, None]
+
+    norms = np.sqrt(np.einsum("ij,ij->i", states_re, states_re))
     drift = float(np.max(np.abs(norms - 1.0)))
     if not drift <= BRUTE_FORCE_NORM_ABORT:
         raise TraceDriftError(drift, float(grid.t1), BRUTE_FORCE_NORM_ABORT)
-    return FullTrajectory(spec, grid.times, states)
+    return FullTrajectory(spec, times, states)
 
 
 def first_revival(

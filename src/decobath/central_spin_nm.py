@@ -110,10 +110,11 @@ def channel_exponents(spec: SpinBathSpec, t) -> tuple[np.ndarray, np.ndarray]:
     |x| < ``_SMALL_PHASE`` or delta^2 underflows to 0.  gamma_d's x - sin x
     cancels whenever |x| is small, so for |x| < 1 it is x t^2 times the
     series of (x - sin x)/x^3, which also gives exactly 0 at resonance.  A
-    scalar ``t`` gives scalars.  More than ``MAX_SECTOR_WORK`` mode-time
-    pairs raise WorkBudgetError before the first block.
+    scalar ``t`` gives scalars; a negative, NaN or infinite time is
+    refused.  More than ``MAX_SECTOR_WORK`` mode-time pairs raise
+    WorkBudgetError before the first block.
     """
-    t = np.asarray(t, dtype=float)
+    t = nonnegative_times(t)
     flat = t.reshape(-1)
     work = flat.size * spec.N
     if work > MAX_SECTOR_WORK:

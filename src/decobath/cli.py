@@ -64,6 +64,13 @@ O(time points x bath.N).  A run whose time points x bath.N exceed the same
 ``central_spin.MAX_SECTOR_WORK`` is refused before its first block, with
 exit code 2 and the estimate in the message.
 
+oracle-compare propagates the full 2^(oracle.n + 1) register with one
+Chebyshev expansion over the whole grid.  A run whose estimated work
+(Chebyshev terms x (nonzeros of H + time points x (2^(oracle.n + 1) + 32)
++ 65536)) exceeds the same ``central_spin.MAX_SECTOR_WORK`` is refused
+before any weight or state is allocated, with exit code 2 and the
+estimate in the message.
+
 dephase-correlated evaluates its spectral integrals in closed form over the
 whole grid.  The thermal part of a tabulated density at finite temperature
 is integrated on fixed quadrature panels whose number grows with
@@ -86,7 +93,7 @@ prepend ``P0`` (survival probability); dephase-correlated appends
 carry 17 significant digits (exact round trip), lines end with LF.
 
 Exit codes: 0 success, 2 configuration error (including a phase past 2**53
-and a central-exact or central-sme run over the work cap), 3
+and a central-exact, central-sme or oracle-compare run over the work cap), 3
 numerical-quality abort (including a dephase-correlated run over the
 spectral evaluation cap and a central-exact or fig2 sum-rule or convergence
 failure).

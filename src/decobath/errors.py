@@ -65,10 +65,12 @@ class WorkBudgetError(ValueError):
 
     Attributes:
         work: Estimated element pairs.
-        size: Count of the bath terms the work scales with, described by
+        size: Count of the terms the work scales with, described by
             ``terms``: secular poles after deflation
-            (``central_spin.spectral_work``) or bath modes
-            (``central_spin_nm.channel_exponents``).
+            (``central_spin.spectral_work``), bath modes
+            (``central_spin_nm.channel_exponents``) or Chebyshev terms
+            of the brute-force propagator
+            (``central_spin.brute_force_evolve``).
         points: Time points of the grid.
         limit: The work cap.
     """

@@ -470,21 +470,21 @@ class TestBruteForce:
         assert np.max(np.abs(fidelity - 1.0)) < 1e-10
 
     def test_norm_drift_abort_names_its_threshold(self, monkeypatch):
-        import scipy.sparse.linalg
-
         spec = random_spec(np.random.default_rng(56), 3)
         v = np.zeros(spec.dim_full, complex)
         v[aligned_index(3)] = 1.0
         grid = TimeGrid(0.0, 1.0, 10)
-        propagate = scipy.sparse.linalg.expm_multiply
-        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply",
-                            lambda *args, **kw: propagate(*args, **kw) * (1.0 + 1e-8))
+        # every state is linear in the Bessel weights: scaling them scales
+        # the propagator's output by the same factor
+        weights = central_spin._bessel_table
+        monkeypatch.setattr(central_spin, "_bessel_table",
+                            lambda *args: weights(*args) * (1.0 + 1e-8))
         with pytest.raises(TraceDriftError, match=r"threshold 1e-09$"):
             brute_force_evolve(spec, v, grid)
         monkeypatch.setattr(central_spin, "BRUTE_FORCE_NORM_ABORT", 2e-8)
         brute_force_evolve(spec, v, grid)
         monkeypatch.setattr(central_spin, "BRUTE_FORCE_NORM_ABORT", -1.0)
-        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", propagate)
+        monkeypatch.setattr(central_spin, "_bessel_table", weights)
         with pytest.raises(TraceDriftError, match=r"threshold -1$"):
             brute_force_evolve(spec, v, grid)
 
@@ -516,6 +516,97 @@ class TestBruteForce:
             return out.reshape(states.shape)
 
         assert np.max(np.abs(rotate_register(tilted.states) - straight.states)) < 1e-10
+
+    @pytest.mark.parametrize("n, grid, tilted", [
+        (5, TimeGrid(0.0, 4.0, 40), False),
+        (4, TimeGrid(1.5, 6.0, 30), True),    # t0 > 0, complex H
+        (3, TimeGrid(-2.0, 3.0, 25), False),  # negative times: J_k(-x)
+        (6, TimeGrid(0.5, 3.0, 10), True),
+    ])
+    def test_matches_expm_multiply_and_dense_expm(self, n, grid, tilted):
+        import scipy.linalg
+        import scipy.sparse.linalg
+
+        rng = np.random.default_rng(100 + n)
+        spec = random_spec(rng, n)
+        r = None
+        if tilted:
+            c, d = random_pair(rng)
+            r = np.array([[d, -c], [np.conj(c), np.conj(d)]])
+        v = rng.normal(size=spec.dim_full) + 1j * rng.normal(size=spec.dim_full)
+        v /= np.linalg.norm(v)
+        h = build_full_hamiltonian(spec, r)
+        assert np.any(h.data.imag) == tilted
+        full = brute_force_evolve(spec, v, grid, field_unitary=r)
+        taylor = scipy.sparse.linalg.expm_multiply(
+            -1j * h, v, start=grid.t0, stop=grid.t1, num=grid.steps + 1, endpoint=True)
+        dense = h.toarray()
+        exact = np.array([scipy.linalg.expm(-1j * t * dense) @ v for t in grid.times])
+        assert np.max(np.abs(full.states - taylor)) < 1e-10
+        assert np.max(np.abs(full.states - exact)) < 1e-10
+
+    def test_long_horizon(self):
+        import scipy.sparse.linalg
+
+        spec = random_spec(np.random.default_rng(808), 8)
+        grid = TimeGrid(0.0, 200.0, 200)
+        full = brute_force_evolve(spec, product_state([(1.0, 0.0)] + [(0.0, 1.0)] * 8), grid)
+        sector = evolve_sector(spec, grid=grid)
+        assert np.max(np.abs(full.sector_amplitudes() - sector.amplitudes)) < 1e-10
+        # every tenth grid time, t = 0, 10, ..., 200
+        taylor = scipy.sparse.linalg.expm_multiply(
+            -1j * build_full_hamiltonian(spec), full.states[0],
+            start=0.0, stop=200.0, num=21, endpoint=True)
+        assert np.max(np.abs(full.states[::10] - taylor)) < 1e-10
+
+    def test_work_over_the_cap_is_refused_before_any_weight(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("weights were computed for a refused run")
+
+        monkeypatch.setattr(central_spin, "_bessel_table", no_work)
+        spec = random_spec(np.random.default_rng(3), 2)
+        v = product_state([(1.0, 0.0), (0.0, 1.0), (0.0, 1.0)])
+        with pytest.raises(WorkBudgetError, match="Chebyshev terms on a 8-state register") as err:
+            brute_force_evolve(spec, v, TimeGrid(0.0, 1e6, 1))
+        assert err.value.work > central_spin.MAX_SECTOR_WORK
+
+
+class TestBesselWeights:
+    """The propagator's numpy Bessel weights against independent references."""
+
+    @staticmethod
+    def table(x):
+        x = np.asarray(x, dtype=float)
+        degrees = central_spin._chebyshev_degrees(x)
+        return central_spin._bessel_table(x, degrees, int(degrees.max()) + 1)
+
+    @pytest.mark.parametrize("x_max", [1e-20, 1e-3, 0.7, 10.0, 100.0, 300.0])
+    def test_against_scipy_jv(self, x_max):
+        from scipy.special import jv
+
+        x = np.linspace(0.0, x_max, 61)
+        weights = self.table(x)
+        orders = np.arange(weights.shape[0])[:, None]
+        assert np.max(np.abs(weights - jv(orders, x[None, :]))) < 1e-14
+
+    @pytest.mark.parametrize("k, x", [(0, 1e4), (593, 9750.0), (9900, 1e4), (10200, 1e4),
+                                      (106, 850.0), (1000, 1e3), (124, 3e3), (3100, 3e3)])
+    def test_against_mpmath_to_1e4(self, k, x):
+        # scipy's jv itself is off by up to 9e-14 here (at k = 593, x = 9750)
+        mpmath = pytest.importorskip("mpmath")
+        weights = self.table([0.0, x])
+        with mpmath.workdps(25):
+            reference = float(mpmath.besselj(k, mpmath.mpf(x), maxprec=60000))
+        assert abs(weights[k, 1] - reference) < 1e-14
+
+    @pytest.mark.parametrize("x", [0.0, 1e-18, 1e-6, 0.5, 7.0, 180.0, 2500.0])
+    def test_degree_drops_a_tail_below_1e_17(self, x):
+        from scipy.special import jv
+
+        degree = int(central_spin._chebyshev_degrees(x))
+        assert (degree == 0) if x < 1e-17 else (degree > x)
+        tail = 2.0 * np.sum(np.abs(jv(np.arange(degree + 1, degree + 400), x)))
+        assert tail < 1e-17
 
 
 class TestReducedDensity:

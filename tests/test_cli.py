@@ -688,6 +688,22 @@ class TestMain:
                f"{points} time points), above the cap of {central_spin.MAX_SECTOR_WORK}" in err
         assert not (tmp_path / "out.csv").exists()
 
+    def test_oversized_oracle_compare_refused_fast_with_estimate(self, tmp_path, capsys):
+        # two bath spins over 10^6 time units: millions of Chebyshev terms
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("scenario = oracle-compare\noracle.n = 2\noracle.seed = 1\n"
+                       f"grid.t1 = 1e6\noutput.path = {tmp_path / 'out.csv'}\n")
+        started = time.perf_counter()
+        assert main(["run", str(cfg)]) == 2
+        assert time.perf_counter() - started < 0.5
+        err = capsys.readouterr().err
+        found = re.search(r"needs an estimated (\d+) element pairs \((\d+) Chebyshev terms "
+                          r"on a 8-state register, 1001 time points\), above the cap of "
+                          + str(central_spin.MAX_SECTOR_WORK), err)
+        assert found, err
+        assert int(found[1]) > central_spin.MAX_SECTOR_WORK and int(found[2]) > 10**6
+        assert not (tmp_path / "out.csv").exists()
+
     def test_uniform_large_bath_deflates_to_rabi(self, tmp_path):
         # 10^5 identical bath spins deflate to one pole with coupling g sqrt(N)
         n, g, omega, omega0 = 100_000, 0.003, 0.8, 301.0

@@ -1,9 +1,10 @@
 """Which parts of scipy each path loads, checked in fresh interpreters.
 
 The central-spin and Markov scenarios need numpy alone; dephase-correlated
-needs ``scipy.special``; only the oracles (brute-force propagation, adaptive
-quadrature) need ``scipy.sparse`` and ``scipy.integrate``.  Each check runs
-in its own subprocess, because this test process has scipy loaded already.
+needs ``scipy.special``; only the oracles need more: brute-force propagation
+``scipy.sparse`` (and nothing of scipy's linear algebra), adaptive
+quadrature ``scipy.integrate``.  Each check runs in its own subprocess,
+because this test process has scipy loaded already.
 """
 
 import hashlib
@@ -48,10 +49,10 @@ print(json.dumps({"digests": digests,
 """
 
 
-def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+def _python(code: str, *args: str, env=None) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, **(env or {}), "PYTHONPATH": path})
 
 
 def _run_configs(configs: dict, poisoned=()) -> dict:
@@ -103,13 +104,41 @@ def test_production_runs_need_no_oracle_scipy(correlated):
         assert poisoned[name] == hashlib.sha256(csv).hexdigest(), name
 
 
+#: Runs the CLI on argv, then prints the scipy modules loaded as its last line.
+_MAIN = """
+import json, sys
+from decobath.cli import main
+code = main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+sys.exit(code)
+"""
+
+
 def test_oracle_compare_subcommand_from_cold_interpreter(tmp_path):
+    """The brute-force oracle needs scipy.sparse alone: its Bessel weights
+    come from numpy, and nothing of scipy's linear algebra is loaded."""
     out = tmp_path / "oracle.csv"
-    proc = _python("import sys\nfrom decobath.cli import main\nsys.exit(main(sys.argv[1:]))",
-                   "oracle-compare", "--n", "4", "--seed", "9", "--out", str(out))
+    proc = _python(_MAIN, "oracle-compare", "--n", "4", "--seed", "9", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert "PASS" in proc.stdout
     assert out.read_text().startswith("t,ampDev,szDrift\n")
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert "scipy.sparse" in loaded
+    for package in ("scipy.sparse.linalg", "scipy.linalg", "scipy.special"):
+        assert _loaded(loaded, package) == [], package
+
+
+def test_oracle_compare_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The propagator's real matrix products give the same CSV bytes on one
+    and on two OpenBLAS threads."""
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"oracle-{threads}.csv"
+        proc = _python(_MAIN, "oracle-compare", "--n", "12", "--seed", "42", "--out", str(out),
+                       env={"OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("first", ["phi", "gamma_thermal"])

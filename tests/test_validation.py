@@ -105,6 +105,9 @@ TIME_ENTRIES = {
         PSI, lindblad.DephasingParams(0.5, 1.0), [0.0, t]),
     "evolve_isotropic_markov": lambda t: lindblad.evolve_isotropic_markov(RHO, 0.5, [0.0, t]),
     "sme_analytic": lambda t: central_spin_nm.sme_analytic(BATH, ROT, [0.0, t]),
+    # bound at import, since the test replaces the module attribute with no_work
+    "channel_exponents": lambda t, exponents=central_spin_nm.channel_exponents:
+        exponents(BATH, [0.0, t]),
     "decoherence_factors": lambda t: dephasing_nm.decoherence_factors([0.0, t], CORRELATED),
     "rho_correlated": lambda t: dephasing_nm.rho_correlated([0.0, t], PSI, CORRELATED),
     "rho_uncorrelated": lambda t: dephasing_nm.rho_uncorrelated([0.0, t], PSI, OHMIC, 2.0, 1.0),
