@@ -18,12 +18,13 @@ c_0(t) = sum_j |v_j0|^2 exp(-i E_j t), a sum over the spectral measure of
 the excitation-on-system state.  :func:`survival_amplitude`, the production
 path, takes that measure from the arrowhead's secular equation
 (:func:`arrowhead_eigensystem`) and sums it over the time grid in blocks:
-O(N) memory, no eigenvector formed, oversize runs refused up front.  Full
-eigenvectors come only from the dense solver in :func:`evolve_sector`, for
-general initial states and the oracle checks.  A full 2^(N+1) brute-force
-propagator (N <= 12) is the oracle that validates the sector reduction: one
-Chebyshev expansion of exp(-iHt) over the whole time grid, its Bessel
-weights from numpy.
+O(N) memory, no eigenvector formed.  Full eigenvectors come only from the
+dense solver in :func:`evolve_sector`, for general initial states and the
+oracle checks.  A full 2^(N+1) brute-force propagator (N <= 12) is the
+oracle that validates the sector reduction: one Chebyshev expansion of
+exp(-iHt) over the whole time grid, its Bessel weights from numpy.  Both
+pass their work and bytes to the one work rule, ``trajectory.check_work``,
+before any large allocation.
 
 Only that oracle needs scipy, and only ``scipy.sparse`` for the
 Hamiltonian, imported inside :func:`build_full_hamiltonian` and
@@ -39,15 +40,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NormalizationError, TraceDriftError, WorkBudgetError
+from .errors import NormalizationError, TraceDriftError
 from .qstate import ATOL_INTEGRATED, DensityMatrix2, QubitAmplitudes, unit_pair
-from .trajectory import TimeGrid, positive_count
+from .trajectory import TimeGrid, check_work, positive_count
 
 __all__ = [
     "SpinBathSpec",
     "RotatedAmplitudes",
     "SectorTrajectory",
-    "MAX_SECTOR_WORK",
     "FullTrajectory",
     "fig2_spec",
     "rotate_to_polarization",
@@ -69,13 +69,6 @@ __all__ = [
 BRUTE_FORCE_MAX_N = 12
 #: Norm drift of the brute-force register above this aborts the run.
 BRUTE_FORCE_NORM_ABORT = 1e-9
-#: Largest estimated work of one survival-amplitude run (:func:`spectral_work`),
-#: one channel-exponent pass (``central_spin_nm.channel_exponents``, mode
-#: x time pairs) or one brute-force propagation (:func:`brute_force_evolve`);
-#: larger runs are refused before any large allocation.  On one Xeon core a
-#: (root, pole), (root, time) or (mode, time) pair costs 30-50 ns, so a run
-#: at the cap takes about a minute; a brute-force element costs ~0.3 ns.
-MAX_SECTOR_WORK = 1_000_000_000
 
 _NORM_TOL = 1e-10
 #: Matrix elements per block, (roots x poles) in the secular iteration and
@@ -101,6 +94,9 @@ _CHEBYSHEV_TIMES = 32
 #: interpreter and call overhead of one Chebyshev step (~20 us).
 _BESSEL_WORK = 32
 _CHEBYSHEV_STEP_WORK = 65_536
+#: Brute-force elements per secular (root, pole) pair of work (0.2-0.36 ns
+#: against 35-45 ns).
+_ELEMENTS_PER_PAIR = 128
 
 
 @dataclass(frozen=True)
@@ -139,6 +135,14 @@ class SpinBathSpec:
     @property
     def dim_full(self) -> int:
         return 1 << (self.N + 1)
+
+    @property
+    def phase_frequency(self) -> float:
+        """|omega0| + max |omega_k| + 2 sum |g_k|: it bounds every Gershgorin disc
+        of the sector arrowhead and every detuning omega0 - omega_k."""
+        with np.errstate(over="ignore"):
+            return (abs(self.omega0) + float(np.max(np.abs(self.omega)))
+                    + 2.0 * float(np.sum(np.abs(self.g))))
 
 
 def fig2_spec(n: int) -> SpinBathSpec:
@@ -389,19 +393,18 @@ def survival_amplitude(spec: SpinBathSpec, grid: TimeGrid) -> np.ndarray:
     energy, so the excitation's amplitude is c_0(t) = exp(-iEt) a(t) with
     (mu_j, w_j) the arrowhead's spectral measure of e_0.  Solving in this
     frame keeps mu_j to full relative precision: no phase of size
-    sum(omega)/2 is formed and cancelled.  Runs whose :func:`spectral_work`
-    exceeds :data:`MAX_SECTOR_WORK` raise WorkBudgetError before any large
-    allocation; a sum rule |sum_j w_j - 1| above 1e-10 raises
-    TraceDriftError.  Times go in blocks, so memory stays O(N).
+    sum(omega)/2 is formed and cancelled.  Its :func:`spectral_work` and the
+    bytes of its times, amplitudes and per-pole arrays go through
+    ``trajectory.check_work`` before any large allocation; a sum rule
+    |sum_j w_j - 1| above 1e-10 raises TraceDriftError.  Times go in blocks,
+    so memory stays O(N).
     """
     head = spec.omega0 - float(np.sum(spec.g))
     diag = spec.omega - spec.g
     poles = _deflate(head, spec.g, diag)[0].size
     points = grid.steps + 1
-    work = spectral_work(poles, points)
-    if work > MAX_SECTOR_WORK:
-        raise WorkBudgetError(work, poles, points, MAX_SECTOR_WORK,
-                              "secular poles after deflation")
+    check_work(spectral_work(poles, points), 24 * points + 64 * spec.N, poles, points,
+               "secular poles after deflation")
     mu, w = arrowhead_eigensystem(head, spec.g, diag)
     drift = abs(float(np.sum(w)) - 1.0)
     if not drift <= _NORM_TOL:
@@ -705,10 +708,11 @@ def brute_force_evolve(
     blocks of time points in fixed-size real products, so memory is the
     states plus a fixed scratch.
 
-    The estimated work K (nnz(H) + points 2^(N+1)), plus the Bessel
-    weights and a fixed cost per term, is checked against MAX_SECTOR_WORK
-    before any weight or state is allocated; a larger run raises
-    WorkBudgetError.  A non-unit ``initial`` (NaN included) is refused;
+    The estimated work, K (nnz(H) + points 2^(N+1)) elements plus the
+    Bessel weights and a fixed cost per term, and the bytes of the states
+    (with the temporaries of :meth:`FullTrajectory.sz_total`) and the
+    Bessel table go through ``trajectory.check_work`` before any weight or
+    state is allocated.  A non-unit ``initial`` (NaN included) is refused;
     norm drift beyond BRUTE_FORCE_NORM_ABORT aborts.
     """
     import scipy.sparse
@@ -725,10 +729,10 @@ def brute_force_evolve(
 
     points = grid.steps + 1
     order = int(_chebyshev_degrees(half * max(abs(grid.t0), abs(grid.t1))))
-    work = order * (step.nnz + points * (dim + _BESSEL_WORK) + _CHEBYSHEV_STEP_WORK)
-    if work > MAX_SECTOR_WORK:
-        raise WorkBudgetError(work, order, points, MAX_SECTOR_WORK,
-                              f"Chebyshev terms on a {dim}-state register")
+    elements = order * (step.nnz + points * (dim + _BESSEL_WORK) + _CHEBYSHEV_STEP_WORK)
+    check_work(-(-elements // _ELEMENTS_PER_PAIR),
+               points * (32 * dim + 8 * (order + _MILLER_MARGIN + 2)), order, points,
+               f"Chebyshev terms on a {dim}-state register")
 
     times = grid.times
     x = half * np.abs(times)

@@ -27,12 +27,11 @@ the equation splits into two scalar linear equations,
 
 whose rate integrals are finite mode sums; rho11 collects what leaves
 rho00.  :func:`channel_exponents` forms both integrals in one blocked pass
-over (time points) x (modes), refusing passes over
-``central_spin.MAX_SECTOR_WORK`` pairs up front.  :func:`integrate_sme`
-builds the exact solution from them over the whole time array, and the full
-2x2 generator stepped by the generic RK4 integrator
-(:func:`_integrate_sme_matrix`, with the rates of :func:`sme_rates`) stays
-as its oracle; the two share no code.  The module also carries the
+over (time points) x (modes), whose size ``trajectory.check_work`` bounds
+up front.  :func:`integrate_sme` builds the exact solution from them over
+the whole time array, and the full 2x2 generator stepped by the generic RK4
+integrator (:func:`_integrate_sme_matrix`, with the rates of
+:func:`sme_rates`) stays as its oracle; the two share no code.  The module also carries the
 equation's claimed closed-form solution, :func:`sme_analytic`.  Its
 population channel is the exact one, while its coherence channel differs in
 the dephasing exponent and the Lamb phase.  That gap is deliberately not
@@ -47,11 +46,10 @@ from typing import Callable
 
 import numpy as np
 
-from .central_spin import MAX_SECTOR_WORK, RotatedAmplitudes, SpinBathSpec
-from .errors import WorkBudgetError
+from .central_spin import RotatedAmplitudes, SpinBathSpec
 from .lindblad import dissipator, integrate_master
 from .qstate import DensityMatrix2, SIGMA_MINUS, SIGMA_Z
-from .trajectory import RhoTrajectory, TimeGrid, Trajectory, nonnegative_times
+from .trajectory import RhoTrajectory, TimeGrid, Trajectory, check_work, nonnegative_times
 
 __all__ = [
     "SmeRates",
@@ -111,14 +109,14 @@ def channel_exponents(spec: SpinBathSpec, t) -> tuple[np.ndarray, np.ndarray]:
     cancels whenever |x| is small, so for |x| < 1 it is x t^2 times the
     series of (x - sin x)/x^3, which also gives exactly 0 at resonance.  A
     scalar ``t`` gives scalars; a negative, NaN or infinite time is
-    refused.  More than ``MAX_SECTOR_WORK`` mode-time pairs raise
-    WorkBudgetError before the first block.
+    refused.  The mode-time pairs (50-76 ns each, so one pair of work) and
+    the bytes of the per-time and per-mode arrays go through
+    ``trajectory.check_work`` before the first block.
     """
     t = nonnegative_times(t)
     flat = t.reshape(-1)
-    work = flat.size * spec.N
-    if work > MAX_SECTOR_WORK:
-        raise WorkBudgetError(work, spec.N, flat.size, MAX_SECTOR_WORK, "bath modes")
+    check_work(flat.size * spec.N, 24 * flat.size + 64 * spec.N, spec.N, flat.size,
+               "bath modes")
     gsq = spec.g * spec.g
     delta = spec.omega0 - spec.omega
     dsq = delta * delta

@@ -49,35 +49,15 @@ tabulated density (dephase-correlated), or |omega0| + max |omega_k| +
 2 sum |g_k| for a spin bath (central-*, fig2, oracle-compare's seeded bath).
 The refusal names the lines of the grid and frequency keys.
 
-central-exact and fig2 sum the survival amplitude over the spectral measure
-of the sector Hamiltonian (secular roots and weights, then the time grid in
-blocks), so memory stays linear in bath.N.  A run whose estimated work
-(roots x (poles + time points), counting the poles left after equal
-splittings merge) exceeds ``central_spin.MAX_SECTOR_WORK`` (10**9, about a
-minute) is refused before any large allocation, with exit code 2 and a
-message giving the estimate; a sum-rule violation of the spectral weights,
-or a secular root that does not converge, aborts with exit code 3.
-
-central-sme evaluates the exact solution of its two decoupled channels over
-the whole grid (finite mode sums in blocks of time points), so its work is
-O(time points x bath.N).  A run whose time points x bath.N exceed the same
-``central_spin.MAX_SECTOR_WORK`` is refused before its first block, with
-exit code 2 and the estimate in the message.
-
-oracle-compare propagates the full 2^(oracle.n + 1) register with one
-Chebyshev expansion over the whole grid.  A run whose estimated work
-(Chebyshev terms x (nonzeros of H + time points x (2^(oracle.n + 1) + 32)
-+ 65536)) exceeds the same ``central_spin.MAX_SECTOR_WORK`` is refused
-before any weight or state is allocated, with exit code 2 and the
-estimate in the message.
-
-dephase-correlated evaluates its spectral integrals in closed form over the
-whole grid.  The thermal part of a tabulated density at finite temperature
-is integrated on fixed quadrature panels whose number grows with
-``grid.t1``; a run whose time points x (knots + quadrature nodes) exceed
-``dephasing_nm.MAX_SPECTRAL_EVALS`` (2**26) is refused before any work, and
-one whose quadrature error estimate misses its target is aborted, both with
-exit code 3.
+Every run's size is estimated before any large allocation and checked by
+one rule, ``trajectory.check_work``: at most ``trajectory.MAX_WORK`` (10**9)
+units of work, a secular (root, pole) pair each (about a minute in all on
+one Xeon core), and ``trajectory.MAX_BYTES`` (2**30) bytes of arrays held
+at once.  The estimates: time points x CSV columns for the render (checked
+here, naming grid.steps), the secular sums of central-exact and fig2, the
+mode sums of central-sme, oracle-compare's Chebyshev terms and states, and
+a tabulated density's knots and quadrature panels.  A run over either cap
+exits with code 2, the estimate and the cap in the message.
 
 Defaults: ``system.a = system.b = 1/sqrt(2)``, ``bath.omega0 = 0`` where
 optional, ``bath.polarization = (0, 1)``, ``grid.t0 = 0``, ``grid.t1 = 10``
@@ -93,10 +73,9 @@ prepend ``P0`` (survival probability); dephase-correlated appends
 carry 17 significant digits (exact round trip), lines end with LF.
 
 Exit codes: 0 success, 2 configuration error (including a phase past 2**53
-and a central-exact, central-sme or oracle-compare run over the work cap), 3
-numerical-quality abort (including a dephase-correlated run over the
-spectral evaluation cap and a central-exact or fig2 sum-rule or convergence
-failure).
+and a run over the work or byte cap), 3 numerical-quality abort (a trace or
+sum-rule drift, a secular root that does not converge, or a quadrature
+error estimate over its target).
 """
 
 from __future__ import annotations
@@ -113,7 +92,7 @@ import numpy as np
 from . import central_spin, central_spin_nm, dephasing_nm, lindblad
 from .errors import ConfigError, QuadratureError, TraceDriftError
 from .qstate import QubitAmplitudes, density_from_amplitudes
-from .trajectory import TimeGrid, Trajectory
+from .trajectory import TimeGrid, Trajectory, check_work
 
 _GRID_KEYS = {"grid.t0": float, "grid.t1": float, "grid.steps": int, "output.path": str}
 _SYSTEM_KEYS = {"system.a": complex, "system.b": complex}
@@ -165,6 +144,13 @@ _AMPLITUDE_NORM_SLACK = 1e-6
 #: Default (t0, t1, steps) of every scenario but fig2, and of fig2.
 _DEFAULT_GRID = (0.0, 10.0, 1000)
 _FIG2_GRID = (0.0, 5.0, 20000)
+#: CSV columns of each scenario, t included (see "CSV columns" above).
+_CSV_COLUMNS = {"dephase-markov": 5, "dephase-isotropic": 5, "dephase-correlated": 8,
+                "central-exact": 6, "central-sme": 5, "oracle-compare": 3, "fig2": 6}
+#: Measured cost of one CSV cell of ``Trajectory.to_csv``: ~1-2 us of work
+#: (in secular pairs) and ~92 bytes at its peak.
+_CELL_WORK = 32
+_CELL_BYTES = 92
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -217,17 +203,6 @@ def _unit_pair(x: complex, y: complex, names: str) -> tuple[complex, complex]:
                          f"(squared norm {norm * norm:.8g})")
     s = math.sqrt(abs(x) ** 2 + abs(y) ** 2)
     return x / s, y / s
-
-
-def _spin_bath_frequency(spec: central_spin.SpinBathSpec) -> float:
-    """|omega0| + max |omega_k| + 2 sum |g_k|, a bound on the bath's frequencies.
-
-    It bounds every Gershgorin disc of the sector Hamiltonian's arrowhead
-    and every detuning omega0 - omega_k of the master equation.
-    """
-    with np.errstate(over="ignore"):
-        return (abs(spec.omega0) + float(np.max(np.abs(spec.omega)))
-                + 2.0 * float(np.sum(np.abs(spec.g))))
 
 
 def _oracle_bath(n: int, seed: int) -> central_spin.SpinBathSpec:
@@ -382,17 +357,16 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append(f"line {entries['grid.t0'][1]}: grid.t0 must be {rule} for {scenario}")
 
     # omega bounds the frequencies whose phase omega t the scenario's model forms
-    omega = 0.0
-    if spec:  # the central-* scenarios, fig2 and oracle-compare
-        omega = _spin_bath_frequency(spec)
-    elif isinstance(params, lindblad.DephasingParams):  # 0 for dephase-isotropic
-        omega = abs(params.omega0)
-    elif isinstance(params, dephasing_nm.CorrelatedBathParams) and params.J:
-        omega = max(abs(params.omega0), params.J.phase_frequency)
+    omega = max((m.phase_frequency for m in (params, spec) if m is not None), default=0.0)
     phase = omega * max(abs(grid.t0), abs(grid.t1)) if grid else 0.0
     if phase > _PHASE_LIMIT:
         errors.append(f"{where(_PHASE_KEYS)}: the largest phase omega*t reaches "
                       f"{phase:.3g}, over 2**53: no digit of it is left")
+    if grid:
+        points, columns = grid.steps + 1, _CSV_COLUMNS[scenario]
+        build(("grid.steps",), lambda: check_work(points * columns * _CELL_WORK,
+                                                  points * columns * _CELL_BYTES,
+                                                  columns, points, "CSV columns"))
 
     if errors:
         raise ConfigError(errors)

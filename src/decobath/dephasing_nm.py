@@ -35,8 +35,9 @@ without adaptive quadrature:
   decays exponentially; it is integrated with a fixed 16-point
   Gauss-Legendre rule per panel, checked against an 8-point rule, and a run
   whose error estimate misses the quadrature target raises
-  :class:`~decobath.errors.QuadratureError`, as does one whose node count
-  exceeds :data:`MAX_SPECTRAL_EVALS`.
+  :class:`~decobath.errors.QuadratureError`.  Before any of it, the knot
+  and node evaluations and the bytes of the panel arrays go through
+  ``trajectory.check_work``, which refuses an oversize run.
 
 The scalar :func:`phi` and :func:`gamma_thermal` keep adaptive ``quad``; they
 are the oracles these forms are tested against.
@@ -59,7 +60,7 @@ import numpy as np
 
 from .errors import DegenerateParametersError, QuadratureError
 from .qstate import DensityMatrix2, QubitAmplitudes
-from .trajectory import nonnegative_times
+from .trajectory import check_work, nonnegative_times
 
 __all__ = [
     "SpectralDensity",
@@ -82,11 +83,11 @@ _QUAD_LIMIT = 2500
 #: covered by an analytic exponential-tail bound folded into the error budget.
 _OHMIC_SPAN = 50.0
 
-#: Largest (time point) x (knot or quadrature node) evaluation count a tabulated
-#: run may take; larger runs raise QuadratureError before allocating.  At the
-#: cap a run takes ~1.5 s when quadrature nodes dominate and ~9 s when knots
-#: do (2-core Xeon, one thread).
-MAX_SPECTRAL_EVALS = 1 << 26
+#: Work of one (time point, knot) evaluation of the tabulated closed forms,
+#: dominated by ``sici``, in secular pairs (a quadrature node is about one),
+#: and the peak bytes per quadrature panel of :func:`_thermal_panels`.
+_KNOT_WORK = 4
+_PANEL_BYTES = 64
 #: Time points are processed in blocks of about this many array elements.
 _BLOCK_ELEMENTS = 1 << 12
 
@@ -266,6 +267,11 @@ class CorrelatedBathParams:
             raise DegenerateParametersError(
                 "zero temperature with omega0 = 0 leaves the preparation undefined"
             )
+
+    @property
+    def phase_frequency(self) -> float:
+        """|omega0| or J's, the larger; 0 without J (a table that failed to load)."""
+        return max(abs(self.omega0), self.J.phase_frequency) if self.J is not None else 0.0
 
 
 def _coth(x: float) -> float:
@@ -521,12 +527,8 @@ def _tabulated_factors(t: np.ndarray, J: SpectralDensity, beta: float):
     if thermal:
         equal, _, doublings = _panel_plan(omega, max(float(t.max(initial=0.0)), beta))
         panels = float(equal.sum() + doublings.sum())
-    evals = t.size * (omega.size + _GL_NODES.size * panels)
-    if evals > MAX_SPECTRAL_EVALS:
-        raise QuadratureError(
-            f"the spectral integrals need ~{evals:.3g} evaluations, over the cap "
-            f"{MAX_SPECTRAL_EVALS:.3g}; shorten the time grid or coarsen the table"
-        )
+    check_work(t.size * (_KNOT_WORK * omega.size + _GL_NODES.size * panels),
+               _PANEL_BYTES * panels, panels, t.size, f"quadrature panels on {omega.size} knots")
     phi_t, gamma_t = _tabulated_zero_temperature(t, omega, c0, c1)
     if thermal:
         gamma_t = _tabulated_thermal_excess(t, omega, c0, c1, beta, gamma_t)

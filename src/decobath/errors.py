@@ -14,8 +14,7 @@ class NormalizationError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """A spectral-density integral missed its target accuracy, or was refused
-    because its quadrature work would exceed ``dephasing_nm.MAX_SPECTRAL_EVALS``."""
+    """A spectral-density integral missed its target accuracy."""
 
 
 class DegenerateParametersError(ValueError):
@@ -58,29 +57,16 @@ class ConfigError(ValueError):
 
 
 class WorkBudgetError(ValueError):
-    """A central-spin run's estimated work exceeds the cap.
+    """A run's estimated work or bytes exceed a cap of ``trajectory.check_work``.
 
     Raised before any large allocation, so an oversized bath or grid is
-    refused at once instead of running for hours.
-
-    Attributes:
-        work: Estimated element pairs.
-        size: Count of the terms the work scales with, described by
-            ``terms``: secular poles after deflation
-            (``central_spin.spectral_work``), bath modes
-            (``central_spin_nm.channel_exponents``) or Chebyshev terms
-            of the brute-force propagator
-            (``central_spin.brute_force_evolve``).
-        points: Time points of the grid.
-        limit: The work cap.
+    refused at once instead of running for hours.  ``work`` is in secular
+    (root, pole) pairs, ``nbytes`` counts the bytes of the run's largest
+    arrays, ``size`` the terms the work scales with and ``points`` the time
+    points; ``limit`` is the cap that binds.
     """
 
-    def __init__(self, work: int, size: int, points: int, limit: int, terms: str):
-        super().__init__(
-            f"central-spin run needs an estimated {work} element pairs "
-            f"({size} {terms}, {points} time points), above the cap of {limit}"
-        )
-        self.work = work
-        self.size = size
-        self.points = points
-        self.limit = limit
+    def __init__(self, message: str, work, nbytes, size, points: int, limit: int):
+        super().__init__(message)
+        self.work, self.nbytes, self.size, self.points, self.limit = (
+            work, nbytes, size, points, limit)

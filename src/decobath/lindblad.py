@@ -55,6 +55,11 @@ class DephasingParams:
         if not np.isfinite(self.omega0):
             raise ValueError("omega0 must be finite")
 
+    @property
+    def phase_frequency(self) -> float:
+        """|omega0|, the one frequency whose phase omega0 t the coherence takes."""
+        return abs(self.omega0)
+
 
 def _check_rate(gamma: float) -> None:
     if not (gamma >= 0 and np.isfinite(gamma)):

@@ -1,4 +1,4 @@
-"""Time grids and trajectory containers shared by the model modules."""
+"""Time grids, trajectory containers and the input and work rules shared by the models."""
 
 from __future__ import annotations
 
@@ -6,9 +6,38 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import WorkBudgetError
 from .qstate import ATOL_INTEGRATED
 
 _EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
+#: Largest estimated work of one run, in secular (root, pole) pairs (~40 ns
+#: each on one Xeon core, so about a minute at the cap); every estimate is
+#: converted into this unit by its measured cost.
+MAX_WORK = 1_000_000_000
+#: Largest estimated bytes of the arrays one run holds at once.
+MAX_BYTES = 1 << 30
+
+
+def check_work(work, nbytes, size, points: int, terms: str) -> None:
+    """Refuse a run over ``MAX_WORK`` pairs or ``MAX_BYTES`` bytes (NaN too).
+
+    The one work rule: every estimate of a run's size, taken before any
+    large allocation, comes here.  ``size`` counts the ``terms`` the work
+    scales with; the WorkBudgetError names the estimate and the cap, and
+    the bytes when they bind.
+    """
+    if work <= MAX_WORK and nbytes <= MAX_BYTES:
+        return
+    def count(x):
+        return str(x) if isinstance(x, int) else f"{x:.4g}"
+
+    estimate, limit = f"{count(work)} element pairs", MAX_WORK
+    if work <= MAX_WORK:
+        estimate, limit = f"{estimate} and {count(nbytes)} bytes", MAX_BYTES
+    raise WorkBudgetError(
+        f"the run needs an estimated {estimate} ({count(size)} {terms}, {points} time "
+        f"points), above the cap of {limit}{' bytes' if limit == MAX_BYTES else ''}",
+        work, nbytes, size, points, limit)
 
 
 def positive_count(value, name: str) -> int:

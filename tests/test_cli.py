@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decobath import central_spin, cli
+from decobath import central_spin, cli, trajectory
 from decobath.cli import (
     main,
     oracle_compare_trajectory,
@@ -376,6 +376,15 @@ _REFUSALS = {
                         "bath.omega0"),
     "exact-t1-1e300": (_EXACT + "bath.omega0 = 1\ngrid.t1 = 1e300\n",
                        "bath.N", "bath.g", "bath.omega", "bath.omega0", "grid.t1"),
+    # the CSV alone would take gigabytes: refused by its estimate, never run
+    "markov-steps-2e9": (_MARKOV + "gamma = 1\ngrid.steps = 2000000000\n", "grid.steps"),
+    "isotropic-steps-2e9": (_ISOTROPIC + "gamma = 1\ngrid.steps = 2000000000\n",
+                            "grid.steps"),
+    "correlated-steps-2e9": (_OHMIC + "thermo.beta = 2\nbath.omega0 = 1\n"
+                             "grid.steps = 2000000000\n", "grid.steps"),
+    "exact-steps-1e7": (_EXACT + "bath.omega0 = 1\ngrid.steps = 10000000\n", "grid.steps"),
+    "fig2-steps-1e7": ("scenario = fig2\nbath.N = 50\ngrid.steps = 10000000\n",
+                       "grid.steps"),
 }
 
 
@@ -410,13 +419,19 @@ _SPECIAL = ["0", "-0", "1", "-1", "1e-308", "1e200", "1e308", "inf", "-inf", "na
 
 
 def _hard_values(key: str):
-    """The hard values of a key's kind, with grid times kept within 20."""
+    """The hard values of a key's kind, with grid times kept below 2**53 / Omega.
+
+    Large sizes are drawn too: far over the work caps of oracle-compare and
+    of a tabulated density (grid.t1 = 1e8), over the CSV caps (grid.steps
+    = 10**7 and 2*10**9), and a bath of 10**5 spins.
+    """
     if key in ("grid.t0", "grid.t1"):
-        return st.sampled_from([v for v in _SPECIAL if v not in ("1e200", "1e308")] + ["20"])
+        return st.sampled_from([v for v in _SPECIAL if v not in ("1e200", "1e308")]
+                               + ["20", "1e8"])
     if key == "grid.steps":
-        return st.sampled_from(_SPECIAL + ["50"])
+        return st.sampled_from(_SPECIAL + ["50", "10000000", "2000000000"])
     if cli._KINDS[key] is int:
-        return st.sampled_from(_SPECIAL + ["8"])
+        return st.sampled_from(_SPECIAL + ["8", "100000"])
     if key == "spectral.family":
         return st.sampled_from(["tabulated", "text"])
     return st.sampled_from(_SPECIAL)
@@ -426,9 +441,8 @@ def _hard_values(key: str):
 def _config_texts(draw, table: str) -> str:
     """A scenario's keys: up to three take hard values, the rest typical ones.
 
-    Required keys and grid.steps always appear (runs stay small, and most
-    configs reach the model constructors); other keys are left out one
-    time in four.
+    Required keys and grid.steps always appear (most configs then reach
+    the model constructors); other keys are left out one time in four.
     """
     scenario = draw(st.sampled_from(cli.SCENARIOS))
     allowed, required = cli._SCHEMA[scenario]
@@ -460,17 +474,18 @@ def test_any_config_runs_clean_or_is_refused(data, config_dir):
     valid values.  A run must exit 0 with finite, unit-trace, positive
     semidefinite states on stdout; a refusal must exit 2 or 3 with
     ``error:`` lines (or oracle-compare's FAIL verdict); nothing may raise.
-    The drawn work is kept small (bath.N <= 8, grid.steps <= 50, |grid.t0|
-    and grid.t1 <= 20): oversize runs are refused through their work
-    estimates, which are tested on their own, never by running them.
+    Each example must finish within 2 s, so an oversize run admitted by its
+    estimate fails here instead of stalling the suite.
     """
     text = data.draw(_config_texts(str(config_dir / "J.csv")))
     cfg = config_dir / "cfg.txt"
     cfg.write_text(text)
     out, err = io.StringIO(), io.StringIO()
+    started = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             np.errstate(all="ignore"):
         code = main(["run", str(cfg)])
+    assert time.perf_counter() - started < 2.0, text
     if code != 0:
         assert code in (2, 3), (text, code)
         assert err.getvalue().startswith("error: ") or "FAIL" in out.getvalue(), text
@@ -485,6 +500,17 @@ def test_any_config_runs_clean_or_is_refused(data, config_dir):
     if "rho00" in cols:
         DensityMatrix2.from_parts(cols["rho00"], cols["rho11"],
                                   cols["reCoh"] + 1j * cols["imCoh"], atol=1e-9)
+
+
+@pytest.mark.parametrize("scenario", cli.SCENARIOS)
+def test_render_estimate_counts_every_csv_column(scenario):
+    """The CSV estimate of parse_config counts the columns each scenario emits."""
+    allowed, _ = cli._SCHEMA[scenario]
+    text = f"scenario = {scenario}\n" + "".join(
+        f"{key} = {_PLAIN[key]}\n" for key in allowed if key in _PLAIN)
+    traj = run_scenario(parse_config(text.replace("bath.N = 2\n", "bath.N = 50\n")
+                                     if scenario == "fig2" else text))
+    assert len(traj.column_names) == cli._CSV_COLUMNS[scenario]
 
 
 class TestCsv:
@@ -685,7 +711,7 @@ class TestMain:
         assert time.perf_counter() - started < 0.5
         err = capsys.readouterr().err
         assert f"needs an estimated {n * points} element pairs ({n} bath modes, " \
-               f"{points} time points), above the cap of {central_spin.MAX_SECTOR_WORK}" in err
+               f"{points} time points), above the cap of {trajectory.MAX_WORK}" in err
         assert not (tmp_path / "out.csv").exists()
 
     def test_oversized_oracle_compare_refused_fast_with_estimate(self, tmp_path, capsys):
@@ -699,10 +725,34 @@ class TestMain:
         err = capsys.readouterr().err
         found = re.search(r"needs an estimated (\d+) element pairs \((\d+) Chebyshev terms "
                           r"on a 8-state register, 1001 time points\), above the cap of "
-                          + str(central_spin.MAX_SECTOR_WORK), err)
+                          + str(trajectory.MAX_WORK), err)
         assert found, err
-        assert int(found[1]) > central_spin.MAX_SECTOR_WORK and int(found[2]) > 10**6
+        assert int(found[1]) > trajectory.MAX_WORK and int(found[2]) > 10**6
         assert not (tmp_path / "out.csv").exists()
+
+    def test_oracle_compare_states_over_the_byte_cap_refused_fast(
+            self, monkeypatch, tmp_path, capsys):
+        # a short horizon keeps the Chebyshev series at 11 terms, but 10^4
+        # states of 8192 amplitudes (with sz_total's temporaries) take 2.6 GB
+        def never(*args):
+            raise AssertionError("weights were computed for a refused run")
+
+        monkeypatch.setattr(central_spin, "_bessel_table", never)
+        cfg = tmp_path / "cfg.txt"
+        text = "scenario = oracle-compare\noracle.n = 12\noracle.seed = 42\ngrid.t1 = 0.01\n"
+        cfg.write_text(text + f"grid.steps = 9999\noutput.path = {tmp_path / 'out.csv'}\n")
+        started = time.perf_counter()
+        assert main(["run", str(cfg)]) == 2
+        assert time.perf_counter() - started < 0.5
+        err = capsys.readouterr().err
+        assert re.search(r"needs an estimated \d+ element pairs and \d+ bytes \(11 Chebyshev "
+                         r"terms on a 8192-state register, 10000 time points\), above the cap "
+                         rf"of {trajectory.MAX_BYTES} bytes", err), err
+        assert not (tmp_path / "out.csv").exists()
+        monkeypatch.undo()
+        cfg.write_text(text + "grid.steps = 2000\n")
+        assert main(["run", str(cfg)]) == 0
+        assert "PASS" in capsys.readouterr().out
 
     def test_uniform_large_bath_deflates_to_rabi(self, tmp_path):
         # 10^5 identical bath spins deflate to one pole with coupling g sqrt(N)
@@ -837,7 +887,7 @@ class TestCorrelatedClosedForms:
                            rtol=1e-15, atol=0.0)
         assert np.all(np.diff(traj.columns["gamma"]) > 0)
 
-    def test_oversize_tabulated_thermal_run_exits_3_fast(self, tmp_path, capsys):
+    def test_oversize_tabulated_thermal_run_exits_2_fast(self, tmp_path, capsys):
         import time
 
         cfg = tmp_path / "cfg.txt"
@@ -845,9 +895,11 @@ class TestCorrelatedClosedForms:
                        f"spectral.table = {_table(tmp_path)}\nthermo.beta = 2\n"
                        f"grid.t1 = 1e7\ngrid.steps = 200\noutput.path = {tmp_path / 'o.csv'}\n")
         started = time.perf_counter()
-        assert main(["run", str(cfg)]) == 3
+        assert main(["run", str(cfg)]) == 2
         assert time.perf_counter() - started < 0.5
-        assert "over the cap" in capsys.readouterr().err
+        assert re.search(r"needs an estimated \S+ element pairs \(\S+ quadrature panels on 4 "
+                         rf"knots, 201 time points\), above the cap of {trajectory.MAX_WORK}",
+                         capsys.readouterr().err)
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("family", ["ohmic", "tabulated"])

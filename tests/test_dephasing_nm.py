@@ -13,7 +13,7 @@ from decobath.dephasing_nm import (
     rho_correlated,
     rho_uncorrelated,
 )
-from decobath.errors import DegenerateParametersError, QuadratureError
+from decobath.errors import DegenerateParametersError, QuadratureError, WorkBudgetError
 from decobath.qstate import QubitAmplitudes, density_from_amplitudes
 
 
@@ -537,12 +537,13 @@ class TestClosedFormFactors:
         import re
         import time
 
-        from decobath.dephasing_nm import MAX_SPECTRAL_EVALS
+        from decobath.trajectory import MAX_WORK
 
         J = SpectralDensity.tabulated(np.linspace(0.05, 10.0, 80),
                                       np.r_[0.0, np.full(78, 0.5), 0.0])
         started = time.perf_counter()
-        with pytest.raises(QuadratureError, match=re.escape(f"over the cap {MAX_SPECTRAL_EVALS:.3g}")):
+        with pytest.raises(WorkBudgetError, match=re.escape(
+                f"quadrature panels on 80 knots, 201 time points), above the cap of {MAX_WORK}")):
             decoherence_factors(np.linspace(0.0, 1e7, 201), CorrelatedBathParams(J, 2.0, 1.0, 0.0))
         assert time.perf_counter() - started < 0.5
 

@@ -5,7 +5,8 @@ result is returned.
 The five rules and their homes: a unit amplitude pair (``qstate.unit_pair``),
 a unit state vector (``central_spin._unit_state``), non-negative times
 (``trajectory.nonnegative_times``), a rate (``lindblad._check_rate``) and a
-positive integer count (``trajectory.positive_count``).
+positive integer count (``trajectory.positive_count``).  The work rule
+(``trajectory.check_work``) refuses a NaN estimate the same way.
 """
 
 import math
@@ -17,8 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 from decobath import central_spin, central_spin_nm, dephasing_nm, lindblad
 from decobath.central_spin import RotatedAmplitudes, SpinBathSpec
+from decobath.errors import WorkBudgetError
 from decobath.qstate import QubitAmplitudes, density_from_amplitudes
-from decobath.trajectory import TimeGrid
+from decobath.trajectory import MAX_BYTES, MAX_WORK, TimeGrid, check_work
 
 NAN, INF = math.nan, math.inf
 NONFINITE = [NAN, INF, -INF]
@@ -195,3 +197,22 @@ def test_accepted_grid_has_increasing_times(t0, width, steps):
     times = grid.times
     assert times.size == steps + 1
     assert np.all(np.diff(times) > 0.0)
+
+
+# --- the work rule: trajectory.check_work ---------------------------------------
+
+@pytest.mark.parametrize("work, nbytes, message", [
+    (NAN, 0, r"estimated nan element pairs \(3 terms, 5 time points\), above the cap of "
+             r"1000000000$"),
+    (MAX_WORK + 1, 0, r"estimated 1000000001 element pairs .* cap of 1000000000$"),
+    (1, NAN, r"estimated 1 element pairs and nan bytes .* cap of 1073741824 bytes$"),
+    (1, MAX_BYTES + 1, r"and 1073741825 bytes .* cap of 1073741824 bytes$"),
+])
+def test_work_rule_refuses_over_either_cap_and_nan(work, nbytes, message):
+    with pytest.raises(WorkBudgetError, match=message) as err:
+        check_work(work, nbytes, 3, 5, "terms")
+    assert (err.value.size, err.value.points) == (3, 5)
+
+
+def test_work_rule_admits_a_run_at_both_caps():
+    check_work(MAX_WORK, MAX_BYTES, 3, 5, "terms")
