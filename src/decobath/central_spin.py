@@ -17,14 +17,16 @@ The reduced system state needs only the survival amplitude
 c_0(t) = sum_j |v_j0|^2 exp(-i E_j t), a sum over the spectral measure of
 the excitation-on-system state.  :func:`survival_amplitude`, the production
 path, takes that measure from the arrowhead's secular equation
-(:func:`arrowhead_eigensystem`) and sums it over the time grid in blocks:
-O(N) memory, no eigenvector formed.  Full eigenvectors come only from the
-dense solver in :func:`evolve_sector`, for general initial states and the
-oracle checks.  A full 2^(N+1) brute-force propagator (N <= 12) is the
-oracle that validates the sector reduction: one Chebyshev expansion of
-exp(-iHt) over the whole time grid, its Bessel weights from numpy.  Both
-pass their work and bytes to the one work rule, ``trajectory.check_work``,
-before any large allocation.
+(:func:`arrowhead_eigensystem`, in blocks of roots: O(N) memory, no
+eigenvector formed) and sums it over the T-point time grid from two phase
+tables of ~sqrt(T) rows, one complex multiply per (time, root) pair and no
+cos or sin.  Full eigenvectors come only from the dense solver in
+:func:`evolve_sector`, for general initial states and the oracle checks.
+A full 2^(N+1) brute-force propagator (N <= 12) is the oracle that
+validates the sector reduction: one Chebyshev expansion of exp(-iHt) over
+the whole time grid, its Bessel weights from numpy.  Both pass their work
+and bytes to the one work rule, ``trajectory.check_work``, before any
+large allocation.
 
 Only that oracle needs scipy, and only ``scipy.sparse`` for the
 Hamiltonian, imported inside :func:`build_full_hamiltonian` and
@@ -71,8 +73,8 @@ BRUTE_FORCE_MAX_N = 12
 BRUTE_FORCE_NORM_ABORT = 1e-9
 
 _NORM_TOL = 1e-10
-#: Matrix elements per block, (roots x poles) in the secular iteration and
-#: (times x roots) in the amplitude sum, so memory stays O(N).
+#: Matrix elements per block of (roots x poles) in the secular iteration,
+#: so its memory stays O(N).
 _BLOCK_ELEMENTS = 1 << 17
 #: Iterations a secular root may take before the solver gives up (about 5
 #: on average, at most 10, on random baths of up to 10^4 spins).
@@ -97,6 +99,9 @@ _CHEBYSHEV_STEP_WORK = 65_536
 #: Brute-force elements per secular (root, pole) pair of work (0.2-0.36 ns
 #: against 35-45 ns).
 _ELEMENTS_PER_PAIR = 128
+#: Amplitude-sum (time, root) pairs per secular pair of work (~3 ns against
+#: 30-50 ns).
+_SUM_PAIRS_PER_PAIR = 12
 
 
 @dataclass(frozen=True)
@@ -375,14 +380,25 @@ def sector_eigensystem(h: np.ndarray):
 
 
 def spectral_work(poles: int, points: int) -> int:
-    """Estimated work of :func:`survival_amplitude`, in element pairs.
+    """Estimated work of :func:`survival_amplitude`, in secular pairs.
 
     ``poles`` secular poles after deflation give poles + 1 roots.  Each
-    root meets every pole in each of its secular iterations and every time
-    point once in the amplitude sum; both kinds of pair cost about the
-    same (30-50 ns on one Xeon core).
+    root meets every pole in each of its secular iterations (30-50 ns per
+    pair on one Xeon core) and every time point once in the amplitude sum,
+    one complex multiply and add (``_SUM_PAIRS_PER_PAIR`` of them per
+    secular pair).
     """
-    return (poles + 1) * (poles + points)
+    roots = poles + 1
+    return roots * poles + -(-roots * points // _SUM_PAIRS_PER_PAIR)
+
+
+def _phase_table(times: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """exp(-i mu_j t) for each t in ``times`` (rows) and each mu_j (columns)."""
+    phase = np.multiply.outer(times, -mu)
+    table = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=table.real)
+    np.sin(phase, out=table.imag)
+    return table
 
 
 def survival_amplitude(spec: SpinBathSpec, grid: TimeGrid) -> np.ndarray:
@@ -394,16 +410,26 @@ def survival_amplitude(spec: SpinBathSpec, grid: TimeGrid) -> np.ndarray:
     (mu_j, w_j) the arrowhead's spectral measure of e_0.  Solving in this
     frame keeps mu_j to full relative precision: no phase of size
     sum(omega)/2 is formed and cancelled.  Its :func:`spectral_work` and the
-    bytes of its times, amplitudes and per-pole arrays go through
-    ``trajectory.check_work`` before any large allocation; a sum rule
-    |sum_j w_j - 1| above 1e-10 raises TraceDriftError.  Times go in blocks,
-    so memory stays O(N).
+    bytes of its times, amplitudes, per-pole arrays and phase tables go
+    through ``trajectory.check_work`` before any large allocation; a sum
+    rule |sum_j w_j - 1| above 1e-10 raises TraceDriftError.
+
+    The grid's T times go in blocks of B = isqrt(T): time t_{aB+b} is
+    t_{aB} + b dt, so its terms are heads[a] * tails[b] with the tables
+    heads[a] = w exp(-i mu t_{aB}) and tails[b] = exp(-i mu b dt), about
+    sqrt(T) rows each.  Each time then costs one complex multiply per root
+    and a row sum, no cos or sin; memory is O(sqrt(T) N).  The blocks
+    depend on the grid alone and no BLAS product is used, so each time's
+    sum is the same whatever the BLAS library or its thread count.
     """
     head = spec.omega0 - float(np.sum(spec.g))
     diag = spec.omega - spec.g
     poles = _deflate(head, spec.g, diag)[0].size
     points = grid.steps + 1
-    check_work(spectral_work(poles, points), 24 * points + 64 * spec.N, poles, points,
+    block = math.isqrt(points)
+    # the two phase tables, ceil(T/B) and B rows, and one B-row product
+    tables = 16 * (-(-points // block) + 2 * block) * (poles + 1)
+    check_work(spectral_work(poles, points), 24 * points + 64 * spec.N + tables, poles, points,
                "secular poles after deflation")
     mu, w = arrowhead_eigensystem(head, spec.g, diag)
     drift = abs(float(np.sum(w)) - 1.0)
@@ -411,19 +437,17 @@ def survival_amplitude(spec: SpinBathSpec, grid: TimeGrid) -> np.ndarray:
         raise TraceDriftError(drift, 0.0, _NORM_TOL)
     keep = w > 0.0
     mu, w = mu[keep], w[keep]
-    times = grid.times
-    amp = np.empty(times.size, dtype=complex)
-    rows = max(1, _BLOCK_ELEMENTS // mu.size)
-    for start in range(0, times.size, rows):
-        phase = np.multiply.outer(times[start:start + rows], mu)
-        part = np.cos(phase)
-        part *= w
+    heads = _phase_table(grid.times[::block], mu)
+    heads *= w
+    tails = _phase_table(np.arange(block) * grid.dt, mu)
+    amp = np.empty(points, dtype=complex)
+    part = np.empty_like(tails)
+    for start, row in zip(range(0, points, block), heads):
+        n = min(block, points - start)
+        np.multiply(tails[:n], row, out=part[:n])
         # row sums, not a BLAS product: each time's sum then does not depend
-        # on how many times share its block
-        amp.real[start:start + rows] = part.sum(axis=1)
-        np.sin(phase, out=part)
-        part *= w
-        amp.imag[start:start + rows] = -part.sum(axis=1)
+        # on the BLAS kernel or its threads
+        part[:n].sum(axis=1, out=amp[start:start + n])
     return amp
 
 

@@ -147,10 +147,11 @@ _FIG2_GRID = (0.0, 5.0, 20000)
 #: CSV columns of each scenario, t included (see "CSV columns" above).
 _CSV_COLUMNS = {"dephase-markov": 5, "dephase-isotropic": 5, "dephase-correlated": 8,
                 "central-exact": 6, "central-sme": 5, "oracle-compare": 3, "fig2": 6}
-#: Measured cost of one CSV cell of ``Trajectory.to_csv``: ~1-2 us of work
-#: (in secular pairs) and ~92 bytes at its peak.
+#: Measured cost of one CSV cell: ~1-2 us of ``Trajectory.to_csv`` work (in
+#: secular pairs), and the bytes of a whole run's peak, parse to rendered
+#: text, per cell (at most 106 over the scenarios, at 5e4 and 2e5 points).
 _CELL_WORK = 32
-_CELL_BYTES = 92
+_CELL_BYTES = 108
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,8 @@ from decobath.central_spin import (
 from decobath.errors import NormalizationError, TraceDriftError, WorkBudgetError
 from decobath.qstate import QubitAmplitudes
 from decobath.trajectory import MAX_WORK, TimeGrid
+
+EPS = float(np.finfo(float).eps)
 
 
 def random_pair(rng):
@@ -246,6 +249,12 @@ def mpmath_measure(head, arm, diag, dps=40):
                 np.array([float(evecs[0, k] ** 2) for k in order]))
 
 
+def direct_sum(times, mu, w):
+    """sum_j w_j exp(-i mu_j t) with one cos and one sin per (time, root) pair."""
+    phase = np.multiply.outer(times, mu)
+    return (np.cos(phase) * w).sum(axis=1) - 1j * (np.sin(phase) * w).sum(axis=1)
+
+
 class TestArrowheadSolver:
     def test_small_against_dense(self):
         rng = np.random.default_rng(40)
@@ -403,13 +412,60 @@ class TestSurvivalAmplitude:
             survival_amplitude(fig2_spec(50), TimeGrid(0.0, 1.0, 10))
 
     def test_work_estimate_and_cap(self):
-        assert spectral_work(3, 10) == 4 * 13
+        # 4 roots meet 3 poles in the solve, and 10 times in the sum at 1/12 pair each
+        assert central_spin._SUM_PAIRS_PER_PAIR == 12
+        assert spectral_work(3, 10) == 4 * 3 + 4
+        assert spectral_work(3, 12) == 4 * 3 + 4
         spec = SpinBathSpec(N=4, g=0.5, omega0=0.2, omega=[1.0, 2.0, 3.0, 4.0])
-        points = MAX_WORK // 5
+        points = MAX_WORK // 5 * 12
         with pytest.raises(WorkBudgetError) as info:
             survival_amplitude(spec, TimeGrid(0.0, 1.0, points))
         assert info.value.size == 4 and info.value.points == points + 1
-        assert info.value.work == spectral_work(4, points + 1)
+        assert info.value.work == spectral_work(4, points + 1) > MAX_WORK
+        # times, amplitudes and per-spin arrays, then the two phase tables
+        # (ceil(T/B) + B rows of 5 roots) and one B-row product, B = isqrt(T)
+        block = math.isqrt(points + 1)
+        assert info.value.nbytes == (24 * (points + 1) + 64 * 4
+                                     + 16 * (-(-(points + 1) // block) + 2 * block) * 5)
+
+    @pytest.mark.parametrize("t0, t1, steps", [
+        (-7.0, 3.0, 10006),   # through t = 0; 10007 points, a prime
+        (-4.0, -1.0, 143),    # every time negative; 144 points, a square
+        (5.0, 30.0, 1008),    # t0 > 0; 1009 points, a prime
+        (0.0, 40.0, 2400),    # 2401 points, a square
+        (2.0, 3.0, 1),        # two points
+        (0.0, 1e-3, 1),
+        (-1.0, 2.0, 7),       # 8 points: a last block of 2 after two of 3
+    ])
+    def test_tables_against_a_direct_sum(self, t0, t1, steps):
+        spec = fig2_spec(50)
+        grid = TimeGrid(t0, t1, steps)
+        mu, w = arrowhead_eigensystem(*aligned_arrowhead(spec))
+        direct = direct_sum(grid.times, mu, w)
+        amp = survival_amplitude(spec, grid)
+        assert amp.shape == grid.times.shape
+        # the grid resolves its times to ~eps max(|t0|, |t1|), so each phase
+        # mu t rounds on that scale
+        scale = 8.0 * EPS * np.sum(w * (1.0 + np.abs(mu) * max(abs(t0), abs(t1))))
+        assert np.max(np.abs(amp - direct)) <= scale
+
+    def test_late_times_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        spec = fig2_spec(100)
+        grid = TimeGrid(-3.0, 1e3, 20000)
+        amp = survival_amplitude(spec, grid)
+        mu, w = arrowhead_eigensystem(*aligned_arrowhead(spec))
+        late = slice(10000, None, 400)  # t from 498.5 to 1000
+        times = grid.times[late]
+        with mpmath.workdps(30):
+            ref = np.array([complex(mpmath.fsum(
+                mpmath.mpf(float(wj)) * mpmath.expj(-mpmath.mpf(float(mj)) * mpmath.mpf(float(t)))
+                for mj, wj in zip(mu, w))) for t in times])
+        direct = direct_sum(times, mu, w)
+        # the rounding of each phase mu_j t sets the scale of both paths' error
+        scale = 8.0 * EPS * np.sum(w * np.abs(mu)) * np.abs(times)
+        assert np.all(np.abs(amp[late] - ref) <= scale)
+        assert np.all(np.abs(direct - ref) <= scale)
 
 
 class TestBruteForce:

@@ -6,13 +6,14 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decobath import central_spin, cli, trajectory
+from decobath import central_spin, central_spin_nm, cli, dephasing_nm, trajectory
 from decobath.cli import (
     main,
     oracle_compare_trajectory,
@@ -511,6 +512,41 @@ def test_render_estimate_counts_every_csv_column(scenario):
     traj = run_scenario(parse_config(text.replace("bath.N = 2\n", "bath.N = 50\n")
                                      if scenario == "fig2" else text))
     assert len(traj.column_names) == cli._CSV_COLUMNS[scenario]
+
+
+@pytest.mark.parametrize("scenario", cli.SCENARIOS)
+def test_run_peak_stays_within_its_byte_estimates(scenario, monkeypatch):
+    """A whole run, config text to CSV text, holds at most the largest byte
+    estimate it passes to the work rule, so MAX_BYTES bounds what it holds.
+
+    At 50 001 points the per-point arrays dominate: the CSV estimate must
+    cover the render with the trajectory and the model's arrays still
+    alive; for oracle-compare the states' estimate is the larger one.
+    """
+    estimates = []
+
+    def spy(work, nbytes, *args):
+        estimates.append(nbytes)
+        trajectory.check_work(work, nbytes, *args)
+
+    for module in (cli, central_spin, central_spin_nm, dephasing_nm):
+        monkeypatch.setattr(module, "check_work", spy)
+    allowed, _ = cli._SCHEMA[scenario]
+    plain = {**_PLAIN, "grid.steps": "50000", "bath.N": "50" if scenario == "fig2" else "2"}
+    text = f"scenario = {scenario}\n" + "".join(
+        f"{key} = {plain[key]}\n" for key in allowed if key in plain)
+    # a small run first, so that the modules a scenario imports on first
+    # use are not counted as its arrays
+    run_scenario(parse_config(text.replace("grid.steps = 50000", "grid.steps = 20")))
+    estimates.clear()
+    tracemalloc.start()
+    try:
+        run_scenario(parse_config(text)).to_csv()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert estimates[0] == 50_001 * cli._CSV_COLUMNS[scenario] * cli._CELL_BYTES
+    assert peak <= max(estimates), (peak, estimates)
 
 
 class TestCsv:

@@ -128,17 +128,28 @@ def test_oracle_compare_subcommand_from_cold_interpreter(tmp_path):
         assert _loaded(loaded, package) == [], package
 
 
-def test_oracle_compare_bytes_do_not_depend_on_blas_threads(tmp_path):
-    """The propagator's real matrix products give the same CSV bytes on one
-    and on two OpenBLAS threads."""
+def _assert_same_csv_on_one_and_two_blas_threads(tmp_path, *argv: str) -> None:
+    """The CLI writes the same CSV bytes for ``argv`` at 1 and at 2 OpenBLAS threads."""
     digests = []
     for threads in ("1", "2"):
-        out = tmp_path / f"oracle-{threads}.csv"
-        proc = _python(_MAIN, "oracle-compare", "--n", "12", "--seed", "42", "--out", str(out),
-                       env={"OPENBLAS_NUM_THREADS": threads})
+        out = tmp_path / f"out-{threads}.csv"
+        proc = _python(_MAIN, *argv, "--out", str(out), env={"OPENBLAS_NUM_THREADS": threads})
         assert proc.returncode == 0, proc.stderr
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
     assert digests[0] == digests[1]
+
+
+def test_oracle_compare_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The propagator's real matrix products give the same CSV bytes on one
+    and on two OpenBLAS threads."""
+    _assert_same_csv_on_one_and_two_blas_threads(
+        tmp_path, "oracle-compare", "--n", "12", "--seed", "42")
+
+
+def test_fig2_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The survival amplitude's row sums give the same CSV bytes on one and
+    on two OpenBLAS threads."""
+    _assert_same_csv_on_one_and_two_blas_threads(tmp_path, "preset", "fig2", "--n", "50")
 
 
 @pytest.mark.parametrize("first", ["phi", "gamma_thermal"])
