@@ -28,7 +28,7 @@ from .errors import (
     WorkBudgetError,
 )
 from .qstate import DensityMatrix2, QubitAmplitudes
-from .trajectory import RhoTrajectory, TimeGrid, Trajectory
+from .trajectory import TimeGrid, Trajectory
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "QubitAmplitudes",
     "TimeGrid",
     "Trajectory",
-    "RhoTrajectory",
     "NormalizationError",
     "QuadratureError",
     "DegenerateParametersError",

@@ -102,6 +102,12 @@ _ELEMENTS_PER_PAIR = 128
 #: Amplitude-sum (time, root) pairs per secular pair of work (~3 ns against
 #: 30-50 ns).
 _SUM_PAIRS_PER_PAIR = 12
+#: Floats the secular iteration holds per root of its block beside its three
+#: (roots x poles) arrays (about 30 index, bracket and step arrays), and the
+#: bytes of the call's small-array objects (8 KB measured at N = 1): the
+#: terms of :func:`survival_amplitude`'s byte estimate that are not tables.
+_SECULAR_ROOT_FLOATS = 40
+_CALL_BYTES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -411,8 +417,9 @@ def survival_amplitude(spec: SpinBathSpec, grid: TimeGrid) -> np.ndarray:
     frame keeps mu_j to full relative precision: no phase of size
     sum(omega)/2 is formed and cancelled.  Its :func:`spectral_work` and the
     bytes of its times, amplitudes, per-pole arrays and phase tables go
-    through ``trajectory.check_work`` before any large allocation; a sum
-    rule |sum_j w_j - 1| above 1e-10 raises TraceDriftError.
+    through ``trajectory.check_work`` before any large allocation, each part
+    counted as if all were held at once, so the estimate bounds the peak; a
+    sum rule |sum_j w_j - 1| above 1e-10 raises TraceDriftError.
 
     The grid's T times go in blocks of B = isqrt(T): time t_{aB+b} is
     t_{aB} + b dt, so its terms are heads[a] * tails[b] with the tables
@@ -425,11 +432,19 @@ def survival_amplitude(spec: SpinBathSpec, grid: TimeGrid) -> np.ndarray:
     head = spec.omega0 - float(np.sum(spec.g))
     diag = spec.omega - spec.g
     poles = _deflate(head, spec.g, diag)[0].size
-    points = grid.steps + 1
+    roots, points = poles + 1, grid.steps + 1
     block = math.isqrt(points)
-    # the two phase tables, ceil(T/B) and B rows, and one B-row product
-    tables = 16 * (-(-points // block) + 2 * block) * (poles + 1)
-    check_work(spectral_work(poles, points), 24 * points + 64 * spec.N + tables, poles, points,
+    heads = -(-points // block)
+    rows = min(roots, max(1, _BLOCK_ELEMENTS // max(poles, 1)))
+    # times, amplitudes and per-spin arrays; the secular block's three
+    # (rows x poles) arrays and per-root floats; the heads and tails tables,
+    # one tails-sized product and the float phase beside the larger table;
+    # numpy's reduction buffer, up to getbufsize() complex elements
+    nbytes = (24 * points + 64 * spec.N + _CALL_BYTES
+              + 8 * rows * (3 * poles + _SECULAR_ROOT_FLOATS)
+              + (16 * (heads + 2 * block) + 8 * max(heads, block)) * roots
+              + 16 * min(np.getbufsize(), max(rows * poles, block * roots)))
+    check_work(spectral_work(poles, points), nbytes, poles, points,
                "secular poles after deflation")
     mu, w = arrowhead_eigensystem(head, spec.g, diag)
     drift = abs(float(np.sum(w)) - 1.0)

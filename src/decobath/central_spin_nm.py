@@ -29,9 +29,10 @@ whose rate integrals are finite mode sums; rho11 collects what leaves
 rho00.  :func:`channel_exponents` forms both integrals in one blocked pass
 over (time points) x (modes), whose size ``trajectory.check_work`` bounds
 up front.  :func:`integrate_sme` builds the exact solution from them over
-the whole time array, and the full 2x2 generator stepped by the generic RK4
-integrator (:func:`_integrate_sme_matrix`, with the rates of
-:func:`sme_rates`) stays as its oracle; the two share no code.  The module also carries the
+a whole array of times t >= 0 after the preparation, and the full 2x2
+generator stepped from t = 0 by the generic RK4 integrator
+(:func:`_integrate_sme_matrix`, with the rates of :func:`sme_rates`) stays
+as its oracle; the two share no code.  The module also carries the
 equation's claimed closed-form solution, :func:`sme_analytic`.  Its
 population channel is the exact one, while its coherence channel differs in
 the dephasing exponent and the Lamb phase.  That gap is deliberately not
@@ -49,7 +50,7 @@ import numpy as np
 from .central_spin import RotatedAmplitudes, SpinBathSpec
 from .lindblad import dissipator, integrate_master
 from .qstate import DensityMatrix2, SIGMA_MINUS, SIGMA_Z
-from .trajectory import RhoTrajectory, TimeGrid, Trajectory, check_work, nonnegative_times
+from .trajectory import TimeGrid, Trajectory, check_work, nonnegative_times
 
 __all__ = [
     "SmeRates",
@@ -226,27 +227,29 @@ def _refine_factor(rates: SmeRates, grid: TimeGrid) -> int:
 
 def _integrate_sme_matrix(
     spec: SpinBathSpec, rot: RotatedAmplitudes, grid: TimeGrid, refine: int
-) -> RhoTrajectory:
+) -> np.ndarray:
     """Oracle path: the full 2x2 generator stepped by :func:`integrate_master`.
 
     Classic RK4 on a grid ``refine`` times finer than ``grid``, one Python
-    step at a time, sampled back on ``grid``; :func:`_refine_factor` gives
-    the step the checks use.  It shares no code with the closed-form
-    channels of :func:`integrate_sme`, which it is kept to check.
+    step at a time, from the prepared state at t = 0, so ``grid`` must
+    start there; returns the (T, 2, 2) states at ``grid.times``.
+    :func:`_refine_factor` gives the step the checks use.  It shares no
+    code with the closed-form channels of :func:`integrate_sme`, which it
+    is kept to check.
     """
+    if grid.t0 != 0.0:
+        raise ValueError(f"the RK4 oracle starts at the preparation, t = 0, not {grid.t0}")
     psi = np.array([rot.beta, rot.alpha])
     rho0 = DensityMatrix2(np.outer(psi, psi.conj()))
-    fine = integrate_master(rho0, _sme_generator(spec)[0], grid.refined(refine))
-    return RhoTrajectory(fine.times[::refine], fine.states[::refine])
+    return integrate_master(rho0, _sme_generator(spec)[0], grid.refined(refine))[::refine]
 
 
-def integrate_sme(
-    spec: SpinBathSpec, rot: RotatedAmplitudes, grid: TimeGrid
-) -> DensityMatrix2:
-    """Exact solution of the master equation from the rotated state, on ``grid``.
+def integrate_sme(spec: SpinBathSpec, rot: RotatedAmplitudes, t) -> DensityMatrix2:
+    """Exact solution of the master equation from the rotated state, at time(s) t.
 
-    The grid must start at t = 0 (the rates are defined from the preparation
-    time).  Both channels integrate in closed form over the whole time array,
+    Times count from the preparation, where the rates start, so each must be
+    finite and >= 0.  Both channels integrate in closed form over the whole
+    time array,
 
         rho00 = |beta|^2 exp(-gamma_1),
         rho11 = |alpha|^2 - |beta|^2 expm1(-gamma_1),
@@ -257,12 +260,10 @@ def integrate_sme(
     pass of :func:`channel_exponents`, which refuses a bath and grid over
     its work cap with WorkBudgetError.  rho11 is formed with expm1, not as
     1 - rho00, so it keeps its relative accuracy when it is small; a
-    coherence below the smallest normal double is set to 0.  Returns one
-    batched state with an entry per grid time.
+    coherence below the smallest normal double is set to 0.  An array ``t``
+    gives one batched state with an entry per time, each computed on its own.
     """
-    if grid.t0 != 0.0:
-        raise ValueError("the master-equation grid must start at t = 0")
-    t = grid.times
+    t = nonnegative_times(t)
     gamma_1, gamma_d = channel_exponents(spec, t)
     gsum = float(np.sum(spec.g))
     omega_r = spec.omega0 - gsum
@@ -270,7 +271,7 @@ def integrate_sme(
     coh = rot.beta * np.conj(rot.alpha) * np.exp(
         -1j * (omega_r * t + gamma_d) - (2.0 * (gsum * t) ** 2 + 0.5 * gamma_1)
     )
-    coh[np.abs(coh) < _TINY] = 0.0
+    coh = np.where(np.abs(coh) < _TINY, 0.0, coh)
     return DensityMatrix2.from_parts(
         p_beta * np.exp(-gamma_1), abs(rot.alpha) ** 2 - p_beta * np.expm1(-gamma_1), coh
     )
@@ -340,11 +341,11 @@ class SmeDiscrepancyReport:
 
 
 def sme_discrepancy_report(
-    spec: SpinBathSpec, rot: RotatedAmplitudes, grid: TimeGrid
+    spec: SpinBathSpec, rot: RotatedAmplitudes, t
 ) -> SmeDiscrepancyReport:
-    """Solve the master equation on ``grid`` and score it against the closed form."""
-    rho = integrate_sme(spec, rot, grid)
-    times = grid.times
+    """Solve the master equation at the times ``t`` and score it against the closed form."""
+    times = nonnegative_times(t)
+    rho = integrate_sme(spec, rot, times)
     gamma_1, gamma_d = channel_exponents(spec, times)
 
     pop_dev = np.abs(rho.rho00 - abs(rot.beta) ** 2 * np.exp(-gamma_1))

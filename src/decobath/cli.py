@@ -30,17 +30,17 @@ central-exact       bath.N*, bath.g*, bath.omega*, bath.omega0*,
                     system.b, grid.*
 central-sme         bath.N*, bath.g*, bath.omega*, bath.omega0*,
                     bath.polarization.c, bath.polarization.d, system.a,
-                    system.b, grid.* (grid.t0 pinned to 0)
+                    system.b, grid.*
 oracle-compare      oracle.n*, oracle.seed*, grid.*
 fig2                bath.N* (50 or 100), grid.*; the bath itself is baked in
 ==================  ===========================================================
 
 ``grid.*`` stands for grid.t0, grid.t1 and grid.steps; every scenario also
 takes output.path.  A step too fine for the endpoints to resolve (times not
-strictly increasing) is refused with the grid's lines.  The dephase-*
-models start at the preparation time, so they require grid.t0 >= 0.  A
-missing required key, or a key of another scenario, is reported like any
-other problem.
+strictly increasing) is refused with the grid's lines.  The dephase-* and
+central-sme models start at the preparation time, so they require
+grid.t0 >= 0.  A missing required key, or a key of another scenario, is
+reported like any other problem.
 
 A run whose largest phase passes 2**53 is refused, since no digit of the
 phase modulo 2 pi is left there: Omega max(|grid.t0|, |grid.t1|) > 2**53,
@@ -126,10 +126,10 @@ _SCHEMA = {
 SCENARIOS = tuple(_SCHEMA)
 _KINDS = {"scenario": str, **{k: v for keys, _ in _SCHEMA.values() for k, v in keys.items()}}
 
-#: What each scenario's models require of grid.t0, beyond the grid's own
-#: t0 < t1: they start from the preparation time.
-_T0_RULES = {"dephase-markov": ">= 0", "dephase-isotropic": ">= 0",
-             "dephase-correlated": ">= 0", "central-sme": "0"}
+#: The scenarios whose models start from the preparation time, so need
+#: grid.t0 >= 0 beyond the grid's own t0 < t1.
+_FROM_PREPARATION = ("dephase-markov", "dephase-isotropic", "dephase-correlated",
+                     "central-sme")
 _POLARIZATION_KEYS = ("bath.polarization.c", "bath.polarization.d")
 #: Beyond this a phase omega t is spaced >= 2 rad apart in doubles, so no
 #: digit of it modulo 2 pi is left.
@@ -312,12 +312,11 @@ def parse_config(text: str) -> ScenarioConfig:
             errors.append(f"line {entries['spectral.family'][1]}: spectral.family must be "
                           f"'ohmic' or 'tabulated', got {family!r}")
         if "thermo.beta" in entries and "bath.omega0" in entries:
-            # built even when J or psi failed, so that its own refusals are
-            # reported with theirs; the config is refused then anyway
+            # built even when J failed, so that its own refusals are
+            # reported with J's; the config is refused then anyway
             params = build(("thermo.beta", "bath.omega0"),
                            lambda: dephasing_nm.CorrelatedBathParams(
-                               J, get("thermo.beta"), get("bath.omega0"),
-                               psi.bloch_z if psi else 0.0))
+                               J, get("thermo.beta"), get("bath.omega0")))
 
     elif scenario in ("central-exact", "central-sme"):
         if all(key in entries for key in _BATH_REQUIRED):
@@ -353,9 +352,8 @@ def parse_config(text: str) -> ScenarioConfig:
     grid_keys = ("grid.t0", "grid.t1", "grid.steps")
     defaults = _FIG2_GRID if scenario == "fig2" else _DEFAULT_GRID
     grid = build(grid_keys, lambda: TimeGrid(*map(get, grid_keys, defaults)))
-    rule, t0 = _T0_RULES.get(scenario), get("grid.t0", 0.0)
-    if rule and not (t0 >= 0.0 if rule == ">= 0" else t0 == 0.0):
-        errors.append(f"line {entries['grid.t0'][1]}: grid.t0 must be {rule} for {scenario}")
+    if scenario in _FROM_PREPARATION and not get("grid.t0", 0.0) >= 0.0:
+        errors.append(f"line {entries['grid.t0'][1]}: grid.t0 must be >= 0 for {scenario}")
 
     # omega bounds the frequencies whose phase omega t the scenario's model forms
     omega = max((m.phase_frequency for m in (params, spec) if m is not None), default=0.0)
@@ -393,21 +391,19 @@ def run_scenario(cfg: ScenarioConfig) -> Trajectory:
         rho = central_spin.reduced_system_density(cfg.rot, amp)
         return Trajectory(cfg.grid.times, {"P0": np.abs(amp) ** 2, **_rho_columns(rho)})
 
-    if cfg.scenario == "central-sme":
-        rho = central_spin_nm.integrate_sme(cfg.spec, cfg.rot, cfg.grid)
-        return Trajectory(cfg.grid.times, _rho_columns(rho))
-
     if cfg.scenario == "oracle-compare":
         return oracle_compare_trajectory(cfg.spec, cfg.grid)
 
     times = cfg.grid.times
-    if cfg.scenario == "dephase-markov":
+    if cfg.scenario == "central-sme":
+        rho = central_spin_nm.integrate_sme(cfg.spec, cfg.rot, times)
+    elif cfg.scenario == "dephase-markov":
         rho = lindblad.evolve_dephasing_markov(cfg.psi, cfg.params, times)
     elif cfg.scenario == "dephase-isotropic":
         rho = lindblad.evolve_isotropic_markov(
             density_from_amplitudes(cfg.psi), cfg.params.gamma, times)
     else:  # dephase-correlated
-        f = dephasing_nm.decoherence_factors(times, cfg.params)
+        f = dephasing_nm.decoherence_factors(times, cfg.params, cfg.psi)
         rho = f.state(cfg.psi, cfg.params.omega0, times)
         return Trajectory(times, {**_rho_columns(rho), "gamma": f.gamma_total,
                                   "Phi": f.phi, "chi": f.chi})

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -244,25 +244,22 @@ def _check_beta(beta: float) -> None:
 
 @dataclass(frozen=True)
 class CorrelatedBathParams:
-    """Parameters of the system-correlated thermal preparation.
+    """Bath parameters of the system-correlated thermal preparation.
 
     ``beta`` is the inverse temperature; ``math.inf`` is the explicit
-    zero-temperature flag (coth -> 1).  ``sigma_z_expect`` is <sigma_z> of the
-    system state used in the preparation; :func:`rho_correlated` recomputes it
-    from the amplitudes rather than trusting this field.
+    zero-temperature flag (coth -> 1).  The preparation also depends on
+    <sigma_z> of the system state, which the model functions read from the
+    amplitudes they are given.
     """
 
     J: SpectralDensity
     beta: float
     omega0: float
-    sigma_z_expect: float
 
     def __post_init__(self):
         _check_beta(self.beta)
         if not np.isfinite(self.omega0):
             raise ValueError("omega0 must be finite")
-        if not np.isfinite(self.sigma_z_expect) or abs(self.sigma_z_expect) > 1 + 1e-12:
-            raise ValueError(f"sigma_z_expect must lie in [-1, 1], got {self.sigma_z_expect}")
         if math.isinf(self.beta) and self.omega0 == 0.0:
             raise DegenerateParametersError(
                 "zero temperature with omega0 = 0 leaves the preparation undefined"
@@ -636,17 +633,20 @@ def _spectral_factors(t: np.ndarray, J: SpectralDensity, beta: float):
     return factors(t.ravel(), J, beta)
 
 
-def decoherence_factors(t, p: CorrelatedBathParams) -> DecoherenceFactors:
+def decoherence_factors(t, p: CorrelatedBathParams,
+                        psi0: QubitAmplitudes) -> DecoherenceFactors:
     """Phi, gamma_thermal, gamma_corr and chi at finite time(s) ``t`` >= 0.
 
-    Phi and gamma_thermal come from the closed forms in the module docstring,
-    for the whole time array at once; an array ``t`` gives arrays of its
-    shape.  A point where the correlation term annihilates the coherence
-    (see :func:`_gamma_corr_from_phi`) gets gamma_corr = inf and chi = nan.
+    The bath is prepared from the system state ``psi0``, whose <sigma_z>
+    sets gamma_corr and chi.  Phi and gamma_thermal come from the closed
+    forms in the module docstring, for the whole time array at once; an
+    array ``t`` gives arrays of its shape.  A point where the correlation
+    term annihilates the coherence (see :func:`_gamma_corr_from_phi`) gets
+    gamma_corr = inf and chi = nan.
     """
     t = nonnegative_times(t)
     phi_t, gamma1 = _spectral_factors(t, p.J, p.beta)
-    weights = _bath_weights(p.beta, p.omega0, p.sigma_z_expect)
+    weights = _bath_weights(p.beta, p.omega0, psi0.bloch_z)
     gamma2 = _gamma_corr_from_phi(phi_t, weights)
     chi_t = np.where(np.isinf(gamma2), np.nan, _chi_from_phi(phi_t, weights))
     return DecoherenceFactors(*(a.reshape(t.shape) for a in (phi_t, gamma1, gamma2, chi_t)))
@@ -657,12 +657,10 @@ def rho_correlated(t, psi0: QubitAmplitudes, p: CorrelatedBathParams) -> Density
 
     The populations are (|a|^2, |b|^2) for every t; the coherence is
     a b* exp(-i (omega0 t + chi)) exp(-(gamma_thermal + gamma_corr)), and
-    exactly 0 where the correlation term annihilates it.  <sigma_z> is
-    recomputed from ``psi0`` (the preparation ties them definitionally),
-    overriding ``p.sigma_z_expect``.
+    exactly 0 where the correlation term annihilates it.  The bath is
+    prepared from ``psi0`` itself.
     """
-    p_eff = replace(p, sigma_z_expect=psi0.bloch_z)
-    return decoherence_factors(t, p_eff).state(psi0, p_eff.omega0, t)
+    return decoherence_factors(t, p, psi0).state(psi0, p.omega0, t)
 
 
 def rho_uncorrelated(t, psi0: QubitAmplitudes, J: SpectralDensity, beta: float,

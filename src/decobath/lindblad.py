@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import TraceDriftError
 from .qstate import DensityMatrix2, QubitAmplitudes, SIGMA_X, SIGMA_Y, SIGMA_Z
-from .trajectory import RhoTrajectory, TimeGrid, nonnegative_times
+from .trajectory import TimeGrid, nonnegative_times
 
 __all__ = [
     "DephasingParams",
@@ -161,12 +161,11 @@ def _check_generator_contract(rhs: Generator, t0: float, rho0: np.ndarray) -> No
         )
 
 
-def integrate_master(
-    rho0: DensityMatrix2, rhs: Generator, grid: TimeGrid
-) -> RhoTrajectory:
+def integrate_master(rho0: DensityMatrix2, rhs: Generator, grid: TimeGrid) -> np.ndarray:
     """Fixed-step 4th-order Runge-Kutta integration of d(rho)/dt = rhs(t, rho).
 
-    The generator must be trace-free and Hermiticity-preserving (checked at
+    Returns the (T, 2, 2) complex stack of states at ``grid.times``.  The
+    generator must be trace-free and Hermiticity-preserving (checked at
     the initial state).  Trace drift beyond :data:`TRACE_ABORT`, or a NaN
     trace, at any step aborts with :class:`~decobath.errors.TraceDriftError`.
     """
@@ -187,4 +186,4 @@ def integrate_master(
         if not drift <= TRACE_ABORT:
             raise TraceDriftError(drift, times[i + 1], TRACE_ABORT)
         out[i + 1] = rho
-    return RhoTrajectory(times, out)
+    return out

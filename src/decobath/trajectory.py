@@ -164,20 +164,3 @@ class Trajectory:
             raise ValueError("first CSV column must be t")
         data = np.loadtxt(io.StringIO("\n".join(lines[1:])), delimiter=",", ndmin=2)
         return cls(data[:, 0], {name: data[:, j + 1] for j, name in enumerate(header[1:])})
-
-
-@dataclass
-class RhoTrajectory:
-    """Density-matrix trajectory: times plus a stack of 2x2 matrices."""
-
-    times: np.ndarray
-    states: np.ndarray  # shape (len(times), 2, 2), complex
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.states = np.asarray(self.states, dtype=complex)
-        if self.states.shape != (self.times.size, 2, 2):
-            raise ValueError(
-                f"states shape {self.states.shape} does not match "
-                f"{self.times.size} time points"
-            )

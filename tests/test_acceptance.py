@@ -52,8 +52,8 @@ def test_acceptance_02_isotropic_fixed_point():
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         m = a @ a.conj().T
         rho0 = DensityMatrix2(m / np.trace(m).real)
-        traj = lindblad.integrate_master(rho0, gen, grid)
-        assert np.max(np.abs(traj.states[-1] - 0.5 * np.eye(2))) < 1e-6
+        states = lindblad.integrate_master(rho0, gen, grid)
+        assert np.max(np.abs(states[-1] - 0.5 * np.eye(2))) < 1e-6
     _report(2, "isotropic model decoheres to I/2", started)
 
 
@@ -77,12 +77,13 @@ def test_acceptance_03_correlated_bath_closed_forms():
         beta = rng.uniform(0.2, 4.0)
         omega0 = rng.uniform(0.05, 2.5) * rng.choice([-1.0, 1.0])
         z = math.tanh(0.5 * beta * omega0)
+        psi = QubitAmplitudes(math.sqrt((1.0 + z) / 2.0), math.sqrt((1.0 - z) / 2.0))
         p = dephasing_nm.CorrelatedBathParams(
             dephasing_nm.SpectralDensity.ohmic(rng.uniform(0.05, 0.95),
                                                rng.uniform(0.5, 4.0)),
-            beta, omega0, z,
+            beta, omega0,
         )
-        f = dephasing_nm.decoherence_factors(rng.uniform(0.0, 8.0), p)
+        f = dephasing_nm.decoherence_factors(rng.uniform(0.0, 8.0), p, psi)
         assert abs(f.chi) <= 1e-10
         assert abs(f.gamma_corr - (-math.log(abs(math.cos(f.phi))))) <= 1e-10
     _report(3, "correlated-bath closed forms and special values", started)
@@ -100,7 +101,7 @@ def test_acceptance_04_coherence_ordering():
         beta = rng.uniform(0.2, 6.0)
         omega0 = rng.uniform(-3.0, 3.0)
         t = rng.uniform(0.0, 5.0)
-        p = dephasing_nm.CorrelatedBathParams(J, beta, omega0, psi.bloch_z)
+        p = dephasing_nm.CorrelatedBathParams(J, beta, omega0)
         corr = dephasing_nm.rho_correlated(t, psi, p)
         ref = dephasing_nm.rho_uncorrelated(t, psi, J, beta, omega0)
         if abs(corr.coherence) > abs(ref.coherence) + 1e-15:
@@ -181,7 +182,7 @@ def test_acceptance_08_sme_population_consistency(tmp_path):
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         v /= np.linalg.norm(v)
         rot = central_spin.RotatedAmplitudes(v[0], v[1])
-        report = central_spin_nm.sme_discrepancy_report(spec, rot, grid)
+        report = central_spin_nm.sme_discrepancy_report(spec, rot, grid.times)
         assert np.max(report.population_deviation) < 2e-6
         if i == 0:
             report.write_csv(tmp_path / "sme_discrepancy.csv")
@@ -191,7 +192,7 @@ def test_acceptance_08_sme_population_consistency(tmp_path):
             refine = central_spin_nm._refine_factor(central_spin_nm.sme_rates(spec), grid)
             oracle = central_spin_nm._integrate_sme_matrix(spec, rot, grid, refine)
             g1 = np.exp(-central_spin_nm.channel_exponents(spec, grid.times)[0])
-            rk4_dev = np.abs(oracle.states[:, 0, 0].real - abs(rot.beta) ** 2 * g1)
+            rk4_dev = np.abs(oracle[:, 0, 0].real - abs(rot.beta) ** 2 * g1)
             assert np.max(rk4_dev) < 2e-6
         factor = report.best_fit_dephasing_factor
         assert math.isfinite(factor)

@@ -28,7 +28,7 @@ from decobath.central_spin import (
 )
 from decobath.errors import NormalizationError, TraceDriftError, WorkBudgetError
 from decobath.qstate import QubitAmplitudes
-from decobath.trajectory import MAX_WORK, TimeGrid
+from decobath.trajectory import MAX_WORK, TimeGrid, check_work
 
 EPS = float(np.finfo(float).eps)
 
@@ -400,6 +400,32 @@ class TestSurvivalAmplitude:
         # the (N+1)^2 eigenvector matrix alone would be 200 MB
         assert peak < 10e6
 
+    @pytest.mark.parametrize("bufsize", [8192, 16384])
+    @pytest.mark.parametrize("n, steps", [(100, 20000), (100, 400), (300, 4)])
+    def test_byte_estimate_bounds_the_peak(self, monkeypatch, n, steps, bufsize):
+        # fig2 N = 100 at 20 001 points is led by the phase tables, a
+        # 300-spin bath at 5 points by the secular block; numpy's reduction
+        # buffer grows with its size setting (8192 elements by default)
+        spec = fig2_spec(n) if n == 100 else random_spec(np.random.default_rng(n), n)
+        grid = TimeGrid(0.0, 5.0, steps)
+        estimates = []
+
+        def spy(work, nbytes, *args):
+            estimates.append(nbytes)
+            check_work(work, nbytes, *args)
+
+        monkeypatch.setattr(central_spin, "check_work", spy)
+        old = np.setbufsize(bufsize)
+        try:
+            survival_amplitude(spec, grid)  # first-call allocations are not the run's
+            tracemalloc.start()
+            survival_amplitude(spec, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(old)
+        assert peak <= estimates[-1], (peak, estimates[-1])
+
     def test_sum_rule_abort_is_live(self, monkeypatch):
         spec = SpinBathSpec(N=3, g=0.5, omega0=0.2, omega=[1.0, -0.4, 0.7])
         monkeypatch.setattr(central_spin, "_NORM_TOL", -1.0)
@@ -422,11 +448,17 @@ class TestSurvivalAmplitude:
             survival_amplitude(spec, TimeGrid(0.0, 1.0, points))
         assert info.value.size == 4 and info.value.points == points + 1
         assert info.value.work == spectral_work(4, points + 1) > MAX_WORK
-        # times, amplitudes and per-spin arrays, then the two phase tables
-        # (ceil(T/B) + B rows of 5 roots) and one B-row product, B = isqrt(T)
+        # times, amplitudes, per-spin arrays and small-array objects; the
+        # secular block of 5 roots (three 5 x 4 arrays, 40 floats a root);
+        # the two phase tables (ceil(T/B) + B rows of 5 roots), one B-row
+        # product and the float phase of the larger table, B = isqrt(T);
+        # numpy's reduction buffer, 8192 complex elements at most
         block = math.isqrt(points + 1)
-        assert info.value.nbytes == (24 * (points + 1) + 64 * 4
-                                     + 16 * (-(-(points + 1) // block) + 2 * block) * 5)
+        heads = -(-(points + 1) // block)
+        assert info.value.nbytes == (24 * (points + 1) + 64 * 4 + (1 << 14)
+                                     + 8 * 5 * (3 * 4 + 40)
+                                     + (16 * (heads + 2 * block) + 8 * heads) * 5
+                                     + 16 * min(np.getbufsize(), block * 5))
 
     @pytest.mark.parametrize("t0, t1, steps", [
         (-7.0, 3.0, 10006),   # through t = 0; 10007 points, a prime

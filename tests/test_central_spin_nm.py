@@ -250,17 +250,28 @@ class TestChannelExponents:
 
 
 class TestIntegration:
-    def test_rejects_nonzero_start(self):
-        spec = spec_with([0.1], 1.0, [0.5])
-        rot = RotatedAmplitudes(0.6, 0.8)
-        with pytest.raises(ValueError, match="t = 0"):
-            integrate_sme(spec, rot, TimeGrid(1.0, 2.0, 10))
+    def test_later_start_gives_the_same_rows(self, monkeypatch):
+        # each time is solved on its own from the preparation at t = 0, so
+        # dropping the first k times changes no bit of the others, at any
+        # blocking of channel_exponents
+        rng = np.random.default_rng(16)
+        spec = random_ten_mode_spec(rng)
+        rot = random_rot(rng)
+        t = TimeGrid(0.0, 3.0, 60).times
+        whole = integrate_sme(spec, rot, t)
+        exponents = channel_exponents(spec, t)
+        monkeypatch.setattr(central_spin_nm, "_BLOCK_ELEMENTS", 7 * spec.N)
+        assert all(np.array_equal(a, b) for a, b in zip(channel_exponents(spec, t), exponents))
+        for k in (1, 7, 30, 60):
+            later = integrate_sme(spec, rot, t[k:])
+            for part in ("rho00", "rho11", "coherence"):
+                assert np.array_equal(getattr(later, part), getattr(whole, part)[k:])
 
     def test_decoupled_pure_phase_evolution(self):
         spec = spec_with([0.0, 0.0], 1.3, [0.4, 0.9])
         rot = RotatedAmplitudes(0.6, 0.8)
         grid = TimeGrid(0.0, 2.0, 400)
-        rho = integrate_sme(spec, rot, grid)
+        rho = integrate_sme(spec, rot, grid.times)
         assert np.max(np.abs(rho.rho00 - 0.64)) < 1e-12
         expected = 0.48 * np.exp(-1j * 1.3 * grid.times)
         assert np.max(np.abs(rho.coherence - expected)) < 1e-10
@@ -273,14 +284,14 @@ class TestIntegration:
             spec = random_ten_mode_spec(rng)
             rot = random_rot(rng)
             grid = TimeGrid(0.0, 3.0, 60)
-            rho = integrate_sme(spec, rot, grid)
+            rho = integrate_sme(spec, rot, grid.times)
             expected = abs(rot.beta) ** 2 * np.exp(-channel_exponents(spec, grid.times)[0])
             assert np.array_equal(rho.rho00, expected)
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(7)
         spec = random_ten_mode_spec(rng)
-        rho = integrate_sme(spec, random_rot(rng), TimeGrid(0.0, 2.0, 40))
+        rho = integrate_sme(spec, random_rot(rng), TimeGrid(0.0, 2.0, 40).times)
         assert np.max(np.abs(rho.rho00 + rho.rho11 - 1.0)) < 1e-9
         m = rho.matrix
         assert m.shape == (41, 2, 2)
@@ -291,7 +302,7 @@ class TestIntegration:
         spec = spec_with([1.0], 0.7, [0.7])
         rot = RotatedAmplitudes(math.sqrt(0.3), math.sqrt(0.7))
         t_end = 4.8  # gamma_1 = 23
-        rho = integrate_sme(spec, rot, TimeGrid(0.0, t_end, 24))
+        rho = integrate_sme(spec, rot, TimeGrid(0.0, t_end, 24).times)
         gamma1 = t_end**2
         assert gamma1 > 20.0
         floor = 1.0 - 3e-9 * abs(rot.beta) ** 2 - 1e-9
@@ -305,7 +316,7 @@ class TestIntegration:
         p_alpha = 1e-7
         rot = RotatedAmplitudes(math.sqrt(p_alpha), math.sqrt(1.0 - p_alpha))
         grid = TimeGrid(0.0, 0.004, 8)
-        rho = integrate_sme(spec, rot, grid)
+        rho = integrate_sme(spec, rot, grid.times)
         mpmath.mp.dps = 40
         delta = [mpmath.mpf(spec.omega0) - mpmath.mpf(w) for w in spec.omega]
         for t, got in zip(grid.times, rho.rho11):
@@ -326,16 +337,22 @@ class TestChannelwiseIntegration:
         spec = spec_with(rng.uniform(0.05, 0.15, 5), 0.9, [0.9, *rng.uniform(-1.0, 1.0, 4)])
         rot = random_rot(rng)
         grid = TimeGrid(0.0, 1.5, 20)
-        whole = integrate_sme(spec, rot, grid)
+        whole = integrate_sme(spec, rot, grid.times)
         # 7 time rows per block: block edges fall inside the grid
         monkeypatch.setattr(central_spin_nm, "_BLOCK_ELEMENTS", 7 * spec.N)
-        blocked = integrate_sme(spec, rot, grid)
+        blocked = integrate_sme(spec, rot, grid.times)
         # a row's mode sum does not see the blocking, so no bit changes
         for part in ("rho00", "rho11", "coherence"):
             assert np.array_equal(getattr(blocked, part), getattr(whole, part))
         oracle = _integrate_sme_matrix(spec, rot, grid, _refine_factor(sme_rates(spec), grid))
-        assert np.array_equal(oracle.times, grid.times)
-        assert np.max(np.abs(oracle.states - blocked.matrix)) < 1e-12
+        assert oracle.shape == (grid.steps + 1, 2, 2)
+        assert np.max(np.abs(oracle - blocked.matrix)) < 1e-12
+
+    def test_matrix_oracle_refuses_a_later_start(self):
+        # RK4 steps from the prepared state, which holds at t = 0 only
+        spec = spec_with([0.1], 1.0, [0.5])
+        with pytest.raises(ValueError, match="t = 0"):
+            _integrate_sme_matrix(spec, RotatedAmplitudes(0.6, 0.8), TimeGrid(1.0, 2.0, 10), 1)
 
     def test_oracle_converges_to_exact_at_fourth_order(self):
         # bench master-eq sme-rotation shape: omega0 = 60 sets the RK4 step,
@@ -345,10 +362,10 @@ class TestChannelwiseIntegration:
         spec = spec_with(g * (0.1 / g.sum()), 60.0, rng.uniform(-0.5, 2.5, 10))
         rot = random_rot(rng)
         grid = TimeGrid(0.0, 0.25, 5)
-        exact = integrate_sme(spec, rot, grid).coherence
+        exact = integrate_sme(spec, rot, grid.times).coherence
         refine = _refine_factor(sme_rates(spec), grid)
         errors = [
-            np.max(np.abs(_integrate_sme_matrix(spec, rot, grid, refine * k).states[:, 0, 1]
+            np.max(np.abs(_integrate_sme_matrix(spec, rot, grid, refine * k)[:, 0, 1]
                           - exact))
             for k in (1, 2, 4, 8)
         ]
@@ -363,7 +380,7 @@ class TestChannelwiseIntegration:
         grid = TimeGrid(0.0, 10.0, 20000)
         tracemalloc.start()
         try:
-            integrate_sme(spec, random_rot(rng), grid)
+            integrate_sme(spec, random_rot(rng), grid.times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -387,7 +404,7 @@ class TestChannelwiseIntegration:
         # normal double are flushed to the zero they decay towards
         spec = spec_with([0.5, 0.5], 0.3, [0.1, 0.5])
         s = 1.0 / math.sqrt(2.0)
-        rho = integrate_sme(spec, RotatedAmplitudes(s, s), TimeGrid(0.0, 20.0, 200))
+        rho = integrate_sme(spec, RotatedAmplitudes(s, s), TimeGrid(0.0, 20.0, 200).times)
         mag = np.abs(rho.coherence)
         tiny = np.finfo(float).tiny
         assert np.all((mag == 0.0) | (mag >= tiny))
@@ -400,7 +417,7 @@ class TestDiscrepancyReport:
     def test_zero_couplings_zero_deviation(self):
         spec = spec_with([0.0, 0.0, 0.0], 1.1, [0.2, 0.5, 0.9])
         rot = RotatedAmplitudes(0.6, 0.8)
-        rep = sme_discrepancy_report(spec, rot, TimeGrid(0.0, 2.0, 400))
+        rep = sme_discrepancy_report(spec, rot, TimeGrid(0.0, 2.0, 400).times)
         assert np.max(rep.population_deviation) < 1e-12
         assert np.max(rep.coherence_magnitude_deviation) < 1e-12
         assert np.nanmax(rep.coherence_phase_deviation) < 1e-10
@@ -409,14 +426,14 @@ class TestDiscrepancyReport:
         rng = np.random.default_rng(123)
         spec = random_ten_mode_spec(rng)
         rot = random_rot(rng)
-        rep = sme_discrepancy_report(spec, rot, TimeGrid(0.0, 3.0, 60))
+        rep = sme_discrepancy_report(spec, rot, TimeGrid(0.0, 3.0, 60).times)
         assert np.max(rep.population_deviation) < 2e-6
 
     def test_best_fit_factor_emitted(self, tmp_path):
         rng = np.random.default_rng(5)
         spec = random_ten_mode_spec(rng)
         rot = random_rot(rng)
-        rep = sme_discrepancy_report(spec, rot, TimeGrid(0.0, 3.0, 60))
+        rep = sme_discrepancy_report(spec, rot, TimeGrid(0.0, 3.0, 60).times)
         assert math.isfinite(rep.best_fit_dephasing_factor)
         assert rep.best_fit_dephasing_factor > 0.0
         text = rep.summary()
@@ -434,7 +451,7 @@ class TestDiscrepancyReport:
 
         spec = fig2_spec(50)
         rot = rotate_to_polarization(QubitAmplitudes(0.6, 0.8), QubitAmplitudes(0.0, 1.0))
-        rep = sme_discrepancy_report(spec, rot, TimeGrid(0.0, 0.01, 100))
+        rep = sme_discrepancy_report(spec, rot, TimeGrid(0.0, 0.01, 100).times)
         assert math.isfinite(rep.best_fit_dephasing_factor)
         summary = rep.summary()
         digits = summary.rsplit("best-fit dephasing factor ", 1)[1]
@@ -443,6 +460,6 @@ class TestDiscrepancyReport:
     def test_stationary_branch_has_no_coherence_channel(self):
         spec = spec_with([0.2], 1.0, [0.4])
         rot = RotatedAmplitudes(1.0, 0.0)  # beta = 0: no coherence, no fit
-        rep = sme_discrepancy_report(spec, rot, TimeGrid(0.0, 1.0, 20))
+        rep = sme_discrepancy_report(spec, rot, TimeGrid(0.0, 1.0, 20).times)
         assert np.max(rep.population_deviation) < 1e-12
         assert math.isnan(rep.best_fit_dephasing_factor)

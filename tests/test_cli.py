@@ -114,13 +114,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 3: bath.g, .*: g needs 1 or N = 3 values"):
             parse_config(text)
 
-    def test_central_sme_requires_zero_start(self):
-        text = (
-            "scenario = central-sme\nbath.N = 2\nbath.g = 0.1\n"
-            "bath.omega = 0.5, 1.0\nbath.omega0 = 1\ngrid.t0 = 1\n"
-        )
-        with pytest.raises(ConfigError, match="line 6: grid.t0 must be 0 for central-sme"):
-            parse_config(text)
+    def test_central_sme_runs_from_a_later_start(self, tmp_path, capsys):
+        # the rates are defined for every t >= 0 after the preparation
+        base = ("scenario = central-sme\nbath.N = 2\nbath.g = 0.1\n"
+                "bath.omega = 0.5, 1.0\nbath.omega0 = 1\ngrid.t1 = 2\n")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(base + "grid.t0 = 1\ngrid.steps = 20\n")
+        assert main(["run", str(cfg)]) == 0
+        later = np.loadtxt(io.StringIO(capsys.readouterr().out), delimiter=",", skiprows=1)
+        whole = run_scenario(parse_config(base + "grid.steps = 40\n"))
+        assert later[0, 0] == 1.0 and later.shape == (21, 5)
+        rows = np.column_stack([whole.times, *whole.columns.values()])[20:]
+        assert np.max(np.abs(later - rows)) < 1e-15
 
     def test_spectral_family_validation(self):
         base = "scenario = dephase-correlated\nthermo.beta = 2\nbath.omega0 = 1\n"
@@ -360,6 +365,8 @@ _REFUSALS = {
     "markov-t0": (_MARKOV + "gamma = 1\ngrid.t0 = -1\n", "grid.t0"),
     "isotropic-t0": (_ISOTROPIC + "gamma = 1\ngrid.t0 = -1\n", "grid.t0"),
     "correlated-t0": (_OHMIC + "thermo.beta = 2\nbath.omega0 = 1\ngrid.t0 = -1\n", "grid.t0"),
+    "sme-t0": ("scenario = central-sme\n" + _BATH + "bath.omega0 = 1\ngrid.t0 = -1\n",
+               "grid.t0"),
     "system-a-1e200": (_MARKOV + "gamma = 1\nsystem.a = 1e200\n", "system.a"),
     "system-b-1e200": (_EXACT + "bath.omega0 = 1\nsystem.b = 1e200\n", "system.b"),
     "polarization-c-1e200": (_EXACT + "bath.omega0 = 1\nbath.polarization.c = 1e200\n",

@@ -146,21 +146,23 @@ class TestGammaThermal:
             assert gamma_thermal(t, J, beta) >= 0.0
 
 
-def make_params(eta=1.0, omega_c=5.0, beta=2.0, omega0=1.0, z=0.0):
-    return CorrelatedBathParams(
-        SpectralDensity.ohmic(eta, omega_c), beta, omega0, z
-    )
+def make_params(eta=1.0, omega_c=5.0, beta=2.0, omega0=1.0):
+    return CorrelatedBathParams(SpectralDensity.ohmic(eta, omega_c), beta, omega0)
+
+
+def state_with(z):
+    """A real state whose <sigma_z> is z, up to rounding."""
+    return QubitAmplitudes(math.sqrt((1 + z) / 2), math.sqrt((1 - z) / 2))
 
 
 class TestGammaCorrAndChi:
     def test_polarized_states_have_no_correlation_term(self):
         for z in (1.0, -1.0):
-            p = make_params(z=z)
-            assert decoherence_factors(1.3, p).gamma_corr == 0.0
+            assert decoherence_factors(1.3, make_params(), state_with(z)).gamma_corr == 0.0
 
     def test_zero_phase_shift_gives_zero(self):
         # eta = 0 kills Phi identically
-        f = decoherence_factors(2.0, make_params(eta=0.0, z=0.4))
+        f = decoherence_factors(2.0, make_params(eta=0.0), state_with(0.4))
         assert f.gamma_corr == 0.0
         assert f.chi == 0.0
 
@@ -175,10 +177,9 @@ class TestGammaCorrAndChi:
             if omega0 == 0.0:
                 continue
             eta = rng.uniform(0.05, 0.95)  # keeps |Phi| < pi/2
-            p = make_params(eta=eta, omega_c=rng.uniform(0.5, 4.0),
-                            beta=beta, omega0=omega0,
-                            z=math.tanh(beta * omega0 / 2.0))
-            f = decoherence_factors(rng.uniform(0.0, 8.0), p)
+            p = make_params(eta=eta, omega_c=rng.uniform(0.5, 4.0), beta=beta, omega0=omega0)
+            psi = state_with(math.tanh(beta * omega0 / 2.0))
+            f = decoherence_factors(rng.uniform(0.0, 8.0), p, psi)
             assert f.chi == pytest.approx(0.0, abs=1e-10)
             assert f.gamma_corr == pytest.approx(
                 -math.log(abs(math.cos(f.phi))), abs=1e-10
@@ -186,22 +187,22 @@ class TestGammaCorrAndChi:
 
     def test_chi_sign_at_full_polarization(self):
         ts = np.array([0.4, 1.1, 3.0])
-        f_up = decoherence_factors(ts, make_params(eta=0.7, z=1.0))
-        f_dn = decoherence_factors(ts, make_params(eta=0.7, z=-1.0))
+        f_up = decoherence_factors(ts, make_params(eta=0.7), state_with(1.0))
+        f_dn = decoherence_factors(ts, make_params(eta=0.7), state_with(-1.0))
         assert f_up.chi == pytest.approx(-f_up.phi, abs=1e-12)
         assert f_dn.chi == pytest.approx(+f_dn.phi, abs=1e-12)
 
     def test_chi_zero_at_t0(self):
-        assert decoherence_factors(0.0, make_params(z=0.3)).chi == 0.0
+        assert decoherence_factors(0.0, make_params(), state_with(0.3)).chi == 0.0
 
     def test_chi_continuous_across_branches(self):
         # eta = 3 drives Phi through several multiples of pi/2; the closed-form
         # winding must agree with path-based unwrapping of the principal value
-        p = make_params(eta=3.0, omega_c=2.0, beta=1.5, omega0=0.8, z=0.3)
+        p, psi = make_params(eta=3.0, omega_c=2.0, beta=1.5, omega0=0.8), state_with(0.3)
         x = 0.5 * p.beta * p.omega0
-        r = (math.sinh(x) - p.sigma_z_expect * math.cosh(x)) / (
-            math.cosh(x) - p.sigma_z_expect * math.sinh(x))
-        f = decoherence_factors(np.linspace(0.0, 12.0, 400), p)
+        r = (math.sinh(x) - psi.bloch_z * math.cosh(x)) / (
+            math.cosh(x) - psi.bloch_z * math.sinh(x))
+        f = decoherence_factors(np.linspace(0.0, 12.0, 400), p, psi)
         principal = np.arctan2(r * np.sin(f.phi), np.cos(f.phi))
         reference = np.unwrap(principal)
         values = f.chi
@@ -214,18 +215,17 @@ class TestGammaCorrAndChi:
             p = make_params(
                 eta=rng.uniform(0.05, 2.5), omega_c=rng.uniform(0.3, 6.0),
                 beta=rng.uniform(0.1, 8.0), omega0=rng.uniform(-4.0, 4.0),
-                z=rng.uniform(-1.0, 1.0),
             )
-            assert decoherence_factors(rng.uniform(0.0, 10.0), p).gamma_corr >= 0.0
+            psi = state_with(rng.uniform(-1.0, 1.0))
+            assert decoherence_factors(rng.uniform(0.0, 10.0), p, psi).gamma_corr >= 0.0
 
     def test_singular_point_annihilates_coherence(self):
         # at z = tanh(beta omega0/2) and Phi = pi/2 the log argument hits zero;
         # solved exactly for the Ohmic family: t* = tan(pi/(2 eta))/omega_c
         eta, omega_c, beta, omega0 = 1.2, 2.0, 2.0, 1.0
         t_star = math.tan(math.pi / (2.0 * eta)) / omega_c
-        z = math.tanh(beta * omega0 / 2.0)
-        psi = QubitAmplitudes(math.sqrt((1 + z) / 2), math.sqrt((1 - z) / 2))
-        p = make_params(eta=eta, omega_c=omega_c, beta=beta, omega0=omega0, z=z)
+        psi = state_with(math.tanh(beta * omega0 / 2.0))
+        p = make_params(eta=eta, omega_c=omega_c, beta=beta, omega0=omega0)
         rho = rho_correlated(t_star, psi, p)
         # either the singular branch mapped it to exactly 0, or the factor
         # collapsed it below any physical relevance
@@ -238,23 +238,23 @@ class TestGammaCorrAndChi:
 
         eta, omega_c = 1.2, 2.0
         t_star = math.tan(math.pi / (2.0 * eta)) / omega_c
-        p = make_params(eta=eta, omega_c=omega_c, beta=2.0, omega0=0.0, z=0.0)
+        p = make_params(eta=eta, omega_c=omega_c, beta=2.0, omega0=0.0)
         g = _gamma_corr_from_phi(np.array([0.3, math.pi / 2.0]), (0.0, 1.0))
         assert g[0] == pytest.approx(-math.log(math.cos(0.3)), rel=1e-14)
         assert g[1] == math.inf
-        f = decoherence_factors(np.array([0.5 * t_star, t_star]), p)
+        f = decoherence_factors(np.array([0.5 * t_star, t_star]), p, state_with(0.0))
         assert math.isinf(f.gamma_corr[1]) and math.isnan(f.chi[1])
         assert np.isfinite(f.gamma_corr[0]) and np.isfinite(f.chi[0])
 
     def test_degenerate_zero_temperature_zero_splitting(self):
         with pytest.raises(DegenerateParametersError):
-            CorrelatedBathParams(SpectralDensity.ohmic(1.0, 1.0), math.inf, 0.0, 0.3)
+            CorrelatedBathParams(SpectralDensity.ohmic(1.0, 1.0), math.inf, 0.0)
 
 
 class TestReducedStates:
     def test_correlated_t0_is_pure_state(self):
         psi = QubitAmplitudes(0.6, 0.8j)
-        rho = rho_correlated(0.0, psi, make_params(z=psi.bloch_z))
+        rho = rho_correlated(0.0, psi, make_params())
         assert rho.isclose(density_from_amplitudes(psi), atol=1e-12)
 
     def test_uncorrelated_t0_is_pure_state(self):
@@ -274,7 +274,7 @@ class TestReducedStates:
     def test_long_time_collapse(self):
         # strong coupling at finite temperature: gamma_thermal >= 20 at late t
         psi = QubitAmplitudes(math.sqrt(0.5), math.sqrt(0.5))
-        p = make_params(eta=4.0, omega_c=3.0, beta=0.05, omega0=1.0, z=0.0)
+        p = make_params(eta=4.0, omega_c=3.0, beta=0.05, omega0=1.0)
         t = 30.0
         assert gamma_thermal(t, p.J, p.beta) > 20.0
         rho = rho_correlated(t, psi, p)
@@ -304,7 +304,7 @@ class TestReducedStates:
         coh_mp = mp.mpf(0.5) * mp.e**(-1j * (omega0 * t + chi_mp)) \
             * mp.e**(-(g1_mp + g2_mp))
 
-        rho = rho_correlated(t, psi, make_params(eta, omega_c, beta, omega0, 0.0))
+        rho = rho_correlated(t, psi, make_params(eta, omega_c, beta, omega0))
         assert abs(rho.coherence - complex(coh_mp)) < 1e-8
 
     def test_uncorrelated_zero_temperature_closed_form(self):
@@ -320,18 +320,17 @@ class TestReducedStates:
         # z = tanh(beta omega0/2) and eta = 0 (Phi == 0): both reduce to free
         # evolution of the coherence
         beta, omega0 = 1.5, 2.0
-        z = math.tanh(beta * omega0 / 2.0)
-        psi = QubitAmplitudes(math.sqrt((1 + z) / 2), math.sqrt((1 - z) / 2))
-        p = make_params(eta=0.0, beta=beta, omega0=omega0, z=z)
+        psi = state_with(math.tanh(beta * omega0 / 2.0))
+        p = make_params(eta=0.0, beta=beta, omega0=omega0)
         for t in (0.5, 2.0):
             a = rho_correlated(t, psi, p)
             b = rho_uncorrelated(t, psi, p.J, beta, omega0)
             assert a.isclose(b, atol=1e-12)
 
     def test_recomputes_sigma_z_from_amplitudes(self):
-        # a contradictory sigma_z_expect in the params must not leak through
+        # <sigma_z> comes from the state the bath is prepared from
         psi = QubitAmplitudes(1.0, 0.0)  # z = +1: no correlation term at all
-        p = make_params(z=0.0)
+        p = make_params()
         rho = rho_correlated(1.2, psi, p)
         assert rho.rho00 == 1.0 and abs(rho.coherence) == 0.0
 
@@ -348,21 +347,21 @@ class TestReducedStates:
             if math.isinf(beta) and omega0 == 0:
                 continue
             J = SpectralDensity.ohmic(eta, omega_c)
-            p = CorrelatedBathParams(J, beta, omega0, psi.bloch_z)
+            p = CorrelatedBathParams(J, beta, omega0)
             t = rng.uniform(0.0, 6.0)
             corr = rho_correlated(t, psi, p)
             ref = rho_uncorrelated(t, psi, J, beta, omega0)
             assert abs(corr.coherence) <= abs(ref.coherence) + 1e-14
 
     def test_time_array_matches_scalar_calls(self):
-        p = make_params(eta=0.9, omega_c=2.0, beta=1.1, omega0=0.7, z=0.28)
-        psi = QubitAmplitudes(0.8, 0.6)
+        p = make_params(eta=0.9, omega_c=2.0, beta=1.1, omega0=0.7)
+        psi = QubitAmplitudes(0.8, 0.6)  # z = 0.28
         ts = np.array([0.0, 0.4, 1.9, 3.3])
-        f = decoherence_factors(ts, p)
+        f = decoherence_factors(ts, p, psi)
         rho = rho_correlated(ts, psi, p)
         assert f.phi.shape == ts.shape and rho.matrix.shape == (4, 2, 2)
         for i, t in enumerate(ts):
-            one = decoherence_factors(t, p)
+            one = decoherence_factors(t, p, psi)
             assert (f.phi[i], f.gamma_thermal[i], f.gamma_corr[i], f.chi[i]) \
                 == (one.phi, one.gamma_thermal, one.gamma_corr, one.chi)
             assert np.max(np.abs(rho.matrix[i] - rho_correlated(t, psi, p).matrix)) <= 1e-15
@@ -394,10 +393,10 @@ class TestReducedStates:
         assert np.all(rho.rho00 == 0.6 ** 2) and np.all(rho.rho11 == 0.8 ** 2)
 
     def test_decoherence_factors_consistent_with_scalar_ops(self):
-        p = make_params(eta=0.9, omega_c=2.0, beta=1.1, omega0=0.7, z=0.25)
+        p, psi = make_params(eta=0.9, omega_c=2.0, beta=1.1, omega0=0.7), state_with(0.25)
         t = 1.9
-        f = decoherence_factors(t, p)
-        phi_t, z = phi(t, p.J), p.sigma_z_expect
+        f = decoherence_factors(t, p, psi)
+        phi_t, z = phi(t, p.J), psi.bloch_z
         cosh, sinh = math.cosh(0.5 * p.beta * p.omega0), math.sinh(0.5 * p.beta * p.omega0)
         gamma_corr = -0.5 * math.log(
             1.0 - (1.0 - z * z) * math.sin(phi_t) ** 2 / (cosh - z * sinh) ** 2)
@@ -428,7 +427,7 @@ class TestClosedFormFactors:
         for _ in range(3):
             J = SpectralDensity.ohmic(rng.uniform(0.05, 2.0), rng.uniform(0.3, 6.0))
             ts = np.append(ORACLE_TIMES, rng.uniform(0.0, 12.0, 3))
-            f = decoherence_factors(ts, CorrelatedBathParams(J, beta, 0.8, 0.3))
+            f = decoherence_factors(ts, CorrelatedBathParams(J, beta, 0.8), state_with(0.3))
             assert f.phi[0] == 0.0 and f.gamma_thermal[0] == 0.0
             for i, t in enumerate(ts):
                 assert oracle_bound(f.phi[i], phi(t, J)), (beta, t)
@@ -450,7 +449,7 @@ class TestClosedFormFactors:
             values[0] = values[-1] = 0.0
         J = SpectralDensity.tabulated(omega, values)
         ts = np.append(ORACLE_TIMES, rng.uniform(0.0, 12.0, 3))
-        f = decoherence_factors(ts, CorrelatedBathParams(J, beta, 0.8, 0.3))
+        f = decoherence_factors(ts, CorrelatedBathParams(J, beta, 0.8), state_with(0.3))
         assert f.phi[0] == 0.0 and f.gamma_thermal[0] == 0.0
         for i, t in enumerate(ts):
             assert oracle_bound(f.phi[i], phi(t, J)), (table, beta, t)
@@ -470,7 +469,7 @@ class TestClosedFormFactors:
         reference = eta * mp.log1p(u * u) / 2 \
             + 2 * eta * (mp.loggamma(1 + x) - mp.re(mp.loggamma(1 + x + 1j * y)))
         J = SpectralDensity.ohmic(eta, omega_c)
-        f = decoherence_factors(t, CorrelatedBathParams(J, beta, 1.0, 0.0))
+        f = decoherence_factors(t, CorrelatedBathParams(J, beta, 1.0), state_with(0.0))
         assert float(f.gamma_thermal) == pytest.approx(float(reference), rel=1e-14)
 
     @pytest.mark.parametrize("t", [1e-6, 1e-3, 2.0])
@@ -487,7 +486,7 @@ class TestClosedFormFactors:
             gamma_mp += mp.quad(
                 lambda w: (c0 + c1 * w) * 2 * mp.sin(w * t / 2) ** 2 / w ** 2, [a, b])
         J = SpectralDensity.tabulated(omega, values)
-        f = decoherence_factors(t, CorrelatedBathParams(J, math.inf, 1.0, 0.0))
+        f = decoherence_factors(t, CorrelatedBathParams(J, math.inf, 1.0), state_with(0.0))
         assert float(f.phi) == pytest.approx(float(phi_mp), rel=1e-13)
         assert float(f.gamma_thermal) == pytest.approx(float(gamma_mp), rel=1e-13)
 
@@ -499,11 +498,12 @@ class TestClosedFormFactors:
         omega = np.linspace(0.05, 10.0, 80)
         values = omega * np.exp(-omega / 3.0)
         values[0] = values[-1] = 0.0
-        p = CorrelatedBathParams(SpectralDensity.tabulated(omega, values), 2.0, 1.0, 0.2)
+        p = CorrelatedBathParams(SpectralDensity.tabulated(omega, values), 2.0, 1.0)
+        psi = state_with(0.2)
         ts = np.linspace(0.0, 4.0, 2 * _BLOCK_ELEMENTS // 80 + 7)
-        f = decoherence_factors(ts, p)
+        f = decoherence_factors(ts, p, psi)
         for i in (0, 1, ts.size // 2, ts.size - 1):
-            one = decoherence_factors(ts[i], p)
+            one = decoherence_factors(ts[i], p, psi)
             assert (f.phi[i], f.gamma_thermal[i]) == (one.phi, one.gamma_thermal)
 
     def test_tabulated_thermal_memory_is_blocked(self):
@@ -512,11 +512,11 @@ class TestClosedFormFactors:
         omega = np.linspace(0.05, 10.0, 80)
         values = omega * np.exp(-omega / 3.0)
         values[0] = values[-1] = 0.0
-        p = CorrelatedBathParams(SpectralDensity.tabulated(omega, values), 2.0, 1.0, 0.2)
+        p = CorrelatedBathParams(SpectralDensity.tabulated(omega, values), 2.0, 1.0)
         ts = np.linspace(0.0, 4.0, 4001)  # unblocked: 4001 x 1920 nodes, 61 MB an array
         tracemalloc.start()
         try:
-            decoherence_factors(ts, p)
+            decoherence_factors(ts, p, state_with(0.2))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -526,12 +526,12 @@ class TestClosedFormFactors:
         import decobath.dephasing_nm as dnm
 
         J = SpectralDensity.tabulated([0.2, 1.0, 3.0], [0.0, 0.7, 0.0])
-        p = CorrelatedBathParams(J, 2.0, 1.0, 0.0)
-        decoherence_factors(np.linspace(0.0, 5.0, 11), p)
+        p, psi = CorrelatedBathParams(J, 2.0, 1.0), state_with(0.0)
+        decoherence_factors(np.linspace(0.0, 5.0, 11), p, psi)
         monkeypatch.setattr(dnm, "_REL_TOL", 0.0)
         monkeypatch.setattr(dnm, "_ABS_FLOOR", 0.0)
         with pytest.raises(QuadratureError, match="thermal integral"):
-            decoherence_factors(np.linspace(0.0, 5.0, 11), p)
+            decoherence_factors(np.linspace(0.0, 5.0, 11), p, psi)
 
     def test_oversize_tabulated_run_is_refused_fast(self):
         import re
@@ -544,7 +544,8 @@ class TestClosedFormFactors:
         started = time.perf_counter()
         with pytest.raises(WorkBudgetError, match=re.escape(
                 f"quadrature panels on 80 knots, 201 time points), above the cap of {MAX_WORK}")):
-            decoherence_factors(np.linspace(0.0, 1e7, 201), CorrelatedBathParams(J, 2.0, 1.0, 0.0))
+            decoherence_factors(np.linspace(0.0, 1e7, 201), CorrelatedBathParams(J, 2.0, 1.0),
+                                state_with(0.0))
         assert time.perf_counter() - started < 0.5
 
     def test_negative_time_rejected(self):
@@ -552,7 +553,7 @@ class TestClosedFormFactors:
                   SpectralDensity.tabulated([0.5, 1.0], [0.2, 0.0])):
             with pytest.raises(ValueError, match="t must be >= 0"):
                 decoherence_factors(np.array([-1.0, 0.0, 1.0]),
-                                    CorrelatedBathParams(J, 2.0, 1.0, 0.0))
+                                    CorrelatedBathParams(J, 2.0, 1.0), state_with(0.0))
 
     def test_one_row_table_names_the_sample_count(self, tmp_path):
         path = tmp_path / "J.csv"

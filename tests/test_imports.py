@@ -160,11 +160,13 @@ import sys
 import numpy as np
 from decobath.dephasing_nm import (CorrelatedBathParams, SpectralDensity,
                                    decoherence_factors, gamma_thermal, phi)
+from decobath.qstate import QubitAmplitudes
 J, beta, ts = SpectralDensity.ohmic(0.8, 3.0), 2.0, (0.05, 1.3, 7.0)
 assert not any(m.split(".")[0] == "scipy" for m in sys.modules)
 oracles = {{"phi": lambda t: phi(t, J), "gamma_thermal": lambda t: gamma_thermal(t, J, beta)}}
 first = [oracles["{first}"](t) for t in ts]
-f = decoherence_factors(np.array(ts), CorrelatedBathParams(J, beta, 0.8, 0.3))
+psi = QubitAmplitudes(0.65 ** 0.5, 0.35 ** 0.5)  # <sigma_z> = 0.3
+f = decoherence_factors(np.array(ts), CorrelatedBathParams(J, beta, 0.8), psi)
 closed = {{"phi": f.phi, "gamma_thermal": f.gamma_thermal}}
 for name, oracle in oracles.items():
     for t, closed_value in zip(ts, closed[name]):

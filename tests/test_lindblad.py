@@ -142,8 +142,8 @@ def test_isotropic_rate_against_rk4_oracle():
     analytic = evolve_isotropic_markov(rho0, gamma, t)
     assert analytic.rho00 - analytic.rho11 == pytest.approx(np.exp(-2.0), abs=1e-14)
     grid = TimeGrid(0.0, t, 5000)  # step 1e-4
-    traj = integrate_master(rho0, isotropic_generator(gamma), grid)
-    assert np.max(np.abs(traj.states[-1] - analytic.matrix)) < 1e-10
+    states = integrate_master(rho0, isotropic_generator(gamma), grid)
+    assert np.max(np.abs(states[-1] - analytic.matrix)) < 1e-10
 
 
 def test_integrate_master_matches_dephasing_solution():
@@ -151,13 +151,13 @@ def test_integrate_master_matches_dephasing_solution():
     psi = QubitAmplitudes(s, s)
     params = DephasingParams(1.0)
     grid = TimeGrid(0.0, 5.0, 5000)
-    traj = integrate_master(
+    states = integrate_master(
         density_from_amplitudes(psi), dephasing_generator(params), grid
     )
     worst = 0.0
     for i in (0, 500, 1666, 3333, 5000):
-        expected = evolve_dephasing_markov(psi, params, traj.times[i]).matrix
-        worst = max(worst, float(np.max(np.abs(traj.states[i] - expected))))
+        expected = evolve_dephasing_markov(psi, params, grid.times[i]).matrix
+        worst = max(worst, float(np.max(np.abs(states[i] - expected))))
     assert worst < 1e-8
 
 
@@ -165,33 +165,33 @@ def test_integrate_master_with_phase_matches_dephasing_solution():
     psi = QubitAmplitudes(0.6, 0.8)
     params = DephasingParams(0.5, omega0=2.0)
     grid = TimeGrid(0.0, 3.0, 6000)
-    traj = integrate_master(
+    states = integrate_master(
         density_from_amplitudes(psi), dephasing_generator(params), grid
     )
     expected = evolve_dephasing_markov(psi, params, 3.0).matrix
-    assert np.max(np.abs(traj.states[-1] - expected)) < 1e-9
+    assert np.max(np.abs(states[-1] - expected)) < 1e-9
 
 
 def test_integrate_master_zero_generator_identity_trajectory():
     rho0 = density_from_amplitudes(QubitAmplitudes(0.6, 0.8j))
-    traj = integrate_master(rho0, lambda t, r: np.zeros((2, 2), complex),
+    states = integrate_master(rho0, lambda t, r: np.zeros((2, 2), complex),
                             TimeGrid(0.0, 2.0, 100))
-    assert np.max(np.abs(traj.states - rho0.matrix[None])) == 0.0
+    assert np.max(np.abs(states - rho0.matrix[None])) == 0.0
 
 
 def test_integrate_master_isotropic_reaches_mixed_state():
     rho0 = density_from_amplitudes(QubitAmplitudes(1.0, 0.0))
     grid = TimeGrid(0.0, 20.0, 20000)  # gamma t = 20
-    traj = integrate_master(rho0, isotropic_generator(1.0), grid)
-    assert np.max(np.abs(traj.states[-1] - 0.5 * np.eye(2))) < 1e-6
+    states = integrate_master(rho0, isotropic_generator(1.0), grid)
+    assert np.max(np.abs(states[-1] - 0.5 * np.eye(2))) < 1e-6
 
 
 def test_integrate_master_trace_and_hermiticity_along_trajectory():
     rho0 = density_from_amplitudes(QubitAmplitudes(0.8, 0.6j))
-    traj = integrate_master(rho0, isotropic_generator(0.7), TimeGrid(0.0, 4.0, 4000))
-    traces = traj.states[:, 0, 0] + traj.states[:, 1, 1]
+    states = integrate_master(rho0, isotropic_generator(0.7), TimeGrid(0.0, 4.0, 4000))
+    traces = states[:, 0, 0] + states[:, 1, 1]
     assert np.max(np.abs(traces - 1.0)) < 1e-9
-    assert np.max(np.abs(traj.states - traj.states.conj().transpose(0, 2, 1))) < 1e-9
+    assert np.max(np.abs(states - states.conj().transpose(0, 2, 1))) < 1e-9
 
 
 def test_integrate_master_rejects_contract_violations():

@@ -28,7 +28,7 @@ NONFINITE = [NAN, INF, -INF]
 PSI = QubitAmplitudes(0.6, 0.8)
 RHO = density_from_amplitudes(PSI)
 OHMIC = dephasing_nm.SpectralDensity.ohmic(0.5, 2.0)
-CORRELATED = dephasing_nm.CorrelatedBathParams(OHMIC, 2.0, 1.0, 0.0)
+CORRELATED = dephasing_nm.CorrelatedBathParams(OHMIC, 2.0, 1.0)
 BATH = SpinBathSpec(N=2, g=0.4, omega0=0.6, omega=[0.2, 0.9])
 ROT = RotatedAmplitudes(0.8, 0.6)
 GRID = TimeGrid(0.0, 1.0, 4)
@@ -107,10 +107,14 @@ TIME_ENTRIES = {
         PSI, lindblad.DephasingParams(0.5, 1.0), [0.0, t]),
     "evolve_isotropic_markov": lambda t: lindblad.evolve_isotropic_markov(RHO, 0.5, [0.0, t]),
     "sme_analytic": lambda t: central_spin_nm.sme_analytic(BATH, ROT, [0.0, t]),
+    "integrate_sme": lambda t: central_spin_nm.integrate_sme(BATH, ROT, [0.0, t]),
+    "sme_discrepancy_report": lambda t: central_spin_nm.sme_discrepancy_report(
+        BATH, ROT, [0.0, t]),
     # bound at import, since the test replaces the module attribute with no_work
     "channel_exponents": lambda t, exponents=central_spin_nm.channel_exponents:
         exponents(BATH, [0.0, t]),
-    "decoherence_factors": lambda t: dephasing_nm.decoherence_factors([0.0, t], CORRELATED),
+    "decoherence_factors": lambda t: dephasing_nm.decoherence_factors(
+        [0.0, t], CORRELATED, PSI),
     "rho_correlated": lambda t: dephasing_nm.rho_correlated([0.0, t], PSI, CORRELATED),
     "rho_uncorrelated": lambda t: dephasing_nm.rho_uncorrelated([0.0, t], PSI, OHMIC, 2.0, 1.0),
     "phi": lambda t: dephasing_nm.phi(t, OHMIC),
