@@ -16,12 +16,17 @@ the all-|1> product state.
 The reduced system state needs only the survival amplitude
 c_0(t) = sum_j |v_j0|^2 exp(-i E_j t), a sum over the spectral measure of
 the excitation-on-system state.  :func:`survival_amplitude`, the production
-path, takes that measure from the arrowhead's secular equation
-(:func:`arrowhead_eigensystem`, in blocks of roots: O(N) memory, no
-eigenvector formed) and sums it over the T-point time grid from two phase
-tables of ~sqrt(T) rows, one complex multiply per (time, root) pair and no
-cos or sin.  Full eigenvectors come only from the dense solver in
-:func:`evolve_sector`, for general initial states and the oracle checks.
+path, takes that measure from the arrowhead's secular equation and sums it
+over the T-point time grid from two phase tables of ~sqrt(T) rows, one
+complex multiply per (time, root) pair and no cos or sin.  The secular
+solve (:func:`arrowhead_eigensystem`) forms no eigenvector and takes O(N)
+memory.  It has two levels: the roots go in leaves of ~sqrt(N) neighbours,
+each leaf sums its near poles directly in every iteration and its far
+poles through Chebyshev tables built once per leaf, so the work is
+O(N^1.5) instead of the O(N^2) of summing every pole (Gu & Eisenstat 1995
+and Livne & Brandt 2002 sum the same Cauchy sums fast).  Full
+eigenvectors come only from the dense solver in :func:`evolve_sector`,
+for general initial states and the oracle checks.
 A full 2^(N+1) brute-force propagator (N <= 12) is the oracle that
 validates the sector reduction: one Chebyshev expansion of exp(-iHt) over
 the whole time grid, its Bessel weights from numpy.  Both pass their work
@@ -73,9 +78,20 @@ BRUTE_FORCE_MAX_N = 12
 BRUTE_FORCE_NORM_ABORT = 1e-9
 
 _NORM_TOL = 1e-10
-#: Matrix elements per block of (roots x poles) in the secular iteration,
-#: so its memory stays O(N).
+#: Matrix elements per block of (roots x near poles) in the secular
+#: iteration, and of (nodes x far poles) in its far tables, so its memory
+#: stays O(N).
 _BLOCK_ELEMENTS = 1 << 17
+#: Roots per leaf of the two-level secular solve, max(_LEAF_MIN, isqrt(m))
+#: for m poles: a leaf's near sums cost about its roots times three leaf
+#: widths in every iteration, its far tables _FAR_NODES times m once.
+_LEAF_MIN = 128
+#: A pole is near a leaf when it lies within _NEAR_REACH times the leaf's
+#: width of it.  A far pole then sits at least 3 half-widths from the
+#: leaf's centre, so its term's Chebyshev series on the leaf converges as
+#: (3 + sqrt 8)^-k: _FAR_NODES nodes leave ~1e-18 of the far sums.
+_NEAR_REACH = 1.0
+_FAR_NODES = 24
 #: Iterations a secular root may take before the solver gives up (about 5
 #: on average, at most 10, on random baths of up to 10^4 spins).
 _SECULAR_MAX_ITER = 64
@@ -91,21 +107,25 @@ _MILLER_MARGIN = 8
 #: so the propagator's scratch does not grow with the degree or the grid.
 _CHEBYSHEV_CHUNK = 64
 _CHEBYSHEV_TIMES = 32
-#: Costs in the brute-force work estimate beyond its elements (~0.3 ns
-#: each): one Bessel weight of Miller's recurrence (~10 ns) and the fixed
-#: interpreter and call overhead of one Chebyshev step (~20 us).
+#: Costs in the brute-force work estimate beyond its elements (~0.16 ns
+#: each): one Bessel weight of Miller's recurrence (~4.5 ns) and the fixed
+#: interpreter and call overhead of one Chebyshev step (~11 us), fitted to
+#: 15 runs from N = 2 to 12.
 _BESSEL_WORK = 32
 _CHEBYSHEV_STEP_WORK = 65_536
-#: Brute-force elements per secular (root, pole) pair of work (0.2-0.36 ns
-#: against 35-45 ns).
-_ELEMENTS_PER_PAIR = 128
+#: Brute-force elements per secular (root, pole) pair of work (~0.16 ns
+#: against ~40 ns).
+_ELEMENTS_PER_PAIR = 256
 #: Amplitude-sum (time, root) pairs per secular pair of work (~3 ns against
 #: 30-50 ns).
 _SUM_PAIRS_PER_PAIR = 12
-#: Floats the secular iteration holds per root of its block beside its three
-#: (roots x poles) arrays (about 30 index, bracket and step arrays), and the
-#: bytes of the call's small-array objects (8 KB measured at N = 1): the
-#: terms of :func:`survival_amplitude`'s byte estimate that are not tables.
+#: Far-table terms per secular pair of work (~1.6 ns against 30-50 ns).
+_TABLE_ELEMENTS_PER_PAIR = 24
+#: Floats the secular iteration holds per root of its block beside its two
+#: (roots x poles) arrays (30-35 index, bracket, step and far-series arrays
+#: measured), and the bytes of the call's small-array objects (8 KB
+#: measured at N = 1): the terms of :func:`survival_amplitude`'s byte
+#: estimate that are not tables.
 _SECULAR_ROOT_FLOATS = 40
 _CALL_BYTES = 1 << 14
 
@@ -265,41 +285,141 @@ def _deflate(head: float, arm: np.ndarray, diag: np.ndarray):
     return d[first], zsq, deflated
 
 
-def _secular_block(head, poles, zsq, j, low, high):
-    """Roots j (an index array) of g(lam) = lam - head + sum_i zsq_i/(poles_i - lam).
+def _secular_leaves(head: float, poles: np.ndarray, zsq: np.ndarray):
+    """The brackets of the secular roots and the leaves of the two-level solve.
 
-    Root j lies between poles j-1 and j; the outer two lie in (low, poles[0])
-    and (poles[-1], high).  Each root is tracked as tau = lam - poles[o] with
-    its origin o at the nearer pole, which the sign of g at the interval
-    midpoint picks, so the distances poles_i - lam keep full relative
-    precision however close the root is to its pole.  The step is the
-    "middle way" model of LAPACK dlaed4 (R.-C. Li): the origin pole's term
-    kept exact, a pole at the interval's other end fitted to g and g', its
-    zero in the bracket taken in cancellation-free form; a step that leaves
-    the bracket is replaced by bisection.  A root stops when |g| is below
-    its rounding bound.  Returns (roots, weights), the weights
-    1/g'(lam) = |v_0|^2 taken at the last evaluation.
+    Returns (ends, leaves).  Root j lies in (ends[j], ends[j + 1]), where
+    ends = (low, poles..., high) with low and high beyond the Weyl bound.
+    Each leaf row (j0, j1, a, b) takes the consecutive roots j0..j1-1, whose
+    brackets make up X = (ends[j0], ends[j1]); its near poles a..b-1 are
+    those within ``_NEAR_REACH`` |X| of X, which include every root's two
+    bracketing poles.  The poles before a and from b on are its far poles.
     """
     m = poles.size
-    # root j lies in (ends[j], ends[j + 1]); it starts in its left pole's frame
+    radius = 2.0 * math.sqrt(float(np.sum(zsq)))  # Weyl bound, doubled
+    low = min(head, poles[0]) - radius
+    high = max(head, poles[-1]) + radius
     ends = np.concatenate(([low], poles, [high]))
+    size = max(_LEAF_MIN, math.isqrt(m))
+    j0 = np.arange(0, m + 1, size)
+    j1 = np.minimum(j0 + size, m + 1)
+    reach = _NEAR_REACH * (ends[j1] - ends[j0])
+    a = np.searchsorted(poles, ends[j0] - reach, side="left")
+    b = np.searchsorted(poles, ends[j1] + reach, side="right")
+    return ends, np.stack((j0, j1, a, b), axis=1)
+
+
+def _far_field(poles, zsq, ends, j0, j1, a, b):
+    """Chebyshev series, on the leaf of roots j0..j1-1, of its far sums.
+
+    The leaf of :func:`_secular_leaves` spans (ends[j0], ends[j1]); its near
+    poles are a..b-1.  In the frame s = lam - ref of its first bracketing
+    pole ref, the three rows of coefficients give
+    F_L(s) = sum_{i<a} zsq_i/(poles_i - ref - s), F_R(s) the same sum over
+    i >= b, and D(s) = sum over both of zsq_i/(poles_i - ref - s)^2; the
+    frame keeps the distances to the far poles at full relative precision
+    wherever the band lies.  Each sum is taken directly at ``_FAR_NODES``
+    Chebyshev nodes, in blocks of nodes of at most ``_BLOCK_ELEMENTS``
+    (node, pole) pairs, and then converted to coefficients.  Returns
+    (a, b, ref, mid, half, coefficients), the series in u = (s - mid)/half.
+    """
+    ref = poles[max(j0 - 1, 0)]
+    lo, hi = ends[j0] - ref, ends[j1] - ref
+    theta = (np.arange(_FAR_NODES) + 0.5) * (math.pi / _FAR_NODES)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    nodes = mid + half * np.cos(theta)
+    far = a + poles.size - b
+    shifted = np.empty(far)
+    np.subtract(poles[:a], ref, out=shifted[:a])
+    np.subtract(poles[b:], ref, out=shifted[a:])
+    values = np.empty((3, _FAR_NODES))
+    rows = min(_FAR_NODES, max(1, _BLOCK_ELEMENTS // far))
+    buffers = np.empty((2, rows, far))
+    for k in range(0, _FAR_NODES, rows):
+        n = min(rows, _FAR_NODES - k)
+        delta, terms = buffers[0, :n], buffers[1, :n]
+        np.subtract(shifted, nodes[k:k + n, None], out=delta)
+        np.divide(zsq[:a], delta[:, :a], out=terms[:, :a])
+        np.divide(zsq[b:], delta[:, a:], out=terms[:, a:])
+        values[0, k:k + n] = terms[:, :a].sum(axis=1)
+        values[1, k:k + n] = terms[:, a:].sum(axis=1)
+        np.divide(terms, delta, out=delta)
+        values[2, k:k + n] = delta.sum(axis=1)
+    # c_k = (2/P) sum_n f(node_n) cos(k theta_n), c_0 halved
+    cosines = np.cos(np.multiply.outer(np.arange(_FAR_NODES), theta))
+    coef = (values[:, None, :] * cosines).sum(axis=2)
+    coef *= 2.0 / _FAR_NODES
+    coef[:, 0] *= 0.5
+    return a, b, ref, mid, half, coef
+
+
+def _chebyshev_rows(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_k coef[r, k] T_k(u) for each row r and each u, by Clenshaw's recurrence."""
+    two_u = 2.0 * u
+    b1, b2, b0 = np.zeros((3, coef.shape[0], u.size))
+    for c in coef[:, :0:-1].T:
+        # b_k = 2u b_{k+1} - b_{k+2} + c_k, into the buffer b_{k+2} frees
+        np.multiply(two_u, b1, out=b0)
+        b0 -= b2
+        b0 += c[:, None]
+        b1, b2, b0 = b0, b1, b2
+    return u * b1 - b2 + coef[:, :1]
+
+
+def _secular_block(head, poles, zsq, j, ends, far=None):
+    """Roots j (an index array) of g(lam) = lam - head + sum_i zsq_i/(poles_i - lam).
+
+    Root j lies in (ends[j], ends[j + 1]): between poles j-1 and j, and the
+    outer two below poles[0] and above poles[-1] within the bounds ends[0]
+    and ends[-1] (see :func:`_secular_leaves`).  Each root is tracked as
+    tau = lam - poles[o] with its origin o at the nearer pole, which the
+    sign of g at the interval midpoint picks, so the distances
+    poles_i - lam keep full relative precision however close the root is
+    to its pole.  The step is the "middle way" model of LAPACK dlaed4
+    (R.-C. Li): the origin pole's term kept exact, a pole at the interval's
+    other end fitted to g and g', its zero in the bracket taken in
+    cancellation-free form; a step that leaves the bracket is replaced by
+    bisection.  A root stops when |g| is below its rounding bound.  Returns
+    (roots, weights), the weights 1/g'(lam) = |v_0|^2 taken at the last
+    evaluation.
+
+    With ``far`` None every pole is summed directly.  Otherwise it is
+    (a, b, ref, mid, half, coef) from :func:`_far_field`: poles a..b-1 are
+    summed directly and the rest come from the Chebyshev series, F_L + F_R
+    added to g, D to g' and F_R - F_L (each side has one sign) to the sum
+    of |terms| in the bound.
+    """
+    m = poles.size
+    a, b = (0, m) if far is None else far[:2]
+    near, near_zsq = poles[a:b], zsq[a:b]
+    # each root starts in its left pole's frame
     o = np.maximum(j - 1, 0)
     lo = ends[j] - poles[o]
     hi = ends[j + 1] - poles[o]
     tau = 0.5 * (lo + hi)
     roots = np.empty(j.size)
     weights = np.empty(j.size)
+    # the (roots x near poles) scratch, reused by every iteration
+    buffers = np.empty((2, j.size, b - a))
     act = np.arange(j.size)
     for it in range(_SECULAR_MAX_ITER):
         jj, po, t = j[act], poles[o[act]], tau[act]
-        delta = np.subtract(poles, po[:, None])
+        delta, terms = buffers[0, :act.size], buffers[1, :act.size]
+        np.subtract(near, po[:, None], out=delta)
         delta -= t[:, None]
-        terms = zsq / delta
+        np.divide(near_zsq, delta, out=terms)
         g = (po - head) + t + terms.sum(axis=1)
         np.divide(terms, delta, out=delta)
         dg = 1.0 + delta.sum(axis=1)
         np.abs(terms, out=terms)
-        bound = 8.0 * _EPS * (np.abs(po - head) + np.abs(t) + terms.sum(axis=1))
+        total = terms.sum(axis=1)
+        if far is not None:
+            ref, mid, half, coef = far[2:]
+            left, right, slope = _chebyshev_rows(coef, (((po - ref) + t) - mid) / half)
+            g += left + right
+            dg += slope
+            total += right - left
+        bound = 8.0 * _EPS * (np.abs(po - head) + np.abs(t) + total)
         above = g < 0.0  # g increases: the root lies above t
         lo[act] = np.where(above, t, lo[act])
         hi[act] = np.where(above, hi[act], t)
@@ -324,7 +444,7 @@ def _secular_block(head, poles, zsq, j, low, high):
         s = zsq[oa]
         d_o = -t
         # the other end q of the root's interval: a pole, or beyond the
-        # extreme poles the bound low or high standing in for the line
+        # extreme poles the bound ends[0] or ends[-1] standing in for the line
         q = np.where(oa == jj, jj - 1, jj)
         d_q = (ends[q + 1] - poles[oa]) - t
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -347,9 +467,24 @@ def arrowhead_eigensystem(head: float, arm: np.ndarray, diag: np.ndarray):
 
     Returns all N+1 eigenvalues in ascending order and the weights
     |v_j0|^2 = 1/(1 + sum_i arm_i^2/(diag_i - lam_j)^2) of the first basis
-    vector, without forming any eigenvector: O(N) memory, and O(N^2) work
-    in blocks of roots.  Deflated eigenvalues (a negligible coupling, or
-    the repeats of an equal pole) have weight exactly 0.
+    vector, without forming any eigenvector.  Deflated eigenvalues (a
+    negligible coupling, or the repeats of an equal pole) have weight
+    exactly 0.
+
+    The m + 1 roots of the secular equation on m poles (after deflation)
+    are solved in leaves of max(``_LEAF_MIN``, isqrt(m)) consecutive roots
+    (:func:`_secular_leaves`), each leaf in blocks of roots.  A leaf's near
+    poles, its roots' own bracketing poles among them, are summed directly
+    in every iteration, exactly as in the direct solve.  Its far poles do
+    not change between iterations: their sums enter through Chebyshev
+    series on the leaf, built once from ``_FAR_NODES`` direct sums
+    (:func:`_far_field`).  On spread poles each root meets about three
+    leaf widths of near poles and each leaf's tables sum over all m poles
+    24 times, so the work is O(m^1.5), against O(m^2) when every pole is
+    summed, and the memory is O(N).  When every pole is near its leaf
+    (every bath up to 127 poles, and the leaves whose brackets reach past a
+    wide Weyl bound) there is no far field, and each root's arithmetic is
+    the direct solve's, bit for bit.
     """
     arm = np.asarray(arm, dtype=float)
     diag = np.asarray(diag, dtype=float)
@@ -359,14 +494,14 @@ def arrowhead_eigensystem(head: float, arm: np.ndarray, diag: np.ndarray):
     if m == 0:
         roots, weights = np.array([head]), np.ones(1)
     else:
-        radius = 2.0 * math.sqrt(float(np.sum(zsq)))  # Weyl bound, doubled
-        low = min(head, poles[0]) - radius
-        high = max(head, poles[-1]) + radius
+        ends, leaves = _secular_leaves(head, poles, zsq)
         roots, weights = np.empty(m + 1), np.empty(m + 1)
-        rows = max(1, _BLOCK_ELEMENTS // m)
-        for start in range(0, m + 1, rows):
-            j = np.arange(start, min(start + rows, m + 1))
-            roots[j], weights[j] = _secular_block(head, poles, zsq, j, low, high)
+        for j0, j1, a, b in leaves.tolist():
+            far = None if b - a == m else _far_field(poles, zsq, ends, j0, j1, a, b)
+            rows = max(1, _BLOCK_ELEMENTS // (b - a))
+            for start in range(j0, j1, rows):
+                j = np.arange(start, min(start + rows, j1))
+                roots[j], weights[j] = _secular_block(head, poles, zsq, j, ends, far)
     evals = np.concatenate((roots, deflated))
     order = np.argsort(evals, kind="stable")
     return evals[order], np.concatenate((weights, np.zeros(deflated.size)))[order]
@@ -385,17 +520,45 @@ def sector_eigensystem(h: np.ndarray):
         ) from exc
 
 
-def spectral_work(poles: int, points: int) -> int:
+def _secular_cost(head: float, poles: np.ndarray, zsq: np.ndarray):
+    """Work, bytes and largest block of the secular solve of these deflated poles.
+
+    Per leaf of :func:`_secular_leaves`: its roots times its near poles in
+    secular pairs, and ``_FAR_NODES`` sums over its far poles at
+    ``_TABLE_ELEMENTS_PER_PAIR`` elements per pair.  The bytes are the
+    largest leaf's block of rows x near poles (two arrays, and
+    ``_SECULAR_ROOT_FLOATS`` per row) plus its far tables' block of nodes x
+    far poles (two arrays, and the far poles' shifts), as if held at once;
+    the block is the larger of the two arrays, in elements.
+    """
+    if poles.size == 0:
+        return 0, 0, 0
+    j0, j1, a, b = _secular_leaves(head, poles, zsq)[1].T
+    width = b - a
+    far = poles.size - width
+    work = (int(np.sum((j1 - j0) * width))
+            + -(-_FAR_NODES * int(np.sum(far)) // _TABLE_ELEMENTS_PER_PAIR))
+    rows = np.minimum(j1 - j0, np.maximum(1, _BLOCK_ELEMENTS // width))
+    nodes = np.minimum(_FAR_NODES, np.maximum(1, _BLOCK_ELEMENTS // np.maximum(far, 1)))
+    nbytes = 8 * int(np.max(rows * (2 * width + _SECULAR_ROOT_FLOATS) + (2 * nodes + 1) * far))
+    return work, nbytes, int(np.max(np.maximum(rows * width, nodes * far)))
+
+
+def spectral_work(head: float, poles: np.ndarray, zsq: np.ndarray, points: int) -> int:
     """Estimated work of :func:`survival_amplitude`, in secular pairs.
 
-    ``poles`` secular poles after deflation give poles + 1 roots.  Each
-    root meets every pole in each of its secular iterations (30-50 ns per
-    pair on one Xeon core) and every time point once in the amplitude sum,
+    ``poles`` and ``zsq`` are the secular problem after deflation, with
+    poles.size + 1 roots.  Each root meets each near pole of its leaf in
+    each of its secular iterations (30-50 ns per pair on one Xeon core),
+    each leaf sums its far poles once at every Chebyshev node (~1.6 ns a
+    term), and each root meets every time point once in the amplitude sum,
     one complex multiply and add (``_SUM_PAIRS_PER_PAIR`` of them per
-    secular pair).
+    secular pair).  When every pole is near this is
+    roots x poles + roots x points / 12, rounded up.
     """
-    roots = poles + 1
-    return roots * poles + -(-roots * points // _SUM_PAIRS_PER_PAIR)
+    roots = poles.size + 1
+    return (_secular_cost(head, poles, zsq)[0]
+            + -(-roots * points // _SUM_PAIRS_PER_PAIR))
 
 
 def _phase_table(times: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -431,20 +594,19 @@ def survival_amplitude(spec: SpinBathSpec, grid: TimeGrid) -> np.ndarray:
     """
     head = spec.omega0 - float(np.sum(spec.g))
     diag = spec.omega - spec.g
-    poles = _deflate(head, spec.g, diag)[0].size
-    roots, points = poles + 1, grid.steps + 1
+    poles, zsq, _ = _deflate(head, spec.g, diag)
+    roots, points = poles.size + 1, grid.steps + 1
     block = math.isqrt(points)
     heads = -(-points // block)
-    rows = min(roots, max(1, _BLOCK_ELEMENTS // max(poles, 1)))
-    # times, amplitudes and per-spin arrays; the secular block's three
-    # (rows x poles) arrays and per-root floats; the heads and tails tables,
-    # one tails-sized product and the float phase beside the larger table;
+    _, solve, largest = _secular_cost(head, poles, zsq)
+    # times, amplitudes and per-spin arrays; the secular solve's largest
+    # leaf (near block and far tables); the heads and tails tables, one
+    # tails-sized product and the float phase beside the larger table;
     # numpy's reduction buffer, up to getbufsize() complex elements
-    nbytes = (24 * points + 64 * spec.N + _CALL_BYTES
-              + 8 * rows * (3 * poles + _SECULAR_ROOT_FLOATS)
+    nbytes = (24 * points + 64 * spec.N + _CALL_BYTES + solve
               + (16 * (heads + 2 * block) + 8 * max(heads, block)) * roots
-              + 16 * min(np.getbufsize(), max(rows * poles, block * roots)))
-    check_work(spectral_work(poles, points), nbytes, poles, points,
+              + 16 * min(np.getbufsize(), max(largest, block * roots)))
+    check_work(spectral_work(head, poles, zsq, points), nbytes, poles.size, points,
                "secular poles after deflation")
     mu, w = arrowhead_eigensystem(head, spec.g, diag)
     drift = abs(float(np.sum(w)) - 1.0)

@@ -349,6 +349,104 @@ class TestArrowheadSolver:
         assert np.max(np.abs(shift - energy)) < 1e-14 * max(1.0, abs(energy))
 
 
+def two_level_bath(kind, n):
+    """(head, arm, diag) of a weak-coupling arrowhead whose leaves have far poles."""
+    rng = np.random.default_rng([n, len(kind)])
+    arm = rng.uniform(0.01, 0.04, n)
+    diag = rng.uniform(0.5, 1.5, n)
+    if kind == "clustered":  # half the poles within 1e-6
+        diag[: n // 2] = 1.0 + rng.uniform(0.0, 1e-6, n // 2)
+    elif kind == "log-normal":
+        diag = rng.lognormal(0.0, 1.0, n)
+    elif kind == "two-bands":  # two unit bands, 10 apart
+        diag[n // 2:] += 11.0
+        return 6.5, arm, diag
+    elif kind == "deflation":  # 1e-13 couplings and repeated poles mixed in
+        arm[::7] = 1e-13
+        diag[1::5] = diag[0::5][: diag[1::5].size]
+    elif kind == "offset":  # the band 10^6 from 0: far sums need the leaf's frame
+        return 1e6 + 1.0, arm, diag + 1e6
+    return 1.0, arm, diag
+
+
+def has_far_poles(head, arm, diag) -> bool:
+    poles, zsq, _ = central_spin._deflate(head, arm, diag)
+    leaves = central_spin._secular_leaves(head, poles, zsq)[1]
+    return bool(np.any(leaves[:, 3] - leaves[:, 2] < poles.size))
+
+
+class TestTwoLevelSolve:
+    """Near poles summed directly and far poles from per-leaf Chebyshev
+    tables, against every pole summed directly, mpmath and itself."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "clustered", "log-normal", "two-bands",
+                                      "deflation", "offset"])
+    @pytest.mark.parametrize("n", [2000, 5000])
+    def test_against_the_direct_block(self, monkeypatch, n, kind):
+        head, arm, diag = two_level_bath(kind, n)
+        direct, calls = central_spin._secular_block, []
+
+        def spy(*args):
+            roots, weights = direct(*args)
+            calls.append((args[3], args[5] is not None, roots, weights))
+            return roots, weights
+
+        monkeypatch.setattr(central_spin, "_secular_block", spy)
+        arrowhead_eigensystem(head, arm, diag)
+        j = np.concatenate([call[0] for call in calls])
+        order = np.argsort(j)
+        assert np.array_equal(j[order], np.arange(j.size))
+        assert sum(call[1] for call in calls) > len(calls) // 2
+        fast_roots = np.concatenate([call[2] for call in calls])[order]
+        fast_weights = np.concatenate([call[3] for call in calls])[order]
+        # every 13th root and each block's end roots, where the far poles
+        # come nearest, against every pole summed directly
+        edges = np.concatenate([call[0][[0, -1]] for call in calls])
+        pick = np.unique(np.concatenate((np.arange(0, j.size, 13), edges)))
+        poles, zsq, _ = central_spin._deflate(head, arm, diag)
+        ends, _ = central_spin._secular_leaves(head, poles, zsq)
+        roots, weights = direct(head, poles, zsq, pick, ends)
+        scale = np.maximum(1.0, np.abs(roots))
+        assert np.max(np.abs(fast_roots[pick] - roots) / scale) < 1e-14
+        assert np.max(np.abs(fast_weights[pick] - weights)) < 1e-14
+
+    def test_far_field_against_mpmath(self, monkeypatch):
+        # leaves of 4 roots on a 20-pole bath, so most leaves have far poles
+        monkeypatch.setattr(central_spin, "_LEAF_MIN", 2)
+        rng = np.random.default_rng(20)
+        head, arm, diag = 0.3, rng.uniform(0.05, 0.2, 20), rng.uniform(-2.0, 2.0, 20)
+        assert has_far_poles(head, arm, diag)
+        ea, wa = arrowhead_eigensystem(head, arm, diag)
+        er, wr = mpmath_measure(head, arm, diag)
+        assert np.max(np.abs(ea - er) / np.maximum(1.0, np.abs(er))) < 1e-14
+        assert np.max(np.abs(wa - wr)) < 1e-14
+
+    @pytest.mark.parametrize("spec", [fig2_spec(50), fig2_spec(100),
+                                      random_spec(np.random.default_rng(127), 127)],
+                             ids=["fig2-50", "fig2-100", "random-127"])
+    def test_one_leaf_is_the_direct_block_bit_for_bit(self, spec):
+        head, arm, diag = aligned_arrowhead(spec)
+        assert not has_far_poles(head, arm, diag)
+        poles, zsq, deflated = central_spin._deflate(head, arm, diag)
+        ends, _ = central_spin._secular_leaves(head, poles, zsq)
+        roots, weights = central_spin._secular_block(
+            head, poles, zsq, np.arange(poles.size + 1), ends)
+        evals = np.concatenate((roots, deflated))
+        order = np.argsort(evals, kind="stable")
+        mu, w = arrowhead_eigensystem(head, arm, diag)
+        assert np.array_equal(mu, evals[order])
+        assert np.array_equal(w, np.concatenate((weights, np.zeros(deflated.size)))[order])
+
+    def test_blocked_far_field_runs_are_bit_identical(self, monkeypatch):
+        head, arm, diag = two_level_bath("log-normal", 1000)
+        assert has_far_poles(head, arm, diag)
+        whole = arrowhead_eigensystem(head, arm, diag)
+        # blocks of a few roots, and far tables of one node per block
+        monkeypatch.setattr(central_spin, "_BLOCK_ELEMENTS", 7 * 311)
+        blocked = arrowhead_eigensystem(head, arm, diag)
+        assert all(np.array_equal(a, b) for a, b in zip(blocked, whole))
+
+
 class TestSurvivalAmplitude:
     @pytest.mark.parametrize("n", [500, 2000])
     def test_against_dense_eigh(self, n):
@@ -386,8 +484,8 @@ class TestSurvivalAmplitude:
         assert all(np.array_equal(a, b) for a, b in zip(blocked, measure))
 
     def test_memory_stays_linear_in_the_bath(self):
-        rng = np.random.default_rng(5000)
-        n = 5000
+        rng = np.random.default_rng(20000)
+        n = 20000
         g = rng.uniform(0.01, 0.04, n)
         spec = SpinBathSpec(N=n, g=g, omega0=float(np.sum(g)) + 1.0,
                             omega=rng.uniform(0.5, 1.5, n))
@@ -397,16 +495,20 @@ class TestSurvivalAmplitude:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the (N+1)^2 eigenvector matrix alone would be 200 MB
-        assert peak < 10e6
+        # the (N+1)^2 eigenvector matrix alone would be 3.2 GB; the phase
+        # tables take ~1 KB per spin at 401 points, the two-level solve
+        # (far tables in blocks of nodes) ~150 B
+        assert peak < 1500 * n
 
     @pytest.mark.parametrize("bufsize", [8192, 16384])
-    @pytest.mark.parametrize("n, steps", [(100, 20000), (100, 400), (300, 4)])
+    @pytest.mark.parametrize("n, steps", [(100, 20000), (100, 400), (300, 4), (2000, 4)])
     def test_byte_estimate_bounds_the_peak(self, monkeypatch, n, steps, bufsize):
-        # fig2 N = 100 at 20 001 points is led by the phase tables, a
-        # 300-spin bath at 5 points by the secular block; numpy's reduction
-        # buffer grows with its size setting (8192 elements by default)
+        # fig2 N = 100 at 20 001 points is led by the phase tables, the
+        # 300- and 2000-spin baths at 5 points by the secular solve, a
+        # leaf's near block and far tables (3 and 16 leaves); numpy's
+        # reduction buffer grows with its size setting (8192 by default)
         spec = fig2_spec(n) if n == 100 else random_spec(np.random.default_rng(n), n)
+        assert has_far_poles(*aligned_arrowhead(spec)) == (n > 100)
         grid = TimeGrid(0.0, 5.0, steps)
         estimates = []
 
@@ -438,25 +540,28 @@ class TestSurvivalAmplitude:
             survival_amplitude(fig2_spec(50), TimeGrid(0.0, 1.0, 10))
 
     def test_work_estimate_and_cap(self):
-        # 4 roots meet 3 poles in the solve, and 10 times in the sum at 1/12 pair each
+        # 4 roots meet 3 poles in the solve, every one near, and 10 times
+        # in the sum at 1/12 pair each
         assert central_spin._SUM_PAIRS_PER_PAIR == 12
-        assert spectral_work(3, 10) == 4 * 3 + 4
-        assert spectral_work(3, 12) == 4 * 3 + 4
+        assert spectral_work(0.2, np.array([1.0, 2.0, 3.0]), np.ones(3), 10) == 4 * 3 + 4
+        assert spectral_work(0.2, np.array([1.0, 2.0, 3.0]), np.ones(3), 12) == 4 * 3 + 4
         spec = SpinBathSpec(N=4, g=0.5, omega0=0.2, omega=[1.0, 2.0, 3.0, 4.0])
         points = MAX_WORK // 5 * 12
         with pytest.raises(WorkBudgetError) as info:
             survival_amplitude(spec, TimeGrid(0.0, 1.0, points))
         assert info.value.size == 4 and info.value.points == points + 1
-        assert info.value.work == spectral_work(4, points + 1) > MAX_WORK
+        # head omega0 - sum g, poles omega - g, squared couplings g^2
+        poles, zsq = np.array([0.5, 1.5, 2.5, 3.5]), np.full(4, 0.25)
+        assert info.value.work == spectral_work(-1.8, poles, zsq, points + 1) > MAX_WORK
         # times, amplitudes, per-spin arrays and small-array objects; the
-        # secular block of 5 roots (three 5 x 4 arrays, 40 floats a root);
+        # secular block of 5 roots (two 5 x 4 arrays, 40 floats a root);
         # the two phase tables (ceil(T/B) + B rows of 5 roots), one B-row
         # product and the float phase of the larger table, B = isqrt(T);
         # numpy's reduction buffer, 8192 complex elements at most
         block = math.isqrt(points + 1)
         heads = -(-(points + 1) // block)
         assert info.value.nbytes == (24 * (points + 1) + 64 * 4 + (1 << 14)
-                                     + 8 * 5 * (3 * 4 + 40)
+                                     + 8 * 5 * (2 * 4 + 40)
                                      + (16 * (heads + 2 * block) + 8 * heads) * 5
                                      + 16 * min(np.getbufsize(), block * 5))
 
@@ -655,7 +760,7 @@ class TestBruteForce:
         spec = random_spec(np.random.default_rng(3), 2)
         v = product_state([(1.0, 0.0), (0.0, 1.0), (0.0, 1.0)])
         with pytest.raises(WorkBudgetError, match="Chebyshev terms on a 8-state register") as err:
-            brute_force_evolve(spec, v, TimeGrid(0.0, 1e7, 1))
+            brute_force_evolve(spec, v, TimeGrid(0.0, 2e7, 1))
         assert err.value.work > 10 * MAX_WORK
 
 

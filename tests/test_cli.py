@@ -717,14 +717,16 @@ class TestMain:
 
     def test_oversized_central_exact_refused_fast_with_estimate(
             self, monkeypatch, tmp_path, capsys):
-        # 10^5 distinct splittings: ~10^10 secular pairs.  The solver is made
-        # to raise, so a missing refusal fails here instead of running.
+        # 3.5 10^5 distinct splittings: ~1.1 10^9 secular pairs in the
+        # two-level solve alone.  The solver is made to raise, so a missing
+        # refusal fails here instead of running.
         def never(*args):
             raise AssertionError("the oversize secular problem was started")
 
         monkeypatch.setattr(central_spin, "arrowhead_eigensystem", never)
-        n = 100_000
-        omega = ", ".join(map(repr, np.linspace(0.5, 1.5, n).tolist()))
+        n = 350_000
+        g, splittings = np.full(n, 0.001), np.linspace(0.5, 1.5, n)
+        omega = ", ".join(map(repr, splittings.tolist()))
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(
             f"scenario = central-exact\nbath.N = {n}\nbath.g = 0.001\n"
@@ -735,7 +737,10 @@ class TestMain:
         assert main(["run", str(cfg)]) == 2
         assert time.perf_counter() - started < 0.5
         err = capsys.readouterr().err
-        work = central_spin.spectral_work(n, 1001)
+        head = 1.1 - float(np.sum(g))
+        poles, zsq, _ = central_spin._deflate(head, g, splittings - g)
+        assert central_spin.spectral_work(head, poles, zsq, 0) > trajectory.MAX_WORK
+        work = central_spin.spectral_work(head, poles, zsq, 1001)
         assert f"needs an estimated {work} element pairs" in err
         assert f"{n} secular poles" in err
         assert not (tmp_path / "out.csv").exists()
