@@ -27,11 +27,18 @@ O(N^1.5) instead of the O(N^2) of summing every pole (Gu & Eisenstat 1995
 and Livne & Brandt 2002 sum the same Cauchy sums fast).  Full
 eigenvectors come only from the dense solver in :func:`evolve_sector`,
 for general initial states and the oracle checks.
-A full 2^(N+1) brute-force propagator (N <= 12) is the oracle that
-validates the sector reduction: one Chebyshev expansion of exp(-iHt) over
-the whole time grid, its Bessel weights from numpy.  Both pass their work
-and bytes to the one work rule, ``trajectory.check_work``, before any
-large allocation.
+A brute-force propagator on the full 2^(N+1) register (N <= 12) is the
+oracle that validates the sector reduction: one Chebyshev expansion of
+exp(-iHt) over the whole time grid, its Bessel weights from numpy.  It
+builds H on the whole register by bit arithmetic, independent of the
+sector code, and then propagates only the block S that the initial state
+can reach through H's stored entries.  No entry connects S to the rest,
+so every amplitude outside S is exactly 0 and dropping it is exact; S is
+found, never assumed, so a start that H spreads over the whole register
+(a tilted field, a generic vector) runs on the whole register by the same
+code, and a leak out of the sector would show as a larger S.  Both pass
+their work and bytes to the one work rule, ``trajectory.check_work``,
+before any large allocation.
 
 Only that oracle needs scipy, and only ``scipy.sparse`` for the
 Hamiltonian, imported inside :func:`build_full_hamiltonian` and
@@ -109,10 +116,20 @@ _CHEBYSHEV_CHUNK = 64
 _CHEBYSHEV_TIMES = 32
 #: Costs in the brute-force work estimate beyond its elements (~0.16 ns
 #: each): one Bessel weight of Miller's recurrence (~4.5 ns) and the fixed
-#: interpreter and call overhead of one Chebyshev step (~11 us), fitted to
-#: 15 runs from N = 2 to 12.
+#: interpreter and call overhead of one Chebyshev step (~10 us), fitted to
+#: 15 runs from N = 2 to 12 and held on blocks of 3 to 13 states, where a
+#: step is mostly scipy's matvec overhead (7-10 us, best of 3).
 _BESSEL_WORK = 32
 _CHEBYSHEV_STEP_WORK = 65_536
+#: Floats per time point of the brute-force propagator beside its states
+#: and the K + _MILLER_MARGIN rows of its Bessel table: the table's two
+#: spare rows, times, arguments, degrees, recurrence scratch, phases and
+#: norms.  Bytes of its register-sized build per stored entry of H (index
+#: and value triplets, their joined copies, the CSR matrix and the
+#: closure's pattern: 63-71 measured), beside 32 per (state, spin) for the
+#: spin bits, the sigma_z signs and their products.
+_POINT_FLOATS = 16
+_ENTRY_BYTES = 96
 #: Brute-force elements per secular (root, pole) pair of work (~0.16 ns
 #: against ~40 ns).
 _ELEMENTS_PER_PAIR = 256
@@ -704,9 +721,9 @@ def reduced_system_density(rot: RotatedAmplitudes, amplitude) -> DensityMatrix2:
     return DensityMatrix2.from_parts(p0, 1.0 - p0, coh, atol=ATOL_INTEGRATED)
 
 
-def _spin_bits(n_spins: int) -> np.ndarray:
-    idx = np.arange(1 << n_spins)
-    return (idx[:, None] >> np.arange(n_spins)[None, :]) & 1
+def _spin_bits(indices: np.ndarray, n_spins: int) -> np.ndarray:
+    """Bit k of each register index (1 = spin k in |1>), one row per index."""
+    return (indices[:, None] >> np.arange(n_spins)[None, :]) & 1
 
 
 def build_full_hamiltonian(
@@ -726,9 +743,9 @@ def build_full_hamiltonian(
     if n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force limited to N <= {BRUTE_FORCE_MAX_N}, got {n}")
     dim = spec.dim_full
-    bits = _spin_bits(n + 1)
-    sz = 1.0 - 2.0 * bits  # +1 for |0>, -1 for |1>
     idx = np.arange(dim)
+    bits = _spin_bits(idx, n + 1)
+    sz = 1.0 - 2.0 * bits  # +1 for |0>, -1 for |1>
     w_all = np.concatenate(([spec.omega0], spec.omega))
 
     if field_unitary is None:
@@ -803,23 +820,78 @@ def sector_indices(n: int) -> np.ndarray:
 
 @dataclass
 class FullTrajectory:
-    """Brute-force state-vector trajectory over the full register."""
+    """Brute-force trajectory on the invariant block of the register.
+
+    ``support`` holds the sorted register indices S of the block that
+    :func:`brute_force_evolve` propagated, the closure of the initial
+    state's support under H's sparsity pattern; every amplitude outside S
+    is exactly 0 at every time.  ``amplitudes`` has one column per index
+    of S.  The readers below look at S alone, and an index outside it
+    reads an exact 0; :meth:`register_states` builds the whole register
+    on request.
+    """
 
     spec: SpinBathSpec
     times: np.ndarray
-    states: np.ndarray  # shape (len(times), 2^(N+1)), complex
+    support: np.ndarray  # shape (|S|,), sorted register indices
+    amplitudes: np.ndarray  # shape (len(times), |S|), complex
+
+    def _at(self, indices) -> np.ndarray:
+        """Amplitudes at the register ``indices``, per time: 0 outside S."""
+        indices = np.asarray(indices)
+        at = np.minimum(np.searchsorted(self.support, indices), self.support.size - 1)
+        inside = self.support[at] == indices
+        out = np.zeros((self.times.size, indices.size), dtype=complex)
+        out[:, inside] = self.amplitudes[:, at[inside]]
+        return out
 
     def sz_total(self) -> np.ndarray:
         """Expectation of the conserved total sigma_z, per time point."""
-        sz = (1.0 - 2.0 * _spin_bits(self.spec.N + 1)).sum(axis=1)
-        return (np.abs(self.states) ** 2 * sz[None, :]).sum(axis=1)
+        sz = (1.0 - 2.0 * _spin_bits(self.support, self.spec.N + 1)).sum(axis=1)
+        return (np.abs(self.amplitudes) ** 2 * sz[None, :]).sum(axis=1)
 
     def sector_amplitudes(self) -> np.ndarray:
         """Amplitudes on the N+1 single-excitation basis states."""
-        return self.states[:, sector_indices(self.spec.N)]
+        return self._at(sector_indices(self.spec.N))
 
     def aligned_amplitude(self) -> np.ndarray:
-        return self.states[:, aligned_index(self.spec.N)]
+        return self._at([aligned_index(self.spec.N)])[:, 0]
+
+    def register_states(self) -> np.ndarray:
+        """The (T, 2^(N+1)) register amplitudes, the block's columns at S.
+
+        Its bytes go through ``trajectory.check_work`` before it is built.
+        """
+        points, dim = self.times.size, self.spec.dim_full
+        check_work(-(-points * dim // _ELEMENTS_PER_PAIR), 16 * points * dim, dim, points,
+                   "register amplitudes")
+        states = np.zeros((points, dim), dtype=complex)
+        states[:, self.support] = self.amplitudes
+        return states
+
+
+def _closure(h, initial: np.ndarray) -> np.ndarray:
+    """Sorted indices of the closure of ``initial``'s support under H's pattern.
+
+    The closure is the smallest set that holds the support and that H's
+    stored entries map into itself.  Each level is one product of the
+    pattern (every stored entry, a stored zero too, read as 1) with the
+    set's indicator, O(nnz); the set stops growing after at most its
+    diameter's levels.
+    """
+    import scipy.sparse
+
+    reached = initial != 0
+    size = np.count_nonzero(reached)
+    if size == reached.size:
+        return np.arange(size)
+    pattern = scipy.sparse.csr_matrix((np.ones(h.nnz), h.indices, h.indptr), shape=h.shape)
+    while True:
+        reached |= pattern @ reached.astype(float) != 0.0
+        grown = np.count_nonzero(reached)
+        if grown == size:
+            return np.flatnonzero(reached)
+        size = grown
 
 
 def _chebyshev_degrees(x) -> np.ndarray:
@@ -894,11 +966,23 @@ def brute_force_evolve(
     grid: TimeGrid,
     field_unitary: Optional[np.ndarray] = None,
 ) -> FullTrajectory:
-    """Propagate the full 2^(N+1) register exactly (N <= 12).
+    """Propagate ``initial`` on the full 2^(N+1) register exactly (N <= 12).
+
+    H is built on the whole register (:func:`build_full_hamiltonian`).
+    The propagator then runs on its block H_SS, where S is the closure of
+    ``initial``'s support under H's stored sparsity pattern
+    (:func:`_closure`).  No stored entry of H connects S to the rest, so
+    the whole-register recurrence would keep every vector exactly 0
+    outside S in floating point: the block drops only multiplications of
+    zeros.  A stored zero makes S larger, never smaller, and nothing
+    about the model is assumed: a sector start gives its N+1 states (N+2
+    with the aligned state), a tilted field or a generic vector the whole
+    register, by the same code.
 
     One Chebyshev expansion (Tal-Ezer & Kosloff 1984) serves the whole
-    grid.  With [lo, hi] the Gershgorin bounds of H's rows, c their centre
-    and r their half-width, H^ = (H - c)/r has its spectrum in [-1, 1] and
+    grid.  With [lo, hi] the Gershgorin bounds of the block's rows, c their
+    centre and r their half-width, H^ = (H_SS - c)/r has its spectrum in
+    [-1, 1] and
 
         psi(t) = e^{-ict} sum_k (2 - delta_k0) J_k(rt) (-i)^k T_k(H^) psi(0),
 
@@ -907,44 +991,56 @@ def brute_force_evolve(
     degree K whose Bessel tail at r max|t| is below 1e-17; the weights
     J_k(rt) come from Miller's recurrence in numpy.  Chunks of U_k meet
     blocks of time points in fixed-size real products, so memory is the
-    states plus a fixed scratch.
+    block's states plus a fixed scratch.
 
-    The estimated work, K (nnz(H) + points 2^(N+1)) elements plus the
-    Bessel weights and a fixed cost per term, and the bytes of the states
-    (with the temporaries of :meth:`FullTrajectory.sz_total`) and the
-    Bessel table go through ``trajectory.check_work`` before any weight or
-    state is allocated.  A non-unit ``initial`` (NaN included) is refused;
-    norm drift beyond BRUTE_FORCE_NORM_ABORT aborts.
+    The estimated work, K (nnz(H_SS) + points (|S| + 32)) elements plus a
+    fixed cost per term, and the bytes of the register-sized build, the
+    block's states (with the temporaries of :meth:`FullTrajectory.sz_total`),
+    the Bessel table and the scratch go through ``trajectory.check_work``
+    before any weight or state is allocated.  A non-unit ``initial`` (NaN
+    included) is refused; norm drift beyond BRUTE_FORCE_NORM_ABORT aborts.
     """
     import scipy.sparse
 
     initial = _unit_state(initial, spec.dim_full, "register")
     h = build_full_hamiltonian(spec, field_unitary)
-    dim = spec.dim_full
+    dim, nnz = spec.dim_full, h.nnz
+    support = _closure(h, initial)
+    size = support.size
+    if size < dim:
+        h, initial = h[support][:, support], initial[support]
     diag = h.diagonal().real
     radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
     lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
     centre, half = 0.5 * (lo + hi), max(0.5 * (hi - lo), _TINY)
     # U_{k+1} = step U_k + U_{k-1}
-    step = (h - centre * scipy.sparse.identity(dim, format="csr")) * (-2j / half)
+    step = (h - centre * scipy.sparse.identity(size, format="csr")) * (-2j / half)
 
     points = grid.steps + 1
     order = int(_chebyshev_degrees(half * max(abs(grid.t0), abs(grid.t1))))
-    elements = order * (step.nnz + points * (dim + _BESSEL_WORK) + _CHEBYSHEV_STEP_WORK)
-    check_work(-(-elements // _ELEMENTS_PER_PAIR),
-               points * (32 * dim + 8 * (order + _MILLER_MARGIN + 2)), order, points,
-               f"Chebyshev terms on a {dim}-state register")
+    elements = order * (step.nnz + points * (size + _BESSEL_WORK) + _CHEBYSHEV_STEP_WORK)
+    chunk = min(_CHEBYSHEV_CHUNK, order + 1)
+    # the register-sized build of H and its closure; numpy's reduction
+    # buffer, the Chebyshev vectors and the product scratch; per time point
+    # the states, the temporaries of sz_total, the Bessel table and the
+    # per-point arrays
+    nbytes = (32 * dim * (spec.N + 1) + _ENTRY_BYTES * nnz + _CALL_BYTES
+              + 16 * np.getbufsize() + 16 * size * (chunk + min(_CHEBYSHEV_TIMES, points))
+              + points * (32 * size + 8 * (order + _MILLER_MARGIN + _POINT_FLOATS)))
+    check_work(-(-elements // _ELEMENTS_PER_PAIR), nbytes, order, points,
+               f"Chebyshev terms on a block of {size} of {dim} register states")
 
     times = grid.times
     x = half * np.abs(times)
     degrees = _chebyshev_degrees(x)
     weights = _bessel_table(x, degrees, order + 1)
     weights[1:] *= 2.0
-    weights[1::2, times < 0.0] *= -1.0  # J_k(-x) = (-1)^k J_k(x)
+    # J_k(-x) = (-1)^k J_k(x), in place: a masked copy would take K/2 rows
+    weights[1::2] *= np.where(times < 0.0, -1.0, 1.0)
 
-    states = np.zeros((times.size, dim), dtype=complex)
-    vectors = np.empty((min(_CHEBYSHEV_CHUNK, order + 1), dim), dtype=complex)
-    part = np.empty((min(_CHEBYSHEV_TIMES, times.size), 2 * dim))
+    states = np.zeros((times.size, size), dtype=complex)
+    vectors = np.empty((chunk, size), dtype=complex)
+    part = np.empty((min(_CHEBYSHEV_TIMES, times.size), 2 * size))
     # complex rows viewed as real pairs: real weights times complex vectors
     # is one real matrix product
     states_re, vectors_re = states.view(float), vectors.view(float)
@@ -970,7 +1066,7 @@ def brute_force_evolve(
     drift = float(np.max(np.abs(norms - 1.0)))
     if not drift <= BRUTE_FORCE_NORM_ABORT:
         raise TraceDriftError(drift, float(grid.t1), BRUTE_FORCE_NORM_ABORT)
-    return FullTrajectory(spec, times, states)
+    return FullTrajectory(spec, times, support, states)
 
 
 def first_revival(

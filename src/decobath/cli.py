@@ -55,9 +55,10 @@ units of work, a secular (root, pole) pair each (about a minute in all on
 one Xeon core), and ``trajectory.MAX_BYTES`` (2**30) bytes of arrays held
 at once.  The estimates: time points x CSV columns for the render (checked
 here, naming grid.steps), the secular sums of central-exact and fig2, the
-mode sums of central-sme, oracle-compare's Chebyshev terms and states, and
-a tabulated density's knots and quadrature panels.  A run over either cap
-exits with code 2, the estimate and the cap in the message.
+mode sums of central-sme, oracle-compare's Chebyshev terms and states and
+its sector comparison, and a tabulated density's knots and quadrature
+panels.  A run over either cap exits with code 2, the estimate and the cap
+in the message.
 
 Defaults: ``system.a = system.b = 1/sqrt(2)``, ``bath.omega0 = 0`` where
 optional, ``bath.polarization = (0, 1)``, ``grid.t0 = 0``, ``grid.t1 = 10``
@@ -149,9 +150,11 @@ _CSV_COLUMNS = {"dephase-markov": 5, "dephase-isotropic": 5, "dephase-correlated
                 "central-exact": 6, "central-sme": 5, "oracle-compare": 3, "fig2": 6}
 #: Measured cost of one CSV cell: ~1-2 us of ``Trajectory.to_csv`` work (in
 #: secular pairs), and the bytes of a whole run's peak, parse to rendered
-#: text, per cell (at most 106 over the scenarios, at 5e4 and 2e5 points).
+#: text, per cell (at most 106 over the other scenarios, at 5e4 and 2e5
+#: points; 121.5 for oracle-compare, whose three columns spread each row's
+#: list and string overhead over the fewest cells).
 _CELL_WORK = 32
-_CELL_BYTES = 108
+_CELL_BYTES = 124
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -414,12 +417,19 @@ def oracle_compare_trajectory(spec: central_spin.SpinBathSpec, grid: TimeGrid) -
     """Brute-force versus sector evolution on the bath ``spec``.
 
     Columns: per-time maximum amplitude deviation over the N+1 sector basis
-    states, and the drift of the conserved total sigma_z expectation.
+    states, and the drift of the conserved total sigma_z expectation.  The
+    brute force's block of states stays alive through the sector evolution
+    and the deviations, whose (T, N+1) arrays its estimate does not count:
+    the block with four such arrays (three at once, measured) goes through
+    the work rule before the sector evolution starts.
     """
     pairs = [(1.0, 0.0)] + [(0.0, 1.0)] * spec.N  # excitation on the system
     full = central_spin.brute_force_evolve(
         spec, central_spin.product_state(pairs), grid
     )
+    points, states = grid.steps + 1, spec.N + 1
+    check_work(points * states, 16 * points * (full.support.size + 4 * states + 4),
+               states, points, "sector states beside the brute force")
     sector = central_spin.evolve_sector(spec, grid=grid)
     amp_dev = np.max(np.abs(full.sector_amplitudes() - sector.amplitudes), axis=1)
     sz = full.sz_total()

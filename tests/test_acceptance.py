@@ -162,7 +162,7 @@ def test_acceptance_07_aligned_state_stationary():
     v = np.zeros(spec.dim_full, complex)
     v[central_spin.aligned_index(8)] = 1.0
     full = central_spin.brute_force_evolve(spec, v, TimeGrid(0.0, 6.0, 200))
-    fidelity = np.abs(full.states @ v.conj())
+    fidelity = np.abs(full.register_states() @ v.conj())
     assert np.max(np.abs(fidelity - 1.0)) < 1e-10
     _report(7, "fully aligned state is stationary under brute force", started)
 

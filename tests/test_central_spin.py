@@ -659,7 +659,7 @@ class TestBruteForce:
         v = np.zeros(spec.dim_full, complex)
         v[aligned_index(8)] = 1.0
         full = brute_force_evolve(spec, v, TimeGrid(0.0, 6.0, 120))
-        fidelity = np.abs(full.states @ v.conj())
+        fidelity = np.abs(full.register_states() @ v.conj())
         assert np.max(np.abs(fidelity - 1.0)) < 1e-10
 
     def test_norm_drift_abort_names_its_threshold(self, monkeypatch):
@@ -708,7 +708,8 @@ class TestBruteForce:
                 out = np.moveaxis(np.tensordot(r, out, axes=(1, axis)), 0, axis)
             return out.reshape(states.shape)
 
-        assert np.max(np.abs(rotate_register(tilted.states) - straight.states)) < 1e-10
+        assert np.max(np.abs(rotate_register(tilted.register_states())
+                             - straight.register_states())) < 1e-10
 
     @pytest.mark.parametrize("n, grid, tilted", [
         (5, TimeGrid(0.0, 4.0, 40), False),
@@ -730,13 +731,13 @@ class TestBruteForce:
         v /= np.linalg.norm(v)
         h = build_full_hamiltonian(spec, r)
         assert np.any(h.data.imag) == tilted
-        full = brute_force_evolve(spec, v, grid, field_unitary=r)
+        states = brute_force_evolve(spec, v, grid, field_unitary=r).register_states()
         taylor = scipy.sparse.linalg.expm_multiply(
             -1j * h, v, start=grid.t0, stop=grid.t1, num=grid.steps + 1, endpoint=True)
         dense = h.toarray()
         exact = np.array([scipy.linalg.expm(-1j * t * dense) @ v for t in grid.times])
-        assert np.max(np.abs(full.states - taylor)) < 1e-10
-        assert np.max(np.abs(full.states - exact)) < 1e-10
+        assert np.max(np.abs(states - taylor)) < 1e-10
+        assert np.max(np.abs(states - exact)) < 1e-10
 
     def test_long_horizon(self):
         import scipy.sparse.linalg
@@ -747,10 +748,11 @@ class TestBruteForce:
         sector = evolve_sector(spec, grid=grid)
         assert np.max(np.abs(full.sector_amplitudes() - sector.amplitudes)) < 1e-10
         # every tenth grid time, t = 0, 10, ..., 200
+        states = full.register_states()
         taylor = scipy.sparse.linalg.expm_multiply(
-            -1j * build_full_hamiltonian(spec), full.states[0],
+            -1j * build_full_hamiltonian(spec), states[0],
             start=0.0, stop=200.0, num=21, endpoint=True)
-        assert np.max(np.abs(full.states[::10] - taylor)) < 1e-10
+        assert np.max(np.abs(states[::10] - taylor)) < 1e-10
 
     def test_work_over_the_cap_is_refused_before_any_weight(self, monkeypatch):
         def no_work(*args):
@@ -759,9 +761,126 @@ class TestBruteForce:
         monkeypatch.setattr(central_spin, "_bessel_table", no_work)
         spec = random_spec(np.random.default_rng(3), 2)
         v = product_state([(1.0, 0.0), (0.0, 1.0), (0.0, 1.0)])
-        with pytest.raises(WorkBudgetError, match="Chebyshev terms on a 8-state register") as err:
+        with pytest.raises(WorkBudgetError,
+                           match="Chebyshev terms on a block of 3 of 8 register states") as err:
             brute_force_evolve(spec, v, TimeGrid(0.0, 2e7, 1))
         assert err.value.work > 10 * MAX_WORK
+
+
+class TestInvariantBlock:
+    """The brute force runs on the closure S of its start under H's pattern."""
+
+    @staticmethod
+    def support(spec, v, field_unitary=None):
+        return brute_force_evolve(spec, v, TimeGrid(0.0, 0.1, 1), field_unitary).support
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_excitation_on_system_reaches_the_sector(self, n):
+        spec = random_spec(np.random.default_rng(n), n)
+        v = product_state([(1.0, 0.0)] + [(0.0, 1.0)] * n)
+        assert np.array_equal(self.support(spec, v), np.sort(sector_indices(n)))
+
+    def test_aligned_state_is_its_own_block(self):
+        spec = random_spec(np.random.default_rng(6), 6)
+        v = np.zeros(spec.dim_full, complex)
+        v[aligned_index(6)] = 1.0
+        assert np.array_equal(self.support(spec, v), [aligned_index(6)])
+
+    def test_tilted_field_and_random_start_reach_the_register(self):
+        rng = np.random.default_rng(12)
+        spec = random_spec(rng, 12)
+        c, d = random_pair(rng)
+        r = np.array([[d, -c], [np.conj(c), np.conj(d)]])
+        # the excitation on the system, its field tilted: H mixes every sector
+        v = product_state([(1.0, 0.0)] + [(0.0, 1.0)] * 12)
+        assert np.array_equal(self.support(spec, v, r), np.arange(spec.dim_full))
+        v = rng.normal(size=spec.dim_full) + 1j * rng.normal(size=spec.dim_full)
+        v /= np.linalg.norm(v)
+        assert np.array_equal(self.support(spec, v), np.arange(spec.dim_full))
+
+    def test_sector_start_scattered_matches_expm_multiply(self):
+        import scipy.sparse.linalg
+
+        spec = random_spec(np.random.default_rng(88), 8)
+        grid = TimeGrid(0.0, 4.0, 40)
+        v = product_state([(1.0, 0.0)] + [(0.0, 1.0)] * 8)
+        full = brute_force_evolve(spec, v, grid)
+        states = full.register_states()
+        taylor = scipy.sparse.linalg.expm_multiply(
+            -1j * build_full_hamiltonian(spec), v,
+            start=grid.t0, stop=grid.t1, num=grid.steps + 1, endpoint=True)
+        assert np.max(np.abs(states - taylor)) < 1e-10
+        # the whole-register propagator leaves the rest exactly 0 as well
+        outside = np.setdiff1d(np.arange(spec.dim_full), full.support)
+        assert not np.any(states[:, outside]) and not np.any(taylor[:, outside])
+
+    def test_stored_zero_coupling_keeps_its_state_in_the_block(self):
+        # g_2 = 0 is stored in H: its flipped bath spin joins S and stays 0
+        spec = SpinBathSpec(N=3, g=[1.2, 0.0, 0.7], omega0=0.4, omega=[0.9, -0.3, 1.1])
+        grid = TimeGrid(0.0, 3.0, 30)
+        full = brute_force_evolve(spec, product_state([(1.0, 0.0)] + [(0.0, 1.0)] * 3), grid)
+        assert np.array_equal(full.support, np.sort(sector_indices(3)))
+        sector = evolve_sector(spec, grid=grid)
+        assert np.max(np.abs(full.sector_amplitudes() - sector.amplitudes)) < 1e-10
+        assert not np.any(full.sector_amplitudes()[:, 2])
+
+    def test_a_leak_out_of_the_sector_grows_the_block(self, monkeypatch):
+        # a coupling from the sector to a two-excitation state: S takes that
+        # state in, and the drift of total sigma_z shows the leak
+        build = central_spin.build_full_hamiltonian
+
+        def leaky(spec, field_unitary=None):
+            h = build(spec, field_unitary).tolil()
+            i, j = sector_indices(spec.N)[0], aligned_index(spec.N) ^ 0b11
+            h[i, j] = h[j, i] = 0.3
+            return h.tocsr()
+
+        monkeypatch.setattr(central_spin, "build_full_hamiltonian", leaky)
+        spec = random_spec(np.random.default_rng(4), 3)
+        full = brute_force_evolve(spec, product_state([(1.0, 0.0)] + [(0.0, 1.0)] * 3),
+                                  TimeGrid(0.0, 3.0, 30))
+        assert full.support.size > 4 and aligned_index(3) ^ 0b11 in full.support
+        sz = full.sz_total()
+        assert np.max(np.abs(sz - sz[0])) > 1e-3
+
+    def test_reads_outside_the_block_are_exact_zeros(self):
+        spec = random_spec(np.random.default_rng(5), 5)
+        full = brute_force_evolve(spec, product_state([(1.0, 0.0)] + [(0.0, 1.0)] * 5),
+                                  TimeGrid(0.0, 2.0, 20))
+        assert not np.any(full.aligned_amplitude())
+        states = full.register_states()
+        assert np.array_equal(full.sector_amplitudes(), states[:, sector_indices(5)])
+        sz = (1.0 - 2.0 * central_spin._spin_bits(np.arange(spec.dim_full), 6)).sum(axis=1)
+        assert np.allclose(full.sz_total(), (np.abs(states) ** 2 * sz).sum(axis=1),
+                           rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("start", ["sector", "random"])
+    def test_byte_estimate_bounds_the_peak(self, monkeypatch, start):
+        # the N = 12 sector start is led by the register-sized build, the
+        # random start by its 8192-amplitude states
+        rng = np.random.default_rng(1212)
+        spec = random_spec(rng, 12)
+        if start == "sector":
+            v = product_state([(1.0, 0.0)] + [(0.0, 1.0)] * 12)
+        else:
+            v = rng.normal(size=spec.dim_full) + 1j * rng.normal(size=spec.dim_full)
+            v /= np.linalg.norm(v)
+        grid = TimeGrid(0.0, 2.0, 100)
+        estimates = []
+
+        def spy(work, nbytes, *args):
+            estimates.append(nbytes)
+            check_work(work, nbytes, *args)
+
+        monkeypatch.setattr(central_spin, "check_work", spy)
+        brute_force_evolve(spec, v, grid)  # first-call allocations are not the run's
+        tracemalloc.start()
+        try:
+            brute_force_evolve(spec, v, grid).sz_total()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimates[-1], (peak, estimates[-1])
 
 
 class TestBesselWeights:
@@ -829,12 +948,13 @@ class TestReducedDensity:
         grid = TimeGrid(0.0, 4.0, 40)
         pairs = [(beta, alpha)] + [(0.0, 1.0)] * n
         full = brute_force_evolve(spec, product_state(pairs), grid)
+        states = full.register_states()
         amp = survival_amplitude(spec, grid)
         rot = RotatedAmplitudes(alpha, beta)
         for i in (0, 13, 27, 40):
             # partial trace over bath: system occupies bit 0 (last axis varies
             # fastest in our bit order, so reshape to (bath, system))
-            psi_mat = full.states[i].reshape(-1, 2)
+            psi_mat = states[i].reshape(-1, 2)
             rho_full = psi_mat.T @ psi_mat.conj()
             rho = reduced_system_density(rot, amp[i])
             assert np.max(np.abs(rho.matrix - rho_full)) < 1e-10

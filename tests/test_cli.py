@@ -20,7 +20,7 @@ from decobath.cli import (
     parse_config,
     run_scenario,
 )
-from decobath.errors import ConfigError
+from decobath.errors import ConfigError, WorkBudgetError
 from decobath.lindblad import DephasingParams, evolve_dephasing_markov
 from decobath.qstate import DensityMatrix2, QubitAmplitudes
 from decobath.trajectory import TimeGrid, Trajectory
@@ -556,6 +556,31 @@ def test_run_peak_stays_within_its_byte_estimates(scenario, monkeypatch):
     assert peak <= max(estimates), (peak, estimates)
 
 
+@pytest.mark.parametrize("n", [2, 8])
+def test_short_oracle_compare_peak_stays_within_its_byte_estimates(n, monkeypatch):
+    """At a short horizon the brute force's Bessel table is a few rows: the
+    peak of N = 2 is the CSV render's, that of N = 8 the sector evolution's
+    beside the brute-force block, and each has its own estimate."""
+    estimates = []
+
+    def spy(work, nbytes, *args):
+        estimates.append(nbytes)
+        trajectory.check_work(work, nbytes, *args)
+
+    for module in (cli, central_spin):
+        monkeypatch.setattr(module, "check_work", spy)
+    text = f"scenario = oracle-compare\noracle.n = {n}\noracle.seed = 1\ngrid.t1 = 1e-4\n"
+    run_scenario(parse_config(text + "grid.steps = 20\n"))
+    estimates.clear()
+    tracemalloc.start()
+    try:
+        run_scenario(parse_config(text + "grid.steps = 20000\n")).to_csv()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(estimates), (peak, estimates)
+
+
 class TestCsv:
     def test_header_names_every_column_and_17_digits(self, tmp_path):
         traj = Trajectory(np.array([0.0, 1.0]),
@@ -762,45 +787,58 @@ class TestMain:
                f"{points} time points), above the cap of {trajectory.MAX_WORK}" in err
         assert not (tmp_path / "out.csv").exists()
 
-    def test_oversized_oracle_compare_refused_fast_with_estimate(self, tmp_path, capsys):
-        # two bath spins over 10^6 time units: millions of Chebyshev terms
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text("scenario = oracle-compare\noracle.n = 2\noracle.seed = 1\n"
-                       f"grid.t1 = 1e6\noutput.path = {tmp_path / 'out.csv'}\n")
-        started = time.perf_counter()
-        assert main(["run", str(cfg)]) == 2
-        assert time.perf_counter() - started < 0.5
-        err = capsys.readouterr().err
-        found = re.search(r"needs an estimated (\d+) element pairs \((\d+) Chebyshev terms "
-                          r"on a 8-state register, 1001 time points\), above the cap of "
-                          + str(trajectory.MAX_WORK), err)
-        assert found, err
-        assert int(found[1]) > trajectory.MAX_WORK and int(found[2]) > 10**6
-        assert not (tmp_path / "out.csv").exists()
-
-    def test_oracle_compare_states_over_the_byte_cap_refused_fast(
+    def test_oversized_oracle_compare_refused_fast_with_estimate(
             self, monkeypatch, tmp_path, capsys):
-        # a short horizon keeps the Chebyshev series at 11 terms, but 10^4
-        # states of 8192 amplitudes (with sz_total's temporaries) take 2.6 GB
+        # two bath spins over 10^7 time units: tens of millions of Chebyshev
+        # terms on the 3-state block the excitation can reach
         def never(*args):
             raise AssertionError("weights were computed for a refused run")
 
         monkeypatch.setattr(central_spin, "_bessel_table", never)
         cfg = tmp_path / "cfg.txt"
-        text = "scenario = oracle-compare\noracle.n = 12\noracle.seed = 42\ngrid.t1 = 0.01\n"
-        cfg.write_text(text + f"grid.steps = 9999\noutput.path = {tmp_path / 'out.csv'}\n")
+        cfg.write_text("scenario = oracle-compare\noracle.n = 2\noracle.seed = 1\n"
+                       f"grid.t1 = 1e7\noutput.path = {tmp_path / 'out.csv'}\n")
         started = time.perf_counter()
         assert main(["run", str(cfg)]) == 2
         assert time.perf_counter() - started < 0.5
         err = capsys.readouterr().err
-        assert re.search(r"needs an estimated \d+ element pairs and \d+ bytes \(11 Chebyshev "
-                         r"terms on a 8192-state register, 10000 time points\), above the cap "
-                         rf"of {trajectory.MAX_BYTES} bytes", err), err
+        found = re.search(r"needs an estimated (\d+) element pairs \((\d+) Chebyshev terms "
+                          r"on a block of 3 of 8 register states, 1001 time points\), above "
+                          r"the cap of " + str(trajectory.MAX_WORK), err)
+        assert found, err
+        assert int(found[1]) > 10 * trajectory.MAX_WORK and int(found[2]) > 10**7
         assert not (tmp_path / "out.csv").exists()
+
+    def test_oracle_compare_states_over_the_byte_cap_refused_fast(
+            self, monkeypatch, tmp_path, capsys):
+        # a short horizon keeps the Chebyshev series at ~11 terms, but 10^4
+        # states of a whole 8192-state register (a generic start reaches all
+        # of it), with sz_total's temporaries, take 2.6 GB
+        def never(*args):
+            raise AssertionError("weights were computed for a refused run")
+
+        monkeypatch.setattr(central_spin, "_bessel_table", never)
+        spec = cli._oracle_bath(12, 42)
+        v = np.random.default_rng(12).normal(size=spec.dim_full) + 0j
+        v /= np.linalg.norm(v)
+        started = time.perf_counter()
+        with pytest.raises(WorkBudgetError) as err:
+            central_spin.brute_force_evolve(spec, v, TimeGrid(0.0, 0.01, 9999))
+        assert time.perf_counter() - started < 0.5
+        assert re.search(r"needs an estimated \d+ element pairs and \d+ bytes \(\d+ Chebyshev "
+                         r"terms on a block of 8192 of 8192 register states, 10000 time "
+                         rf"points\), above the cap of {trajectory.MAX_BYTES} bytes",
+                         str(err.value)), err.value
         monkeypatch.undo()
-        cfg.write_text(text + "grid.steps = 2000\n")
+        # oracle-compare's start reaches a 13-state block: the same grid then
+        # holds 2 MB of states and runs, well inside the CSV bound too
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("scenario = oracle-compare\noracle.n = 12\noracle.seed = 42\n"
+                       "grid.t1 = 0.01\ngrid.steps = 9999\n"
+                       f"output.path = {tmp_path / 'out.csv'}\n")
         assert main(["run", str(cfg)]) == 0
         assert "PASS" in capsys.readouterr().out
+        assert len(Trajectory.read_csv(tmp_path / "out.csv").times) == 10_000
 
     def test_uniform_large_bath_deflates_to_rabi(self, tmp_path):
         # 10^5 identical bath spins deflate to one pole with coupling g sqrt(N)
