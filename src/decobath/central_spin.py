@@ -118,9 +118,13 @@ _CHEBYSHEV_TIMES = 32
 #: each): one Bessel weight of Miller's recurrence (~4.5 ns) and the fixed
 #: interpreter and call overhead of one Chebyshev step (~10 us), fitted to
 #: 15 runs from N = 2 to 12 and held on blocks of 3 to 13 states, where a
-#: step is mostly scipy's matvec overhead (7-10 us, best of 3).
+#: step is mostly scipy's matvec overhead (7-10 us, best of 3); and the
+#: work of one time point that does not scale with K, mostly the bisection
+#: of its degree in ``_chebyshev_degrees`` (0.25-0.72 us a point beyond the
+#: other terms, N = 2 to 12 and K = 4 to 143 at 1e5 points, best of 3).
 _BESSEL_WORK = 32
 _CHEBYSHEV_STEP_WORK = 65_536
+_POINT_WORK = 4096
 #: Floats per time point of the brute-force propagator beside its states
 #: and the K + _MILLER_MARGIN rows of its Bessel table: the table's two
 #: spare rows, times, arguments, degrees, recurrence scratch, phases and
@@ -994,11 +998,12 @@ def brute_force_evolve(
     block's states plus a fixed scratch.
 
     The estimated work, K (nnz(H_SS) + points (|S| + 32)) elements plus a
-    fixed cost per term, and the bytes of the register-sized build, the
-    block's states (with the temporaries of :meth:`FullTrajectory.sz_total`),
-    the Bessel table and the scratch go through ``trajectory.check_work``
-    before any weight or state is allocated.  A non-unit ``initial`` (NaN
-    included) is refused; norm drift beyond BRUTE_FORCE_NORM_ABORT aborts.
+    fixed cost per term and per time point, and the bytes of the
+    register-sized build, the block's states (with the temporaries of
+    :meth:`FullTrajectory.sz_total`), the Bessel table and the scratch go
+    through ``trajectory.check_work`` before any weight or state is
+    allocated.  A non-unit ``initial`` (NaN included) is refused; norm drift
+    beyond BRUTE_FORCE_NORM_ABORT aborts.
     """
     import scipy.sparse
 
@@ -1018,7 +1023,8 @@ def brute_force_evolve(
 
     points = grid.steps + 1
     order = int(_chebyshev_degrees(half * max(abs(grid.t0), abs(grid.t1))))
-    elements = order * (step.nnz + points * (size + _BESSEL_WORK) + _CHEBYSHEV_STEP_WORK)
+    elements = (order * (step.nnz + points * (size + _BESSEL_WORK) + _CHEBYSHEV_STEP_WORK)
+                + points * _POINT_WORK)
     chunk = min(_CHEBYSHEV_CHUNK, order + 1)
     # the register-sized build of H and its closure; numpy's reduction
     # buffer, the Chebyshev vectors and the product scratch; per time point

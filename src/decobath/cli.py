@@ -148,13 +148,18 @@ _FIG2_GRID = (0.0, 5.0, 20000)
 #: CSV columns of each scenario, t included (see "CSV columns" above).
 _CSV_COLUMNS = {"dephase-markov": 5, "dephase-isotropic": 5, "dephase-correlated": 8,
                 "central-exact": 6, "central-sme": 5, "oracle-compare": 3, "fig2": 6}
-#: Measured cost of one CSV cell: ~1-2 us of ``Trajectory.to_csv`` work (in
-#: secular pairs), and the bytes of a whole run's peak, parse to rendered
-#: text, per cell (at most 106 over the other scenarios, at 5e4 and 2e5
-#: points; 121.5 for oracle-compare, whose three columns spread each row's
-#: list and string overhead over the fewest cells).
-_CELL_WORK = 32
-_CELL_BYTES = 124
+#: Measured cost of one CSV cell.  ``Trajectory.to_csv`` renders blocks of
+#: rows and converts each distinct column of a block once: 0.27-0.52 us a
+#: cell on every scenario's output at 5e4 points, under 16 secular pairs
+#: (~0.64 us).  The bytes bound a whole run's peak, parse to rendered text,
+#: per cell: the text twice (its blocks and their join, at most 25 B a
+#: cell) beside the trajectory's 8.  Measured at 5e4 and 2e5 points:
+#: 28.8-48.1 B on every scenario but oracle-compare, whose peak is its brute
+#: force's (its render holds 49.2 B a cell at grid.t1 = 1e-4), and
+#: 53.4-55.6 B for random 24-character cells from 4096 points up; below
+#: that one block's lists (~150 B a cell of the block, under 0.7 MB) add.
+_CELL_WORK = 16
+_CELL_BYTES = 60
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -507,7 +512,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 3
     elif not failed:
-        sys.stdout.write(traj.to_csv())
+        sys.stdout.writelines(traj._csv_blocks())
     return 3 if failed else 0
 
 

@@ -765,6 +765,19 @@ class TestBruteForce:
                            match="Chebyshev terms on a block of 3 of 8 register states") as err:
             brute_force_evolve(spec, v, TimeGrid(0.0, 2e7, 1))
         assert err.value.work > 10 * MAX_WORK
+        # a short horizon (a few terms) over 10^8 points: the work of a time
+        # point that does not scale with K alone is over the cap, the K
+        # terms (at most 3 x 3 nonzeros of the block) are not
+        points = 10**8 + 1
+        with pytest.raises(WorkBudgetError) as err:
+            brute_force_evolve(spec, v, TimeGrid(0.0, 1e-4, points - 1))
+        order, per_pair = err.value.size, central_spin._ELEMENTS_PER_PAIR
+        with_terms = order * (9 + points * (3 + central_spin._BESSEL_WORK)
+                              + central_spin._CHEBYSHEV_STEP_WORK)
+        assert with_terms < MAX_WORK * per_pair < points * central_spin._POINT_WORK
+        elements = err.value.work * per_pair
+        assert points * central_spin._POINT_WORK <= elements
+        assert elements < points * central_spin._POINT_WORK + with_terms + per_pair
 
 
 class TestInvariantBlock:

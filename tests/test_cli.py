@@ -559,8 +559,9 @@ def test_run_peak_stays_within_its_byte_estimates(scenario, monkeypatch):
 @pytest.mark.parametrize("n", [2, 8])
 def test_short_oracle_compare_peak_stays_within_its_byte_estimates(n, monkeypatch):
     """At a short horizon the brute force's Bessel table is a few rows: the
-    peak of N = 2 is the CSV render's, that of N = 8 the sector evolution's
-    beside the brute-force block, and each has its own estimate."""
+    peak of N = 2 is the brute force's (its CSV render holds less), that of
+    N = 8 the sector evolution's beside the brute-force block, and each has
+    its own estimate."""
     estimates = []
 
     def spy(work, nbytes, *args):
@@ -661,6 +662,85 @@ class TestCsv:
         assert text == self._f_string_render(traj)
         assert ",inf," in text and ",nan," in text and "\n3,-0," in text
         assert "4.9406564584124654e-324" in text
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, trajectory._CSV_BLOCK_ROWS + 1])
+    def test_render_at_block_edges(self, extra):
+        # block - 1, block, block + 1 and 2 block + 1 rows; a copied column,
+        # the same array twice and a zero column repeat inside every block
+        rows = trajectory._CSV_BLOCK_ROWS + extra
+        rng = np.random.default_rng(rows)
+        x = rng.normal(size=rows)
+        traj = Trajectory(np.arange(rows) / 7.0,
+                          {"x": x, "copy": x.copy(), "same": x, "y": rng.uniform(-1, 1, rows),
+                           "zero": np.zeros(rows), "zero2": np.zeros(rows)})
+        assert traj.to_csv() == self._f_string_render(traj)
+
+    def test_columns_equal_in_value_but_not_in_bits_keep_their_text(self):
+        rows = trajectory._CSV_BLOCK_ROWS + 3
+        payloads = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64)
+        nan_a, nan_b = (np.full(rows, bits).view(float) for bits in payloads)
+        traj = Trajectory(np.arange(float(rows)),
+                          {"pos": np.zeros(rows), "neg": np.full(rows, -0.0),
+                           "nan_a": nan_a, "nan_b": nan_b})
+        text = traj.to_csv()
+        assert text == self._f_string_render(traj)
+        assert set(text.splitlines()[1:]) == {f"{i},0,-0,nan,nan" for i in range(rows)}
+
+    def test_constant_int_and_single_row_columns(self):
+        rows = trajectory._CSV_BLOCK_ROWS + 1
+        traj = Trajectory(np.linspace(0.0, 1.0, rows),
+                          {"c": np.full(rows, 1 / 3), "n": np.arange(rows) * 3,
+                           "big": np.full(rows, 2**53 + 1)})
+        assert traj.to_csv() == self._f_string_render(traj)
+        one = Trajectory(np.array([2.5]), {"n": np.array([7]), "x": np.array([-1e-300])})
+        assert one.to_csv() == self._f_string_render(one) == "t,n,x\n2.5,7,-1e-300\n"
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           rows=st.sampled_from([1, 2, 3, 17, trajectory._CSV_BLOCK_ROWS,
+                                 trajectory._CSV_BLOCK_ROWS + 1]),
+           picks=st.lists(st.integers(0, 3), min_size=1, max_size=6))
+    def test_render_of_random_bit_patterns_and_repeats(self, seed, rows, picks):
+        """Any float64 bit pattern (NaN payloads, subnormals, -0, inf)
+        renders as the cell-by-cell reference, with columns drawn from four
+        random ones so that some repeat."""
+        rng = np.random.default_rng(seed)
+        pool = rng.integers(0, 2**64, size=(4, rows), dtype=np.uint64, endpoint=False).view(float)
+        traj = Trajectory(np.arange(float(rows)), {f"c{j}": pool[k] for j, k in enumerate(picks)})
+        assert traj.to_csv() == self._f_string_render(traj)
+
+    def test_render_peak_per_cell(self):
+        """to_csv holds its text twice (the blocks and their join) and one
+        block's lists: a return to whole-table row lists (~100 B a cell)
+        fails."""
+        rows, rng = 20_001, np.random.default_rng(5)
+        traj = Trajectory(np.linspace(0.0, 1.0, rows), {f"c{j}": rng.normal(size=rows)
+                                                         for j in range(5)})
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            text = traj.to_csv()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        cells = rows * 6
+        assert len(text) < 25 * cells
+        assert peak < 52 * cells, peak / cells
+
+    def test_written_file_and_stdout_equal_to_csv_across_blocks(self, tmp_path, capsys):
+        steps = 2 * trajectory._CSV_BLOCK_ROWS  # three blocks of rows
+        text = MINIMAL_MARKOV + f"bath.omega0 = 1.3\ngrid.steps = {steps}\n"
+        expected = run_scenario(parse_config(text)).to_csv()
+        assert expected.count("\n") == steps + 2
+        out = tmp_path / "blocks.csv"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text + f"output.path = {out}\n")
+        assert main(["run", str(cfg)]) == 0
+        assert out.read_bytes() == expected.encode()
+        cfg.write_text(text)
+        capsys.readouterr()
+        assert main(["run", str(cfg)]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_population_sum_validated(self):
         with pytest.raises(ValueError, match="sum to 1"):
