@@ -24,9 +24,13 @@ memory.  It has two levels: the roots go in leaves of ~sqrt(N) neighbours,
 each leaf sums its near poles directly in every iteration and its far
 poles through Chebyshev tables built once per leaf, so the work is
 O(N^1.5) instead of the O(N^2) of summing every pole (Gu & Eisenstat 1995
-and Livne & Brandt 2002 sum the same Cauchy sums fast).  Full
-eigenvectors come only from the dense solver in :func:`evolve_sector`,
-for general initial states and the oracle checks.
+and Livne & Brandt 2002 sum the same Cauchy sums fast).
+:func:`evolve_sector` takes all N+1 sector amplitudes from the same
+measure, through the arrowhead's eigenvector formula with each root's
+distance to a pole formed from its offset to its own pole, so the
+``oracle-compare`` check against the brute force checks that solver.  The
+dense ``eigh`` of the sector matrix (:func:`sector_eigensystem`) runs on no
+CLI path; it stays as the tests' dense reference.
 A brute-force propagator on the full 2^(N+1) register (N <= 12) is the
 oracle that validates the sector reduction: one Chebyshev expansion of
 exp(-iHt) over the whole time grid, its Bessel weights from numpy.  It
@@ -268,6 +272,10 @@ def build_sector_hamiltonian(spec: SpinBathSpec) -> np.ndarray:
     branch.  The shift is exactly the aligned energy E, so the matrix is
     E I plus the aligned-frame arrowhead that :func:`survival_amplitude`
     solves.
+
+    No CLI path builds it.  It stays as the tests' dense reference, under a
+    name the benchmark's tracer wraps until it reads a run report (ROADMAP
+    item 2).
     """
     n = spec.N
     g, omega = spec.g, spec.omega
@@ -401,8 +409,9 @@ def _secular_block(head, poles, zsq, j, ends, far=None):
     other end fitted to g and g', its zero in the bracket taken in
     cancellation-free form; a step that leaves the bracket is replaced by
     bisection.  A root stops when |g| is below its rounding bound.  Returns
-    (roots, weights), the weights 1/g'(lam) = |v_0|^2 taken at the last
-    evaluation.
+    (origins, offsets, weights): root j is origins[j] + offsets[j], its
+    origin pole's value plus tau, and its weight 1/g'(lam) = |v_0|^2 is
+    taken at the last evaluation.
 
     With ``far`` None every pole is summed directly.  Otherwise it is
     (a, b, ref, mid, half, coef) from :func:`_far_field`: poles a..b-1 are
@@ -418,8 +427,7 @@ def _secular_block(head, poles, zsq, j, ends, far=None):
     lo = ends[j] - poles[o]
     hi = ends[j + 1] - poles[o]
     tau = 0.5 * (lo + hi)
-    roots = np.empty(j.size)
-    weights = np.empty(j.size)
+    origins, offsets, weights = np.empty((3, j.size))
     # the (roots x near poles) scratch, reused by every iteration
     buffers = np.empty((2, j.size, b - a))
     act = np.arange(j.size)
@@ -447,12 +455,13 @@ def _secular_block(head, poles, zsq, j, ends, far=None):
         # converged, or the bracket is down to a few ulps
         done = (np.abs(g) <= bound) | (
             hi[act] - lo[act] <= 4.0 * _EPS * np.maximum(np.abs(lo[act]), np.abs(hi[act])))
-        roots[act[done]] = po[done] + t[done]
+        origins[act[done]] = po[done]
+        offsets[act[done]] = t[done]
         weights[act[done]] = 1.0 / dg[done]
         keep = ~done
         act, jj, g, dg, t = act[keep], jj[keep], g[keep], dg[keep], t[keep]
         if act.size == 0:
-            return roots, weights
+            return origins, offsets, weights
         if it == 0:
             # interior roots above the midpoint move to the right pole's frame
             flip = above[keep] & (jj > 0) & (jj < m)
@@ -507,29 +516,48 @@ def arrowhead_eigensystem(head: float, arm: np.ndarray, diag: np.ndarray):
     wide Weyl bound) there is no far field, and each root's arithmetic is
     the direct solve's, bit for bit.
     """
+    origins, offsets, weights, deflated = _secular_roots(head, arm, diag)
+    evals = np.concatenate((origins + offsets, deflated))
+    order = np.argsort(evals, kind="stable")
+    return evals[order], np.concatenate((weights, np.zeros(deflated.size)))[order]
+
+
+def _secular_roots(head: float, arm: np.ndarray, diag: np.ndarray):
+    """The secular roots of :func:`arrowhead_eigensystem`, unsorted, with their origins.
+
+    Returns (origins, offsets, weights, deflated).  Root j is
+    origins[j] + offsets[j], the value of the pole it was tracked from plus
+    its offset tau (:func:`_secular_block`), so a root's distance to any
+    pole d is (origins[j] - d) + offsets[j] at full relative precision
+    however close the root sits to its pole.  With no pole left the one
+    root is the head, offset 0.  ``deflated`` holds the eigenvalues of
+    weight 0 (:func:`_deflate`).
+    """
     arm = np.asarray(arm, dtype=float)
     diag = np.asarray(diag, dtype=float)
     head = float(head)
     poles, zsq, deflated = _deflate(head, arm, diag)
     m = poles.size
     if m == 0:
-        roots, weights = np.array([head]), np.ones(1)
-    else:
-        ends, leaves = _secular_leaves(head, poles, zsq)
-        roots, weights = np.empty(m + 1), np.empty(m + 1)
-        for j0, j1, a, b in leaves.tolist():
-            far = None if b - a == m else _far_field(poles, zsq, ends, j0, j1, a, b)
-            rows = max(1, _BLOCK_ELEMENTS // (b - a))
-            for start in range(j0, j1, rows):
-                j = np.arange(start, min(start + rows, j1))
-                roots[j], weights[j] = _secular_block(head, poles, zsq, j, ends, far)
-    evals = np.concatenate((roots, deflated))
-    order = np.argsort(evals, kind="stable")
-    return evals[order], np.concatenate((weights, np.zeros(deflated.size)))[order]
+        return np.array([head]), np.zeros(1), np.ones(1), deflated
+    ends, leaves = _secular_leaves(head, poles, zsq)
+    origins, offsets, weights = np.empty((3, m + 1))
+    for j0, j1, a, b in leaves.tolist():
+        far = None if b - a == m else _far_field(poles, zsq, ends, j0, j1, a, b)
+        rows = max(1, _BLOCK_ELEMENTS // (b - a))
+        for start in range(j0, j1, rows):
+            j = np.arange(start, min(start + rows, j1))
+            origins[j], offsets[j], weights[j] = _secular_block(head, poles, zsq, j, ends, far)
+    return origins, offsets, weights, deflated
 
 
 def sector_eigensystem(h: np.ndarray):
-    """Dense eigendecomposition of the sector Hamiltonian (LAPACK symmetric solver)."""
+    """Dense eigendecomposition of the sector Hamiltonian (LAPACK symmetric solver).
+
+    No CLI path calls it.  It stays as the tests' dense reference, under a
+    name the benchmark's tracer wraps until it reads a run report (ROADMAP
+    item 2).
+    """
     h = np.asarray(h, dtype=float)
     try:
         return np.linalg.eigh(h)
@@ -591,6 +619,11 @@ def _phase_table(times: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return table
 
 
+def _aligned_arrowhead(spec: SpinBathSpec):
+    """Head omega0 - sum g and poles omega_k - g_k of the aligned-frame arrowhead."""
+    return spec.omega0 - float(np.sum(spec.g)), spec.omega - spec.g
+
+
 def survival_amplitude(spec: SpinBathSpec, grid: TimeGrid) -> np.ndarray:
     """Aligned-frame survival amplitude a(t) = sum_j w_j exp(-i mu_j t) on ``grid``.
 
@@ -613,8 +646,7 @@ def survival_amplitude(spec: SpinBathSpec, grid: TimeGrid) -> np.ndarray:
     depend on the grid alone and no BLAS product is used, so each time's
     sum is the same whatever the BLAS library or its thread count.
     """
-    head = spec.omega0 - float(np.sum(spec.g))
-    diag = spec.omega - spec.g
+    head, diag = _aligned_arrowhead(spec)
     poles, zsq, _ = _deflate(head, spec.g, diag)
     roots, points = poles.size + 1, grid.steps + 1
     block = math.isqrt(points)
@@ -651,7 +683,8 @@ def survival_amplitude(spec: SpinBathSpec, grid: TimeGrid) -> np.ndarray:
 
 @dataclass
 class SectorTrajectory:
-    """Amplitudes over the N+1 single-excitation basis states, per time."""
+    """Amplitudes over the N+1 single-excitation basis states, per time
+    (kept for the benchmark's tracer: see :func:`evolve_sector`)."""
 
     times: np.ndarray
     amplitudes: np.ndarray  # shape (len(times), N+1), complex
@@ -673,38 +706,48 @@ def _unit_state(vector, length: int, what: str) -> np.ndarray:
     return vector
 
 
-def excitation_on_system(n: int) -> np.ndarray:
-    """Sector basis state e_0: the excitation sits on the system spin."""
-    v = np.zeros(n + 1, dtype=complex)
-    v[0] = 1.0
-    return v
+def evolve_sector(spec: SpinBathSpec, grid: TimeGrid) -> SectorTrajectory:
+    """Sector amplitudes on ``grid`` of the excitation started on the system (e_0).
 
+    They come from the spectral measure (mu_j, w_j) that ``central-exact``
+    and ``fig2`` ship, so a comparison with the brute force checks that
+    solver.  With E the aligned energy and d_k = omega_k - g_k, the
+    arrowhead's eigenvector formula gives
 
-def evolve_sector(
-    spec: SpinBathSpec,
-    initial: Optional[np.ndarray] = None,
-    grid: TimeGrid = None,
-) -> SectorTrajectory:
-    """Exact sector evolution psi(t) = sum_j exp(-i E_j t) <v_j|psi(0)> v_j.
+        c_k(t) = exp(-iEt) sum_j w_j g_k / (mu_j - d_k) exp(-i mu_j t),  k >= 1;
 
-    Full eigenvectors from the dense solver: the oracle path, for small
-    baths and general initial states.  ``initial`` defaults to the
-    excitation on the system (e_0).  Its norm, and that of every returned
-    state, must be within 1e-10 of one (NaN is refused).
+    deflated roots have w_j = 0.  Each mu_j - d_k is
+    (origin pole - d_k) + tau_j (:func:`_secular_roots`), never a
+    difference of the rounded root, so it keeps full relative precision
+    when a weakly coupled root lies within an ulp of its pole (Gu &
+    Eisenstat 1995).  With c_0 the same sum over w_j, every state's norm
+    must stay within 1e-10 of one (NaN included), or TraceDriftError is
+    raised; c_0 is then replaced by exp(-iEt) times
+    :func:`survival_amplitude`'s output, the function the scenarios call.
+
+    The name and :class:`SectorTrajectory` stay because the benchmark's
+    tracer wraps ``central_spin.evolve_sector`` in place and reads its
+    ``amplitudes``, until it reads a run report (ROADMAP item 2).
     """
-    if grid is None:
-        raise ValueError("a TimeGrid is required")
-    initial = _unit_state(excitation_on_system(spec.N) if initial is None else initial,
-                          spec.N + 1, "sector")
-
-    evals, evecs = sector_eigensystem(build_sector_hamiltonian(spec))
-    coeff = evecs.conj().T @ initial
     times = grid.times
-    phases = np.exp(-1j * np.outer(times, evals))
-    amps = (phases * coeff[None, :]) @ evecs.T
-    norm_drift = float(np.max(np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0)))
-    if not norm_drift <= _NORM_TOL:
-        raise TraceDriftError(norm_drift, float(times[-1]), _NORM_TOL)
+    head, diag = _aligned_arrowhead(spec)
+    origins, offsets, w, _ = _secular_roots(head, spec.g, diag)
+    keep = w > 0.0
+    origins, offsets, w = origins[keep], offsets[keep], w[keep]
+    gaps = np.subtract.outer(origins, diag)
+    gaps += offsets[:, None]
+    coef = np.zeros((w.size, spec.N + 1))
+    coef[:, 0] = w
+    # only a root on an uncoupled spin's pole can meet it exactly: that
+    # spin's amplitude is then 0
+    np.divide(np.multiply.outer(w, spec.g), gaps, out=coef[:, 1:], where=gaps != 0.0)
+    amps = _phase_table(times, origins + offsets) @ coef
+    parts = amps.view(float)
+    drift = float(np.max(np.abs(np.einsum("ij,ij->i", parts, parts) - 1.0)))
+    if not drift <= _NORM_TOL:
+        raise TraceDriftError(drift, float(times[-1]), _NORM_TOL)
+    amps[:, 0] = survival_amplitude(spec, grid)
+    amps *= np.exp(-1j * aligned_eigen_energy(spec) * times)[:, None]
     return SectorTrajectory(times, amps)
 
 
@@ -721,6 +764,8 @@ def reduced_system_density(rot: RotatedAmplitudes, amplitude) -> DensityMatrix2:
     amplitude = np.asarray(amplitude, dtype=complex)
     p0 = abs(rot.beta) ** 2 * np.abs(amplitude) ** 2
     coh = np.conj(rot.alpha) * rot.beta * amplitude
+    # alpha = 0 times a signed part is -0 half the time; -0 + 0 is +0
+    coh += 0.0
     # trace is exact by construction; PSD slack absorbs evolution roundoff
     return DensityMatrix2.from_parts(p0, 1.0 - p0, coh, atol=ATOL_INTEGRATED)
 

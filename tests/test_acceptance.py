@@ -126,12 +126,13 @@ def test_acceptance_05_sector_oracle_equivalence():
             full = central_spin.brute_force_evolve(
                 spec, central_spin.product_state(pairs), grid
             )
-            sector = central_spin.evolve_sector(spec, grid=grid)
+            sector = central_spin.evolve_sector(spec, grid)
             assert np.max(np.abs(full.sector_amplitudes()
                                  - sector.amplitudes)) < 1e-10
             sz = full.sz_total()
             assert np.max(np.abs(sz - sz[0])) < 1e-10
-    _report(5, "2^(N+1) brute force equals (N+1)-sector evolution", started)
+    _report(5, "2^(N+1) brute force equals the secular measure's sector amplitudes",
+            started)
 
 
 def test_acceptance_06_revival_curves():

@@ -522,6 +522,21 @@ def test_render_estimate_counts_every_csv_column(scenario):
 
 
 @pytest.mark.parametrize("scenario", cli.SCENARIOS)
+def test_no_scenario_runs_dense_eigh(scenario, monkeypatch):
+    """Every CLI path, oracle-compare too, runs the one secular solver; dense
+    eigh is the tests' reference alone."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigh on a CLI path")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    allowed, _ = cli._SCHEMA[scenario]
+    text = f"scenario = {scenario}\n" + "".join(
+        f"{key} = {_PLAIN[key]}\n" for key in allowed if key in _PLAIN)
+    run_scenario(parse_config(text.replace("bath.N = 2\n", "bath.N = 50\n")
+                              if scenario == "fig2" else text))
+
+
+@pytest.mark.parametrize("scenario", cli.SCENARIOS)
 def test_run_peak_stays_within_its_byte_estimates(scenario, monkeypatch):
     """A whole run, config text to CSV text, holds at most the largest byte
     estimate it passes to the work rule, so MAX_BYTES bounds what it holds.
@@ -980,6 +995,31 @@ class TestMain:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
         assert out.exists()
+
+    def test_oracle_compare_checks_the_shipped_secular_solver(self, monkeypatch, tmp_path,
+                                                               capsys):
+        # every secular eigenvalue 1% off moves what central-exact and fig2
+        # print; oracle-compare compares the brute force with that solver
+        solve = central_spin.arrowhead_eigensystem
+
+        def scaled(*args):
+            mu, w = solve(*args)
+            return 1.01 * mu, w
+
+        monkeypatch.setattr(central_spin, "arrowhead_eigensystem", scaled)
+        out = tmp_path / "oracle.csv"
+        assert main(["oracle-compare", "--n", "8", "--seed", "42", "--out", str(out)]) == 3
+        assert "FAIL" in capsys.readouterr().out
+        monkeypatch.undo()
+        assert main(["oracle-compare", "--n", "12", "--seed", "42", "--out", str(out)]) == 0
+        assert "PASS" in capsys.readouterr().out
+        assert float(np.max(Trajectory.read_csv(out).columns["ampDev"])) <= 1e-13
+
+    def test_fig2_coherence_holds_no_negative_zero(self):
+        # fig2 starts with alpha = 0, so its coherence alpha* beta a(t) is 0
+        cols = run_scenario(parse_config("scenario = fig2\nbath.N = 50\n")).columns
+        for name in ("reCoh", "imCoh"):
+            assert not np.any(cols[name]) and not np.any(np.signbit(cols[name]))
 
     def test_oracle_compare_fail_with_unwritable_out(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(cli, "ORACLE_DEVIATION_THRESHOLD", 0.0)

@@ -65,11 +65,6 @@ def test_amplitude_pair_refuses_off_unit_norm(entry, names, x):
 
 # --- unit state vector: central_spin._unit_state --------------------------------
 
-def evolve_sector_entry(monkeypatch, initial):
-    monkeypatch.setattr(central_spin, "sector_eigensystem", no_work)
-    return central_spin.evolve_sector(BATH, initial, GRID)
-
-
 def brute_force_entry(monkeypatch, initial):
     monkeypatch.setattr(central_spin, "build_full_hamiltonian", no_work)
     register = np.zeros(BATH.dim_full, dtype=complex)
@@ -78,7 +73,6 @@ def brute_force_entry(monkeypatch, initial):
 
 
 STATE_ENTRIES = {
-    "evolve_sector": (evolve_sector_entry, "initial sector state must be normalized"),
     "brute_force_evolve": (brute_force_entry, "initial register state must be normalized"),
 }
 
@@ -92,10 +86,7 @@ def test_state_vector_refused(monkeypatch, entry, x):
 
 
 def test_state_vector_of_wrong_length_refused(monkeypatch):
-    monkeypatch.setattr(central_spin, "sector_eigensystem", no_work)
     monkeypatch.setattr(central_spin, "build_full_hamiltonian", no_work)
-    with pytest.raises(ValueError, match="initial state must have length 3"):
-        central_spin.evolve_sector(BATH, np.ones(2), GRID)
     with pytest.raises(ValueError, match="initial state must have length 8"):
         central_spin.brute_force_evolve(BATH, np.ones(3), GRID)
 
