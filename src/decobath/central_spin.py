@@ -44,10 +44,9 @@ code, and a leak out of the sector would show as a larger S.  Both pass
 their work and bytes to the one work rule, ``trajectory.check_work``,
 before any large allocation.
 
-Only that oracle needs scipy, and only ``scipy.sparse`` for the
-Hamiltonian, imported inside :func:`build_full_hamiltonian` and
-:func:`brute_force_evolve`: the production paths then start with numpy
-alone, which saves a short run most of its start-up time.
+The module, the brute force included, needs numpy alone: H is a list of
+row-sorted (row, column, value) triplets, and each Chebyshev step is one
+gather, one product and one ``np.add.reduceat`` over the block's rows.
 """
 
 from __future__ import annotations
@@ -119,25 +118,32 @@ _MILLER_MARGIN = 8
 _CHEBYSHEV_CHUNK = 64
 _CHEBYSHEV_TIMES = 32
 #: Costs in the brute-force work estimate beyond its elements (~0.16 ns
-#: each): one Bessel weight of Miller's recurrence (~4.5 ns) and the fixed
-#: interpreter and call overhead of one Chebyshev step (~10 us), fitted to
-#: 15 runs from N = 2 to 12 and held on blocks of 3 to 13 states, where a
-#: step is mostly scipy's matvec overhead (7-10 us, best of 3); and the
-#: work of one time point that does not scale with K, mostly the bisection
-#: of its degree in ``_chebyshev_degrees`` (0.25-0.72 us a point beyond the
-#: other terms, N = 2 to 12 and K = 4 to 143 at 1e5 points, best of 3).
+#: each): one Bessel weight of Miller's recurrence (~4.5 ns); one stored
+#: entry of the block in a Chebyshev step (~7.5 ns: its gather, its product
+#: and its share of reduceat's ~25 ns a row; 26-41 elements an entry
+#: measured on whole registers at N = 10 and 12, up to 85 at N = 6, where a
+#: row holds fewer entries); the fixed interpreter and call overhead of one
+#: step (~9 us), held on blocks of 3 to 13 states, where a step is mostly
+#: the numpy calls of its reduceat apply (N = 2 to 12, best of 7 in each of
+#: three runs on a shared host: 3.8-5.3 us unloaded, up to 8.8 us loaded;
+#: the rule takes the top); and the work of one time point that does not
+#: scale with K, mostly the bisection of its degree in
+#: ``_chebyshev_degrees`` (0.25-0.72 us a point beyond the other terms,
+#: N = 2 to 12 and K = 4 to 143 at 1e5 points, best of 3).
 _BESSEL_WORK = 32
-_CHEBYSHEV_STEP_WORK = 65_536
+_ENTRY_WORK = 48
+_CHEBYSHEV_STEP_WORK = 57_344
 _POINT_WORK = 4096
 #: Floats per time point of the brute-force propagator beside its states
 #: and the K + _MILLER_MARGIN rows of its Bessel table: the table's two
 #: spare rows, times, arguments, degrees, recurrence scratch, phases and
-#: norms.  Bytes of its register-sized build per stored entry of H (index
-#: and value triplets, their joined copies, the CSR matrix and the
-#: closure's pattern: 63-71 measured), beside 32 per (state, spin) for the
-#: spin bits, the sigma_z signs and their products.
+#: norms.  Bytes of its register-sized build per stored entry of H (the
+#: build's per-term tables, its triplets, the closure's gathers and the
+#: block's renumbered copy: 36-63 measured from N = 6 to 12, tilted or
+#: not), beside 32 per (state, spin) for the spin bits, the sigma_z signs
+#: and their products.
 _POINT_FLOATS = 16
-_ENTRY_BYTES = 96
+_ENTRY_BYTES = 64
 #: Brute-force elements per secular (root, pole) pair of work (~0.16 ns
 #: against ~40 ns).
 _ELEMENTS_PER_PAIR = 256
@@ -666,7 +672,14 @@ def survival_amplitude(spec: SpinBathSpec, grid: TimeGrid) -> np.ndarray:
     if not drift <= _NORM_TOL:
         raise TraceDriftError(drift, 0.0, _NORM_TOL)
     keep = w > 0.0
-    mu, w = mu[keep], w[keep]
+    return _measure_sum(grid, mu[keep], w[keep])
+
+
+def _measure_sum(grid: TimeGrid, mu: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_j w_j exp(-i mu_j t) at each time of ``grid``, from the blocked
+    phase tables of :func:`survival_amplitude`."""
+    points = grid.steps + 1
+    block = math.isqrt(points)
     heads = _phase_table(grid.times[::block], mu)
     heads *= w
     tails = _phase_table(np.arange(block) * grid.dt, mu)
@@ -722,8 +735,10 @@ def evolve_sector(spec: SpinBathSpec, grid: TimeGrid) -> SectorTrajectory:
     when a weakly coupled root lies within an ulp of its pole (Gu &
     Eisenstat 1995).  With c_0 the same sum over w_j, every state's norm
     must stay within 1e-10 of one (NaN included), or TraceDriftError is
-    raised; c_0 is then replaced by exp(-iEt) times
-    :func:`survival_amplitude`'s output, the function the scenarios call.
+    raised.  c_0 is then replaced by exp(-iEt) times the blocked sum of
+    :func:`survival_amplitude`, the function the scenarios call, over the
+    same roots: kept in root order with w_j > 0 they are the measure it
+    sums, so c_0 has its bits from one secular solve.
 
     The name and :class:`SectorTrajectory` stay because the benchmark's
     tracer wraps ``central_spin.evolve_sector`` in place and reads its
@@ -734,6 +749,7 @@ def evolve_sector(spec: SpinBathSpec, grid: TimeGrid) -> SectorTrajectory:
     origins, offsets, w, _ = _secular_roots(head, spec.g, diag)
     keep = w > 0.0
     origins, offsets, w = origins[keep], offsets[keep], w[keep]
+    mu = origins + offsets
     gaps = np.subtract.outer(origins, diag)
     gaps += offsets[:, None]
     coef = np.zeros((w.size, spec.N + 1))
@@ -741,12 +757,12 @@ def evolve_sector(spec: SpinBathSpec, grid: TimeGrid) -> SectorTrajectory:
     # only a root on an uncoupled spin's pole can meet it exactly: that
     # spin's amplitude is then 0
     np.divide(np.multiply.outer(w, spec.g), gaps, out=coef[:, 1:], where=gaps != 0.0)
-    amps = _phase_table(times, origins + offsets) @ coef
+    amps = _phase_table(times, mu) @ coef
     parts = amps.view(float)
     drift = float(np.max(np.abs(np.einsum("ij,ij->i", parts, parts) - 1.0)))
     if not drift <= _NORM_TOL:
         raise TraceDriftError(drift, float(times[-1]), _NORM_TOL)
-    amps[:, 0] = survival_amplitude(spec, grid)
+    amps[:, 0] = _measure_sum(grid, mu, w)
     amps *= np.exp(-1j * aligned_eigen_energy(spec) * times)[:, None]
     return SectorTrajectory(times, amps)
 
@@ -775,24 +791,26 @@ def _spin_bits(indices: np.ndarray, n_spins: int) -> np.ndarray:
     return (indices[:, None] >> np.arange(n_spins)[None, :]) & 1
 
 
-def build_full_hamiltonian(
-    spec: SpinBathSpec, field_unitary: Optional[np.ndarray] = None
-) -> "scipy.sparse.csr_matrix":
-    """Sparse 2^(N+1) Hamiltonian of the system plus bath register.
+def build_full_hamiltonian(spec: SpinBathSpec, field_unitary: Optional[np.ndarray] = None):
+    """The 2^(N+1) Hamiltonian of the system plus bath register, as triplets.
 
     Spin k occupies bit k of the basis index (bit set = spin in |1>); the
     system is spin 0.  ``field_unitary`` optionally conjugates every
     single-spin field term sigma_z -> R^dag sigma_z R, tilting the energy
     axis while the Heisenberg couplings stay rotation invariant.  Restricted
     to N <= 12.
-    """
-    import scipy.sparse
 
+    Returns (rows, cols, vals): H[rows[i], cols[i]] = vals[i] (complex),
+    sorted by row, no pair twice.  Row r holds its diagonal first, then
+    each entry r ^ x for the bit masks x of the terms that connect r: the
+    flip-flop of the system with bath spin k (bits 0 and k differ), and
+    with a tilted field the flip of each single spin.  A zero coupling is
+    stored as a zero, so the pattern does not depend on the values.
+    """
     n = spec.N
     if n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force limited to N <= {BRUTE_FORCE_MAX_N}, got {n}")
-    dim = spec.dim_full
-    idx = np.arange(dim)
+    idx = np.arange(spec.dim_full)
     bits = _spin_bits(idx, n + 1)
     sz = 1.0 - 2.0 * bits  # +1 for |0>, -1 for |1>
     w_all = np.concatenate(([spec.omega0], spec.omega))
@@ -805,41 +823,24 @@ def build_full_hamiltonian(
             raise ValueError("field_unitary must be a 2x2 unitary")
         field = r.conj().T @ np.diag([1.0, -1.0]).astype(complex) @ r
 
-    rows = [idx]
-    cols = [idx]
+    # one column per term: the diagonal, the N flip-flops g_k (s0+ sk- +
+    # s0- sk+), and the N+1 field flips when the axis is tilted
+    f01 = field[0, 1]
+    flips = np.arange(n + 1) if f01 != 0.0 else np.arange(0)
+    masks = np.concatenate(([0], 1 | (1 << np.arange(1, n + 1)), 1 << flips))
+    vals = np.empty((idx.size, masks.size), dtype=complex)
     # diagonal: field diagonal part + Heisenberg sigma_z sigma_z
     f_diag = np.array([field[0, 0].real, field[1, 1].real])
     diag = 0.5 * (w_all[None, :] * f_diag[bits]).sum(axis=1)
-    diag = diag + 0.5 * ((spec.g[None, :] * sz[:, [0]] * sz[:, 1:]).sum(axis=1))
-    vals = [diag.astype(complex)]
-
-    # field off-diagonal part (only when the axis is tilted)
-    f01 = field[0, 1]
-    if abs(f01) > 0.0:
-        for k in range(n + 1):
-            mask = bits[:, k] == 1
-            src = idx[mask]            # spin k in |1>
-            dst = src ^ (1 << k)       # spin k flipped to |0>
-            amp = 0.5 * w_all[k]
-            rows.append(dst); cols.append(src)
-            vals.append(np.full(src.size, amp * f01, dtype=complex))
-            rows.append(src); cols.append(dst)
-            vals.append(np.full(src.size, amp * np.conj(f01), dtype=complex))
-
-    # Heisenberg flip-flop: g_k (s0+ sk- + s0- sk+) connects opposite bits
-    for k in range(1, n + 1):
-        mask = bits[:, 0] != bits[:, k]
-        src = idx[mask]
-        dst = src ^ 1 ^ (1 << k)
-        rows.append(src)
-        cols.append(dst)
-        vals.append(np.full(src.size, spec.g[k - 1], dtype=complex))
-
-    h = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    ).tocsr()
-    return h
+    vals[:, 0] = diag + 0.5 * ((spec.g[None, :] * sz[:, [0]] * sz[:, 1:]).sum(axis=1))
+    vals[:, 1:n + 1] = spec.g
+    # <0|field|1> = f01 takes spin k from |1> to |0>; its conjugate back
+    vals[:, n + 1:] = np.where(bits[:, flips] == 0, 0.5 * w_all[flips] * f01,
+                               0.5 * w_all[flips] * np.conj(f01))
+    stored = np.ones(vals.shape, dtype=bool)
+    stored[:, 1:n + 1] = bits[:, :1] != bits[:, 1:]
+    rows = np.repeat(idx, np.count_nonzero(stored, axis=1))
+    return rows, (idx[:, None] ^ masks)[stored], vals[stored]
 
 
 def product_state(amplitude_pairs) -> np.ndarray:
@@ -919,24 +920,19 @@ class FullTrajectory:
         return states
 
 
-def _closure(h, initial: np.ndarray) -> np.ndarray:
+def _closure(rows: np.ndarray, cols: np.ndarray, initial: np.ndarray) -> np.ndarray:
     """Sorted indices of the closure of ``initial``'s support under H's pattern.
 
     The closure is the smallest set that holds the support and that H's
-    stored entries map into itself.  Each level is one product of the
-    pattern (every stored entry, a stored zero too, read as 1) with the
-    set's indicator, O(nnz); the set stops growing after at most its
-    diameter's levels.
+    stored entries (rows, cols), a stored zero too, map into itself.  Each
+    level marks the rows of the entries whose column is reached, one
+    scatter of O(nnz); the set stops growing after at most its diameter's
+    levels.
     """
-    import scipy.sparse
-
     reached = initial != 0
     size = np.count_nonzero(reached)
-    if size == reached.size:
-        return np.arange(size)
-    pattern = scipy.sparse.csr_matrix((np.ones(h.nnz), h.indices, h.indptr), shape=h.shape)
     while True:
-        reached |= pattern @ reached.astype(float) != 0.0
+        reached[rows[reached[cols]]] = True
         grown = np.count_nonzero(reached)
         if grown == size:
             return np.flatnonzero(reached)
@@ -1036,40 +1032,48 @@ def brute_force_evolve(
         psi(t) = e^{-ict} sum_k (2 - delta_k0) J_k(rt) (-i)^k T_k(H^) psi(0),
 
     with the vectors U_k = (-i)^k T_k(H^) psi(0) from the three-term
-    recurrence U_{k+1} = -2i H^ U_k + U_{k-1}.  The series stops at the
+    recurrence U_{k+1} = -2i H^ U_k + U_{k-1}, each product one
+    ``np.add.reduceat`` over the rows of H_SS's triplets (the entries whose
+    column lies in S, renumbered by position in S).  The series stops at the
     degree K whose Bessel tail at r max|t| is below 1e-17; the weights
     J_k(rt) come from Miller's recurrence in numpy.  Chunks of U_k meet
     blocks of time points in fixed-size real products, so memory is the
     block's states plus a fixed scratch.
 
-    The estimated work, K (nnz(H_SS) + points (|S| + 32)) elements plus a
-    fixed cost per term and per time point, and the bytes of the
+    The estimated work, K (48 nnz(H_SS) + points (|S| + 32)) elements plus
+    a fixed cost per term and per time point, and the bytes of the
     register-sized build, the block's states (with the temporaries of
     :meth:`FullTrajectory.sz_total`), the Bessel table and the scratch go
     through ``trajectory.check_work`` before any weight or state is
     allocated.  A non-unit ``initial`` (NaN included) is refused; norm drift
     beyond BRUTE_FORCE_NORM_ABORT aborts.
     """
-    import scipy.sparse
-
     initial = _unit_state(initial, spec.dim_full, "register")
-    h = build_full_hamiltonian(spec, field_unitary)
-    dim, nnz = spec.dim_full, h.nnz
-    support = _closure(h, initial)
+    rows, cols, vals = build_full_hamiltonian(spec, field_unitary)
+    dim, nnz = spec.dim_full, rows.size
+    support = _closure(rows, cols, initial)
     size = support.size
-    if size < dim:
-        h, initial = h[support][:, support], initial[support]
-    diag = h.diagonal().real
-    radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
+    # the block's entries, renumbered by position in S: the closure puts the
+    # row of every entry whose column is in S there too
+    at = np.full(dim, -1)
+    at[support] = np.arange(size)
+    block = at[cols] >= 0
+    rows, cols, vals, initial = at[rows[block]], at[cols[block]], vals[block], initial[support]
+    # every row holds its diagonal, so no row's run of entries is empty
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    on_diag = rows == cols
+    diag = vals[on_diag].real
+    radius = np.add.reduceat(np.abs(vals), starts) - np.abs(diag)
     lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
     centre, half = 0.5 * (lo + hi), max(0.5 * (hi - lo), _TINY)
-    # U_{k+1} = step U_k + U_{k-1}
-    step = (h - centre * scipy.sparse.identity(size, format="csr")) * (-2j / half)
+    # U_{k+1} = step U_k + U_{k-1}, step = -2i (H_SS - centre) / half
+    vals[on_diag] -= centre
+    vals *= -2j / half
 
     points = grid.steps + 1
     order = int(_chebyshev_degrees(half * max(abs(grid.t0), abs(grid.t1))))
-    elements = (order * (step.nnz + points * (size + _BESSEL_WORK) + _CHEBYSHEV_STEP_WORK)
-                + points * _POINT_WORK)
+    elements = (order * (_ENTRY_WORK * vals.size + points * (size + _BESSEL_WORK)
+                         + _CHEBYSHEV_STEP_WORK) + points * _POINT_WORK)
     chunk = min(_CHEBYSHEV_CHUNK, order + 1)
     # the register-sized build of H and its closure; numpy's reduction
     # buffer, the Chebyshev vectors and the product scratch; per time point
@@ -1102,15 +1106,17 @@ def brute_force_evolve(
             # two vectors of the previous (full) chunk
             if k0 + j == 0:
                 vectors[0] = initial
-            elif k0 + j == 1:
-                np.multiply(step @ initial, 0.5, out=vectors[1])
+                continue
+            stepped = np.add.reduceat(vals * vectors[j - 1][cols], starts)
+            if k0 + j == 1:
+                np.multiply(stepped, 0.5, out=vectors[1])
             else:
-                np.add(step @ vectors[j - 1], vectors[j - 2], out=vectors[j])
+                np.add(stepped, vectors[j - 2], out=vectors[j])
         for b0 in range(0, times.size, _CHEBYSHEV_TIMES):
-            rows = slice(b0, b0 + _CHEBYSHEV_TIMES)
+            span = slice(b0, b0 + _CHEBYSHEV_TIMES)
             n = min(_CHEBYSHEV_TIMES, times.size - b0)
-            np.matmul(weights[k0:k0 + count, rows].T, vectors_re[:count], out=part[:n])
-            states_re[rows] += part[:n]
+            np.matmul(weights[k0:k0 + count, span].T, vectors_re[:count], out=part[:n])
+            states_re[span] += part[:n]
     states *= np.exp(-1j * centre * times)[:, None]
 
     norms = np.sqrt(np.einsum("ij,ij->i", states_re, states_re))

@@ -307,37 +307,29 @@ class SmeDiscrepancyReport:
     magnitude decays like exp(-kappa * (sum g)^2 t^2 / 2): the closed form
     corresponds to kappa = 1, the master equation's dephasing dissipator to
     kappa = 4, and the fitted value also absorbs the (smaller) jump-channel
-    damping.  The factor is reported as data, never asserted.
+    damping.  The factor is reported as data, never asserted.  The
+    population channel has no column: the solved rho00 is the closed form's
+    |beta|^2 exp(-gamma_1) by construction, and the RK4 oracle
+    (:func:`_integrate_sme_matrix`) is what checks it.
     """
 
     times: np.ndarray
-    population_deviation: np.ndarray
     coherence_magnitude_deviation: np.ndarray
     coherence_phase_deviation: np.ndarray
     best_fit_dephasing_factor: float
-
-    def to_trajectory(self) -> Trajectory:
-        return Trajectory(
-            self.times,
-            {
-                "popDev": self.population_deviation,
-                "cohMagDev": self.coherence_magnitude_deviation,
-                "cohPhaseDev": self.coherence_phase_deviation,
-            },
-        )
 
     def summary(self) -> str:
         kappa = self.best_fit_dephasing_factor
         kappa_text = f"{kappa:.3g}" if np.isfinite(kappa) else "n/a"
         return (
-            f"population channel max deviation {np.max(self.population_deviation):.3e}; "
             f"coherence magnitude max deviation "
             f"{np.max(self.coherence_magnitude_deviation):.3e}; "
             f"best-fit dephasing factor {kappa_text}"
         )
 
     def write_csv(self, path) -> None:
-        self.to_trajectory().write_csv(path)
+        Trajectory(self.times, {"cohMagDev": self.coherence_magnitude_deviation,
+                                "cohPhaseDev": self.coherence_phase_deviation}).write_csv(path)
 
 
 def sme_discrepancy_report(
@@ -346,9 +338,7 @@ def sme_discrepancy_report(
     """Solve the master equation at the times ``t`` and score it against the closed form."""
     times = nonnegative_times(t)
     rho = integrate_sme(spec, rot, times)
-    gamma_1, gamma_d = channel_exponents(spec, times)
-
-    pop_dev = np.abs(rho.rho00 - abs(rot.beta) ** 2 * np.exp(-gamma_1))
+    gamma_d = channel_exponents(spec, times)[1]
 
     gsum = float(np.sum(spec.g))
     omega_r = spec.omega0 - gsum
@@ -370,4 +360,4 @@ def sme_discrepancy_report(
     else:
         kappa = math.nan
 
-    return SmeDiscrepancyReport(times, pop_dev, mag_dev, phase_dev, kappa)
+    return SmeDiscrepancyReport(times, mag_dev, phase_dev, kappa)

@@ -424,7 +424,7 @@ def oracle_compare_trajectory(spec: central_spin.SpinBathSpec, grid: TimeGrid) -
     Columns: per-time maximum amplitude deviation over the N+1 sector basis
     states between the brute force and :func:`central_spin.evolve_sector`,
     which takes them from the secular measure of ``central-exact`` and
-    ``fig2`` (c_0 is :func:`central_spin.survival_amplitude`'s own output),
+    ``fig2`` (c_0 has :func:`central_spin.survival_amplitude`'s bits),
     and the drift of the conserved total sigma_z expectation.  The brute
     force's block of states stays alive through the sector evolution and
     the deviations, whose (T, N+1) arrays its estimate does not count: the

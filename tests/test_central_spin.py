@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from decobath import central_spin
+from decobath import central_spin, cli
 from decobath.central_spin import (
     RotatedAmplitudes,
     SpinBathSpec,
@@ -39,6 +39,15 @@ def random_pair(rng):
 
 def rotate(a, b, c, d):
     return rotate_to_polarization(QubitAmplitudes(a, b), QubitAmplitudes(c, d))
+
+
+def full_csr(spec, field_unitary=None):
+    """The brute force's register Hamiltonian as a scipy CSR matrix, for the
+    scipy references."""
+    import scipy.sparse
+
+    rows, cols, vals = build_full_hamiltonian(spec, field_unitary)
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(spec.dim_full,) * 2)
 
 
 def random_spec(rng, n):
@@ -128,7 +137,7 @@ class TestAlignedEnergy:
         rng = np.random.default_rng(11)
         spec = random_spec(rng, 6)
         energy = aligned_eigen_energy(spec)
-        h = build_full_hamiltonian(spec)
+        h = full_csr(spec)
         v = np.zeros(spec.dim_full, complex)
         v[aligned_index(spec.N)] = 1.0
         assert np.max(np.abs(h @ v - energy * v)) < 1e-10
@@ -137,7 +146,7 @@ class TestAlignedEnergy:
         spec = SpinBathSpec(N=8, g=1.7, omega0=0.4,
                             omega=np.linspace(-1.0, 2.0, 8))
         energy = aligned_eigen_energy(spec)
-        h = build_full_hamiltonian(spec)
+        h = full_csr(spec)
         v = np.zeros(spec.dim_full, complex)
         v[aligned_index(spec.N)] = 1.0
         assert np.max(np.abs(h @ v - energy * v)) < 1e-10
@@ -165,7 +174,7 @@ class TestSectorHamiltonian:
         # the shifted arrowhead must be the exact sector block of the full H
         rng = np.random.default_rng(21)
         spec = random_spec(rng, 7)
-        h_full = build_full_hamiltonian(spec).toarray()
+        h_full = full_csr(spec).toarray()
         idx = sector_indices(spec.N)
         assert np.max(np.abs(h_full[np.ix_(idx, idx)].real
                              - build_sector_hamiltonian(spec))) < 1e-12
@@ -219,6 +228,17 @@ class TestEvolveSector:
         traj = evolve_sector(spec, TimeGrid(0.0, 2.0, 20))
         assert not np.any(traj.amplitudes[:, 1:])
         assert np.max(np.abs(traj.p0 - 1.0)) < 1e-15
+
+    @pytest.mark.parametrize("spec, grid", [
+        (fig2_spec(50), TimeGrid(0.0, 5.0, 20000)),
+        (cli._oracle_bath(12, 42), TimeGrid(0.0, 5.0, 200)),
+    ], ids=["fig2-50", "oracle-12-seed-42"])
+    def test_survival_column_has_survival_amplitudes_bits(self, spec, grid):
+        # one secular solve serves every column: its roots, kept in order
+        # where w > 0, are the measure survival_amplitude sums
+        c0 = evolve_sector(spec, grid).amplitudes[:, 0]
+        phase = np.exp(-1j * aligned_eigen_energy(spec) * grid.times)
+        assert np.array_equal(c0, survival_amplitude(spec, grid) * phase)
 
 
 def dense_sector_evolution(spec, times):
@@ -634,10 +654,25 @@ class TestBruteForce:
         ])
         assert np.max(np.abs(vec - explicit)) < 1e-15
 
+    @pytest.mark.parametrize("tilted", [False, True])
+    def test_full_hamiltonian_triplets_are_row_sorted_with_every_diagonal(self, tilted):
+        rng = np.random.default_rng(78)
+        spec = random_spec(rng, 5)
+        c, d = random_pair(rng)
+        r = np.array([[d, -c], [np.conj(c), np.conj(d)]]) if tilted else None
+        rows, cols, vals = build_full_hamiltonian(spec, r)
+        assert np.all(np.diff(rows) >= 0)
+        assert np.unique(rows * spec.dim_full + cols).size == rows.size
+        assert np.array_equal(rows[rows == cols], np.arange(spec.dim_full))
+        # the diagonal, the flip-flops (bits 0 and k differ: N/2 a state on
+        # average) and, with a tilted field, N+1 single-spin flips a state
+        flips = spec.dim_full * (spec.N + 1) if tilted else 0
+        assert rows.size == spec.dim_full * (1 + spec.N / 2) + flips
+
     def test_full_hamiltonian_hermitian(self):
         rng = np.random.default_rng(77)
         spec = random_spec(rng, 5)
-        h = build_full_hamiltonian(spec)
+        h = full_csr(spec)
         assert (abs(h - h.conj().T)).max() == 0.0
 
     def test_sector_agreement_and_sz_conservation(self):
@@ -741,7 +776,7 @@ class TestBruteForce:
             r = np.array([[d, -c], [np.conj(c), np.conj(d)]])
         v = rng.normal(size=spec.dim_full) + 1j * rng.normal(size=spec.dim_full)
         v /= np.linalg.norm(v)
-        h = build_full_hamiltonian(spec, r)
+        h = full_csr(spec, r)
         assert np.any(h.data.imag) == tilted
         states = brute_force_evolve(spec, v, grid, field_unitary=r).register_states()
         taylor = scipy.sparse.linalg.expm_multiply(
@@ -762,7 +797,7 @@ class TestBruteForce:
         # every tenth grid time, t = 0, 10, ..., 200
         states = full.register_states()
         taylor = scipy.sparse.linalg.expm_multiply(
-            -1j * build_full_hamiltonian(spec), states[0],
+            -1j * full_csr(spec), states[0],
             start=0.0, stop=200.0, num=21, endpoint=True)
         assert np.max(np.abs(states[::10] - taylor)) < 1e-10
 
@@ -784,7 +819,8 @@ class TestBruteForce:
         with pytest.raises(WorkBudgetError) as err:
             brute_force_evolve(spec, v, TimeGrid(0.0, 1e-4, points - 1))
         order, per_pair = err.value.size, central_spin._ELEMENTS_PER_PAIR
-        with_terms = order * (9 + points * (3 + central_spin._BESSEL_WORK)
+        with_terms = order * (9 * central_spin._ENTRY_WORK
+                              + points * (3 + central_spin._BESSEL_WORK)
                               + central_spin._CHEBYSHEV_STEP_WORK)
         assert with_terms < MAX_WORK * per_pair < points * central_spin._POINT_WORK
         elements = err.value.work * per_pair
@@ -832,7 +868,7 @@ class TestInvariantBlock:
         full = brute_force_evolve(spec, v, grid)
         states = full.register_states()
         taylor = scipy.sparse.linalg.expm_multiply(
-            -1j * build_full_hamiltonian(spec), v,
+            -1j * full_csr(spec), v,
             start=grid.t0, stop=grid.t1, num=grid.steps + 1, endpoint=True)
         assert np.max(np.abs(states - taylor)) < 1e-10
         # the whole-register propagator leaves the rest exactly 0 as well
@@ -855,10 +891,11 @@ class TestInvariantBlock:
         build = central_spin.build_full_hamiltonian
 
         def leaky(spec, field_unitary=None):
-            h = build(spec, field_unitary).tolil()
+            rows, cols, vals = build(spec, field_unitary)
             i, j = sector_indices(spec.N)[0], aligned_index(spec.N) ^ 0b11
-            h[i, j] = h[j, i] = 0.3
-            return h.tocsr()
+            rows, cols = np.append(rows, [i, j]), np.append(cols, [j, i])
+            order = np.argsort(rows, kind="stable")  # the triplets stay row-sorted
+            return rows[order], cols[order], np.append(vals, [0.3, 0.3])[order]
 
         monkeypatch.setattr(central_spin, "build_full_hamiltonian", leaky)
         spec = random_spec(np.random.default_rng(4), 3)

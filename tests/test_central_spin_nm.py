@@ -418,16 +418,8 @@ class TestDiscrepancyReport:
         spec = spec_with([0.0, 0.0, 0.0], 1.1, [0.2, 0.5, 0.9])
         rot = RotatedAmplitudes(0.6, 0.8)
         rep = sme_discrepancy_report(spec, rot, TimeGrid(0.0, 2.0, 400).times)
-        assert np.max(rep.population_deviation) < 1e-12
         assert np.max(rep.coherence_magnitude_deviation) < 1e-12
         assert np.nanmax(rep.coherence_phase_deviation) < 1e-10
-
-    def test_population_channel_small_on_random_spec(self):
-        rng = np.random.default_rng(123)
-        spec = random_ten_mode_spec(rng)
-        rot = random_rot(rng)
-        rep = sme_discrepancy_report(spec, rot, TimeGrid(0.0, 3.0, 60).times)
-        assert np.max(rep.population_deviation) < 2e-6
 
     def test_best_fit_factor_emitted(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -441,7 +433,7 @@ class TestDiscrepancyReport:
         out = tmp_path / "report.csv"
         rep.write_csv(out)
         header = out.read_text().splitlines()[0]
-        assert header == "t,popDev,cohMagDev,cohPhaseDev"
+        assert header == "t,cohMagDev,cohPhaseDev"
 
     def test_best_fit_factor_on_revival_preset_scale(self):
         # strong uniform couplings compress the coherence lifetime to ~1e-2;
@@ -461,5 +453,4 @@ class TestDiscrepancyReport:
         spec = spec_with([0.2], 1.0, [0.4])
         rot = RotatedAmplitudes(1.0, 0.0)  # beta = 0: no coherence, no fit
         rep = sme_discrepancy_report(spec, rot, TimeGrid(0.0, 1.0, 20).times)
-        assert np.max(rep.population_deviation) < 1e-12
         assert math.isnan(rep.best_fit_dephasing_factor)

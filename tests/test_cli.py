@@ -998,18 +998,31 @@ class TestMain:
 
     def test_oracle_compare_checks_the_shipped_secular_solver(self, monkeypatch, tmp_path,
                                                                capsys):
-        # every secular eigenvalue 1% off moves what central-exact and fig2
-        # print; oracle-compare compares the brute force with that solver
-        solve = central_spin.arrowhead_eigensystem
-
-        def scaled(*args):
-            mu, w = solve(*args)
-            return 1.01 * mu, w
-
-        monkeypatch.setattr(central_spin, "arrowhead_eigensystem", scaled)
+        # every eigenvalue of the shipped measure 1% off in its sum moves
+        # what central-exact and fig2 print; oracle-compare's c_0 is that sum
+        measure_sum = central_spin._measure_sum
+        text = README_SME.replace("central-sme", "central-exact")
+        p0 = run_scenario(parse_config(text)).columns["P0"]
+        monkeypatch.setattr(central_spin, "_measure_sum",
+                            lambda grid, mu, w: measure_sum(grid, 1.01 * mu, w))
+        assert np.max(np.abs(run_scenario(parse_config(text)).columns["P0"] - p0)) > 1e-3
         out = tmp_path / "oracle.csv"
         assert main(["oracle-compare", "--n", "8", "--seed", "42", "--out", str(out)]) == 3
         assert "FAIL" in capsys.readouterr().out
+        # the same error in the one secular solve that arrowhead_eigensystem
+        # and evolve_sector share also reaches the eigenvector columns,
+        # whose norm check aborts
+        monkeypatch.undo()
+        solve = central_spin._secular_roots
+
+        def scaled(*args):
+            origins, offsets, w, deflated = solve(*args)
+            return 1.01 * origins, 1.01 * offsets, w, deflated
+
+        monkeypatch.setattr(central_spin, "_secular_roots", scaled)
+        assert np.max(np.abs(run_scenario(parse_config(text)).columns["P0"] - p0)) > 1e-3
+        assert main(["oracle-compare", "--n", "8", "--seed", "42", "--out", str(out)]) == 3
+        assert "trace drift" in capsys.readouterr().err
         monkeypatch.undo()
         assert main(["oracle-compare", "--n", "12", "--seed", "42", "--out", str(out)]) == 0
         assert "PASS" in capsys.readouterr().out
