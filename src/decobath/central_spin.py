@@ -15,22 +15,30 @@ the all-|1> product state.
 
 The reduced system state needs only the survival amplitude
 c_0(t) = sum_j |v_j0|^2 exp(-i E_j t), a sum over the spectral measure of
-the excitation-on-system state.  :func:`survival_amplitude`, the production
-path, takes that measure from the arrowhead's secular equation and sums it
-over the T-point time grid from two phase tables of ~sqrt(T) rows, one
-complex multiply per (time, root) pair and no cos or sin.  The secular
-solve (:func:`arrowhead_eigensystem`) forms no eigenvector and takes O(N)
-memory.  It has two levels: the roots go in leaves of ~sqrt(N) neighbours,
-each leaf sums its near poles directly in every iteration and its far
-poles through Chebyshev tables built once per leaf, so the work is
-O(N^1.5) instead of the O(N^2) of summing every pole (Gu & Eisenstat 1995
-and Livne & Brandt 2002 sum the same Cauchy sums fast).
-:func:`evolve_sector` takes all N+1 sector amplitudes from the same
-measure, through the arrowhead's eigenvector formula with each root's
-distance to a pole formed from its offset to its own pole, so the
-``oracle-compare`` check against the brute force checks that solver.  The
-dense ``eigh`` of the sector matrix (:func:`sector_eigensystem`) runs on no
-CLI path; it stays as the tests' dense reference.
+the excitation-on-system state.  One private function,
+:func:`_shipped_measure`, produces that measure for every caller: it
+deflates the arrowhead once, plans the leaves of its secular solve once,
+passes the solve's and the sum's work and bytes to the one work rule,
+``trajectory.check_work``, before any large allocation, solves the
+secular equation and checks the sum rule.  The solve forms no eigenvector
+and takes O(N) memory.  It has two levels: the roots go in leaves of
+~sqrt(N) neighbours, each leaf sums its near poles directly in every
+iteration and its far poles through Chebyshev tables built once per leaf,
+so the work is O(N^1.5) instead of the O(N^2) of summing every pole (Gu &
+Eisenstat 1995 and Livne & Brandt 2002 sum the same Cauchy sums fast).
+One block routine, :func:`_phase_blocks`, then hands out the products
+w_j exp(-i mu_j t) over the T-point time grid from two phase tables of
+~sqrt(T) rows, one complex multiply per (time, root) pair and no cos or
+sin.  :func:`survival_amplitude`, the production path, sums each block's
+rows.  :func:`evolve_sector` takes c_0 from the same row sums, so with its
+bits, and the other N sector amplitudes from one product per block with
+the arrowhead's eigenvector coefficients, each root's distance to a pole
+formed from its offset to its own pole; the ``oracle-compare`` check
+against the brute force so checks the shipped measure and sum.
+:func:`arrowhead_eigensystem` gives the sorted measure of any arrowhead
+from the same solve, for the tests.  The dense ``eigh`` of the sector
+matrix (:func:`sector_eigensystem`) runs on no CLI path; it stays as the
+tests' dense reference.
 A brute-force propagator on the full 2^(N+1) register (N <= 12) is the
 oracle that validates the sector reduction: one Chebyshev expansion of
 exp(-iHt) over the whole time grid, its Bessel weights from numpy.  It
@@ -40,9 +48,8 @@ can reach through H's stored entries.  No entry connects S to the rest,
 so every amplitude outside S is exactly 0 and dropping it is exact; S is
 found, never assumed, so a start that H spreads over the whole register
 (a tilted field, a generic vector) runs on the whole register by the same
-code, and a leak out of the sector would show as a larger S.  Both pass
-their work and bytes to the one work rule, ``trajectory.check_work``,
-before any large allocation.
+code, and a leak out of the sector would show as a larger S.  It too
+passes its work and bytes to the work rule before any large allocation.
 
 The module, the brute force included, needs numpy alone: H is a list of
 row-sorted (row, column, value) triplets, and each Chebyshev step is one
@@ -155,7 +162,7 @@ _TABLE_ELEMENTS_PER_PAIR = 24
 #: Floats the secular iteration holds per root of its block beside its two
 #: (roots x poles) arrays (30-35 index, bracket, step and far-series arrays
 #: measured), and the bytes of the call's small-array objects (8 KB
-#: measured at N = 1): the terms of :func:`survival_amplitude`'s byte
+#: measured at N = 1): the terms of :func:`_shipped_measure`'s byte
 #: estimate that are not tables.
 _SECULAR_ROOT_FLOATS = 40
 _CALL_BYTES = 1 << 14
@@ -522,31 +529,31 @@ def arrowhead_eigensystem(head: float, arm: np.ndarray, diag: np.ndarray):
     wide Weyl bound) there is no far field, and each root's arithmetic is
     the direct solve's, bit for bit.
     """
-    origins, offsets, weights, deflated = _secular_roots(head, arm, diag)
+    head = float(head)
+    poles, zsq, deflated = _deflate(head, np.asarray(arm, dtype=float),
+                                    np.asarray(diag, dtype=float))
+    plan = _secular_plan(head, poles, zsq, 0)[0]
+    origins, offsets, weights = _secular_roots(head, poles, zsq, plan)
     evals = np.concatenate((origins + offsets, deflated))
     order = np.argsort(evals, kind="stable")
     return evals[order], np.concatenate((weights, np.zeros(deflated.size)))[order]
 
 
-def _secular_roots(head: float, arm: np.ndarray, diag: np.ndarray):
-    """The secular roots of :func:`arrowhead_eigensystem`, unsorted, with their origins.
+def _secular_roots(head: float, poles: np.ndarray, zsq: np.ndarray, plan):
+    """The secular roots of the deflated ``poles``, unsorted, with their origins.
 
-    Returns (origins, offsets, weights, deflated).  Root j is
-    origins[j] + offsets[j], the value of the pole it was tracked from plus
-    its offset tau (:func:`_secular_block`), so a root's distance to any
-    pole d is (origins[j] - d) + offsets[j] at full relative precision
-    however close the root sits to its pole.  With no pole left the one
-    root is the head, offset 0.  ``deflated`` holds the eigenvalues of
-    weight 0 (:func:`_deflate`).
+    ``plan`` is the (ends, leaves) of :func:`_secular_plan`, None with no
+    pole left, when the one root is the head, offset 0.  Returns
+    (origins, offsets, weights) in root order, which is ascending: root j
+    is origins[j] + offsets[j], the value of the pole it was tracked from
+    plus its offset tau (:func:`_secular_block`), so a root's distance to
+    any pole d is (origins[j] - d) + offsets[j] at full relative precision
+    however close the root sits to its pole.
     """
-    arm = np.asarray(arm, dtype=float)
-    diag = np.asarray(diag, dtype=float)
-    head = float(head)
-    poles, zsq, deflated = _deflate(head, arm, diag)
+    if plan is None:
+        return np.array([head]), np.zeros(1), np.ones(1)
+    ends, leaves = plan
     m = poles.size
-    if m == 0:
-        return np.array([head]), np.zeros(1), np.ones(1), deflated
-    ends, leaves = _secular_leaves(head, poles, zsq)
     origins, offsets, weights = np.empty((3, m + 1))
     for j0, j1, a, b in leaves.tolist():
         far = None if b - a == m else _far_field(poles, zsq, ends, j0, j1, a, b)
@@ -554,7 +561,7 @@ def _secular_roots(head: float, arm: np.ndarray, diag: np.ndarray):
         for start in range(j0, j1, rows):
             j = np.arange(start, min(start + rows, j1))
             origins[j], offsets[j], weights[j] = _secular_block(head, poles, zsq, j, ends, far)
-    return origins, offsets, weights, deflated
+    return origins, offsets, weights
 
 
 def sector_eigensystem(h: np.ndarray):
@@ -575,28 +582,33 @@ def sector_eigensystem(h: np.ndarray):
         ) from exc
 
 
-def _secular_cost(head: float, poles: np.ndarray, zsq: np.ndarray):
-    """Work, bytes and largest block of the secular solve of these deflated poles.
+def _secular_plan(head: float, poles: np.ndarray, zsq: np.ndarray, points: int):
+    """The leaves of the secular solve of the deflated ``poles``, and its cost.
 
-    Per leaf of :func:`_secular_leaves`: its roots times its near poles in
-    secular pairs, and ``_FAR_NODES`` sums over its far poles at
-    ``_TABLE_ELEMENTS_PER_PAIR`` elements per pair.  The bytes are the
-    largest leaf's block of rows x near poles (two arrays, and
+    Returns (plan, work, bytes, largest block).  ``plan`` is the
+    (ends, leaves) of :func:`_secular_leaves`, None with no pole left.  The
+    work, in secular pairs: per leaf, its roots times its near poles, and
+    ``_FAR_NODES`` sums over its far poles at ``_TABLE_ELEMENTS_PER_PAIR``
+    elements per pair; then each root meets each of ``points`` amplitude
+    terms once, at ``_SUM_PAIRS_PER_PAIR`` terms per pair.  The bytes are
+    the largest leaf's block of rows x near poles (two arrays, and
     ``_SECULAR_ROOT_FLOATS`` per row) plus its far tables' block of nodes x
     far poles (two arrays, and the far poles' shifts), as if held at once;
     the block is the larger of the two arrays, in elements.
     """
+    work = -(-(poles.size + 1) * points // _SUM_PAIRS_PER_PAIR)
     if poles.size == 0:
-        return 0, 0, 0
-    j0, j1, a, b = _secular_leaves(head, poles, zsq)[1].T
+        return None, work, 0, 0
+    ends, leaves = _secular_leaves(head, poles, zsq)
+    j0, j1, a, b = leaves.T
     width = b - a
     far = poles.size - width
-    work = (int(np.sum((j1 - j0) * width))
-            + -(-_FAR_NODES * int(np.sum(far)) // _TABLE_ELEMENTS_PER_PAIR))
+    work += (int(np.sum((j1 - j0) * width))
+             + -(-_FAR_NODES * int(np.sum(far)) // _TABLE_ELEMENTS_PER_PAIR))
     rows = np.minimum(j1 - j0, np.maximum(1, _BLOCK_ELEMENTS // width))
     nodes = np.minimum(_FAR_NODES, np.maximum(1, _BLOCK_ELEMENTS // np.maximum(far, 1)))
     nbytes = 8 * int(np.max(rows * (2 * width + _SECULAR_ROOT_FLOATS) + (2 * nodes + 1) * far))
-    return work, nbytes, int(np.max(np.maximum(rows * width, nodes * far)))
+    return (ends, leaves), work, nbytes, int(np.max(np.maximum(rows * width, nodes * far)))
 
 
 def spectral_work(head: float, poles: np.ndarray, zsq: np.ndarray, points: int) -> int:
@@ -611,9 +623,7 @@ def spectral_work(head: float, poles: np.ndarray, zsq: np.ndarray, points: int) 
     secular pair).  When every pole is near this is
     roots x poles + roots x points / 12, rounded up.
     """
-    roots = poles.size + 1
-    return (_secular_cost(head, poles, zsq)[0]
-            + -(-roots * points // _SUM_PAIRS_PER_PAIR))
+    return _secular_plan(head, poles, zsq, points)[1]
 
 
 def _phase_table(times: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -625,72 +635,91 @@ def _phase_table(times: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return table
 
 
-def _aligned_arrowhead(spec: SpinBathSpec):
-    """Head omega0 - sum g and poles omega_k - g_k of the aligned-frame arrowhead."""
-    return spec.omega0 - float(np.sum(spec.g)), spec.omega - spec.g
-
-
-def survival_amplitude(spec: SpinBathSpec, grid: TimeGrid) -> np.ndarray:
-    """Aligned-frame survival amplitude a(t) = sum_j w_j exp(-i mu_j t) on ``grid``.
+def _shipped_measure(spec: SpinBathSpec, grid: TimeGrid, columns: int):
+    """The checked spectral measure of e_0 that every central-spin amplitude sums.
 
     The sector Hamiltonian is E I plus the arrowhead with head
-    omega0 - sum g, arm g and poles omega_k - g_k, where E is the aligned
-    energy, so the excitation's amplitude is c_0(t) = exp(-iEt) a(t) with
-    (mu_j, w_j) the arrowhead's spectral measure of e_0.  Solving in this
-    frame keeps mu_j to full relative precision: no phase of size
-    sum(omega)/2 is formed and cancelled.  Its :func:`spectral_work` and the
-    bytes of its times, amplitudes, per-pole arrays and phase tables go
-    through ``trajectory.check_work`` before any large allocation, each part
-    counted as if all were held at once, so the estimate bounds the peak; a
-    sum rule |sum_j w_j - 1| above 1e-10 raises TraceDriftError.
+    omega0 - sum g, arm g and poles d_k = omega_k - g_k, where E is the
+    aligned energy; (mu_j, w_j) is that arrowhead's spectral measure of
+    e_0.  Solving in this frame keeps mu_j to full relative precision: no
+    phase of size sum(omega)/2 is formed and cancelled.  The poles are
+    deflated and the leaves planned once; the work of the solve and of
+    ``columns`` amplitude columns at each of the grid's T times, and the
+    bytes of the times, the columns, the per-pole arrays, the solve and the
+    phase tables of :func:`_phase_blocks` (with, beside more than one
+    column, the coefficient tables of :func:`evolve_sector`, one block's
+    product and its per-time phase) go through ``trajectory.check_work``
+    before any large allocation, each part counted as if all were held at
+    once, so the estimate bounds the peak.  A sum rule |sum_j w_j - 1|
+    above 1e-10 raises TraceDriftError.
 
-    The grid's T times go in blocks of B = isqrt(T): time t_{aB+b} is
-    t_{aB} + b dt, so its terms are heads[a] * tails[b] with the tables
-    heads[a] = w exp(-i mu t_{aB}) and tails[b] = exp(-i mu b dt), about
-    sqrt(T) rows each.  Each time then costs one complex multiply per root
-    and a row sum, no cos or sin; memory is O(sqrt(T) N).  The blocks
-    depend on the grid alone and no BLAS product is used, so each time's
-    sum is the same whatever the BLAS library or its thread count.
+    Returns (origins, offsets, w) of the roots of weight w_j > 0, in
+    ascending order: mu_j = origins[j] + offsets[j] (:func:`_secular_roots`).
     """
-    head, diag = _aligned_arrowhead(spec)
+    head, diag = spec.omega0 - float(np.sum(spec.g)), spec.omega - spec.g
     poles, zsq, _ = _deflate(head, spec.g, diag)
     roots, points = poles.size + 1, grid.steps + 1
     block = math.isqrt(points)
     heads = -(-points // block)
-    _, solve, largest = _secular_cost(head, poles, zsq)
-    # times, amplitudes and per-spin arrays; the secular solve's largest
-    # leaf (near block and far tables); the heads and tails tables, one
-    # tails-sized product and the float phase beside the larger table;
+    plan, work, solve, largest = _secular_plan(head, poles, zsq, points * columns)
+    # times, amplitude columns and per-spin arrays; the secular solve's
+    # largest leaf (near block and far tables); the heads and tails tables,
+    # one tails-sized product and the float phase beside the larger table;
     # numpy's reduction buffer, up to getbufsize() complex elements
-    nbytes = (24 * points + 64 * spec.N + _CALL_BYTES + solve
+    nbytes = (8 * points * (1 + 2 * columns) + 64 * spec.N + _CALL_BYTES + solve
               + (16 * (heads + 2 * block) + 8 * max(heads, block)) * roots
               + 16 * min(np.getbufsize(), max(largest, block * roots)))
-    check_work(spectral_work(head, poles, zsq, points), nbytes, poles.size, points,
-               "secular poles after deflation")
-    mu, w = arrowhead_eigensystem(head, spec.g, diag)
+    if columns > 1:
+        # the gaps, their nonzero mask and the coefficients per (root,
+        # spin), one block's product, the complex phase and its argument
+        # per time, and the buffer of the phase's broadcast product
+        nbytes += (spec.N * (25 * roots + 16 * block) + 32 * points
+                   + 16 * min(np.getbufsize(), points * columns))
+    check_work(work, nbytes, poles.size, points, "secular poles after deflation")
+    origins, offsets, w = _secular_roots(head, poles, zsq, plan)
     drift = abs(float(np.sum(w)) - 1.0)
     if not drift <= _NORM_TOL:
         raise TraceDriftError(drift, 0.0, _NORM_TOL)
     keep = w > 0.0
-    return _measure_sum(grid, mu[keep], w[keep])
+    return origins[keep], offsets[keep], w[keep]
 
 
-def _measure_sum(grid: TimeGrid, mu: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_j w_j exp(-i mu_j t) at each time of ``grid``, from the blocked
-    phase tables of :func:`survival_amplitude`."""
+def _phase_blocks(grid: TimeGrid, mu: np.ndarray, w: np.ndarray):
+    """The products w_j exp(-i mu_j t) on ``grid``, a block of times at a time.
+
+    The grid's T times go in blocks of B = isqrt(T): time t_{aB+b} is
+    t_{aB} + b dt, so its terms are heads[a] * tails[b] with the tables
+    heads[a] = w exp(-i mu t_{aB}) and tails[b] = exp(-i mu b dt), about
+    sqrt(T) rows each.  Each time then costs one complex multiply per root,
+    no cos or sin; memory is O(sqrt(T) N).  Yields (rows, part), part the
+    (len(rows), roots) products at the times ``rows``, in one buffer that
+    the next block overwrites.  The blocks depend on the grid alone.
+    """
     points = grid.steps + 1
     block = math.isqrt(points)
     heads = _phase_table(grid.times[::block], mu)
     heads *= w
     tails = _phase_table(np.arange(block) * grid.dt, mu)
-    amp = np.empty(points, dtype=complex)
     part = np.empty_like(tails)
     for start, row in zip(range(0, points, block), heads):
         n = min(block, points - start)
         np.multiply(tails[:n], row, out=part[:n])
-        # row sums, not a BLAS product: each time's sum then does not depend
-        # on the BLAS kernel or its threads
-        part[:n].sum(axis=1, out=amp[start:start + n])
+        yield slice(start, start + n), part[:n]
+
+
+def survival_amplitude(spec: SpinBathSpec, grid: TimeGrid) -> np.ndarray:
+    """Aligned-frame survival amplitude a(t) = sum_j w_j exp(-i mu_j t) on ``grid``.
+
+    (mu_j, w_j) is the checked measure of :func:`_shipped_measure`, and the
+    excitation's amplitude is c_0(t) = exp(-iEt) a(t), E the aligned
+    energy.  Each time's sum is the row sum of its block of
+    :func:`_phase_blocks`: no BLAS product is used, so it is the same
+    whatever the BLAS library or its thread count.
+    """
+    origins, offsets, w = _shipped_measure(spec, grid, 1)
+    amp = np.empty(grid.steps + 1, dtype=complex)
+    for rows, part in _phase_blocks(grid, origins + offsets, w):
+        part.sum(axis=1, out=amp[rows])
     return amp
 
 
@@ -722,47 +751,42 @@ def _unit_state(vector, length: int, what: str) -> np.ndarray:
 def evolve_sector(spec: SpinBathSpec, grid: TimeGrid) -> SectorTrajectory:
     """Sector amplitudes on ``grid`` of the excitation started on the system (e_0).
 
-    They come from the spectral measure (mu_j, w_j) that ``central-exact``
-    and ``fig2`` ship, so a comparison with the brute force checks that
-    solver.  With E the aligned energy and d_k = omega_k - g_k, the
-    arrowhead's eigenvector formula gives
+    They come from the measure (mu_j, w_j) that ``central-exact`` and
+    ``fig2`` ship (:func:`_shipped_measure`), so a comparison with the
+    brute force checks that solver.  With E the aligned energy and
+    d_k = omega_k - g_k, the arrowhead's eigenvector formula gives
 
-        c_k(t) = exp(-iEt) sum_j w_j g_k / (mu_j - d_k) exp(-i mu_j t),  k >= 1;
+        c_k(t) = exp(-iEt) sum_j w_j g_k / (mu_j - d_k) exp(-i mu_j t),  k >= 1.
 
-    deflated roots have w_j = 0.  Each mu_j - d_k is
-    (origin pole - d_k) + tau_j (:func:`_secular_roots`), never a
-    difference of the rounded root, so it keeps full relative precision
-    when a weakly coupled root lies within an ulp of its pole (Gu &
-    Eisenstat 1995).  With c_0 the same sum over w_j, every state's norm
-    must stay within 1e-10 of one (NaN included), or TraceDriftError is
-    raised.  c_0 is then replaced by exp(-iEt) times the blocked sum of
-    :func:`survival_amplitude`, the function the scenarios call, over the
-    same roots: kept in root order with w_j > 0 they are the measure it
-    sums, so c_0 has its bits from one secular solve.
+    Each mu_j - d_k is (origin pole - d_k) + tau_j (:func:`_secular_roots`),
+    never a difference of the rounded root, so it keeps full relative
+    precision when a weakly coupled root lies within an ulp of its pole (Gu
+    & Eisenstat 1995).  Each block of :func:`_phase_blocks` gives c_0 by
+    the row sums of :func:`survival_amplitude`, so c_0 has its bits, and
+    the c_k by one product with the table g_k / (mu_j - d_k).  Every
+    state's norm must stay within 1e-10 of one (NaN included), or
+    TraceDriftError is raised.
 
     The name and :class:`SectorTrajectory` stay because the benchmark's
     tracer wraps ``central_spin.evolve_sector`` in place and reads its
     ``amplitudes``, until it reads a run report (ROADMAP item 2).
     """
     times = grid.times
-    head, diag = _aligned_arrowhead(spec)
-    origins, offsets, w, _ = _secular_roots(head, spec.g, diag)
-    keep = w > 0.0
-    origins, offsets, w = origins[keep], offsets[keep], w[keep]
-    mu = origins + offsets
-    gaps = np.subtract.outer(origins, diag)
+    origins, offsets, w = _shipped_measure(spec, grid, spec.N + 1)
+    gaps = np.subtract.outer(origins, spec.omega - spec.g)
     gaps += offsets[:, None]
-    coef = np.zeros((w.size, spec.N + 1))
-    coef[:, 0] = w
+    coef = np.zeros(gaps.shape, dtype=complex)
     # only a root on an uncoupled spin's pole can meet it exactly: that
     # spin's amplitude is then 0
-    np.divide(np.multiply.outer(w, spec.g), gaps, out=coef[:, 1:], where=gaps != 0.0)
-    amps = _phase_table(times, mu) @ coef
+    np.divide(spec.g, gaps, out=coef.real, where=gaps != 0.0)
+    amps = np.empty((times.size, spec.N + 1), dtype=complex)
+    for rows, part in _phase_blocks(grid, origins + offsets, w):
+        part.sum(axis=1, out=amps[rows, 0])
+        np.matmul(part, coef, out=amps[rows, 1:])
     parts = amps.view(float)
     drift = float(np.max(np.abs(np.einsum("ij,ij->i", parts, parts) - 1.0)))
     if not drift <= _NORM_TOL:
         raise TraceDriftError(drift, float(times[-1]), _NORM_TOL)
-    amps[:, 0] = _measure_sum(grid, mu, w)
     amps *= np.exp(-1j * aligned_eigen_energy(spec) * times)[:, None]
     return SectorTrajectory(times, amps)
 

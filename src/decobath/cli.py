@@ -427,19 +427,21 @@ def oracle_compare_trajectory(spec: central_spin.SpinBathSpec, grid: TimeGrid) -
     ``fig2`` (c_0 has :func:`central_spin.survival_amplitude`'s bits),
     and the drift of the conserved total sigma_z expectation.  The brute
     force's block of states stays alive through the sector evolution and
-    the deviations, whose (T, N+1) arrays its estimate does not count: the
-    block with four such arrays (measured: 2 at once in the evolution, the
-    amplitudes beside the phase table, and 3 in the deviations) goes
-    through the work rule before the sector evolution starts, at three
-    secular pairs per (time, state) (45-100 ns measured on one Xeon core at
-    N = 1 to 12, a pair 30-50 ns).
+    the deviations, whose (T, N+1) arrays its estimate does not count, nor
+    does the sector evolution's own estimate count the block.  The block
+    with three such arrays (the most held at once: the sector amplitudes,
+    the brute force's and their difference in the deviations, against the
+    one array of amplitudes in the evolution) and four complex values per
+    time point goes through the work rule before the sector evolution
+    starts, at three secular pairs per (time, state) (45-100 ns measured on
+    one Xeon core at N = 1 to 12, a pair 30-50 ns).
     """
     pairs = [(1.0, 0.0)] + [(0.0, 1.0)] * spec.N  # excitation on the system
     full = central_spin.brute_force_evolve(
         spec, central_spin.product_state(pairs), grid
     )
     points, states = grid.steps + 1, spec.N + 1
-    check_work(3 * points * states, 16 * points * (full.support.size + 4 * states + 4),
+    check_work(3 * points * states, 16 * points * (full.support.size + 3 * states + 4),
                states, points, "sector states beside the brute force")
     sector = central_spin.evolve_sector(spec, grid)
     amp_dev = np.max(np.abs(full.sector_amplitudes() - sector.amplitudes), axis=1)

@@ -229,6 +229,29 @@ class TestEvolveSector:
         assert not np.any(traj.amplitudes[:, 1:])
         assert np.max(np.abs(traj.p0 - 1.0)) < 1e-15
 
+    @pytest.mark.parametrize("steps", [20000, 400])
+    def test_byte_estimate_bounds_the_peak(self, monkeypatch, steps):
+        # fig2 N = 100: the (T, N+1) amplitudes lead at 20 001 points, the
+        # phase tables and the (roots, N) coefficients at 401
+        spec, grid = fig2_spec(100), TimeGrid(0.0, 5.0, steps)
+        estimates = []
+
+        def spy(work, nbytes, *args):
+            estimates.append(nbytes)
+            check_work(work, nbytes, *args)
+
+        monkeypatch.setattr(central_spin, "check_work", spy)
+        evolve_sector(spec, grid)  # first-call allocations are not the run's
+        estimates.clear()
+        tracemalloc.start()
+        try:
+            evolve_sector(spec, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(estimates) == 1
+        assert peak <= estimates[0], (peak, estimates[0])
+
     @pytest.mark.parametrize("spec, grid", [
         (fig2_spec(50), TimeGrid(0.0, 5.0, 20000)),
         (cli._oracle_bath(12, 42), TimeGrid(0.0, 5.0, 200)),

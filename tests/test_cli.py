@@ -838,12 +838,12 @@ class TestMain:
     def test_oversized_central_exact_refused_fast_with_estimate(
             self, monkeypatch, tmp_path, capsys):
         # 3.5 10^5 distinct splittings: ~1.1 10^9 secular pairs in the
-        # two-level solve alone.  The solver is made to raise, so a missing
-        # refusal fails here instead of running.
+        # two-level solve alone.  The shared solve is made to raise, so a
+        # missing or late refusal fails here instead of running.
         def never(*args):
             raise AssertionError("the oversize secular problem was started")
 
-        monkeypatch.setattr(central_spin, "arrowhead_eigensystem", never)
+        monkeypatch.setattr(central_spin, "_secular_roots", never)
         n = 350_000
         g, splittings = np.full(n, 0.001), np.linspace(0.5, 1.5, n)
         omega = ", ".join(map(repr, splittings.tolist()))
@@ -998,26 +998,26 @@ class TestMain:
 
     def test_oracle_compare_checks_the_shipped_secular_solver(self, monkeypatch, tmp_path,
                                                                capsys):
-        # every eigenvalue of the shipped measure 1% off in its sum moves
-        # what central-exact and fig2 print; oracle-compare's c_0 is that sum
-        measure_sum = central_spin._measure_sum
+        # every eigenvalue of the shipped measure 1% off in its phases moves
+        # what central-exact and fig2 print; oracle-compare's c_0 and c_k are
+        # summed from the same blocks
+        blocks = central_spin._phase_blocks
         text = README_SME.replace("central-sme", "central-exact")
         p0 = run_scenario(parse_config(text)).columns["P0"]
-        monkeypatch.setattr(central_spin, "_measure_sum",
-                            lambda grid, mu, w: measure_sum(grid, 1.01 * mu, w))
+        monkeypatch.setattr(central_spin, "_phase_blocks",
+                            lambda grid, mu, w: blocks(grid, 1.01 * mu, w))
         assert np.max(np.abs(run_scenario(parse_config(text)).columns["P0"] - p0)) > 1e-3
         out = tmp_path / "oracle.csv"
         assert main(["oracle-compare", "--n", "8", "--seed", "42", "--out", str(out)]) == 3
         assert "FAIL" in capsys.readouterr().out
-        # the same error in the one secular solve that arrowhead_eigensystem
-        # and evolve_sector share also reaches the eigenvector columns,
-        # whose norm check aborts
+        # the same error in the one secular solve also reaches the
+        # eigenvector coefficients g_k / (mu_j - d_k), whose norm check aborts
         monkeypatch.undo()
         solve = central_spin._secular_roots
 
         def scaled(*args):
-            origins, offsets, w, deflated = solve(*args)
-            return 1.01 * origins, 1.01 * offsets, w, deflated
+            origins, offsets, w = solve(*args)
+            return 1.01 * origins, 1.01 * offsets, w
 
         monkeypatch.setattr(central_spin, "_secular_roots", scaled)
         assert np.max(np.abs(run_scenario(parse_config(text)).columns["P0"] - p0)) > 1e-3
