@@ -42,16 +42,19 @@ tests' dense reference.
 A brute-force propagator on the full 2^(N+1) register (N <= 12) is the
 oracle that validates the sector reduction: one Chebyshev expansion of
 exp(-iHt) over the whole time grid, its Bessel weights from numpy.  It
-builds H on the whole register by bit arithmetic, independent of the
-sector code, and then propagates only the block S that the initial state
-can reach through H's stored entries.  No entry connects S to the rest,
-so every amplitude outside S is exactly 0 and dropping it is exact; S is
-found, never assumed, so a start that H spreads over the whole register
-(a tilted field, a generic vector) runs on the whole register by the same
-code, and a leak out of the sector would show as a larger S.  It too
-passes its work and bytes to the work rule before any large allocation.
+builds rows of H by bit arithmetic (:func:`hamiltonian_rows`),
+independent of the sector code, and propagates only the block S that the
+initial state can reach through H's stored entries: S starts as the
+initial state's support and takes in the columns of its rows until they
+add no state, so only S's rows are ever built.  No entry connects S to
+the rest, so every amplitude outside S is exactly 0 and dropping it is
+exact; S is found, never assumed, so a start that H spreads over the
+whole register (a tilted field, a generic vector) runs on the whole
+register by the same code, and a leak out of the sector would show as a
+larger S.  It too passes its work and bytes to the work rule before any
+large allocation.
 
-The module, the brute force included, needs numpy alone: H is a list of
+The module, the brute force included, needs numpy alone: H's rows are
 row-sorted (row, column, value) triplets, and each Chebyshev step is one
 gather, one product and one ``np.add.reduceat`` over the block's rows.
 """
@@ -79,11 +82,10 @@ __all__ = [
     "build_sector_hamiltonian",
     "sector_eigensystem",
     "arrowhead_eigensystem",
-    "spectral_work",
     "survival_amplitude",
     "evolve_sector",
     "reduced_system_density",
-    "build_full_hamiltonian",
+    "hamiltonian_rows",
     "product_state",
     "brute_force_evolve",
     "first_revival",
@@ -93,6 +95,10 @@ __all__ = [
 BRUTE_FORCE_MAX_N = 12
 #: Norm drift of the brute-force register above this aborts the run.
 BRUTE_FORCE_NORM_ABORT = 1e-9
+#: :func:`first_revival` looks for a peak of P0 above REVIVAL_LEVEL after
+#: P0 first drops below REVIVAL_DROP.
+REVIVAL_DROP = 0.1
+REVIVAL_LEVEL = 0.5
 
 _NORM_TOL = 1e-10
 #: Matrix elements per block of (roots x near poles) in the secular
@@ -144,11 +150,14 @@ _POINT_WORK = 4096
 #: Floats per time point of the brute-force propagator beside its states
 #: and the K + _MILLER_MARGIN rows of its Bessel table: the table's two
 #: spare rows, times, arguments, degrees, recurrence scratch, phases and
-#: norms.  Bytes of its register-sized build per stored entry of H (the
-#: build's per-term tables, its triplets, the closure's gathers and the
-#: block's renumbered copy: 36-63 measured from N = 6 to 12, tilted or
-#: not), beside 32 per (state, spin) for the spin bits, the sigma_z signs
-#: and their products.
+#: norms.  Bytes of the build of the block's rows per stored entry of H_SS
+#: (the build's per-term tables, its triplets and their renumbered copy),
+#: beside 32 per (state, spin) for the spin bits, the sigma_z signs and
+#: their products: 38-62 measured on whole registers from N = 4 to 10,
+#: 77-97 with a tilted field; a sector block's few rows take the call's
+#: 6-14 KB of small arrays, within _CALL_BYTES.  The build is freed before
+#: the propagation allocates, and the estimate counts both, so it bounds
+#: the peak tilted too (by 1.24-1.57 at N = 2 to 12, 2 and 101 points).
 _POINT_FLOATS = 16
 _ENTRY_BYTES = 64
 #: Brute-force elements per secular (root, pole) pair of work (~0.16 ns
@@ -611,21 +620,6 @@ def _secular_plan(head: float, poles: np.ndarray, zsq: np.ndarray, points: int):
     return (ends, leaves), work, nbytes, int(np.max(np.maximum(rows * width, nodes * far)))
 
 
-def spectral_work(head: float, poles: np.ndarray, zsq: np.ndarray, points: int) -> int:
-    """Estimated work of :func:`survival_amplitude`, in secular pairs.
-
-    ``poles`` and ``zsq`` are the secular problem after deflation, with
-    poles.size + 1 roots.  Each root meets each near pole of its leaf in
-    each of its secular iterations (30-50 ns per pair on one Xeon core),
-    each leaf sums its far poles once at every Chebyshev node (~1.6 ns a
-    term), and each root meets every time point once in the amplitude sum,
-    one complex multiply and add (``_SUM_PAIRS_PER_PAIR`` of them per
-    secular pair).  When every pole is near this is
-    roots x poles + roots x points / 12, rounded up.
-    """
-    return _secular_plan(head, poles, zsq, points)[1]
-
-
 def _phase_table(times: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """exp(-i mu_j t) for each t in ``times`` (rows) and each mu_j (columns)."""
     phase = np.multiply.outer(times, -mu)
@@ -742,7 +736,7 @@ def _unit_state(vector, length: int, what: str) -> np.ndarray:
     vector = np.asarray(vector, dtype=complex)
     if vector.shape != (length,):
         raise ValueError(f"initial state must have length {length}")
-    dev = abs(float(np.sum(np.abs(vector) ** 2)) - 1.0)
+    dev = abs(float(np.vdot(vector, vector).real) - 1.0)
     if not dev <= _NORM_TOL:
         raise NormalizationError(f"initial {what} state must be normalized", dev)
     return vector
@@ -815,26 +809,28 @@ def _spin_bits(indices: np.ndarray, n_spins: int) -> np.ndarray:
     return (indices[:, None] >> np.arange(n_spins)[None, :]) & 1
 
 
-def build_full_hamiltonian(spec: SpinBathSpec, field_unitary: Optional[np.ndarray] = None):
-    """The 2^(N+1) Hamiltonian of the system plus bath register, as triplets.
+def hamiltonian_rows(spec: SpinBathSpec, indices, field_unitary: Optional[np.ndarray] = None):
+    """The rows ``indices`` of the 2^(N+1) register Hamiltonian, as triplets.
 
     Spin k occupies bit k of the basis index (bit set = spin in |1>); the
-    system is spin 0.  ``field_unitary`` optionally conjugates every
-    single-spin field term sigma_z -> R^dag sigma_z R, tilting the energy
-    axis while the Heisenberg couplings stay rotation invariant.  Restricted
-    to N <= 12.
+    system is spin 0.  ``indices`` are sorted register indices, and only
+    their rows are built, so the cost follows the rows asked for, not the
+    register.  ``field_unitary`` optionally conjugates every single-spin
+    field term sigma_z -> R^dag sigma_z R, tilting the energy axis while the
+    Heisenberg couplings stay rotation invariant.  Restricted to N <= 12.
 
-    Returns (rows, cols, vals): H[rows[i], cols[i]] = vals[i] (complex),
-    sorted by row, no pair twice.  Row r holds its diagonal first, then
-    each entry r ^ x for the bit masks x of the terms that connect r: the
-    flip-flop of the system with bath spin k (bits 0 and k differ), and
-    with a tilted field the flip of each single spin.  A zero coupling is
-    stored as a zero, so the pattern does not depend on the values.
+    Returns (rows, cols, vals): H[rows[i], cols[i]] = vals[i] (complex) in
+    register indices, sorted by row, no pair twice.  Row r holds its
+    diagonal first, then each entry r ^ x for the bit masks x of the terms
+    that connect r: the flip-flop of the system with bath spin k (bits 0
+    and k differ), and with a tilted field the flip of each single spin.  A
+    zero coupling is stored as a zero, so the pattern does not depend on
+    the values.
     """
     n = spec.N
     if n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force limited to N <= {BRUTE_FORCE_MAX_N}, got {n}")
-    idx = np.arange(spec.dim_full)
+    idx = np.asarray(indices)
     bits = _spin_bits(idx, n + 1)
     sz = 1.0 - 2.0 * bits  # +1 for |0>, -1 for |1>
     w_all = np.concatenate(([spec.omega0], spec.omega))
@@ -944,25 +940,6 @@ class FullTrajectory:
         return states
 
 
-def _closure(rows: np.ndarray, cols: np.ndarray, initial: np.ndarray) -> np.ndarray:
-    """Sorted indices of the closure of ``initial``'s support under H's pattern.
-
-    The closure is the smallest set that holds the support and that H's
-    stored entries (rows, cols), a stored zero too, map into itself.  Each
-    level marks the rows of the entries whose column is reached, one
-    scatter of O(nnz); the set stops growing after at most its diameter's
-    levels.
-    """
-    reached = initial != 0
-    size = np.count_nonzero(reached)
-    while True:
-        reached[rows[reached[cols]]] = True
-        grown = np.count_nonzero(reached)
-        if grown == size:
-            return np.flatnonzero(reached)
-        size = grown
-
-
 def _chebyshev_degrees(x) -> np.ndarray:
     """Chebyshev degree K for each x = r |t| >= 0, as whole floats.
 
@@ -1037,16 +1014,19 @@ def brute_force_evolve(
 ) -> FullTrajectory:
     """Propagate ``initial`` on the full 2^(N+1) register exactly (N <= 12).
 
-    H is built on the whole register (:func:`build_full_hamiltonian`).
-    The propagator then runs on its block H_SS, where S is the closure of
-    ``initial``'s support under H's stored sparsity pattern
-    (:func:`_closure`).  No stored entry of H connects S to the rest, so
-    the whole-register recurrence would keep every vector exactly 0
-    outside S in floating point: the block drops only multiplications of
-    zeros.  A stored zero makes S larger, never smaller, and nothing
-    about the model is assumed: a sector start gives its N+1 states (N+2
-    with the aligned state), a tilted field or a generic vector the whole
-    register, by the same code.
+    The propagator runs on the block H_SS, where S is the closure of
+    ``initial``'s support under H's stored sparsity pattern.  S starts as
+    that support; each level builds the rows of S
+    (:func:`hamiltonian_rows`) and takes their columns in, and the last
+    level, which adds no state, gives H_SS's triplets, renumbered by
+    position in S.  Only rows of S are built: a sector start takes two
+    levels, of 1 and N+1 rows.  No stored entry of H connects S to the
+    rest, so the whole-register recurrence would keep every vector
+    exactly 0 outside S in floating point: the block drops only
+    multiplications of zeros.  A stored zero makes S larger, never
+    smaller, and nothing about the model is assumed: a sector start gives
+    its N+1 states (N+2 with the aligned state), a tilted field or a
+    generic vector the whole register, by the same code.
 
     One Chebyshev expansion (Tal-Ezer & Kosloff 1984) serves the whole
     grid.  With [lo, hi] the Gershgorin bounds of the block's rows, c their
@@ -1057,32 +1037,33 @@ def brute_force_evolve(
 
     with the vectors U_k = (-i)^k T_k(H^) psi(0) from the three-term
     recurrence U_{k+1} = -2i H^ U_k + U_{k-1}, each product one
-    ``np.add.reduceat`` over the rows of H_SS's triplets (the entries whose
-    column lies in S, renumbered by position in S).  The series stops at the
-    degree K whose Bessel tail at r max|t| is below 1e-17; the weights
-    J_k(rt) come from Miller's recurrence in numpy.  Chunks of U_k meet
-    blocks of time points in fixed-size real products, so memory is the
-    block's states plus a fixed scratch.
+    ``np.add.reduceat`` over the rows of H_SS's triplets.  The series stops
+    at the degree K whose Bessel tail at r max|t| is below 1e-17; the
+    weights J_k(rt) come from Miller's recurrence in numpy.  Chunks of U_k
+    meet blocks of time points in fixed-size real products, so memory is
+    the block's states plus a fixed scratch.
 
     The estimated work, K (48 nnz(H_SS) + points (|S| + 32)) elements plus
-    a fixed cost per term and per time point, and the bytes of the
-    register-sized build, the block's states (with the temporaries of
-    :meth:`FullTrajectory.sz_total`), the Bessel table and the scratch go
-    through ``trajectory.check_work`` before any weight or state is
-    allocated.  A non-unit ``initial`` (NaN included) is refused; norm drift
-    beyond BRUTE_FORCE_NORM_ABORT aborts.
+    a fixed cost per term and per time point, and the bytes of the block's
+    build, 32 (N+1) |S| + 64 nnz(H_SS), of the block's states (with the
+    temporaries of :meth:`FullTrajectory.sz_total`), the Bessel table and
+    the scratch go through ``trajectory.check_work`` before any weight or
+    state is allocated.  A non-unit ``initial`` (NaN included) is refused;
+    norm drift beyond BRUTE_FORCE_NORM_ABORT aborts.
     """
     initial = _unit_state(initial, spec.dim_full, "register")
-    rows, cols, vals = build_full_hamiltonian(spec, field_unitary)
-    dim, nnz = spec.dim_full, rows.size
-    support = _closure(rows, cols, initial)
-    size = support.size
-    # the block's entries, renumbered by position in S: the closure puts the
-    # row of every entry whose column is in S there too
-    at = np.full(dim, -1)
-    at[support] = np.arange(size)
-    block = at[cols] >= 0
-    rows, cols, vals, initial = at[rows[block]], at[cols[block]], vals[block], initial[support]
+    # S grows by the columns of its rows until they add no state
+    support = np.flatnonzero(initial)
+    while True:
+        rows, cols, vals = hamiltonian_rows(spec, support, field_unitary)
+        reached = np.union1d(support, cols)
+        if reached.size == support.size:
+            break
+        support = reached
+    dim, size = spec.dim_full, support.size
+    # the block's entries, renumbered by position in S
+    rows, cols = np.searchsorted(support, rows), np.searchsorted(support, cols)
+    initial = initial[support]
     # every row holds its diagonal, so no row's run of entries is empty
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
     on_diag = rows == cols
@@ -1099,11 +1080,10 @@ def brute_force_evolve(
     elements = (order * (_ENTRY_WORK * vals.size + points * (size + _BESSEL_WORK)
                          + _CHEBYSHEV_STEP_WORK) + points * _POINT_WORK)
     chunk = min(_CHEBYSHEV_CHUNK, order + 1)
-    # the register-sized build of H and its closure; numpy's reduction
-    # buffer, the Chebyshev vectors and the product scratch; per time point
-    # the states, the temporaries of sz_total, the Bessel table and the
-    # per-point arrays
-    nbytes = (32 * dim * (spec.N + 1) + _ENTRY_BYTES * nnz + _CALL_BYTES
+    # the build of the block's rows; numpy's reduction buffer, the
+    # Chebyshev vectors and the product scratch; per time point the states,
+    # the temporaries of sz_total, the Bessel table and the per-point arrays
+    nbytes = (32 * size * (spec.N + 1) + _ENTRY_BYTES * vals.size + _CALL_BYTES
               + 16 * np.getbufsize() + 16 * size * (chunk + min(_CHEBYSHEV_TIMES, points))
               + points * (32 * size + 8 * (order + _MILLER_MARGIN + _POINT_FLOATS)))
     check_work(-(-elements // _ELEMENTS_PER_PAIR), nbytes, order, points,
@@ -1150,28 +1130,23 @@ def brute_force_evolve(
     return FullTrajectory(spec, times, support, states)
 
 
-def first_revival(
-    times: np.ndarray,
-    p0: np.ndarray,
-    drop: float = 0.1,
-    level: float = 0.5,
-) -> Optional[tuple[float, float]]:
+def first_revival(times: np.ndarray, p0: np.ndarray) -> Optional[tuple[float, float]]:
     """Locate the first revival of the survival probability.
 
     Returns (time, value) of the first local maximum of ``p0`` that follows
-    the first drop below ``drop`` and exceeds ``level``; None when the curve
-    never drops or never revives.  Use a grid of >= 1e4 points over the
-    window of interest for a stable answer.
+    the first drop below ``REVIVAL_DROP`` and exceeds ``REVIVAL_LEVEL``;
+    None when the curve never drops or never revives.  Use a grid of >= 1e4
+    points over the window of interest for a stable answer.
     """
     times = np.asarray(times, dtype=float)
     p0 = np.asarray(p0, dtype=float)
-    below = np.nonzero(p0 < drop)[0]
+    below = np.nonzero(p0 < REVIVAL_DROP)[0]
     if below.size == 0:
         return None
     start = below[0]
     d = np.diff(p0)
     peaks = np.nonzero((d[:-1] > 0) & (d[1:] <= 0))[0] + 1
-    peaks = peaks[(peaks > start) & (p0[peaks] > level)]
+    peaks = peaks[(peaks > start) & (p0[peaks] > REVIVAL_LEVEL)]
     if peaks.size == 0:
         return None
     return float(times[peaks[0]]), float(p0[peaks[0]])

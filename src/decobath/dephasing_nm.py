@@ -43,11 +43,11 @@ The scalar :func:`phi` and :func:`gamma_thermal` keep adaptive ``quad``; they
 are the oracles these forms are tested against.
 
 scipy is imported inside the functions that use it: ``scipy.special`` in the
-finite-temperature Ohmic and the tabulated closed forms and in the
-quadrature tail bound,
-``scipy.integrate`` only in the adaptive oracles.  Importing this module
-then costs numpy alone, so the central-spin and Markov scenarios, which
-import it through the CLI but never call it, start without scipy.
+finite-temperature Ohmic and the tabulated closed forms, ``scipy.integrate``
+only in the adaptive oracles; the quadrature tail bound's E1(50) is a
+literal.  Importing this module then costs numpy alone, so the
+central-spin and Markov scenarios, which import it through the CLI but
+never call it, start without scipy.
 """
 
 from __future__ import annotations
@@ -82,6 +82,8 @@ _QUAD_LIMIT = 2500
 #: Ohmic support is truncated at this many cutoff widths; the remainder is
 #: covered by an analytic exponential-tail bound folded into the error budget.
 _OHMIC_SPAN = 50.0
+#: The exponential integral E1(_OHMIC_SPAN) of that bound, to the last bit.
+_E1_OHMIC_SPAN = 3.783264029550459e-24
 
 #: Work of one (time point, knot) evaluation of the tabulated closed forms,
 #: dominated by ``sici``, in secular pairs (a quadrature node is about one),
@@ -232,9 +234,7 @@ class SpectralDensity:
         """
         if self.family == "tabulated":
             return 0.0
-        from scipy.special import exp1
-
-        return 2.0 * self.eta * coth_cap * float(exp1(_OHMIC_SPAN))
+        return 2.0 * self.eta * coth_cap * _E1_OHMIC_SPAN
 
 
 def _check_beta(beta: float) -> None:

@@ -22,7 +22,6 @@ from .trajectory import TimeGrid, nonnegative_times
 
 __all__ = [
     "DephasingParams",
-    "TimeGrid",
     "dissipator",
     "dephasing_generator",
     "isotropic_generator",
@@ -66,13 +65,11 @@ def _check_rate(gamma: float) -> None:
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
 
 
-def dissipator(op: np.ndarray, rho: np.ndarray | DensityMatrix2) -> np.ndarray:
+def dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Lindblad superoperator L[O, rho] = 2 O rho O^dag - O^dag O rho - rho O^dag O.
 
     The result is Hermitian and traceless for Hermitian rho.
     """
-    if isinstance(rho, DensityMatrix2):
-        rho = rho.matrix
     op = np.asarray(op, dtype=complex)
     od = op.conj().T
     odo = od @ op

@@ -12,17 +12,16 @@ from decobath.central_spin import (
     aligned_index,
     arrowhead_eigensystem,
     brute_force_evolve,
-    build_full_hamiltonian,
     build_sector_hamiltonian,
     evolve_sector,
     fig2_spec,
     first_revival,
+    hamiltonian_rows,
     product_state,
     reduced_system_density,
     rotate_to_polarization,
     sector_eigensystem,
     sector_indices,
-    spectral_work,
     survival_amplitude,
 )
 from decobath.errors import NormalizationError, TraceDriftError, WorkBudgetError
@@ -46,7 +45,7 @@ def full_csr(spec, field_unitary=None):
     scipy references."""
     import scipy.sparse
 
-    rows, cols, vals = build_full_hamiltonian(spec, field_unitary)
+    rows, cols, vals = hamiltonian_rows(spec, np.arange(spec.dim_full), field_unitary)
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(spec.dim_full,) * 2)
 
 
@@ -599,8 +598,10 @@ class TestSurvivalAmplitude:
         # 4 roots meet 3 poles in the solve, every one near, and 10 times
         # in the sum at 1/12 pair each
         assert central_spin._SUM_PAIRS_PER_PAIR == 12
-        assert spectral_work(0.2, np.array([1.0, 2.0, 3.0]), np.ones(3), 10) == 4 * 3 + 4
-        assert spectral_work(0.2, np.array([1.0, 2.0, 3.0]), np.ones(3), 12) == 4 * 3 + 4
+        work = central_spin._secular_plan(0.2, np.array([1.0, 2.0, 3.0]), np.ones(3), 10)[1]
+        assert work == 4 * 3 + 4
+        work = central_spin._secular_plan(0.2, np.array([1.0, 2.0, 3.0]), np.ones(3), 12)[1]
+        assert work == 4 * 3 + 4
         spec = SpinBathSpec(N=4, g=0.5, omega0=0.2, omega=[1.0, 2.0, 3.0, 4.0])
         points = MAX_WORK // 5 * 12
         with pytest.raises(WorkBudgetError) as info:
@@ -608,7 +609,8 @@ class TestSurvivalAmplitude:
         assert info.value.size == 4 and info.value.points == points + 1
         # head omega0 - sum g, poles omega - g, squared couplings g^2
         poles, zsq = np.array([0.5, 1.5, 2.5, 3.5]), np.full(4, 0.25)
-        assert info.value.work == spectral_work(-1.8, poles, zsq, points + 1) > MAX_WORK
+        assert info.value.work == central_spin._secular_plan(-1.8, poles, zsq, points + 1)[1]
+        assert info.value.work > MAX_WORK
         # times, amplitudes, per-spin arrays and small-array objects; the
         # secular block of 5 roots (two 5 x 4 arrays, 40 floats a root);
         # the two phase tables (ceil(T/B) + B rows of 5 roots), one B-row
@@ -665,7 +667,7 @@ class TestBruteForce:
     def test_rejects_large_bath(self):
         spec = SpinBathSpec(N=13, g=1.0, omega0=0.0, omega=1.0)
         with pytest.raises(ValueError, match="N <= 12"):
-            build_full_hamiltonian(spec)
+            hamiltonian_rows(spec, [0])
 
     def test_product_state_matches_bitwise_oracle(self):
         rng = np.random.default_rng(2)
@@ -683,7 +685,7 @@ class TestBruteForce:
         spec = random_spec(rng, 5)
         c, d = random_pair(rng)
         r = np.array([[d, -c], [np.conj(c), np.conj(d)]]) if tilted else None
-        rows, cols, vals = build_full_hamiltonian(spec, r)
+        rows, cols, vals = hamiltonian_rows(spec, np.arange(spec.dim_full), r)
         assert np.all(np.diff(rows) >= 0)
         assert np.unique(rows * spec.dim_full + cols).size == rows.size
         assert np.array_equal(rows[rows == cols], np.arange(spec.dim_full))
@@ -911,22 +913,42 @@ class TestInvariantBlock:
     def test_a_leak_out_of_the_sector_grows_the_block(self, monkeypatch):
         # a coupling from the sector to a two-excitation state: S takes that
         # state in, and the drift of total sigma_z shows the leak
-        build = central_spin.build_full_hamiltonian
+        build = central_spin.hamiltonian_rows
 
-        def leaky(spec, field_unitary=None):
-            rows, cols, vals = build(spec, field_unitary)
+        def leaky(spec, indices, field_unitary=None):
+            rows, cols, vals = build(spec, indices, field_unitary)
             i, j = sector_indices(spec.N)[0], aligned_index(spec.N) ^ 0b11
-            rows, cols = np.append(rows, [i, j]), np.append(cols, [j, i])
+            # the leak's entries in the rows asked for, and no others
+            asked = np.isin([i, j], indices)
+            rows = np.append(rows, np.array([i, j])[asked])
+            cols = np.append(cols, np.array([j, i])[asked])
+            vals = np.append(vals, np.full(np.count_nonzero(asked), 0.3))
             order = np.argsort(rows, kind="stable")  # the triplets stay row-sorted
-            return rows[order], cols[order], np.append(vals, [0.3, 0.3])[order]
+            return rows[order], cols[order], vals[order]
 
-        monkeypatch.setattr(central_spin, "build_full_hamiltonian", leaky)
+        monkeypatch.setattr(central_spin, "hamiltonian_rows", leaky)
         spec = random_spec(np.random.default_rng(4), 3)
         full = brute_force_evolve(spec, product_state([(1.0, 0.0)] + [(0.0, 1.0)] * 3),
                                   TimeGrid(0.0, 3.0, 30))
         assert full.support.size > 4 and aligned_index(3) ^ 0b11 in full.support
         sz = full.sz_total()
         assert np.max(np.abs(sz - sz[0])) > 1e-3
+
+    def test_a_sector_start_builds_only_the_rows_of_its_block(self, monkeypatch):
+        # the start's one row, then the N + 1 rows it reaches: never the
+        # 8192 rows of the register
+        build, asked = central_spin.hamiltonian_rows, []
+
+        def spy(spec, indices, field_unitary=None):
+            asked.append(len(indices))
+            return build(spec, indices, field_unitary)
+
+        monkeypatch.setattr(central_spin, "hamiltonian_rows", spy)
+        spec = random_spec(np.random.default_rng(12), 12)
+        v = product_state([(1.0, 0.0)] + [(0.0, 1.0)] * 12)
+        full = brute_force_evolve(spec, v, TimeGrid(0.0, 1.0, 10))
+        assert full.support.size == 13
+        assert asked and max(asked) <= 13
 
     def test_reads_outside_the_block_are_exact_zeros(self):
         spec = random_spec(np.random.default_rng(5), 5)
@@ -941,8 +963,8 @@ class TestInvariantBlock:
 
     @pytest.mark.parametrize("start", ["sector", "random"])
     def test_byte_estimate_bounds_the_peak(self, monkeypatch, start):
-        # the N = 12 sector start is led by the register-sized build, the
-        # random start by its 8192-amplitude states
+        # the N = 12 sector start is led by its per-point arrays (a Bessel
+        # table of 65 orders), the random start by its 8192-amplitude states
         rng = np.random.default_rng(1212)
         spec = random_spec(rng, 12)
         if start == "sector":

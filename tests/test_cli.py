@@ -859,8 +859,8 @@ class TestMain:
         err = capsys.readouterr().err
         head = 1.1 - float(np.sum(g))
         poles, zsq, _ = central_spin._deflate(head, g, splittings - g)
-        assert central_spin.spectral_work(head, poles, zsq, 0) > trajectory.MAX_WORK
-        work = central_spin.spectral_work(head, poles, zsq, 1001)
+        assert central_spin._secular_plan(head, poles, zsq, 0)[1] > trajectory.MAX_WORK
+        work = central_spin._secular_plan(head, poles, zsq, 1001)[1]
         assert f"needs an estimated {work} element pairs" in err
         assert f"{n} secular poles" in err
         assert not (tmp_path / "out.csv").exists()

@@ -60,6 +60,16 @@ class TestSpectralDensity:
         with pytest.raises(ValueError):
             SpectralDensity.ohmic(1.0, 0.0)
 
+    def test_tail_bound_constant_is_e1_of_the_span(self):
+        mpmath = pytest.importorskip("mpmath")
+        from decobath import dephasing_nm
+
+        with mpmath.workdps(40):
+            e1 = float(mpmath.e1(dephasing_nm._OHMIC_SPAN))
+        assert dephasing_nm._E1_OHMIC_SPAN == e1
+        J = SpectralDensity.ohmic(0.8, 3.0)
+        assert J._tail_bound(2.5) == 2.0 * 0.8 * 2.5 * e1
+
     def test_from_csv_roundtrip(self, tmp_path):
         path = tmp_path / "J.csv"
         path.write_text("# omega, J\n0.5,0.1\n1.0,0.4\n2.0,0.0\n")

@@ -4,7 +4,6 @@ import pytest
 from decobath.errors import TraceDriftError
 from decobath.lindblad import (
     DephasingParams,
-    TimeGrid,
     dephasing_generator,
     dissipator,
     evolve_dephasing_markov,
@@ -19,6 +18,7 @@ from decobath.qstate import (
     SIGMA_Z,
     density_from_amplitudes,
 )
+from decobath.trajectory import TimeGrid
 
 
 def lindblad_oracle(op, rho):

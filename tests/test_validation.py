@@ -66,7 +66,7 @@ def test_amplitude_pair_refuses_off_unit_norm(entry, names, x):
 # --- unit state vector: central_spin._unit_state --------------------------------
 
 def brute_force_entry(monkeypatch, initial):
-    monkeypatch.setattr(central_spin, "build_full_hamiltonian", no_work)
+    monkeypatch.setattr(central_spin, "hamiltonian_rows", no_work)
     register = np.zeros(BATH.dim_full, dtype=complex)
     register[:3] = initial
     return central_spin.brute_force_evolve(BATH, register, GRID)
@@ -86,7 +86,7 @@ def test_state_vector_refused(monkeypatch, entry, x):
 
 
 def test_state_vector_of_wrong_length_refused(monkeypatch):
-    monkeypatch.setattr(central_spin, "build_full_hamiltonian", no_work)
+    monkeypatch.setattr(central_spin, "hamiltonian_rows", no_work)
     with pytest.raises(ValueError, match="initial state must have length 8"):
         central_spin.brute_force_evolve(BATH, np.ones(3), GRID)
 
