@@ -154,10 +154,11 @@ _POINT_WORK = 4096
 #: (the build's per-term tables, its triplets and their renumbered copy),
 #: beside 32 per (state, spin) for the spin bits, the sigma_z signs and
 #: their products: 38-62 measured on whole registers from N = 4 to 10,
-#: 77-97 with a tilted field; a sector block's few rows take the call's
-#: 6-14 KB of small arrays, within _CALL_BYTES.  The build is freed before
-#: the propagation allocates, and the estimate counts both, so it bounds
-#: the peak tilted too (by 1.24-1.57 at N = 2 to 12, 2 and 101 points).
+#: 44-61 with a complex tilted field from N = 4 to 12; a sector block's few
+#: rows take the call's 6-14 KB of small arrays, within _CALL_BYTES.  The
+#: build is freed before the propagation allocates, and the estimate counts
+#: both, so it bounds the peak tilted too (by 1.27-3.99 at N = 4 to 12, 2
+#: and 101 points).
 _POINT_FLOATS = 16
 _ENTRY_BYTES = 64
 #: Brute-force elements per secular (root, pole) pair of work (~0.16 ns

@@ -36,7 +36,8 @@ as its oracle; the two share no code.  The module also carries the
 equation's claimed closed-form solution, :func:`sme_analytic`.  Its
 population channel is the exact one, while its coherence channel differs in
 the dephasing exponent and the Lamb phase.  That gap is deliberately not
-patched: :func:`sme_discrepancy_report` quantifies it instead.
+patched: :func:`sme_discrepancy_report` returns it as data, a Trajectory of
+the two coherence deviations per time and the best-fit dephasing factor.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .trajectory import TimeGrid, Trajectory, check_work, nonnegative_times
 
 __all__ = [
     "SmeRates",
-    "SmeDiscrepancyReport",
     "sme_rates",
     "channel_exponents",
     "integrate_sme",
@@ -202,7 +202,7 @@ def _sme_generator(spec: SpinBathSpec):
         out = out + rates.Gamma_0(t) * dissipator(SIGMA_MINUS, rho)
         return out
 
-    return rhs, rates
+    return rhs
 
 
 def _refine_factor(rates: SmeRates, grid: TimeGrid) -> int:
@@ -239,9 +239,12 @@ def _integrate_sme_matrix(
     """
     if grid.t0 != 0.0:
         raise ValueError(f"the RK4 oracle starts at the preparation, t = 0, not {grid.t0}")
-    psi = np.array([rot.beta, rot.alpha])
-    rho0 = DensityMatrix2(np.outer(psi, psi.conj()))
-    return integrate_master(rho0, _sme_generator(spec)[0], grid.refined(refine))[::refine]
+    # |psi><psi| of psi = (beta, alpha), each entry as numpy's outer product forms it
+    b, a = rot.beta, rot.alpha
+    rho0 = DensityMatrix2.from_parts((b * b.conjugate()).real, (a * a.conjugate()).real,
+                                     b * a.conjugate())
+    fine = TimeGrid(grid.t0, grid.t1, grid.steps * refine)
+    return integrate_master(rho0, _sme_generator(spec), fine)[::refine]
 
 
 def integrate_sme(spec: SpinBathSpec, rot: RotatedAmplitudes, t) -> DensityMatrix2:
@@ -296,55 +299,35 @@ def sme_analytic(spec: SpinBathSpec, rot: RotatedAmplitudes, t) -> DensityMatrix
     return DensityMatrix2.from_parts(p0, 1.0 - p0, np.conj(rot.alpha) * rot.beta * g2)
 
 
-@dataclass
-class SmeDiscrepancyReport:
-    """Per-time gap between the master equation's solution and the closed form.
-
-    The solved coherence is moved to the frame rotating at omega_r before
-    comparison (the closed form carries no free phase), so the phase channel
-    isolates the Lamb-shift-induced part.  ``best_fit_dephasing_factor`` is
-    the least-squares constant kappa such that the solved coherence
-    magnitude decays like exp(-kappa * (sum g)^2 t^2 / 2): the closed form
-    corresponds to kappa = 1, the master equation's dephasing dissipator to
-    kappa = 4, and the fitted value also absorbs the (smaller) jump-channel
-    damping.  The factor is reported as data, never asserted.  The
-    population channel has no column: the solved rho00 is the closed form's
-    |beta|^2 exp(-gamma_1) by construction, and the RK4 oracle
-    (:func:`_integrate_sme_matrix`) is what checks it.
-    """
-
-    times: np.ndarray
-    coherence_magnitude_deviation: np.ndarray
-    coherence_phase_deviation: np.ndarray
-    best_fit_dephasing_factor: float
-
-    def summary(self) -> str:
-        kappa = self.best_fit_dephasing_factor
-        kappa_text = f"{kappa:.3g}" if np.isfinite(kappa) else "n/a"
-        return (
-            f"coherence magnitude max deviation "
-            f"{np.max(self.coherence_magnitude_deviation):.3e}; "
-            f"best-fit dephasing factor {kappa_text}"
-        )
-
-    def write_csv(self, path) -> None:
-        Trajectory(self.times, {"cohMagDev": self.coherence_magnitude_deviation,
-                                "cohPhaseDev": self.coherence_phase_deviation}).write_csv(path)
-
-
 def sme_discrepancy_report(
     spec: SpinBathSpec, rot: RotatedAmplitudes, t
-) -> SmeDiscrepancyReport:
-    """Solve the master equation at the times ``t`` and score it against the closed form."""
-    times = nonnegative_times(t)
-    rho = integrate_sme(spec, rot, times)
-    gamma_d = channel_exponents(spec, times)[1]
+) -> tuple[Trajectory, float]:
+    """Per-time gap between the master equation's solution and the closed form.
 
+    Scores :func:`integrate_sme`'s coherence at the strictly increasing
+    times ``t`` against :func:`sme_analytic`'s.  The solved coherence is
+    moved to the frame rotating at omega_r before comparison (the closed
+    form carries no free phase), so the phase channel isolates the
+    Lamb-shift-induced part.  Returns the Trajectory of the columns
+    ``cohMagDev`` and ``cohPhaseDev`` (NaN where either coherence is below
+    1e-12 |alpha* beta|) and kappa, the least-squares constant such that
+    the solved coherence magnitude decays like exp(-kappa (sum g)^2 t^2 / 2):
+    the closed form corresponds to kappa = 1, the master equation's
+    dephasing dissipator to kappa = 4, and the fitted value also absorbs the
+    (smaller) jump-channel damping.  kappa is NaN when no time point has a
+    coherence to fit; it is reported as data, never asserted.  The
+    population channel has no column: the solved rho00 is the closed form's
+    |beta|^2 exp(-gamma_1) by construction, and the RK4 oracle
+    (:func:`_integrate_sme_matrix`) is what checks it.  A bath whose closed
+    form is not a state (couplings of mixed sign can make it one) is
+    refused, as :func:`sme_analytic` refuses it.
+    """
+    times = nonnegative_times(t)
     gsum = float(np.sum(spec.g))
     omega_r = spec.omega0 - gsum
+    coh_int = integrate_sme(spec, rot, times).coherence * np.exp(1j * omega_r * times)
+    coh_ana = sme_analytic(spec, rot, times).coherence
     c0 = np.conj(rot.alpha) * rot.beta
-    coh_int = rho.coherence * np.exp(1j * omega_r * times)
-    coh_ana = c0 * (np.exp(-2j * gamma_d) * np.exp(-0.5 * (gsum * times) ** 2))
     mag_dev = np.abs(np.abs(coh_int) - np.abs(coh_ana))
 
     floor = 1e-12 * max(abs(c0), 1e-300)
@@ -360,4 +343,4 @@ def sme_discrepancy_report(
     else:
         kappa = math.nan
 
-    return SmeDiscrepancyReport(times, mag_dev, phase_dev, kappa)
+    return Trajectory(times, {"cohMagDev": mag_dev, "cohPhaseDev": phase_dev}), kappa

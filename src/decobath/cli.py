@@ -73,10 +73,15 @@ prepend ``P0`` (survival probability); dephase-correlated appends
 ``gamma, Phi, chi``; oracle-compare emits ``t, ampDev, szDrift``.  Floats
 carry 17 significant digits (exact round trip), lines end with LF.
 
+oracle-compare prints its verdict (the maximum amplitude deviation, the
+threshold, PASS or FAIL) to stderr, so stdout carries only the CSV, which
+is written on FAIL too.
+
 Exit codes: 0 success, 2 configuration error (including a phase past 2**53
 and a run over the work or byte cap), 3 numerical-quality abort (a trace or
-sum-rule drift, a secular root that does not converge, or a quadrature
-error estimate over its target).
+sum-rule drift, a secular root that does not converge, a quadrature error
+estimate over its target, or an oracle-compare FAIL) or an output.path that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -510,7 +515,8 @@ def main(argv=None) -> int:
         failed = not worst < ORACLE_DEVIATION_THRESHOLD
         print(
             f"oracle-compare: max amplitude deviation {worst:.3e} "
-            f"(threshold {ORACLE_DEVIATION_THRESHOLD:g}) {'FAIL' if failed else 'PASS'}"
+            f"(threshold {ORACLE_DEVIATION_THRESHOLD:g}) {'FAIL' if failed else 'PASS'}",
+            file=sys.stderr,
         )
 
     if cfg.output_path:
@@ -519,7 +525,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
-    elif not failed:
+    else:
         sys.stdout.writelines(traj._csv_blocks())
     return 3 if failed else 0
 

@@ -76,45 +76,31 @@ class QubitAmplitudes:
 class DensityMatrix2:
     """A validated 2x2 density matrix, or a batch of them validated in one call.
 
-    The matrix is stored as two real populations plus one complex coherence,
-    so Hermiticity holds exactly by construction.  Construction checks, for
+    The one constructor is :meth:`from_parts`: two real populations and the
+    complex (0, 1) coherence, so Hermiticity holds exactly by construction
+    (``DensityMatrix2(matrix)`` is a TypeError).  Construction checks, for
     every element of a batch,
 
+    * finite parts,
     * unit trace within ``atol``,
     * positive semidefiniteness: populations and determinant above ``-atol``.
 
     ``atol`` defaults to :data:`ATOL_ANALYTIC`; paths that go through a
     numerical integrator should pass :data:`ATOL_INTEGRATED`.  Scalar parts
-    give scalar properties; array parts passed to :meth:`from_parts` (e.g.
-    one entry per time point) give array properties of their broadcast
-    shape, and :attr:`matrix` then has shape ``(..., 2, 2)``.
+    give scalar properties; array parts (e.g. one entry per time point) give
+    array properties of their broadcast shape, and :attr:`matrix` then has
+    shape ``(..., 2, 2)``.
     """
 
     __slots__ = ("_p0", "_p1", "_coh")
 
-    def __init__(self, matrix: np.ndarray, *, atol: float = ATOL_ANALYTIC):
-        m = np.asarray(matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
-            raise ValueError("density matrix entries must be finite")
-        herm_dev = max(abs(m[0, 1] - np.conj(m[1, 0])),
-                       abs(m[0, 0].imag), abs(m[1, 1].imag))
-        if herm_dev > atol:
-            raise ValueError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
-        p0, p1 = m[0, 0].real, m[1, 1].real
-        coh = 0.5 * (m[0, 1] + np.conj(m[1, 0]))
-        self._validate(p0, p1, coh, atol)
-        self._p0, self._p1, self._coh = p0, p1, coh
-
     @classmethod
     def from_parts(cls, p0, p1, coherence, *, atol: float = ATOL_ANALYTIC) -> "DensityMatrix2":
-        """Build directly from populations and the (0,1) coherence entry.
+        """Build from the populations and the (0,1) coherence entry.
 
         The three parts broadcast against each other; one call validates a
         whole trajectory.
         """
-        self = object.__new__(cls)
         p0, p1, coherence = np.broadcast_arrays(
             np.asarray(p0, dtype=float), np.asarray(p1, dtype=float),
             np.asarray(coherence, dtype=complex))
@@ -122,17 +108,10 @@ class DensityMatrix2:
             raise ValueError("populations must be finite")
         if not (np.all(np.isfinite(coherence.real)) and np.all(np.isfinite(coherence.imag))):
             raise ValueError("coherence must have finite components")
-        cls._validate(p0, p1, coherence, atol)
-        self._p0, self._p1, self._coh = p0[()], p1[()], coherence[()]
-        return self
-
-    @staticmethod
-    def _validate(p0, p1, coh, atol: float) -> None:
-        p0, p1, coh = np.asarray(p0), np.asarray(p1), np.asarray(coh)
         trace_dev = np.abs(p0 + p1 - 1.0)
         if np.any(trace_dev > atol):
             raise ValueError(f"trace must equal 1 (deviation {np.max(trace_dev):.3e})")
-        det = p0 * p1 - np.abs(coh) ** 2
+        det = p0 * p1 - np.abs(coherence) ** 2
         bad = (p0 < -atol) | (p1 < -atol) | (det < -atol)
         if np.any(bad):
             i = np.unravel_index(np.argmax(bad), bad.shape)
@@ -140,6 +119,9 @@ class DensityMatrix2:
                 f"matrix is not positive semidefinite "
                 f"(populations {p0[i]:.3e}, {p1[i]:.3e}, det {det[i]:.3e})"
             )
+        self = object.__new__(cls)
+        self._p0, self._p1, self._coh = p0[()], p1[()], coherence[()]
+        return self
 
     @property
     def rho00(self):

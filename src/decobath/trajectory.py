@@ -93,10 +93,6 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(self.t0, self.t1, self.steps + 1)
 
-    def refined(self, factor: int) -> "TimeGrid":
-        """Same span with ``factor`` times as many steps."""
-        return TimeGrid(self.t0, self.t1, self.steps * int(factor))
-
 
 @dataclass
 class Trajectory:
@@ -180,11 +176,17 @@ class Trajectory:
 
     @classmethod
     def read_csv(cls, path) -> "Trajectory":
-        """Parse a CSV file written by :meth:`write_csv` (first column must be t)."""
+        """Parse a CSV file written by :meth:`write_csv` (first column must be t).
+
+        A file without a header or without a data row is a ValueError naming
+        ``path``.
+        """
         import io
 
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        if len(lines) < 2:
+            raise ValueError(f"no CSV {'data row' if lines else 'header'} in {path!r}")
         header = lines[0].split(",")
         if header[0] != "t":
             raise ValueError("first CSV column must be t")

@@ -961,18 +961,23 @@ class TestInvariantBlock:
         assert np.allclose(full.sz_total(), (np.abs(states) ** 2 * sz).sum(axis=1),
                            rtol=0.0, atol=1e-14)
 
-    @pytest.mark.parametrize("start", ["sector", "random"])
+    @pytest.mark.parametrize("start", ["sector", "random", "tilted"])
     def test_byte_estimate_bounds_the_peak(self, monkeypatch, start):
         # the N = 12 sector start is led by its per-point arrays (a Bessel
-        # table of 65 orders), the random start by its 8192-amplitude states
+        # table of 65 orders), the random start by its 8192-amplitude states;
+        # a tilted field at 2 points is led by the build of all 8192 rows
+        # with complex entries, the least margin of the three
         rng = np.random.default_rng(1212)
         spec = random_spec(rng, 12)
-        if start == "sector":
-            v = product_state([(1.0, 0.0)] + [(0.0, 1.0)] * 12)
-        else:
+        v = product_state([(1.0, 0.0)] + [(0.0, 1.0)] * 12)
+        r, steps = None, 100
+        if start == "random":
             v = rng.normal(size=spec.dim_full) + 1j * rng.normal(size=spec.dim_full)
             v /= np.linalg.norm(v)
-        grid = TimeGrid(0.0, 2.0, 100)
+        elif start == "tilted":
+            c, d = random_pair(rng)
+            r, steps = np.array([[d, -c], [np.conj(c), np.conj(d)]]), 1
+        grid = TimeGrid(0.0, 2.0, steps)
         estimates = []
 
         def spy(work, nbytes, *args):
@@ -980,13 +985,15 @@ class TestInvariantBlock:
             check_work(work, nbytes, *args)
 
         monkeypatch.setattr(central_spin, "check_work", spy)
-        brute_force_evolve(spec, v, grid)  # first-call allocations are not the run's
+        brute_force_evolve(spec, v, grid, r)  # first-call allocations are not the run's
         tracemalloc.start()
         try:
-            brute_force_evolve(spec, v, grid).sz_total()
+            full = brute_force_evolve(spec, v, grid, r)
+            full.sz_total()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert full.support.size == (spec.N + 1 if start == "sector" else spec.dim_full)
         assert peak <= estimates[-1], (peak, estimates[-1])
 
 

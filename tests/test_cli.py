@@ -481,7 +481,8 @@ def test_any_config_runs_clean_or_is_refused(data, config_dir):
     infinities, nan, a list, a complex number, text), the others typical
     valid values.  A run must exit 0 with finite, unit-trace, positive
     semidefinite states on stdout; a refusal must exit 2 or 3 with
-    ``error:`` lines (or oracle-compare's FAIL verdict); nothing may raise.
+    ``error:`` lines (or oracle-compare's FAIL verdict) on stderr; nothing may
+    raise.
     Each example must finish within 2 s, so an oversize run admitted by its
     estimate fails here instead of stalling the suite.
     """
@@ -496,10 +497,9 @@ def test_any_config_runs_clean_or_is_refused(data, config_dir):
     assert time.perf_counter() - started < 2.0, text
     if code != 0:
         assert code in (2, 3), (text, code)
-        assert err.getvalue().startswith("error: ") or "FAIL" in out.getvalue(), text
+        assert err.getvalue().startswith("error: ") or "FAIL" in err.getvalue(), text
         return
-    lines = out.getvalue().splitlines()  # oracle-compare prints its verdict first
-    header, *rows = lines[next(i for i, ln in enumerate(lines) if ln.startswith("t,")):]
+    header, *rows = out.getvalue().splitlines()
     names = header.split(",")
     values = np.array([[float(v) for v in row.split(",")] for row in rows])
     cols = dict(zip(names, values.T))
@@ -623,6 +623,15 @@ class TestCsv:
             Trajectory.read_csv(tmp_path / "typo.csv")
         with pytest.raises(FileNotFoundError):
             Trajectory.read_csv("t,x\n0,1\n")
+
+    @pytest.mark.parametrize("text, missing", [("", "header"), ("\n \n", "header"),
+                                               ("t,rho00\n", "data row"),
+                                               ("t,rho00\n\n", "data row")])
+    def test_read_csv_without_rows_names_the_file(self, tmp_path, text, missing):
+        path = tmp_path / "short.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"no CSV {missing} in .*short\\.csv"):
+            Trajectory.read_csv(path)
 
     def test_single_point_trajectory(self):
         traj = Trajectory(np.array([0.5]), {"x": np.array([1.0])})
@@ -932,7 +941,7 @@ class TestMain:
                        "grid.t1 = 0.01\ngrid.steps = 9999\n"
                        f"output.path = {tmp_path / 'out.csv'}\n")
         assert main(["run", str(cfg)]) == 0
-        assert "PASS" in capsys.readouterr().out
+        assert "PASS" in capsys.readouterr().err
         assert len(Trajectory.read_csv(tmp_path / "out.csv").times) == 10_000
 
     def test_uniform_large_bath_deflates_to_rabi(self, tmp_path):
@@ -993,7 +1002,7 @@ class TestMain:
         out = tmp_path / "oracle.csv"
         code = main(["oracle-compare", "--n", "5", "--seed", "7", "--out", str(out)])
         assert code == 0
-        assert "PASS" in capsys.readouterr().out
+        assert "PASS" in capsys.readouterr().err
         assert out.exists()
 
     def test_oracle_compare_checks_the_shipped_secular_solver(self, monkeypatch, tmp_path,
@@ -1009,7 +1018,7 @@ class TestMain:
         assert np.max(np.abs(run_scenario(parse_config(text)).columns["P0"] - p0)) > 1e-3
         out = tmp_path / "oracle.csv"
         assert main(["oracle-compare", "--n", "8", "--seed", "42", "--out", str(out)]) == 3
-        assert "FAIL" in capsys.readouterr().out
+        assert "FAIL" in capsys.readouterr().err
         # the same error in the one secular solve also reaches the
         # eigenvector coefficients g_k / (mu_j - d_k), whose norm check aborts
         monkeypatch.undo()
@@ -1025,7 +1034,7 @@ class TestMain:
         assert "trace drift" in capsys.readouterr().err
         monkeypatch.undo()
         assert main(["oracle-compare", "--n", "12", "--seed", "42", "--out", str(out)]) == 0
-        assert "PASS" in capsys.readouterr().out
+        assert "PASS" in capsys.readouterr().err
         assert float(np.max(Trajectory.read_csv(out).columns["ampDev"])) <= 1e-13
 
     def test_fig2_coherence_holds_no_negative_zero(self):
@@ -1040,8 +1049,25 @@ class TestMain:
         code = main(["oracle-compare", "--n", "3", "--seed", "7", "--out", str(out)])
         assert code == 3
         captured = capsys.readouterr()
-        assert "FAIL" in captured.out
+        assert captured.out == ""
+        assert "FAIL" in captured.err
         assert "cannot write trajectory" in captured.err
+
+    @pytest.mark.parametrize("threshold, code, verdict", [(1e-10, 0, "PASS"), (0.0, 3, "FAIL")])
+    def test_oracle_compare_stdout_is_only_the_csv(self, monkeypatch, tmp_path, capsys,
+                                                   threshold, code, verdict):
+        # the verdict goes to stderr; the CSV goes to stdout on FAIL too
+        monkeypatch.setattr(cli, "ORACLE_DEVIATION_THRESHOLD", threshold)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("scenario = oracle-compare\noracle.n = 3\noracle.seed = 7\n"
+                       "grid.t1 = 1\ngrid.steps = 20\n")
+        assert main(["run", str(cfg)]) == code
+        captured = capsys.readouterr()
+        assert captured.out.startswith("t,ampDev,szDrift\n")
+        rows = np.loadtxt(io.StringIO(captured.out), delimiter=",", skiprows=1)
+        assert rows.shape == (21, 3) and np.all(np.isfinite(rows))
+        assert captured.err.startswith("oracle-compare: max amplitude deviation")
+        assert verdict in captured.err
 
     def test_oracle_compare_n_bounds(self, capsys):
         assert main(["oracle-compare", "--n", "13", "--seed", "1", "--out", "x.csv"]) == 2

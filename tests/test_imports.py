@@ -125,7 +125,7 @@ def test_oracle_compare_subcommand_from_cold_interpreter(tmp_path):
     out = tmp_path / "oracle.csv"
     proc = _python(_MAIN, "oracle-compare", "--n", "4", "--seed", "9", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
-    assert "PASS" in proc.stdout
+    assert "PASS" in proc.stderr
     assert out.read_text().startswith("t,ampDev,szDrift\n")
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 

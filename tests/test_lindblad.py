@@ -104,7 +104,7 @@ def test_evolve_dephasing_markov_rejects_negative_time():
     with pytest.raises(ValueError):
         evolve_dephasing_markov(QubitAmplitudes(1.0, 0.0), DephasingParams(1.0), -0.1)
     with pytest.raises(ValueError):
-        evolve_isotropic_markov(DensityMatrix2(0.5 * np.eye(2)), 1.0, -0.1)
+        evolve_isotropic_markov(DensityMatrix2.from_parts(0.5, 0.5, 0.0), 1.0, -0.1)
 
 
 def test_closed_forms_take_a_time_array():
@@ -123,7 +123,7 @@ def test_closed_forms_take_a_time_array():
 
 
 def test_isotropic_fixed_point_is_maximally_mixed():
-    mixed = DensityMatrix2(0.5 * np.eye(2))
+    mixed = DensityMatrix2.from_parts(0.5, 0.5, 0.0)
     out = evolve_isotropic_markov(mixed, 3.0, 1.7)
     assert out.isclose(mixed, atol=1e-15)
     rng = np.random.default_rng(4)
@@ -195,7 +195,7 @@ def test_integrate_master_trace_and_hermiticity_along_trajectory():
 
 
 def test_integrate_master_rejects_contract_violations():
-    rho0 = DensityMatrix2(0.5 * np.eye(2))
+    rho0 = DensityMatrix2.from_parts(0.5, 0.5, 0.0)
     with pytest.raises(ValueError, match="trace-free"):
         integrate_master(rho0, lambda t, r: np.eye(2, dtype=complex),
                          TimeGrid(0.0, 1.0, 10))
@@ -205,7 +205,7 @@ def test_integrate_master_rejects_contract_violations():
 
 
 def test_integrate_master_aborts_on_trace_drift():
-    rho0 = DensityMatrix2(np.diag([0.4, 0.6]).astype(complex))
+    rho0 = DensityMatrix2.from_parts(0.4, 0.6, 0.0)
 
     def leaky(t, rho):
         # trace-free at t=0 where the contract is checked, leaks afterwards
@@ -217,7 +217,7 @@ def test_integrate_master_aborts_on_trace_drift():
 
 def test_integrate_master_aborts_on_nan_trace():
     # zero at t0, so the contract check passes; NaN at every later time
-    rho0 = DensityMatrix2(np.diag([0.4, 0.6]).astype(complex))
+    rho0 = DensityMatrix2.from_parts(0.4, 0.6, 0.0)
 
     def nan_after_start(t, rho):
         return np.zeros((2, 2), complex) if t == 0.0 else np.full((2, 2), np.nan, complex)
@@ -258,4 +258,3 @@ def test_time_grid_validation():
     g = TimeGrid(0.0, 1.0, 4)
     assert g.dt == 0.25
     assert g.times.size == 5
-    assert g.refined(3).steps == 12

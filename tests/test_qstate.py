@@ -73,11 +73,12 @@ def test_bloch_z_values():
 
 def test_density_matrix_validation():
     with pytest.raises(ValueError, match="trace"):
-        DensityMatrix2(np.diag([0.6, 0.6]).astype(complex))
-    with pytest.raises(ValueError, match="Hermitian"):
-        DensityMatrix2(np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex))
+        DensityMatrix2.from_parts(0.6, 0.6, 0.0)
     with pytest.raises(ValueError, match="positive semidefinite"):
-        DensityMatrix2(np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex))
+        DensityMatrix2.from_parts(0.5, 0.5, 0.6)
+    # the parts are the one constructor: a matrix is not taken
+    with pytest.raises(TypeError):
+        DensityMatrix2(0.5 * np.eye(2))
     with pytest.raises(ValueError, match="finite"):
         DensityMatrix2.from_parts(np.nan, 1.0, 0.0)
     # integrated-path tolerance admits slightly negative populations
