@@ -27,10 +27,15 @@ without adaptive quadrature:
   1987) adds 2 eta [ln Gamma(1+x) - Re ln Gamma(1+x+it/beta)] at finite
   temperature, x = 1/(beta omega_c); for t/beta <= (1+x)/8 that difference
   is summed as its Hurwitz-zeta series instead, which has no cancellation.
+  ln Gamma(1+x) comes from ``math.lgamma``, the difference from Stirling's
+  series after a shift by recurrence, and zeta(2m, 1+x) from an
+  Euler-Maclaurin sum.
 * Tabulated (piecewise-linear) J = c0 + c1 w on each knot segment: Phi and
   the zero-temperature part of gamma_thermal are exact in Si, Ci and
   Cin(x) = int_0^x (1 - cos u)/u du, with the antiderivatives evaluated at
-  every knot and differenced per segment.  The thermal excess
+  every knot and differenced per segment.  Si and Cin are Taylor series up
+  to x = 4 and come from rational fits of the auxiliary functions f and g
+  above.  The thermal excess
   2 int J n_B (1 - cos w t)/w^2 dw, n_B = 1/(exp(beta w) - 1), is smooth and
   decays exponentially; it is integrated with a fixed 16-point
   Gauss-Legendre rule per panel, checked against an 8-point rule, and a run
@@ -42,12 +47,10 @@ without adaptive quadrature:
 The scalar :func:`phi` and :func:`gamma_thermal` keep adaptive ``quad``; they
 are the oracles these forms are tested against.
 
-scipy is imported inside the functions that use it: ``scipy.special`` in the
-finite-temperature Ohmic and the tabulated closed forms, ``scipy.integrate``
-only in the adaptive oracles; the quadrature tail bound's E1(50) is a
-literal.  Importing this module then costs numpy alone, so the
-central-spin and Markov scenarios, which import it through the CLI but
-never call it, start without scipy.
+Every closed form runs on numpy and ``math`` alone.  scipy serves only the
+adaptive oracles: ``scipy.integrate`` is imported on their first call, and
+the quadrature tail bound's E1(50) is a literal.  Importing this module and
+running any scenario therefore loads no scipy.
 """
 
 from __future__ import annotations
@@ -85,9 +88,10 @@ _OHMIC_SPAN = 50.0
 #: The exponential integral E1(_OHMIC_SPAN) of that bound, to the last bit.
 _E1_OHMIC_SPAN = 3.783264029550459e-24
 
-#: Work of one (time point, knot) evaluation of the tabulated closed forms,
-#: dominated by ``sici``, in secular pairs (a quadrature node is about one),
-#: and the peak bytes per quadrature panel of :func:`_thermal_panels`.
+#: Work of one (time point, knot) evaluation of the tabulated closed forms
+#: in secular pairs of ~40 ns (a quadrature node is about one): 107-112 ns
+#: on a 2-core Xeon, :func:`_sici` included, rounded up.  Then the peak bytes
+#: per quadrature panel of :func:`_thermal_panels`.
 _KNOT_WORK = 4
 _PANEL_BYTES = 64
 #: Time points are processed in blocks of about this many array elements.
@@ -124,15 +128,57 @@ _GL_NODES, _GL_WEIGHTS = map(np.concatenate, zip(_gauss_legendre(_GL_RULE),
 #: Widest phase (panel width x max(t, beta)) of one quadrature panel; the
 #: 8-point rule is then accurate to ~1e-13 relative.
 _PANEL_PHASE = 4.0
-#: Cin(x) is summed as its Taylor series up to here (10 terms reach 1e-22);
-#: above, gamma_E + ln x - Ci(x) loses at most a factor ~3 to cancellation.
-_CIN_SERIES_MAX = 1.0
-_CIN_SERIES = np.array([(-1.0) ** (k + 1) / (2 * k * math.factorial(2 * k))
-                        for k in range(1, 11)])
+#: Si(x) and Cin(x) = int_0^x (1 - cos u)/u du are summed as their Taylor
+#: series in x^2 up to here, where 17 terms reach 3e-20; above, Si and Ci come
+#: from the auxiliary functions f and g (Abramowitz & Stegun 5.2.8-9).
+_SICI_SERIES_MAX = 4.0
+#: Columns Si(x)/x and Cin(x)/x^2, as polynomials in x^2 (Horner order).
+_SICI_SERIES = np.array([[(-1.0) ** k / ((2 * k + 1) * math.factorial(2 * k + 1)),
+                          (-1.0) ** k / ((2 * k + 2) * math.factorial(2 * k + 2))]
+                         for k in range(16, -1, -1)])
+#: x f(x) and x^2 g(x) for x >= _SICI_SERIES_MAX as ratios of degree-11
+#: polynomials in s = 16/x^2 over one common denominator (Horner order;
+#: columns: the numerators of x f and x^2 g, then the denominator).
+#: Sanathanan-Koerner least-squares fit to 60-digit mpmath values at 300
+#: Chebyshev points in s, with both ratios pinned to 1 at s = 0; relative
+#: error 4.3e-17 (f) and 1.5e-16 (g) there.
+_AUX_RATIONAL = np.array([
+    [10.053118967992267, 0.9106020236636838, 44.06334874480443],
+    [1722.2385110591329, 710.2854695517493, 3212.086511173117],
+    [34790.39875545749, 21179.77765582139, 48228.66250338756],
+    [209312.48158565565, 155302.5324340099, 251342.75660539747],
+    [511557.77147484093, 426270.56804048456, 568314.5483194208],
+    [589853.7999743554, 527975.1134337563, 626893.8681575021],
+    [347493.06294542586, 325274.6412013335, 359875.09665161464],
+    [108753.77014793863, 104685.17494127297, 110916.32437830714],
+    [18216.004169441043, 17840.71656329152, 18409.485925185047],
+    [1587.8049799706212, 1571.674606367593, 1595.9639167719176],
+    [65.89649441040477, 65.64649441040524, 66.0214944104048],
+    [1.0, 1.0, 1.0],
+])
 #: The Ohmic thermal excess uses its zeta series for t/beta <= (1 + x)/8,
 #: where 10 terms reach 64**-10.
 _ZETA_SERIES_RADIUS = 0.125
 _ZETA_SERIES_TERMS = 10
+#: B_2, B_4, ..., B_16 as (numerator, denominator): the Bernoulli numbers of
+#: Stirling's series and of the Euler-Maclaurin sum.  The coefficients below
+#: divide exact integers once, so each is the double nearest its true value.
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510))
+#: zeta(2m, z) sums this many terms, then Euler-Maclaurin's tail with the
+#: eight Bernoulli terms: at z + 10 >= 11 the next is below 1e-18 of zeta(2, z).
+_EM_TERMS = 10
+_EM_S = 2.0 * np.arange(1, _ZETA_SERIES_TERMS + 1)
+#: Row j - 1: B_2j/(2j)! s (s+1) ... (s+2j-2) for s = 2m.
+_EM_TABLE = np.array([[num * math.prod(range(s, s + 2 * j - 1)) / (den * math.factorial(2 * j))
+                       for s in range(2, 2 * _ZETA_SERIES_TERMS + 1, 2)]
+                      for j, (num, den) in enumerate(_BERNOULLI, 1)])
+#: Stirling's series for ln Gamma(w) is summed at Re w >= 10, where its eight
+#: terms B_2k/(2k (2k-1) w^(2k-1)) (Horner order) leave a remainder below 4e-18.
+_STIRLING_MIN = 10.0
+_STIRLING = tuple(num / (den * 2 * k * (2 * k - 1))
+                  for k, (num, den) in reversed(list(enumerate(_BERNOULLI, 1))))
+#: Up to this y, the shift of :func:`_lngamma_drop` stays below (1 + y^2)^9.
+_SHIFT_Y_MAX = 1e15
 
 
 class SpectralDensity:
@@ -278,6 +324,17 @@ def _coth(x: float) -> float:
     return 1.0 / x + x / 3.0 - x**3 / 45.0
 
 
+def _scipy_integrate():
+    """``scipy.integrate``, or an ImportError that names the extra installing it."""
+    try:
+        import scipy.integrate
+    except ImportError as exc:
+        raise ImportError("the adaptive quadrature oracles phi and gamma_thermal need scipy; "
+                          "install it with the 'oracle' extra: pip install 'decobath[oracle]'"
+                          ) from exc
+    return scipy.integrate
+
+
 def quad(*args, **kwargs):
     """``scipy.integrate.quad``, imported on the first call.
 
@@ -285,14 +342,11 @@ def quad(*args, **kwargs):
     ``dephasing_nm.quad`` in place; it goes once the tracer patches through
     a name table (ROADMAP item 2).
     """
-    import scipy.integrate
-
-    return scipy.integrate.quad(*args, **kwargs)
+    return _scipy_integrate().quad(*args, **kwargs)
 
 
 def _spectral_quad(J: SpectralDensity, f, coth_cap: float) -> float:
-    from scipy.integrate import IntegrationWarning
-
+    IntegrationWarning = _scipy_integrate().IntegrationWarning
     lo, hi, pts = J._quad_interval()
     with warnings.catch_warnings():
         # accuracy is judged from the returned error estimate below
@@ -352,6 +406,62 @@ def gamma_thermal(t: float, J: SpectralDensity, beta: float) -> float:
     return _spectral_quad(J, f, coth_cap=cap)
 
 
+def _hurwitz_zeta_even(z: float) -> np.ndarray:
+    """zeta(2m, z) for m = 1 .. _ZETA_SERIES_TERMS at scalar z >= 1.
+
+    Euler-Maclaurin: the first _EM_TERMS terms summed, then at a = z +
+    _EM_TERMS the integral a^(1-s)/(s-1), half the next term and the
+    Bernoulli corrections of _EM_TABLE times a^(-s-2j+1), smallest first.
+    """
+    a = z + _EM_TERMS
+    j = np.arange(len(_EM_TABLE), 0, -1.0)
+    corrections = (a ** (1.0 - 2.0 * j))[:, None] * _EM_TABLE[::-1]
+    total = (corrections.sum(axis=0) + 0.5 + a / (_EM_S - 1.0)) * a ** -_EM_S
+    head = (z + np.arange(_EM_TERMS - 1, -1, -1.0))[:, None] ** -_EM_S
+    for term in head:  # smallest first
+        total += term
+    return total
+
+
+def _stirling_tail(w):
+    """Sum of B_2k / (2k (2k-1) w^(2k-1)) over Stirling's eight terms."""
+    v = 1.0 / w
+    v2 = v * v
+    acc = _STIRLING[0]
+    for c in _STIRLING[1:]:
+        acc = acc * v2 + c
+    return acc * v
+
+
+def _lngamma_drop(z: float, y: np.ndarray) -> np.ndarray:
+    """ln Gamma(z) - Re ln Gamma(z + iy) for scalar z >= 1 and y >= 0.
+
+    Both are shifted up by n = max(1, ceil(_STIRLING_MIN - z)) with Gamma(w +
+    n) = Gamma(w) prod_k (w + k): the shift is one log1p of prod_k (1 + y^2/(z
+    + k)^2) - 1, built without cancellation, and the two Stirling series at
+    a = z + n are differenced term by term.  Above y = _SHIFT_Y_MAX, where
+    that product could overflow, it is math.lgamma(z) minus the Stirling
+    series at z + iy, whose -pi y/2 leaves nothing to cancel.
+    """
+    drop = np.empty(y.shape)
+    near = y <= _SHIFT_Y_MAX
+    yn = y[near]
+    n = max(1, math.ceil(_STIRLING_MIN - z))
+    # prod_k (1 + q_k) - 1 = sum_k q_k prod_{j<k} (1 + q_j), all terms positive
+    q = np.square(yn / (z + np.arange(n))[:, None])
+    shift = q[0] + (q[1:] * np.cumprod(1.0 + q[:-1], axis=0)).sum(axis=0)
+    a = z + n
+    r = yn / a
+    drop[near] = (0.5 * np.log1p(shift) - 0.5 * (a - 0.5) * np.log1p(r * r) + yn * np.arctan(r)
+                  + (_stirling_tail(a) - _stirling_tail(a + 1j * yn).real))
+    if not near.all():
+        yf = y[~near]
+        w = z + 1j * yf
+        drop[~near] = (math.lgamma(z) - (z - 0.5) * np.log(np.abs(w)) + yf * np.arctan2(yf, z)
+                       + z - 0.5 * math.log(2.0 * math.pi) - _stirling_tail(w).real)
+    return drop
+
+
 def _ohmic_factors(t: np.ndarray, J: SpectralDensity, beta: float):
     """Phi and gamma_thermal of the Ohmic family at times t >= 0, in closed form."""
     eta, u = J.eta, J.omega_c * t
@@ -361,32 +471,64 @@ def _ohmic_factors(t: np.ndarray, J: SpectralDensity, beta: float):
                         np.log(np.maximum(u, 1e100)))
     if math.isinf(beta):
         return phi_t, g1
-    from scipy.special import gammaln, loggamma, zeta
-
     # coth = 1 + 2 sum_k exp(-k beta w) turns the excess into
     # eta sum_{k>=1} ln(1 + y^2/(x+k)^2) = 2 eta [lnG(z) - Re lnG(z + iy)],
     # y = t/beta, z = 1 + x; its Taylor series in y^2 has the coefficients
     # (-1)^(m+1) zeta(2m, z)/m and converges for y < z.
     z, y = 1.0 + 1.0 / (beta * J.omega_c), t / beta
     m = np.arange(1, _ZETA_SERIES_TERMS + 1)
-    coeffs = (-1.0) ** (m + 1) * zeta(2.0 * m, z) / m
+    coeffs = (-1.0) ** (m + 1) * _hurwitz_zeta_even(z) / m
     small = y <= _ZETA_SERIES_RADIUS * z
-    y_small = np.where(small, y, 0.0)
-    series = y_small ** 2 * np.polynomial.polynomial.polyval(y_small ** 2, coeffs)
-    direct = 2.0 * (gammaln(z) - loggamma(z + 1j * np.where(small, 0.0, y)).real)
-    return phi_t, g1 + eta * np.where(small, series, direct)
+    excess = np.empty(y.shape)
+    y_small = y[small]
+    excess[small] = y_small ** 2 * np.polynomial.polynomial.polyval(y_small ** 2, coeffs)
+    excess[~small] = 2.0 * _lngamma_drop(z, y[~small])
+    return phi_t, g1 + eta * excess
 
 
-def _cin(x: np.ndarray, ci: np.ndarray) -> np.ndarray:
-    """Cin(x) = int_0^x (1 - cos u)/u du for x >= 0, given Ci(x).
+def _horner(coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rows of the result: the columns of ``coeffs`` (highest power first) at ``v``.
 
-    Cin = gamma_E + ln x - Ci(x) cancels at small x; the Taylor series is
-    used there instead.
+    One contiguous row at a time, in place, with scalar coefficients: numpy's
+    broadcasting loops took 1.4-1.7x as long on the Si/Ci blocks.
     """
-    x_small = np.minimum(x, _CIN_SERIES_MAX) ** 2
-    series = x_small * np.polynomial.polynomial.polyval(x_small, _CIN_SERIES)
-    large = np.euler_gamma + np.log(np.maximum(x, _CIN_SERIES_MAX)) - ci
-    return np.where(x <= _CIN_SERIES_MAX, series, large)
+    out = np.empty((coeffs.shape[1], v.size))
+    for acc, column in zip(out, coeffs.T.tolist()):
+        acc[:] = column[0]
+        for c in column[1:]:
+            acc *= v
+            acc += c
+    return out
+
+
+def _sici(x: np.ndarray, sin_half: np.ndarray, cos_half: np.ndarray):
+    """Si(x), Ci(x) and Cin(x) = gamma_E + ln x - Ci(x) for x >= 0.
+
+    ``sin_half`` and ``cos_half`` are sin(x/2) and cos(x/2), which the
+    caller has at hand; sin x and cos x are formed from them.  Taylor series
+    up to _SICI_SERIES_MAX, then the auxiliary functions f and g, each branch
+    on its own elements only.  Si(0) = Cin(0) = 0 and Ci(0) = -inf.
+    """
+    si, ci, cin = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
+    small = x <= _SICI_SERIES_MAX
+    xs = x[small]
+    x2 = xs * xs
+    series = _horner(_SICI_SERIES, x2)
+    si[small] = xs * series[0]
+    cin[small] = cin_small = x2 * series[1]
+    with np.errstate(divide="ignore"):
+        ci[small] = np.euler_gamma + np.log(xs) - cin_small
+    large = ~small
+    xl, s, c = x[large], sin_half[large], cos_half[large]
+    num_f, num_g, den = _horner(_AUX_RATIONAL, 16.0 / (xl * xl))
+    den *= xl
+    f = num_f / den
+    g = num_g / den / xl
+    sin_x, cos_x = 2.0 * s * c, (c - s) * (c + s)
+    si[large] = 0.5 * np.pi - (f * cos_x + g * sin_x)
+    ci[large] = ci_large = f * sin_x - g * cos_x
+    cin[large] = np.euler_gamma + np.log(xl) - ci_large
+    return si, ci, cin
 
 
 def _tabulated_zero_temperature(t: np.ndarray, omega: np.ndarray, c0: np.ndarray,
@@ -399,12 +541,10 @@ def _tabulated_zero_temperature(t: np.ndarray, omega: np.ndarray, c0: np.ndarray
         Phi:   c1 [Si(wt)] + c0 t [Ci(wt) - sin(wt)/(wt)]
         gamma: c1 [Cin(wt)] + c0 t [Si(wt) - (1 - cos wt)/(wt)]
 
-    each antiderivative [F] differenced between b and a.  Where bt <= 1 the
+    each antiderivative [F] differenced between b and a.  Where bt <= 4 the
     Ci difference is formed as ln(b/a) - [Cin], which keeps its precision as
     t -> 0.  Rows are blocks of time points, columns the knots.
     """
-    from scipy.special import sici
-
     phi_t = np.empty(t.size)
     gamma0 = np.empty(t.size)
     rows = max(1, _BLOCK_ELEMENTS // omega.size)
@@ -414,10 +554,9 @@ def _tabulated_zero_temperature(t: np.ndarray, omega: np.ndarray, c0: np.ndarray
     for start in range(0, t.size, rows):
         tb = t[start:start + rows, None]
         x = tb * omega
-        si, ci = sici(x)
-        cin = _cin(x, ci)
         half = 0.5 * x
         s, c = np.sin(half), np.cos(half)
+        si, ci, cin = _sici(x, s, c)
         positive = np.where(x > 0, half, 1.0)
         sinc = np.where(x > 0, s * c / positive, 1.0)  # sin(x)/x
         versin = s * s / positive  # (1 - cos x)/x
@@ -425,7 +564,7 @@ def _tabulated_zero_temperature(t: np.ndarray, omega: np.ndarray, c0: np.ndarray
         # Ci(0) = -inf and ln(b/0) = inf reach only segments with c0 = 0 and
         # the branch np.where discards
         with np.errstate(invalid="ignore"):
-            d_ci = np.where(x[:, 1:] <= _CIN_SERIES_MAX, log_ratio - d_cin,
+            d_ci = np.where(x[:, 1:] <= _SICI_SERIES_MAX, log_ratio - d_cin,
                             np.diff(ci, axis=1))
             phi_c0 = np.where(live, c0 * (d_ci - np.diff(sinc, axis=1)), 0.0)
             gamma_c0 = np.where(live, c0 * (d_si - np.diff(versin, axis=1)), 0.0)

@@ -570,3 +570,63 @@ class TestClosedFormFactors:
         path.write_text("# omega, J\n0.5,0.1\n")
         with pytest.raises(ValueError, match="at least 2 samples"):
             SpectralDensity.from_csv(path)
+
+
+class TestSpecialFunctions:
+    """The numpy Si/Ci, Hurwitz-zeta and log-Gamma forms against mpmath.
+
+    Each over the whole argument range its closed form reaches; the bounds
+    are a few units in the last place of the value, or of its scale where
+    the value crosses zero.
+    """
+
+    #: The first three zeros of Ci.
+    CI_ZEROS = (0.6165054856207162, 3.384180422551186, 6.427047744050823)
+
+    def test_sici_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        from decobath.dephasing_nm import _SICI_SERIES_MAX, _sici
+
+        switch = _SICI_SERIES_MAX
+        x = np.unique(np.concatenate([
+            [0.0, np.nextafter(switch, 0.0), switch, np.nextafter(switch, 8.0)],
+            switch * (1.0 + np.linspace(-1e-3, 1e-3, 21)), self.CI_ZEROS,
+            np.geomspace(1e-8, 1e6, 400), np.linspace(0.01, 12.0, 500)]))
+        si, ci, cin = _sici(x, np.sin(0.5 * x), np.cos(0.5 * x))
+        assert (si[0], ci[0], cin[0]) == (0.0, -np.inf, 0.0)
+        with mp.workdps(50):  # the Cin reference cancels 18 digits at x = 1e-8
+            for xi, s, c, n in zip(x[1:], si[1:], ci[1:], cin[1:]):
+                ref_si, ref_ci = mp.si(xi), mp.ci(xi)
+                ref_cin = mp.euler + mp.log(xi) - ref_ci
+                assert abs(s - ref_si) <= 1e-15 * ref_si, xi
+                # Ci crosses zero; past x = 1 its scale is the 1/x of f sin x
+                assert abs(c - ref_ci) <= 1e-15 * max(abs(ref_ci), 4.0 / max(xi, 1.0)), xi
+                assert abs(n - ref_cin) <= 1e-15 * ref_cin, xi
+
+    @pytest.mark.parametrize("z", [1.0 + 1e-12, 1.05, 1.1, 1.5, 1.9, 2.0, 3.7, 67.0])
+    def test_hurwitz_zeta_against_mpmath(self, z):
+        mp = pytest.importorskip("mpmath")
+        from decobath.dephasing_nm import _hurwitz_zeta_even
+
+        values = _hurwitz_zeta_even(z)
+        # mpmath's zeta(s, z) subtracts partial sums from zeta(s) at integer
+        # z, which costs it ~40 digits at z = 67
+        with mp.workdps(100):
+            for m, value in enumerate(values, 1):
+                reference = mp.zeta(2 * m, z)
+                assert abs(value - reference) <= 1e-15 * reference, m
+
+    @pytest.mark.parametrize("z", [1.0 + 1e-9, 1.1, 1.5, 2.0, 9.5, 10.0, 67.0])
+    def test_lngamma_drop_against_mpmath(self, z):
+        # ln Gamma(z) - Re ln Gamma(z + iy) on the direct branch's y >= z/8,
+        # across the shift's limit; Re ln Gamma itself is lgamma(z) minus it
+        mp = pytest.importorskip("mpmath")
+        from decobath.dephasing_nm import _SHIFT_Y_MAX, _lngamma_drop
+
+        y = np.concatenate([np.geomspace(z / 8, 1e20, 120),
+                            [9.99, 10.0, _SHIFT_Y_MAX, np.nextafter(_SHIFT_Y_MAX, 2e15)]])
+        drops = _lngamma_drop(z, y)
+        with mp.workdps(40):
+            for yi, drop in zip(y, drops):
+                reference = mp.loggamma(z) - mp.re(mp.loggamma(mp.mpc(z, yi)))
+                assert abs(drop - reference) <= 1e-15 * reference, yi

@@ -1,14 +1,17 @@
 """Which parts of scipy each path loads, checked in fresh interpreters.
 
-The central-spin and Markov scenarios and oracle-compare's brute force need
-numpy alone; dephase-correlated needs ``scipy.special``; only the adaptive
-quadrature oracles need more, ``scipy.integrate``.  Each check runs in its
-own subprocess, because this test process has scipy loaded already.
+Every scenario runs on numpy alone: the central-spin and Markov scenarios,
+oracle-compare's brute force and dephase-correlated's closed forms (Ohmic
+and tabulated, at zero and at finite temperature).  Only the adaptive
+quadrature oracles need scipy, ``scipy.integrate``, which the ``oracle``
+extra installs.  Each check runs in its own subprocess, because this test
+process has scipy loaded already.
 """
 
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,11 +20,8 @@ import pytest
 
 from decobath import cli
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-#: scipy packages no scenario may load: ``scipy.integrate`` serves only the
-#: quadrature oracles, ``scipy.sparse`` and ``scipy.linalg`` only the tests'
-#: references.
-ORACLE_ONLY = ("scipy.integrate", "scipy.sparse", "scipy.linalg")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 _BATH = ("bath.N = 3\nbath.g = 0.4\nbath.omega = 0.3, 0.8, 1.4\nbath.omega0 = 0.9\n"
          "system.a = 0.6\nsystem.b = 0.8\ngrid.t1 = 4\ngrid.steps = 100\n")
@@ -35,8 +35,9 @@ NUMPY_ONLY = {
     "oracle-compare": "scenario = oracle-compare\noracle.n = 4\noracle.seed = 9\n"
                       "grid.t1 = 2\ngrid.steps = 50\n",
 }
-_CORRELATED = ("scenario = dephase-correlated\nthermo.beta = 2\nbath.omega0 = 1\n"
-               "grid.t1 = 4\ngrid.steps = 50\n")
+_CORRELATED = "scenario = dephase-correlated\nbath.omega0 = 1\n"
+_OHMIC = "spectral.family = ohmic\nspectral.eta = 0.7\nspectral.omega_c = 5\n"
+_GRID = "grid.t1 = 4\ngrid.steps = 50\n"
 
 #: Runs the configs of the JSON object in argv[1] through parse_config and
 #: run_scenario, then prints their CSV digests and the scipy modules loaded.
@@ -65,19 +66,26 @@ def _run_configs(configs: dict, poisoned=()) -> dict:
     return json.loads(proc.stdout)
 
 
-def _loaded(modules, package):
-    return [m for m in modules if m == package or m.startswith(package + ".")]
-
-
 @pytest.fixture(scope="module")
 def correlated(tmp_path_factory):
-    """Ohmic and tabulated dephase-correlated configs at finite temperature."""
+    """dephase-correlated configs that reach every branch of its closed forms.
+
+    Ohmic at zero temperature, and at beta = 2 with grid points on both
+    sides of the zeta series' radius t/beta = 1.1/8 and, in ``ohmic-far``,
+    past the log-Gamma shift's t/beta = 1e15; tabulated at zero and at finite
+    temperature, on a table from w = 0 whose w t falls on both sides of the
+    Si/Ci series' x = 4.
+    """
     table = tmp_path_factory.mktemp("imports") / "J.csv"
-    table.write_text("0.05,0\n1.0,0.6\n2.5,0.3\n6.0,0\n")
+    table.write_text("0,0\n1.0,0.6\n2.5,0.3\n6.0,0\n")
+    tabulated = f"spectral.family = tabulated\nspectral.table = {table}\n"
     return {
-        "ohmic": _CORRELATED + "spectral.family = ohmic\nspectral.eta = 0.7\n"
-                               "spectral.omega_c = 5\n",
-        "tabulated": _CORRELATED + f"spectral.family = tabulated\nspectral.table = {table}\n",
+        "ohmic-zero-t": _CORRELATED + _OHMIC + "thermo.beta = inf\n" + _GRID,
+        "ohmic": _CORRELATED + _OHMIC + "thermo.beta = 2\n" + _GRID,
+        "ohmic-far": "scenario = dephase-correlated\nbath.omega0 = 0.1\n" + _OHMIC
+                     + "thermo.beta = 2\ngrid.t1 = 1e16\ngrid.steps = 4\n",
+        "tabulated-zero-t": _CORRELATED + tabulated + "thermo.beta = inf\n" + _GRID,
+        "tabulated": _CORRELATED + tabulated + "thermo.beta = 2\n" + _GRID,
     }
 
 
@@ -92,20 +100,47 @@ def test_numpy_only_scenarios_load_no_scipy():
     assert _run_configs(NUMPY_ONLY)["scipy"] == []
 
 
-def test_correlated_runs_load_only_scipy_special(correlated):
-    loaded = _run_configs(correlated)["scipy"]
-    assert "scipy.special" in loaded
-    for package in ORACLE_ONLY:
-        assert _loaded(loaded, package) == [], package
+def test_correlated_runs_load_no_scipy(correlated):
+    assert _run_configs(correlated)["scipy"] == []
 
 
-def test_production_runs_need_no_oracle_scipy(correlated):
-    """With scipy's oracle packages unimportable, the CSV bytes do not change."""
+def test_production_runs_need_no_scipy(correlated):
+    """With every scipy module unimportable, the CSV bytes do not change."""
     configs = {**NUMPY_ONLY, **correlated}
-    poisoned = _run_configs(configs, poisoned=ORACLE_ONLY)["digests"]
+    poisoned = _run_configs(configs, poisoned=["scipy"])["digests"]
     for name, text in configs.items():
         csv = cli.run_scenario(cli.parse_config(text)).to_csv().encode()
         assert poisoned[name] == hashlib.sha256(csv).hexdigest(), name
+
+
+def test_quad_oracle_without_scipy_names_the_extra():
+    code = """
+import sys
+sys.modules["scipy"] = None
+from decobath.dephasing_nm import SpectralDensity, phi
+try:
+    phi(1.0, SpectralDensity.ohmic(0.8, 3.0))
+except ImportError as exc:
+    print(exc)
+else:
+    sys.exit("phi ran without scipy")
+"""
+    proc = _python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert "decobath[oracle]" in proc.stdout
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+    def names(requirements):
+        return [re.match(r"[A-Za-z0-9_.-]+", r).group(0) for r in requirements]
+
+    extras = project["optional-dependencies"]
+    assert names(project["dependencies"]) == ["numpy"]
+    assert "scipy" in names(extras["oracle"])
+    assert "scipy" in names(extras["test"])
 
 
 #: Runs the CLI on argv, then prints the scipy modules loaded as its last line.
