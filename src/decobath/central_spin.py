@@ -799,8 +799,6 @@ def reduced_system_density(rot: RotatedAmplitudes, amplitude) -> DensityMatrix2:
     amplitude = np.asarray(amplitude, dtype=complex)
     p0 = abs(rot.beta) ** 2 * np.abs(amplitude) ** 2
     coh = np.conj(rot.alpha) * rot.beta * amplitude
-    # alpha = 0 times a signed part is -0 half the time; -0 + 0 is +0
-    coh += 0.0
     # trace is exact by construction; PSD slack absorbs evolution roundoff
     return DensityMatrix2.from_parts(p0, 1.0 - p0, coh, atol=ATOL_INTEGRATED)
 

@@ -31,8 +31,11 @@ over (time points) x (modes), whose size ``trajectory.check_work`` bounds
 up front.  :func:`integrate_sme` builds the exact solution from them over
 a whole array of times t >= 0 after the preparation, and the full 2x2
 generator stepped from t = 0 by the generic RK4 integrator
-(:func:`_integrate_sme_matrix`, with the rates of :func:`sme_rates`) stays
-as its oracle; the two share no code.  The module also carries the
+(:func:`_integrate_sme_matrix`) stays as its oracle; the two share no
+code.  The oracle's generator takes Gamma_d, Gamma_0 and Lambda from
+:func:`sme_rates`, which, like :func:`channel_exponents`, maps a time
+array to arrays of its shape: one call per RK4 stage, and one call for the
+eight samples that set the step.  The module also carries the
 equation's claimed closed-form solution, :func:`sme_analytic`.  Its
 population channel is the exact one, while its coherence channel differs in
 the dephasing exponent and the Lamb phase.  That gap is deliberately not
@@ -43,9 +46,6 @@ the two coherence deviations per time and the best-fit dephasing factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .central_spin import RotatedAmplitudes, SpinBathSpec
@@ -54,7 +54,6 @@ from .qstate import DensityMatrix2, SIGMA_MINUS, SIGMA_Z
 from .trajectory import TimeGrid, Trajectory, check_work, nonnegative_times
 
 __all__ = [
-    "SmeRates",
     "sme_rates",
     "channel_exponents",
     "integrate_sme",
@@ -75,23 +74,6 @@ _BLOCK_ELEMENTS = 1 << 15
 #: for |x| < 1, where x - sin x itself cancels.
 _ARC_SERIES = tuple((-1.0) ** k / math.factorial(2 * k + 3) for k in reversed(range(10)))
 _TINY = np.finfo(float).tiny
-
-_PROJ0 = np.diag([1.0, 0.0]).astype(complex)
-
-
-def _sin_over(delta: np.ndarray, t) -> np.ndarray:
-    """sin(delta t)/delta, or its leading term t at a tiny phase; t may be an array."""
-    x = delta * t
-    out = np.sin(x) / np.where(delta == 0.0, 1.0, delta)
-    return np.where(np.abs(x) < _SMALL_PHASE, t, out)
-
-
-def _versin_over(delta: np.ndarray, t) -> np.ndarray:
-    """(1 - cos(delta t))/delta, or its leading term delta t^2/2 at a tiny phase."""
-    x = delta * t
-    s = np.sin(0.5 * x)
-    out = 2.0 * s * s / np.where(delta == 0.0, 1.0, delta)
-    return np.where(np.abs(x) < _SMALL_PHASE, 0.5 * x * t, out)
 
 
 def channel_exponents(spec: SpinBathSpec, t) -> tuple[np.ndarray, np.ndarray]:
@@ -151,73 +133,58 @@ def channel_exponents(spec: SpinBathSpec, t) -> tuple[np.ndarray, np.ndarray]:
     return gamma_1.reshape(t.shape)[()], gamma_d.reshape(t.shape)[()]
 
 
-@dataclass(frozen=True)
-class SmeRates:
-    """Time-dependent rates and Lamb-shift Hamiltonian of the master equation.
+def sme_rates(spec: SpinBathSpec, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rates Gamma_d, Gamma_0 and the Lamb shift Lambda at time(s) t >= 0.
 
-    ``Gamma_d(t) = (sum g)^2 t`` exactly (linear in t); all three vanish at
-    t = 0, where the Lamb shift reduces to (omega_r/2) sigma_z.
-    """
-
-    Gamma_d: Callable[[float], float]
-    Gamma_0: Callable[[float], float]
-    lamb_shift: Callable[[float], np.ndarray]
-
-
-def sme_rates(spec: SpinBathSpec) -> SmeRates:
-    """Construct the rate functions for a given bath specification.
-
-    A mode whose phase delta_k t is below ``_SMALL_PHASE`` takes the kernels'
+    Arrays of t's shape (scalars for a scalar ``t``), as
+    :func:`channel_exponents` gives its exponents; the Lamb-shift
+    Hamiltonian is (omega_r/2) sigma_z + Lambda |0><0|.  ``Gamma_d(t) =
+    (sum g)^2 t`` exactly (linear in t), and all three vanish at t = 0.  A
+    mode whose phase delta_k t is below ``_SMALL_PHASE`` takes the kernels'
     leading terms: a mode at exact resonance contributes g_k^2 t to Gamma_0
-    and nothing to the Lamb shift.  For small t, Gamma_0(t) -> t sum_k g_k^2.
+    and nothing to Lambda.  For small t, Gamma_0(t) -> t sum_k g_k^2.  Each
+    time's mode sums are its own, so an array gives the bits of scalar calls.
     """
-    g = spec.g
+    t = nonnegative_times(t)
+    tb = t[..., None]
     delta = spec.omega0 - spec.omega
-    gsum = float(np.sum(g))
-    omega_r = spec.omega0 - gsum
-    gsq = g * g
-
-    h_base = (omega_r / 2.0) * SIGMA_Z
-
-    def gamma_d(t: float) -> float:
-        return gsum * gsum * t
-
-    def gamma_0(t: float) -> float:
-        return float(np.sum(gsq * _sin_over(delta, t)))
-
-    def lamb_shift(t: float) -> np.ndarray:
-        lam = float(np.sum(gsq * _versin_over(delta, t)))
-        return h_base + lam * _PROJ0
-
-    return SmeRates(gamma_d, gamma_0, lamb_shift)
+    gsq = spec.g * spec.g
+    gsum = float(spec.g.sum())
+    x = delta * tb
+    lead = np.abs(x) < _SMALL_PHASE
+    safe = np.where(delta == 0.0, 1.0, delta)
+    s = np.sin(0.5 * x)
+    gamma_0 = np.sum(gsq * np.where(lead, tb, np.sin(x) / safe), axis=-1)
+    lamb = np.sum(gsq * np.where(lead, 0.5 * x * tb, 2.0 * s * s / safe), axis=-1)
+    return gsum * gsum * t, gamma_0, lamb
 
 
 def _sme_generator(spec: SpinBathSpec):
-    rates = sme_rates(spec)
+    half = (spec.omega0 - float(np.sum(spec.g))) / 2.0  # omega_r / 2
 
     def rhs(t: float, rho: np.ndarray) -> np.ndarray:
-        h = rates.lamb_shift(t)
+        gamma_d, gamma_0, lamb = sme_rates(spec, t)
+        h = np.diag([half + lamb, -half])
         out = -1j * (h @ rho - rho @ h)
-        out = out + rates.Gamma_d(t) * dissipator(SIGMA_Z, rho)
-        out = out + rates.Gamma_0(t) * dissipator(SIGMA_MINUS, rho)
+        out = out + gamma_d * dissipator(SIGMA_Z, rho)
+        out = out + gamma_0 * dissipator(SIGMA_MINUS, rho)
         return out
 
     return rhs
 
 
-def _refine_factor(rates: SmeRates, grid: TimeGrid) -> int:
+def _refine_factor(spec: SpinBathSpec, grid: TimeGrid) -> int:
     """Fine RK4 steps per grid step for the oracle :func:`_integrate_sme_matrix`.
 
     Keeps max(Gamma_d) * step below ``_GAMMA_D_STEP`` and the step below
-    0.05 over the largest rate sampled at eight points of the grid.
+    0.05 over the largest rate sampled at eight points of the grid,
+    max(|omega_r/2 + Lambda|, |omega_r/2|) + 4 |Gamma_d| + 2 |Gamma_0|.
     """
-    gd_max = abs(rates.Gamma_d(grid.t1))
-    sample = np.linspace(grid.dt, grid.t1, 8)
-    rate_scale = max(
-        abs(float(np.max(np.abs(rates.lamb_shift(t))))) + 4.0 * abs(rates.Gamma_d(t))
-        + 2.0 * abs(rates.Gamma_0(t))
-        for t in sample
-    )
+    half = (spec.omega0 - float(np.sum(spec.g))) / 2.0
+    gamma_d, gamma_0, lamb = sme_rates(spec, np.linspace(grid.dt, grid.t1, 8))
+    gd_max = abs(float(gamma_d[-1]))  # Gamma_d grows with t; the samples end at t1
+    rate_scale = float(np.max(np.maximum(np.abs(half + lamb), abs(half))
+                              + 4.0 * np.abs(gamma_d) + 2.0 * np.abs(gamma_0)))
     h_target = min(
         _GAMMA_D_STEP / gd_max if gd_max > 0 else math.inf,
         0.05 / rate_scale if rate_scale > 0 else math.inf,

@@ -97,7 +97,7 @@ import numpy as np
 
 from . import central_spin, central_spin_nm, dephasing_nm, lindblad
 from .errors import ConfigError, QuadratureError, TraceDriftError
-from .qstate import QubitAmplitudes, density_from_amplitudes
+from .qstate import QubitAmplitudes, dephased, density_from_amplitudes
 from .trajectory import TimeGrid, Trajectory, check_work
 
 _GRID_KEYS = {"grid.t0": float, "grid.t1": float, "grid.steps": int, "output.path": str}
@@ -417,7 +417,7 @@ def run_scenario(cfg: ScenarioConfig) -> Trajectory:
             density_from_amplitudes(cfg.psi), cfg.params.gamma, times)
     else:  # dephase-correlated
         f = dephasing_nm.decoherence_factors(times, cfg.params, cfg.psi)
-        rho = f.state(cfg.psi, cfg.params.omega0, times)
+        rho = dephased(cfg.psi, cfg.params.omega0 * times + f.chi, f.gamma_total)
         return Trajectory(times, {**_rho_columns(rho), "gamma": f.gamma_total,
                                   "Phi": f.phi, "chi": f.chi})
     return Trajectory(times, _rho_columns(rho))

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateParametersError, QuadratureError
-from .qstate import DensityMatrix2, QubitAmplitudes
+from .qstate import DensityMatrix2, QubitAmplitudes, dephased
 from .trajectory import check_work, nonnegative_times
 
 __all__ = [
@@ -590,10 +590,11 @@ def _panel_plan(omega: np.ndarray, scale: float):
     return equal, graded, np.floor(np.log2(b[graded] / a[graded]))
 
 
-def _thermal_panels(omega: np.ndarray, scale: float):
-    """Left ends, right ends and segment indices of the quadrature panels."""
+def _thermal_panels(omega: np.ndarray, plan):
+    """Left ends, right ends and segment indices of the quadrature panels of
+    ``plan``, the cuts :func:`_panel_plan` chose for the knots ``omega``."""
     a, b = omega[:-1], omega[1:]
-    equal, graded, doublings = _panel_plan(omega, scale)
+    equal, graded, doublings = plan
     counts = equal.astype(np.int64)
     counts[graded] = 0
     seg = np.repeat(np.arange(a.size), counts)
@@ -611,14 +612,14 @@ def _thermal_panels(omega: np.ndarray, scale: float):
 
 
 def _tabulated_thermal_excess(t: np.ndarray, omega: np.ndarray, c0, c1, beta: float,
-                              gamma0: np.ndarray) -> np.ndarray:
-    """2 int J n_B (1 - cos wt)/w^2 dw by fixed Gauss-Legendre panels.
+                              gamma0: np.ndarray, plan) -> np.ndarray:
+    """2 int J n_B (1 - cos wt)/w^2 dw by fixed Gauss-Legendre panels, cut by ``plan``.
 
     The 8-point rule on the same panels gives the error estimate; the sum of
     |16-point - 8-point| over panels must stay under the quadrature target
     for the total gamma_thermal = ``gamma0`` + excess at every time.
     """
-    lo, hi, seg = _thermal_panels(omega, max(float(t.max(initial=0.0)), beta))
+    lo, hi, seg = _thermal_panels(omega, plan)
     excess = np.zeros(t.size)
     err = np.zeros(t.size)
     chunk = max(1, _BLOCK_ELEMENTS // _GL_NODES.size)
@@ -661,13 +662,14 @@ def _tabulated_factors(t: np.ndarray, J: SpectralDensity, beta: float):
     thermal = not math.isinf(beta)
     panels = 0.0
     if thermal:
-        equal, _, doublings = _panel_plan(omega, max(float(t.max(initial=0.0)), beta))
+        plan = _panel_plan(omega, max(float(t.max(initial=0.0)), beta))
+        equal, _, doublings = plan
         panels = float(equal.sum() + doublings.sum())
     check_work(t.size * (_KNOT_WORK * omega.size + _GL_NODES.size * panels),
                _PANEL_BYTES * panels, panels, t.size, f"quadrature panels on {omega.size} knots")
     phi_t, gamma_t = _tabulated_zero_temperature(t, omega, c0, c1)
     if thermal:
-        gamma_t = _tabulated_thermal_excess(t, omega, c0, c1, beta, gamma_t)
+        gamma_t = _tabulated_thermal_excess(t, omega, c0, c1, beta, gamma_t, plan)
     zero = t == 0.0
     return np.where(zero, 0.0, phi_t), np.where(zero, 0.0, gamma_t)
 
@@ -727,7 +729,8 @@ def _chi_from_phi(phi_t, r_c: tuple[float, float]) -> np.ndarray:
     winding of Phi.
     """
     r, _ = r_c
-    principal = np.arctan2(r * np.sin(phi_t), np.cos(phi_t))
+    # + 0.0: chi(0) is +0, not the -0 of a negative R
+    principal = np.arctan2(r * np.sin(phi_t), np.cos(phi_t)) + 0.0
     if r == 0.0:
         # vanished slope: only the sign of cos Phi survives (0 or pi)
         return principal
@@ -752,17 +755,6 @@ class DecoherenceFactors:
     @property
     def gamma_total(self) -> np.ndarray:
         return self.gamma_thermal + self.gamma_corr
-
-    def state(self, psi0: QubitAmplitudes, omega0: float, t) -> DensityMatrix2:
-        """Populations (|a|^2, |b|^2) and coherence a b* exp(-i (omega0 t + chi)) exp(-gamma).
-
-        The coherence is exactly 0 where ``gamma_corr`` is inf.
-        """
-        a, b = psi0.a, psi0.b
-        coh = a * np.conj(b) * np.exp(-1j * (omega0 * np.asarray(t) + self.chi)) \
-            * np.exp(-self.gamma_total)
-        coh = np.where(np.isinf(self.gamma_corr), 0j, coh)
-        return DensityMatrix2.from_parts(abs(a) ** 2, abs(b) ** 2, coh)
 
 
 def _spectral_factors(t: np.ndarray, J: SpectralDensity, beta: float):
@@ -799,7 +791,9 @@ def rho_correlated(t, psi0: QubitAmplitudes, p: CorrelatedBathParams) -> Density
     exactly 0 where the correlation term annihilates it.  The bath is
     prepared from ``psi0`` itself.
     """
-    return decoherence_factors(t, p, psi0).state(psi0, p.omega0, t)
+    t = nonnegative_times(t)
+    f = decoherence_factors(t, p, psi0)
+    return dephased(psi0, p.omega0 * t + f.chi, f.gamma_total)
 
 
 def rho_uncorrelated(t, psi0: QubitAmplitudes, J: SpectralDensity, beta: float,
@@ -812,7 +806,5 @@ def rho_uncorrelated(t, psi0: QubitAmplitudes, J: SpectralDensity, beta: float,
     preparation is involved, so beta = inf with omega0 = 0 is allowed.
     """
     t = nonnegative_times(t)
-    phi_t, gamma1 = _spectral_factors(t, J, beta)
-    zero = np.zeros(t.shape)
-    return DecoherenceFactors(phi_t.reshape(t.shape), gamma1.reshape(t.shape),
-                              zero, zero).state(psi0, omega0, t)
+    _, gamma1 = _spectral_factors(t, J, beta)
+    return dephased(psi0, omega0 * t, gamma1.reshape(t.shape))

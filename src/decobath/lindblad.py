@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import TraceDriftError
-from .qstate import DensityMatrix2, QubitAmplitudes, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .qstate import DensityMatrix2, QubitAmplitudes, SIGMA_X, SIGMA_Y, SIGMA_Z, dephased
 from .trajectory import TimeGrid, nonnegative_times
 
 __all__ = [
@@ -122,9 +122,7 @@ def evolve_dephasing_markov(psi0: QubitAmplitudes, params: DephasingParams, t) -
     An array ``t`` gives one batched state with an entry per time.
     """
     t = nonnegative_times(t)
-    a, b = psi0.a, psi0.b
-    coh = a * np.conj(b) * np.exp(-1j * params.omega0 * t) * np.exp(-params.gamma * t)
-    return DensityMatrix2.from_parts(abs(a) ** 2, abs(b) ** 2, coh)
+    return dephased(psi0, params.omega0 * t, params.gamma * t)
 
 
 def evolve_isotropic_markov(rho0: DensityMatrix2, gamma: float, t) -> DensityMatrix2:

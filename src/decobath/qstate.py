@@ -26,8 +26,8 @@ from .errors import NormalizationError
 
 #: Validation tolerance on analytically constructed states.
 ATOL_ANALYTIC = 1e-12
-#: Looser tolerance for states produced by numerical integration,
-#: where integrator error dominates.
+#: Looser tolerance for states whose parts carry accumulated rounding, such
+#: as a reduced state from a spectral sum whose sum rule allows 1e-10.
 ATOL_INTEGRATED = 1e-9
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -85,11 +85,15 @@ class DensityMatrix2:
     * unit trace within ``atol``,
     * positive semidefiniteness: populations and determinant above ``-atol``.
 
-    ``atol`` defaults to :data:`ATOL_ANALYTIC`; paths that go through a
-    numerical integrator should pass :data:`ATOL_INTEGRATED`.  Scalar parts
-    give scalar properties; array parts (e.g. one entry per time point) give
-    array properties of their broadcast shape, and :attr:`matrix` then has
-    shape ``(..., 2, 2)``.
+    ``atol`` defaults to :data:`ATOL_ANALYTIC`; a state formed from a long
+    sum, such as the central spin's reduced state from the spectral sum
+    (whose sum rule allows 1e-10), passes :data:`ATOL_INTEGRATED`.  Scalar
+    parts give scalar properties; array parts (e.g. one entry per time
+    point) give array properties of their broadcast shape, and
+    :attr:`matrix` then has shape ``(..., 2, 2)``.  The coherence is never
+    a signed zero: 0.0 is added to it, which turns -0 into +0 in either
+    component and leaves every other value as it is, so no rendering
+    prints ``-0``.
     """
 
     __slots__ = ("_p0", "_p1", "_coh")
@@ -101,9 +105,10 @@ class DensityMatrix2:
         The three parts broadcast against each other; one call validates a
         whole trajectory.
         """
+        # -0 + 0 is +0, in both components
         p0, p1, coherence = np.broadcast_arrays(
             np.asarray(p0, dtype=float), np.asarray(p1, dtype=float),
-            np.asarray(coherence, dtype=complex))
+            np.asarray(coherence, dtype=complex) + 0.0)
         if not (np.all(np.isfinite(p0)) and np.all(np.isfinite(p1))):
             raise ValueError("populations must be finite")
         if not (np.all(np.isfinite(coherence.real)) and np.all(np.isfinite(coherence.imag))):
@@ -152,6 +157,20 @@ class DensityMatrix2:
     def __repr__(self) -> str:
         return (f"DensityMatrix2(rho00={self._p0!r}, rho11={self._p1!r}, "
                 f"coherence={self._coh!r})")
+
+
+def dephased(psi: QubitAmplitudes, phase, decay) -> DensityMatrix2:
+    """Pure dephasing of |psi>: the populations stay, the coherence turns and decays.
+
+    Populations (|a|^2, |b|^2) and coherence a b* exp(-i phase) exp(-decay),
+    over the broadcast shape of ``phase`` and ``decay``.  Where exp(-decay)
+    is 0 the coherence is exactly 0, whatever the phase, NaN included.
+    """
+    a, b = psi.a, psi.b
+    damping = np.exp(-np.asarray(decay, dtype=float))
+    coh = a * np.conj(b) * np.exp(-1j * np.asarray(phase, dtype=float)) * damping
+    return DensityMatrix2.from_parts(abs(a) ** 2, abs(b) ** 2,
+                                     np.where(damping == 0.0, 0.0, coh))
 
 
 def density_from_amplitudes(psi: QubitAmplitudes) -> DensityMatrix2:

@@ -190,7 +190,7 @@ def test_acceptance_08_sme_population_consistency(tmp_path):
             assert (tmp_path / "sme_discrepancy.csv").exists()
             # the solved population is |beta|^2 G1 by construction: step the
             # full generator with the RK4 oracle, an independent path
-            refine = central_spin_nm._refine_factor(central_spin_nm.sme_rates(spec), grid)
+            refine = central_spin_nm._refine_factor(spec, grid)
             oracle = central_spin_nm._integrate_sme_matrix(spec, rot, grid, refine)
             g1 = np.exp(-central_spin_nm.channel_exponents(spec, grid.times)[0])
             rk4_dev = np.abs(oracle[:, 0, 0].real - abs(rot.beta) ** 2 * g1)

@@ -17,7 +17,7 @@ from decobath.central_spin_nm import (
     sme_discrepancy_report,
     sme_rates,
 )
-from decobath.qstate import SIGMA_Z, QubitAmplitudes
+from decobath.qstate import QubitAmplitudes
 from decobath.trajectory import TimeGrid
 
 
@@ -42,57 +42,72 @@ def random_ten_mode_spec(rng):
 
 class TestRates:
     def test_all_rates_vanish_at_t0(self):
-        rates = sme_rates(spec_with([0.3, 0.4], 1.0, [0.2, 0.8]))
-        assert rates.Gamma_d(0.0) == 0.0
-        assert rates.Gamma_0(0.0) == 0.0
-        omega_r = 1.0 - 0.7
-        assert np.allclose(rates.lamb_shift(0.0), (omega_r / 2.0) * SIGMA_Z)
+        gamma_d, gamma_0, lamb = sme_rates(spec_with([0.3, 0.4], 1.0, [0.2, 0.8]), 0.0)
+        assert gamma_d == 0.0 and gamma_0 == 0.0 and lamb == 0.0
 
     def test_resonant_mode_linear_in_t(self):
         g = 0.7
-        rates = sme_rates(spec_with([g], 1.3, [1.3]))
-        for t in (0.1, 1.0, 7.3):
-            assert rates.Gamma_0(t) == pytest.approx(g * g * t, rel=1e-14)
+        ts = np.array([0.1, 1.0, 7.3])
+        _, gamma_0, lamb = sme_rates(spec_with([g], 1.3, [1.3]), ts)
+        assert gamma_0 == pytest.approx(g * g * ts, rel=1e-14)
+        assert np.all(lamb == 0.0)
 
     def test_near_resonant_mode_at_long_times(self):
         # delta = 5e-11: the kernels switch on the phase delta t, not on |delta|
-        rates = sme_rates(spec_with([1.0], 0.0, [-5e-11]))
-        for t in (1e9, 1e11):
+        ts = np.array([1e9, 1e11])
+        _, gamma_0, lamb = sme_rates(spec_with([1.0], 0.0, [-5e-11]), ts)
+        for t, g0, lam in zip(ts, gamma_0, lamb):
             with mpmath.workdps(40):
                 x = mpmath.mpf(5e-11) * mpmath.mpf(t)
                 ref_0 = mpmath.sin(x) / mpmath.mpf(5e-11)
                 ref_lam = (1 - mpmath.cos(x)) / mpmath.mpf(5e-11)
-            assert abs(rates.Gamma_0(t) - ref_0) <= 1e-14 * abs(ref_0)
-            lam = rates.lamb_shift(t)[0, 0] - rates.lamb_shift(0.0)[0, 0]
+            assert abs(g0 - ref_0) <= 1e-14 * abs(ref_0)
             assert abs(lam - ref_lam) <= 1e-14 * abs(ref_lam)
 
     def test_small_time_expansion(self):
         spec = spec_with([0.2, 0.5, 0.1], 1.0, [0.3, 1.4, -0.2])
-        rates = sme_rates(spec)
         t = 1e-6
-        assert rates.Gamma_0(t) == pytest.approx(t * float(np.sum(spec.g**2)), rel=1e-9)
+        gamma_0 = sme_rates(spec, t)[1]
+        assert gamma_0 == pytest.approx(t * float(np.sum(spec.g**2)), rel=1e-9)
 
     def test_two_mode_cancellation_at_pi(self):
         # detunings (1, -1) with weights (1, 4): sin terms cancel at t = pi
         spec = spec_with([1.0, 2.0], 0.0, [-1.0, 1.0])
-        rates = sme_rates(spec)
-        assert rates.Gamma_0(math.pi) == pytest.approx(0.0, abs=1e-12)
+        assert sme_rates(spec, math.pi)[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_gamma_d_exact_linearity(self):
         spec = spec_with([0.3, 1.1, 0.6], 0.4, [0.0, 0.2, 0.9])
-        rates = sme_rates(spec)
-        base = rates.Gamma_d(1.0)
-        for lam in (0.0, 0.25, 3.0, 17.5):
-            assert rates.Gamma_d(lam) == lam * base
+        base = sme_rates(spec, 1.0)[0]
+        lams = np.array([0.0, 0.25, 3.0, 17.5])
+        assert np.array_equal(sme_rates(spec, lams)[0], lams * base)
 
     def test_lamb_shift_acts_on_decaying_branch(self):
         spec = spec_with([0.5], 1.0, [0.4])
-        h = sme_rates(spec).lamb_shift(2.0)
+        gamma_d, gamma_0, lamb = sme_rates(spec, 2.0)
         delta = 0.6
         lam = 0.25 * (1 - math.cos(delta * 2.0)) / delta
+        assert lamb == pytest.approx(lam, abs=1e-14)
+        # the generator turns the coherence at omega_r + Lambda: the shift
+        # sits on |0><0| alone
         omega_r = 0.5
-        expected = np.diag([omega_r / 2.0 + lam, -omega_r / 2.0])
-        assert np.allclose(h, expected, atol=1e-14)
+        rho = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]])
+        d01 = central_spin_nm._sme_generator(spec)(2.0, rho)[0, 1]
+        expected = (-1j * (omega_r + lam) - 4.0 * gamma_d - gamma_0) * rho[0, 1]
+        assert abs(d01 - expected) <= 1e-14
+
+    def test_array_equals_scalar_calls_bit_for_bit(self):
+        rng = np.random.default_rng(27)
+        # a resonant mode and a tiny phase reach both kernel branches
+        spec = spec_with(rng.uniform(0.05, 0.15, 12), 0.9,
+                         [0.9, *rng.uniform(-1.0, 2.0, 11)])
+        ts = np.concatenate(([0.0, 1e-120], rng.uniform(0.0, 50.0, 40))).reshape(6, 7)
+        rates = sme_rates(spec, ts)
+        for got in rates:
+            assert got.shape == ts.shape
+        for idx in np.ndindex(ts.shape):
+            one = sme_rates(spec, ts[idx])
+            for got, scalar in zip(rates, one):
+                assert np.ndim(scalar) == 0 and got[idx] == scalar
 
 
 class TestAnalyticSolution:
@@ -344,7 +359,7 @@ class TestChannelwiseIntegration:
         # a row's mode sum does not see the blocking, so no bit changes
         for part in ("rho00", "rho11", "coherence"):
             assert np.array_equal(getattr(blocked, part), getattr(whole, part))
-        oracle = _integrate_sme_matrix(spec, rot, grid, _refine_factor(sme_rates(spec), grid))
+        oracle = _integrate_sme_matrix(spec, rot, grid, _refine_factor(spec, grid))
         assert oracle.shape == (grid.steps + 1, 2, 2)
         assert np.max(np.abs(oracle - blocked.matrix)) < 1e-12
 
@@ -363,7 +378,7 @@ class TestChannelwiseIntegration:
         rot = random_rot(rng)
         grid = TimeGrid(0.0, 0.25, 5)
         exact = integrate_sme(spec, rot, grid.times).coherence
-        refine = _refine_factor(sme_rates(spec), grid)
+        refine = _refine_factor(spec, grid)
         errors = [
             np.max(np.abs(_integrate_sme_matrix(spec, rot, grid, refine * k)[:, 0, 1]
                           - exact))
@@ -397,7 +412,7 @@ class TestChannelwiseIntegration:
             omega0=rng.uniform(0.5, 1.5),
             omega=rng.uniform(-0.5, 2.5, 10),
         )
-        assert _refine_factor(sme_rates(spec), TimeGrid(0.0, 3.0, 60)) == 120
+        assert _refine_factor(spec, TimeGrid(0.0, 3.0, 60)) == 120
 
     def test_decayed_coherence_reaches_zero_not_a_subnormal(self):
         # Gamma_d t^2 reaches ~e^-800 by t = 20; coherences below the smallest

@@ -350,6 +350,31 @@ _OHMIC = ("scenario = dephase-correlated\nspectral.family = ohmic\nspectral.eta 
           "spectral.omega_c = 5\n")
 _MARKOV, _ISOTROPIC = "scenario = dephase-markov\n", "scenario = dephase-isotropic\n"
 _EXACT = "scenario = central-exact\n" + _BATH
+#: A real negative system.b in each scenario that takes one (a b* is then
+#: real with a signed-zero imaginary part), and an Ohmic coherence that
+#: underflows to zero: no state may carry a -0 into the CSV.
+_NEGATIVE_B = "system.a = 0.95\nsystem.b = -0.31224989991991997\ngrid.t1 = 2\ngrid.steps = 20\n"
+_SIGNED_ZERO_CASES = {
+    "markov": _MARKOV + "gamma = 0.5\n" + _NEGATIVE_B,
+    "isotropic": _ISOTROPIC + "gamma = 0.5\n" + _NEGATIVE_B,
+    # <sigma_z> = 0.805 > tanh(beta omega0 / 2): chi's slope R is negative
+    "correlated": _OHMIC + "thermo.beta = 2\nbath.omega0 = 0.5\n" + _NEGATIVE_B,
+    "exact": _EXACT + "bath.omega0 = 1\n" + _NEGATIVE_B,
+    "sme": "scenario = central-sme\n" + _BATH + "bath.omega0 = 1\n" + _NEGATIVE_B,
+    "correlated-underflow": ("scenario = dephase-correlated\nspectral.family = ohmic\n"
+                             "spectral.eta = 0.7\nspectral.omega_c = 5\nthermo.beta = 2\n"
+                             "bath.omega0 = 0.1\ngrid.t1 = 1e16\ngrid.steps = 4\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SIGNED_ZERO_CASES))
+def test_no_cell_is_negative_zero(case, tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(_SIGNED_ZERO_CASES[case])
+    assert main(["run", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == len(parse_config(_SIGNED_ZERO_CASES[case]).grid.times) + 1
+    assert re.search(r"(^|,)-0(,|$)", out, re.M) is None
 #: Configs once refused only at run time without a line, or with a traceback,
 #: or (exact-t1-1e300) run to numbers with no digit of their phase left:
 #: (text, the keys whose lines the refusal must name).

@@ -5,7 +5,6 @@ import pytest
 
 from decobath.dephasing_nm import (
     CorrelatedBathParams,
-    DecoherenceFactors,
     SpectralDensity,
     decoherence_factors,
     gamma_thermal,
@@ -14,7 +13,7 @@ from decobath.dephasing_nm import (
     rho_uncorrelated,
 )
 from decobath.errors import DegenerateParametersError, QuadratureError, WorkBudgetError
-from decobath.qstate import QubitAmplitudes, density_from_amplitudes
+from decobath.qstate import QubitAmplitudes, dephased, density_from_amplitudes
 
 
 # closed-form oracles for the Ohmic family (verified analytically):
@@ -394,12 +393,14 @@ class TestReducedStates:
             rho_uncorrelated(np.array([0.0, -1.0]), psi, J, 1.0, 0.0)
 
     def test_singular_branch_state_has_exactly_zero_coherence(self):
-        f = DecoherenceFactors(phi=np.array([0.3, math.pi / 2]),
-                               gamma_thermal=np.array([0.1, 0.2]),
-                               gamma_corr=np.array([0.05, math.inf]),
-                               chi=np.array([0.2, math.nan]))
-        rho = f.state(QubitAmplitudes(0.6, 0.8), 1.0, np.array([0.5, 1.0]))
-        assert rho.coherence[1] == 0.0 and abs(rho.coherence[0]) > 0.0
+        # where gamma_corr = inf, chi is NaN: the phase omega0 t + chi is NaN
+        # and the decay gamma_thermal + gamma_corr is inf
+        rho = dephased(QubitAmplitudes(0.6, 0.8), np.array([0.7, math.nan]),
+                       np.array([0.15, math.inf]))
+        assert rho.coherence[1] == 0.0
+        assert math.copysign(1.0, rho.coherence[1].real) == 1.0
+        assert math.copysign(1.0, rho.coherence[1].imag) == 1.0
+        assert rho.coherence[0] == 0.6 * 0.8 * np.exp(-0.7j) * np.exp(-0.15)
         assert np.all(rho.rho00 == 0.6 ** 2) and np.all(rho.rho11 == 0.8 ** 2)
 
     def test_decoherence_factors_consistent_with_scalar_ops(self):

@@ -8,6 +8,7 @@ from decobath.qstate import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_Z,
+    dephased,
     density_from_amplitudes,
 )
 
@@ -107,6 +108,30 @@ def test_scalar_parts_give_scalar_properties():
     assert np.ndim(rho.rho00) == 0 and np.ndim(rho.coherence) == 0
     assert rho.matrix.shape == (2, 2)
     assert rho.coherence == 0.1 + 0.2j
+
+
+def test_coherence_holds_no_signed_zero():
+    neg = complex(-0.0, -0.0)
+    rho = DensityMatrix2.from_parts(0.5, 0.5, np.array([neg, complex(-0.0, 0.3), 0.2 + 0j]))
+    for z in rho.coherence:
+        assert np.copysign(1.0, z.real) == 1.0 and np.copysign(1.0, z.imag) == 1.0
+    assert rho.coherence[1] == 0.3j and rho.coherence[2] == 0.2
+    one = DensityMatrix2.from_parts(0.5, 0.5, neg).coherence
+    assert np.ndim(one) == 0 and np.copysign(1.0, one.imag) == 1.0
+
+
+def test_dephased_keeps_populations_and_forms_the_coherence_once():
+    psi = QubitAmplitudes(0.6, -0.8j)
+    phase, decay = np.array([0.0, 1.3, 40.0]), np.array([0.0, 0.2, 800.0])
+    rho = dephased(psi, phase, decay)
+    assert np.all(rho.rho00 == abs(psi.a) ** 2) and np.all(rho.rho11 == abs(psi.b) ** 2)
+    assert rho.coherence[0] == psi.a * np.conj(psi.b)
+    assert rho.coherence[1] == psi.a * np.conj(psi.b) * np.exp(-1.3j) * np.exp(-0.2)
+    # exp(-800) underflows: the coherence is +0 whatever the phase
+    assert rho.coherence[2] == 0.0 and np.copysign(1.0, rho.coherence[2].imag) == 1.0
+    # phase and decay broadcast; a scalar pair gives a scalar state
+    assert dephased(psi, 0.5, np.array([0.0, 1.0])).coherence.shape == (2,)
+    assert np.ndim(dephased(psi, 0.5, 1.0).coherence) == 0
 
 
 def test_constructed_states_satisfy_invariants_randomized():

@@ -104,6 +104,7 @@ TIME_ENTRIES = {
     # bound at import, since the test replaces the module attribute with no_work
     "channel_exponents": lambda t, exponents=central_spin_nm.channel_exponents:
         exponents(BATH, [0.0, t]),
+    "sme_rates": lambda t: central_spin_nm.sme_rates(BATH, [0.0, t]),
     "decoherence_factors": lambda t: dephasing_nm.decoherence_factors(
         [0.0, t], CORRELATED, PSI),
     "rho_correlated": lambda t: dephasing_nm.rho_correlated([0.0, t], PSI, CORRELATED),
