@@ -26,6 +26,8 @@ and takes O(N) memory.  It has two levels: the roots go in leaves of
 iteration and its far poles through Chebyshev tables built once per leaf,
 so the work is O(N^1.5) instead of the O(N^2) of summing every pole (Gu &
 Eisenstat 1995 and Livne & Brandt 2002 sum the same Cauchy sums fast).
+One iteration steps every root of every leaf at once; the leaves only
+split its near sums.
 One block routine, :func:`_phase_blocks`, then hands out the products
 w_j exp(-i mu_j t) over the T-point time grid from two phase tables of
 ~sqrt(T) rows, one complex multiply per (time, root) pair and no cos or
@@ -107,7 +109,10 @@ _NORM_TOL = 1e-10
 _BLOCK_ELEMENTS = 1 << 17
 #: Roots per leaf of the two-level secular solve, max(_LEAF_MIN, isqrt(m))
 #: for m poles: a leaf's near sums cost about its roots times three leaf
-#: widths in every iteration, its far tables _FAR_NODES times m once.
+#: widths in every iteration, its far tables _FAR_NODES times m once.  Below
+#: _LEAF_MIN poles the solve is one leaf; from _LEAF_MIN on, the two outer
+#: roots, whose brackets reach the Weyl bounds and so meet every pole, take
+#: a leaf each.
 _LEAF_MIN = 128
 #: A pole is near a leaf when it lies within _NEAR_REACH times the leaf's
 #: width of it.  A far pole then sits at least 3 half-widths from the
@@ -169,11 +174,13 @@ _ELEMENTS_PER_PAIR = 256
 _SUM_PAIRS_PER_PAIR = 12
 #: Far-table terms per secular pair of work (~1.6 ns against 30-50 ns).
 _TABLE_ELEMENTS_PER_PAIR = 24
-#: Floats the secular iteration holds per root of its block beside its two
-#: (roots x poles) arrays (30-35 index, bracket, step and far-series arrays
-#: measured), and the bytes of the call's small-array objects (8 KB
-#: measured at N = 1): the terms of :func:`_shipped_measure`'s byte
-#: estimate that are not tables.
+#: Floats the secular iteration holds per root, for every root at once,
+#: beside its two (rows x near poles) block arrays (33.7-34.2 measured by
+#: tracemalloc at 2e3 to 2e4 poles: each root's index, brackets and result,
+#: and in the first sweep the near sums and the far series' recurrence),
+#: and the bytes of the call's small-array objects (8 KB measured at
+#: N = 1): the terms of :func:`_shipped_measure`'s byte estimate that are
+#: not tables.
 _SECULAR_ROOT_FLOATS = 40
 _CALL_BYTES = 1 << 14
 
@@ -346,6 +353,10 @@ def _secular_leaves(head: float, poles: np.ndarray, zsq: np.ndarray):
     brackets make up X = (ends[j0], ends[j1]); its near poles a..b-1 are
     those within ``_NEAR_REACH`` |X| of X, which include every root's two
     bracketing poles.  The poles before a and from b on are its far poles.
+    Up to ``_LEAF_MIN`` - 1 poles there is one leaf.  Beyond, roots 0 and
+    m, whose brackets run out to the Weyl bounds and so meet every pole,
+    take a leaf each, and the m - 1 roots between the poles go in leaves of
+    max(``_LEAF_MIN``, isqrt(m)).
     """
     m = poles.size
     radius = 2.0 * math.sqrt(float(np.sum(zsq)))  # Weyl bound, doubled
@@ -353,8 +364,8 @@ def _secular_leaves(head: float, poles: np.ndarray, zsq: np.ndarray):
     high = max(head, poles[-1]) + radius
     ends = np.concatenate(([low], poles, [high]))
     size = max(_LEAF_MIN, math.isqrt(m))
-    j0 = np.arange(0, m + 1, size)
-    j1 = np.minimum(j0 + size, m + 1)
+    j0 = np.array([0]) if m < size else np.concatenate(([0], np.arange(1, m, size), [m]))
+    j1 = np.append(j0[1:], m + 1)
     reach = _NEAR_REACH * (ends[j1] - ends[j0])
     a = np.searchsorted(poles, ends[j0] - reach, side="left")
     b = np.searchsorted(poles, ends[j1] + reach, side="right")
@@ -372,8 +383,10 @@ def _far_field(poles, zsq, ends, j0, j1, a, b):
     frame keeps the distances to the far poles at full relative precision
     wherever the band lies.  Each sum is taken directly at ``_FAR_NODES``
     Chebyshev nodes, in blocks of nodes of at most ``_BLOCK_ELEMENTS``
-    (node, pole) pairs, and then converted to coefficients.  Returns
-    (a, b, ref, mid, half, coefficients), the series in u = (s - mid)/half.
+    (node, pole) pairs, and then converted to coefficients; a leaf with no
+    far pole gets zeros, which add exactly 0.  Returns (ref, mid, half,
+    coefficients), the series in u = (s - mid)/half, its coefficients
+    (``_FAR_NODES``, 3), one column a sum.
     """
     ref = poles[max(j0 - 1, 0)]
     lo, hi = ends[j0] - ref, ends[j1] - ref
@@ -385,7 +398,7 @@ def _far_field(poles, zsq, ends, j0, j1, a, b):
     np.subtract(poles[:a], ref, out=shifted[:a])
     np.subtract(poles[b:], ref, out=shifted[a:])
     values = np.empty((3, _FAR_NODES))
-    rows = min(_FAR_NODES, max(1, _BLOCK_ELEMENTS // far))
+    rows = min(_FAR_NODES, max(1, _BLOCK_ELEMENTS // max(far, 1)))
     buffers = np.empty((2, rows, far))
     for k in range(0, _FAR_NODES, rows):
         n = min(rows, _FAR_NODES - k)
@@ -402,117 +415,41 @@ def _far_field(poles, zsq, ends, j0, j1, a, b):
     coef = (values[:, None, :] * cosines).sum(axis=2)
     coef *= 2.0 / _FAR_NODES
     coef[:, 0] *= 0.5
-    return a, b, ref, mid, half, coef
+    return ref, mid, half, coef.T
 
 
-def _chebyshev_rows(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_k coef[r, k] T_k(u) for each row r and each u, by Clenshaw's recurrence."""
+def _far_series(poles, zsq, ends, leaves):
+    """Every leaf's far series (:func:`_far_field`), None if no leaf has far poles.
+
+    Returns (coef, ref, mid, half): the (``_FAR_NODES``, 3, leaves)
+    coefficients, one column a leaf, and each leaf's frame.
+    """
+    if np.all(leaves[:, 3] - leaves[:, 2] == poles.size):
+        return None
+    ref, mid, half, coef = zip(*(_far_field(poles, zsq, ends, *leaf) for leaf in leaves.tolist()))
+    return np.stack(coef, axis=2), np.array(ref), np.array(mid), np.array(half)
+
+
+def _chebyshev_rows(coef: np.ndarray, counts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_k coef[k, r, i] T_k(u) for each row r, series i taking counts[i] u's in turn.
+
+    Clenshaw's recurrence over every u at once; each step repeats its own
+    (3, len(counts)) coefficients out to the u's, so no table of
+    coefficients per u is formed.
+    """
     two_u = 2.0 * u
-    b1, b2, b0 = np.zeros((3, coef.shape[0], u.size))
-    for c in coef[:, :0:-1].T:
+    b1, b2, b0 = np.zeros((3, 3, u.size))
+    for c in coef[:0:-1]:
         # b_k = 2u b_{k+1} - b_{k+2} + c_k, into the buffer b_{k+2} frees
         np.multiply(two_u, b1, out=b0)
         b0 -= b2
-        b0 += c[:, None]
+        b0 += c.repeat(counts, axis=1)
         b1, b2, b0 = b0, b1, b2
-    return u * b1 - b2 + coef[:, :1]
-
-
-def _secular_block(head, poles, zsq, j, ends, far=None):
-    """Roots j (an index array) of g(lam) = lam - head + sum_i zsq_i/(poles_i - lam).
-
-    Root j lies in (ends[j], ends[j + 1]): between poles j-1 and j, and the
-    outer two below poles[0] and above poles[-1] within the bounds ends[0]
-    and ends[-1] (see :func:`_secular_leaves`).  Each root is tracked as
-    tau = lam - poles[o] with its origin o at the nearer pole, which the
-    sign of g at the interval midpoint picks, so the distances
-    poles_i - lam keep full relative precision however close the root is
-    to its pole.  The step is the "middle way" model of LAPACK dlaed4
-    (R.-C. Li): the origin pole's term kept exact, a pole at the interval's
-    other end fitted to g and g', its zero in the bracket taken in
-    cancellation-free form; a step that leaves the bracket is replaced by
-    bisection.  A root stops when |g| is below its rounding bound.  Returns
-    (origins, offsets, weights): root j is origins[j] + offsets[j], its
-    origin pole's value plus tau, and its weight 1/g'(lam) = |v_0|^2 is
-    taken at the last evaluation.
-
-    With ``far`` None every pole is summed directly.  Otherwise it is
-    (a, b, ref, mid, half, coef) from :func:`_far_field`: poles a..b-1 are
-    summed directly and the rest come from the Chebyshev series, F_L + F_R
-    added to g, D to g' and F_R - F_L (each side has one sign) to the sum
-    of |terms| in the bound.
-    """
-    m = poles.size
-    a, b = (0, m) if far is None else far[:2]
-    near, near_zsq = poles[a:b], zsq[a:b]
-    # each root starts in its left pole's frame
-    o = np.maximum(j - 1, 0)
-    lo = ends[j] - poles[o]
-    hi = ends[j + 1] - poles[o]
-    tau = 0.5 * (lo + hi)
-    origins, offsets, weights = np.empty((3, j.size))
-    # the (roots x near poles) scratch, reused by every iteration
-    buffers = np.empty((2, j.size, b - a))
-    act = np.arange(j.size)
-    for it in range(_SECULAR_MAX_ITER):
-        jj, po, t = j[act], poles[o[act]], tau[act]
-        delta, terms = buffers[0, :act.size], buffers[1, :act.size]
-        np.subtract(near, po[:, None], out=delta)
-        delta -= t[:, None]
-        np.divide(near_zsq, delta, out=terms)
-        g = (po - head) + t + terms.sum(axis=1)
-        np.divide(terms, delta, out=delta)
-        dg = 1.0 + delta.sum(axis=1)
-        np.abs(terms, out=terms)
-        total = terms.sum(axis=1)
-        if far is not None:
-            ref, mid, half, coef = far[2:]
-            left, right, slope = _chebyshev_rows(coef, (((po - ref) + t) - mid) / half)
-            g += left + right
-            dg += slope
-            total += right - left
-        bound = 8.0 * _EPS * (np.abs(po - head) + np.abs(t) + total)
-        above = g < 0.0  # g increases: the root lies above t
-        lo[act] = np.where(above, t, lo[act])
-        hi[act] = np.where(above, hi[act], t)
-        # converged, or the bracket is down to a few ulps
-        done = (np.abs(g) <= bound) | (
-            hi[act] - lo[act] <= 4.0 * _EPS * np.maximum(np.abs(lo[act]), np.abs(hi[act])))
-        origins[act[done]] = po[done]
-        offsets[act[done]] = t[done]
-        weights[act[done]] = 1.0 / dg[done]
-        keep = ~done
-        act, jj, g, dg, t = act[keep], jj[keep], g[keep], dg[keep], t[keep]
-        if act.size == 0:
-            return origins, offsets, weights
-        if it == 0:
-            # interior roots above the midpoint move to the right pole's frame
-            flip = above[keep] & (jj > 0) & (jj < m)
-            shift = hi[act[flip]]
-            t[flip] -= shift
-            lo[act[flip]] -= shift
-            hi[act[flip]] = 0.0
-            o[act[flip]] = jj[flip]
-        oa = o[act]
-        s = zsq[oa]
-        d_o = -t
-        # the other end q of the root's interval: a pole, or beyond the
-        # extreme poles the bound ends[0] or ends[-1] standing in for the line
-        q = np.where(oa == jj, jj - 1, jj)
-        d_q = (ends[q + 1] - poles[oa]) - t
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            c = g - d_q * dg - (d_o - d_q) * (s / d_o / d_o)
-            a = (d_o + d_q) * g - d_o * d_q * dg
-            b = d_o * d_q * g
-            root_disc = np.sqrt(np.abs(a * a - 4.0 * b * c))
-            t_new = t + np.where(a <= 0.0, (a - root_disc) / (2.0 * c),
-                                 2.0 * b / (a + root_disc))
-        lo_a, hi_a = lo[act], hi[act]
-        inside = (t_new > lo_a) & (t_new < hi_a)
-        tau[act] = np.where(inside, t_new, 0.5 * (lo_a + hi_a))
-    raise np.linalg.LinAlgError(
-        f"secular equation: {act.size} of {j.size} roots did not converge "
-        f"in {_SECULAR_MAX_ITER} iterations")
+    # u b_1 - b_2 + c_0, into b_1's buffer
+    b1 *= u
+    b1 -= b2
+    b1 += coef[0].repeat(counts, axis=1)
+    return b1
 
 
 def arrowhead_eigensystem(head: float, arm: np.ndarray, diag: np.ndarray):
@@ -525,19 +462,19 @@ def arrowhead_eigensystem(head: float, arm: np.ndarray, diag: np.ndarray):
     exactly 0.
 
     The m + 1 roots of the secular equation on m poles (after deflation)
-    are solved in leaves of max(``_LEAF_MIN``, isqrt(m)) consecutive roots
-    (:func:`_secular_leaves`), each leaf in blocks of roots.  A leaf's near
-    poles, its roots' own bracketing poles among them, are summed directly
-    in every iteration, exactly as in the direct solve.  Its far poles do
-    not change between iterations: their sums enter through Chebyshev
-    series on the leaf, built once from ``_FAR_NODES`` direct sums
-    (:func:`_far_field`).  On spread poles each root meets about three
-    leaf widths of near poles and each leaf's tables sum over all m poles
-    24 times, so the work is O(m^1.5), against O(m^2) when every pole is
-    summed, and the memory is O(N).  When every pole is near its leaf
-    (every bath up to 127 poles, and the leaves whose brackets reach past a
-    wide Weyl bound) there is no far field, and each root's arithmetic is
-    the direct solve's, bit for bit.
+    are planned in leaves of consecutive roots (:func:`_secular_leaves`)
+    and solved by one iteration over all of them (:func:`_secular_roots`).
+    A leaf's near poles, its roots' own bracketing poles among them, are
+    summed directly in every iteration, exactly as in the direct solve.
+    Its far poles do not change between iterations: their sums enter
+    through Chebyshev series on the leaf, built once from ``_FAR_NODES``
+    direct sums (:func:`_far_field`).  On spread poles each root between
+    the poles meets about three leaf widths of near poles and each leaf's
+    tables sum over all m poles 24 times, so the work is O(m^1.5), against
+    O(m^2) when every pole is summed, and the memory is O(N).  When every
+    pole is near its leaf (every bath up to 127 poles, and the two outer
+    roots' own leaves) there is no far field, and each root's arithmetic
+    is the direct solve's, bit for bit.
     """
     head = float(head)
     poles, zsq, deflated = _deflate(head, np.asarray(arm, dtype=float),
@@ -549,29 +486,140 @@ def arrowhead_eigensystem(head: float, arm: np.ndarray, diag: np.ndarray):
     return evals[order], np.concatenate((weights, np.zeros(deflated.size)))[order]
 
 
+def _secular_values(head, poles, zsq, act, po, t, near, buffers, far):
+    """g, g' and the rounding bound of |g| at the active roots po + t.
+
+    ``act`` holds the active roots in ascending order, ``near`` a
+    (j0, a, b, rows) row a leaf: its first root, its near poles a..b-1 and
+    the roots of its blocks.  Each leaf's active roots sum their near poles
+    directly, in blocks of (rows x near poles) pairs in ``buffers``.  With
+    ``far`` from :func:`_far_series`, every active root then adds its far
+    field at once from its leaf's series, F_L + F_R to g, D to g' and
+    F_R - F_L (each side has one sign) to the sum of |terms| in the bound.
+    """
+    sums = np.empty((3, act.size))
+    cuts = np.searchsorted(act, [leaf[0] for leaf in near]).tolist() + [act.size]
+    for (_, a, b, rows), first, last in zip(near, cuts, cuts[1:]):
+        for k in range(first, last, rows):
+            n = min(rows, last - k)
+            delta = buffers[0, :n * (b - a)].reshape(n, b - a)
+            terms = buffers[1, :n * (b - a)].reshape(n, b - a)
+            np.subtract(poles[a:b], po[k:k + n, None], out=delta)
+            delta -= t[k:k + n, None]
+            np.divide(zsq[a:b], delta, out=terms)
+            terms.sum(axis=1, out=sums[0, k:k + n])
+            np.divide(terms, delta, out=delta)
+            delta.sum(axis=1, out=sums[1, k:k + n])
+            np.abs(terms, out=terms)
+            terms.sum(axis=1, out=sums[2, k:k + n])
+    g = (po - head) + t + sums[0]
+    dg = 1.0 + sums[1]
+    total = sums[2]
+    if far is not None:
+        coef, ref, mid, half = far
+        counts = np.diff(cuts)
+        left, right, slope = _chebyshev_rows(coef, counts, (
+            ((po - ref.repeat(counts)) + t) - mid.repeat(counts)) / half.repeat(counts))
+        g += left + right
+        dg += slope
+        total += right - left
+    return g, dg, 8.0 * _EPS * (np.abs(po - head) + np.abs(t) + total)
+
+
+def _middle_way(zsq, poles, ends, o, j, t, g, dg, lo, hi):
+    """The next tau of roots j, tracked from poles o, inside their brackets (lo, hi).
+
+    The "middle way" model of LAPACK dlaed4 (R.-C. Li): the origin pole's
+    term kept exact, a pole at the interval's other end fitted to g and g',
+    its zero in the bracket taken in cancellation-free form; a step that
+    leaves the bracket is replaced by bisection.
+    """
+    s = zsq[o]
+    d_o = -t
+    # the other end q of the root's interval: a pole, or beyond the
+    # extreme poles the bound ends[0] or ends[-1] standing in for the line
+    q = np.where(o == j, j - 1, j)
+    d_q = (ends[q + 1] - poles[o]) - t
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c = g - d_q * dg - (d_o - d_q) * (s / d_o / d_o)
+        a = (d_o + d_q) * g - d_o * d_q * dg
+        b = d_o * d_q * g
+        root_disc = np.sqrt(np.abs(a * a - 4.0 * b * c))
+        t_new = t + np.where(a <= 0.0, (a - root_disc) / (2.0 * c),
+                             2.0 * b / (a + root_disc))
+    inside = (t_new > lo) & (t_new < hi)
+    return np.where(inside, t_new, 0.5 * (lo + hi))
+
+
 def _secular_roots(head: float, poles: np.ndarray, zsq: np.ndarray, plan):
-    """The secular roots of the deflated ``poles``, unsorted, with their origins.
+    """The roots of g(lam) = lam - head + sum_i zsq_i/(poles_i - lam), in order.
 
     ``plan`` is the (ends, leaves) of :func:`_secular_plan`, None with no
-    pole left, when the one root is the head, offset 0.  Returns
-    (origins, offsets, weights) in root order, which is ascending: root j
-    is origins[j] + offsets[j], the value of the pole it was tracked from
-    plus its offset tau (:func:`_secular_block`), so a root's distance to
-    any pole d is (origins[j] - d) + offsets[j] at full relative precision
-    however close the root sits to its pole.
+    pole left, when the one root is the head, offset 0.  Root j lies in
+    (ends[j], ends[j + 1]): between poles j-1 and j, and the outer two
+    below poles[0] and above poles[-1] within the bounds ends[0] and
+    ends[-1].  Each root is tracked as tau = lam - poles[o] with its origin
+    o at the nearer pole, which the sign of g at the interval midpoint
+    picks, so the distances poles_i - lam keep full relative precision
+    however close the root is to its pole.
+
+    One iteration runs over every root of every leaf.  Each sweep takes g
+    and g' of the active roots (:func:`_secular_values`: near poles leaf by
+    leaf, the far field of all at once), updates their brackets, retires
+    those whose |g| is below its rounding bound and steps the rest
+    (:func:`_middle_way`), all at once.  The near sums' scratch is the
+    largest block of one leaf, at most ``_BLOCK_ELEMENTS`` pairs.
+
+    Returns (origins, offsets, weights) in root order, which is ascending:
+    root j is origins[j] + offsets[j], its origin pole's value plus tau, so
+    a root's distance to any pole d is (origins[j] - d) + offsets[j] at
+    full relative precision however close the root sits to its pole; its
+    weight 1/g'(lam) = |v_0|^2 is taken at the last evaluation.
     """
     if plan is None:
         return np.array([head]), np.zeros(1), np.ones(1)
     ends, leaves = plan
     m = poles.size
+    j0, j1, a, b = leaves.T
+    rows = np.minimum(j1 - j0, np.maximum(1, _BLOCK_ELEMENTS // (b - a)))
+    near = list(zip(j0.tolist(), a.tolist(), b.tolist(), rows.tolist()))
+    buffers = np.empty((2, int(np.max(rows * (b - a)))))
+    far = _far_series(poles, zsq, ends, leaves)
+    # each root starts in its left pole's frame
+    act = np.arange(m + 1)
+    o = np.maximum(act - 1, 0)
+    lo = ends[:-1] - poles[o]
+    hi = ends[1:] - poles[o]
+    tau = 0.5 * (lo + hi)
     origins, offsets, weights = np.empty((3, m + 1))
-    for j0, j1, a, b in leaves.tolist():
-        far = None if b - a == m else _far_field(poles, zsq, ends, j0, j1, a, b)
-        rows = max(1, _BLOCK_ELEMENTS // (b - a))
-        for start in range(j0, j1, rows):
-            j = np.arange(start, min(start + rows, j1))
-            origins[j], offsets[j], weights[j] = _secular_block(head, poles, zsq, j, ends, far)
-    return origins, offsets, weights
+    for it in range(_SECULAR_MAX_ITER):
+        po, t = poles[o[act]], tau[act]
+        g, dg, bound = _secular_values(head, poles, zsq, act, po, t, near, buffers, far)
+        above = g < 0.0  # g increases: the root lies above t
+        lo[act] = np.where(above, t, lo[act])
+        hi[act] = np.where(above, hi[act], t)
+        # converged, or the bracket is down to a few ulps
+        done = (np.abs(g) <= bound) | (
+            hi[act] - lo[act] <= 4.0 * _EPS * np.maximum(np.abs(lo[act]), np.abs(hi[act])))
+        origins[act[done]] = po[done]
+        offsets[act[done]] = t[done]
+        weights[act[done]] = 1.0 / dg[done]
+        keep = ~done
+        act, g, dg, t = act[keep], g[keep], dg[keep], t[keep]
+        if act.size == 0:
+            return origins, offsets, weights
+        if it == 0:
+            # interior roots above the midpoint move to the right pole's frame
+            flip = above[keep] & (act > 0) & (act < m)
+            shift = hi[act[flip]]
+            t[flip] -= shift
+            lo[act[flip]] -= shift
+            hi[act[flip]] = 0.0
+            o[act[flip]] = act[flip]
+        tau[act] = _middle_way(zsq, poles, ends, o[act], act, t, g, dg, lo[act], hi[act])
+    raise np.linalg.LinAlgError(
+        f"secular equation: {act.size} of {m + 1} roots did not converge "
+        f"in {_SECULAR_MAX_ITER} iterations")
 
 
 def sector_eigensystem(h: np.ndarray):
@@ -601,8 +649,8 @@ def _secular_plan(head: float, poles: np.ndarray, zsq: np.ndarray, points: int):
     ``_FAR_NODES`` sums over its far poles at ``_TABLE_ELEMENTS_PER_PAIR``
     elements per pair; then each root meets each of ``points`` amplitude
     terms once, at ``_SUM_PAIRS_PER_PAIR`` terms per pair.  The bytes are
-    the largest leaf's block of rows x near poles (two arrays, and
-    ``_SECULAR_ROOT_FLOATS`` per row) plus its far tables' block of nodes x
+    ``_SECULAR_ROOT_FLOATS`` per root, the largest leaf's block of rows x
+    near poles (two arrays) and the largest far tables' block of nodes x
     far poles (two arrays, and the far poles' shifts), as if held at once;
     the block is the larger of the two arrays, in elements.
     """
@@ -615,10 +663,11 @@ def _secular_plan(head: float, poles: np.ndarray, zsq: np.ndarray, points: int):
     far = poles.size - width
     work += (int(np.sum((j1 - j0) * width))
              + -(-_FAR_NODES * int(np.sum(far)) // _TABLE_ELEMENTS_PER_PAIR))
-    rows = np.minimum(j1 - j0, np.maximum(1, _BLOCK_ELEMENTS // width))
-    nodes = np.minimum(_FAR_NODES, np.maximum(1, _BLOCK_ELEMENTS // np.maximum(far, 1)))
-    nbytes = 8 * int(np.max(rows * (2 * width + _SECULAR_ROOT_FLOATS) + (2 * nodes + 1) * far))
-    return (ends, leaves), work, nbytes, int(np.max(np.maximum(rows * width, nodes * far)))
+    near = np.minimum(j1 - j0, np.maximum(1, _BLOCK_ELEMENTS // width)) * width
+    tables = np.minimum(_FAR_NODES, np.maximum(1, _BLOCK_ELEMENTS // np.maximum(far, 1))) * far
+    nbytes = 8 * (_SECULAR_ROOT_FLOATS * (poles.size + 1) + 2 * int(np.max(near))
+                  + int(np.max(2 * tables + far)))
+    return (ends, leaves), work, nbytes, int(max(np.max(near), np.max(tables)))
 
 
 def _phase_table(times: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -658,7 +707,7 @@ def _shipped_measure(spec: SpinBathSpec, grid: TimeGrid, columns: int):
     heads = -(-points // block)
     plan, work, solve, largest = _secular_plan(head, poles, zsq, points * columns)
     # times, amplitude columns and per-spin arrays; the secular solve's
-    # largest leaf (near block and far tables); the heads and tails tables,
+    # per-root state, near block and far tables; the heads and tails tables,
     # one tails-sized product and the float phase beside the larger table;
     # numpy's reduction buffer, up to getbufsize() complex elements
     nbytes = (8 * points * (1 + 2 * columns) + 64 * spec.N + _CALL_BYTES + solve
@@ -1005,6 +1054,23 @@ def _bessel_table(x: np.ndarray, degrees: np.ndarray, rows: int) -> np.ndarray:
     return table[:rows]
 
 
+def _closure_rows(spec: SpinBathSpec, support: np.ndarray, field_unitary):
+    """The closure S of the sorted ``support`` under H's stored pattern, and H_SS.
+
+    S grows by the columns of its rows until they add no state; each level
+    builds the rows of its new states alone (:func:`hamiltonian_rows`), so
+    every row of S is built once.  Returns (S, rows, cols, vals): the
+    triplets of all rows of S, level after level, each level sorted by row.
+    """
+    levels, new = [], support
+    while new.size:
+        levels.append(hamiltonian_rows(spec, new, field_unitary))
+        reached = np.union1d(support, levels[-1][1])
+        new = np.setdiff1d(reached, support, assume_unique=True)
+        support = reached
+    return (support, *(np.concatenate(part) for part in zip(*levels)))
+
+
 def brute_force_evolve(
     spec: SpinBathSpec,
     initial: np.ndarray,
@@ -1015,17 +1081,18 @@ def brute_force_evolve(
 
     The propagator runs on the block H_SS, where S is the closure of
     ``initial``'s support under H's stored sparsity pattern.  S starts as
-    that support; each level builds the rows of S
-    (:func:`hamiltonian_rows`) and takes their columns in, and the last
-    level, which adds no state, gives H_SS's triplets, renumbered by
-    position in S.  Only rows of S are built: a sector start takes two
-    levels, of 1 and N+1 rows.  No stored entry of H connects S to the
-    rest, so the whole-register recurrence would keep every vector
-    exactly 0 outside S in floating point: the block drops only
-    multiplications of zeros.  A stored zero makes S larger, never
-    smaller, and nothing about the model is assumed: a sector start gives
-    its N+1 states (N+2 with the aligned state), a tilted field or a
-    generic vector the whole register, by the same code.
+    that support; each level builds the rows of the states the last one
+    took in (:func:`hamiltonian_rows`) and takes their columns in, until a
+    level adds no state (:func:`_closure_rows`).  The levels' triplets,
+    sorted by row, are H_SS's, renumbered by position in S.  Only rows of S
+    are built, each once: a sector start takes two levels, of 1 and N
+    rows.  No stored entry of H connects S to the rest, so the
+    whole-register recurrence would keep every vector exactly 0 outside S
+    in floating point: the block drops only multiplications of zeros.  A
+    stored zero makes S larger, never smaller, and nothing about the model
+    is assumed: a sector start gives its N+1 states (N+2 with the aligned
+    state), a tilted field or a generic vector the whole register, by the
+    same code.
 
     One Chebyshev expansion (Tal-Ezer & Kosloff 1984) serves the whole
     grid.  With [lo, hi] the Gershgorin bounds of the block's rows, c their
@@ -1051,17 +1118,14 @@ def brute_force_evolve(
     norm drift beyond BRUTE_FORCE_NORM_ABORT aborts.
     """
     initial = _unit_state(initial, spec.dim_full, "register")
-    # S grows by the columns of its rows until they add no state
-    support = np.flatnonzero(initial)
-    while True:
-        rows, cols, vals = hamiltonian_rows(spec, support, field_unitary)
-        reached = np.union1d(support, cols)
-        if reached.size == support.size:
-            break
-        support = reached
+    support, rows, cols, vals = _closure_rows(spec, np.flatnonzero(initial), field_unitary)
     dim, size = spec.dim_full, support.size
-    # the block's entries, renumbered by position in S
-    rows, cols = np.searchsorted(support, rows), np.searchsorted(support, cols)
+    # the block's entries sorted by row, each row's in its built order, and
+    # renumbered by position in S
+    order = np.argsort(rows, kind="stable")
+    rows = np.searchsorted(support, rows[order])
+    cols = np.searchsorted(support, cols[order])
+    vals = vals[order]
     initial = initial[support]
     # every row holds its diagonal, so no row's run of entries is empty
     starts = np.flatnonzero(np.diff(rows, prepend=-1))

@@ -435,34 +435,38 @@ class TestTwoLevelSolve:
     @pytest.mark.parametrize("kind", ["uniform", "clustered", "log-normal", "two-bands",
                                       "deflation", "offset"])
     @pytest.mark.parametrize("n", [2000, 5000])
-    def test_against_the_direct_block(self, monkeypatch, n, kind):
+    def test_against_the_direct_block(self, n, kind):
         head, arm, diag = two_level_bath(kind, n)
-        direct, calls = central_spin._secular_block, []
-
-        def spy(*args):
-            origins, offsets, weights = direct(*args)
-            calls.append((args[3], args[5] is not None, origins + offsets, weights))
-            return origins, offsets, weights
-
-        monkeypatch.setattr(central_spin, "_secular_block", spy)
-        arrowhead_eigensystem(head, arm, diag)
-        j = np.concatenate([call[0] for call in calls])
-        order = np.argsort(j)
-        assert np.array_equal(j[order], np.arange(j.size))
-        assert sum(call[1] for call in calls) > len(calls) // 2
-        fast_roots = np.concatenate([call[2] for call in calls])[order]
-        fast_weights = np.concatenate([call[3] for call in calls])[order]
-        # every 13th root and each block's end roots, where the far poles
-        # come nearest, against every pole summed directly
-        edges = np.concatenate([call[0][[0, -1]] for call in calls])
-        pick = np.unique(np.concatenate((np.arange(0, j.size, 13), edges)))
         poles, zsq, _ = central_spin._deflate(head, arm, diag)
-        ends, _ = central_spin._secular_leaves(head, poles, zsq)
-        origins, offsets, weights = direct(head, poles, zsq, pick, ends)
-        roots = origins + offsets
+        ends, leaves = central_spin._secular_plan(head, poles, zsq, 0)[0]
+        m = poles.size
+        assert np.count_nonzero(leaves[:, 3] - leaves[:, 2] < m) > leaves.shape[0] // 2
+        fast = central_spin._secular_roots(head, poles, zsq, (ends, leaves))
+        # the same loop on one leaf, where every pole is near: the direct solve
+        direct = central_spin._secular_roots(head, poles, zsq,
+                                             (ends, np.array([[0, m + 1, 0, m]])))
+        # every 13th root and each leaf's end roots, where the far poles
+        # come nearest, against every pole summed directly
+        pick = np.unique(np.concatenate((np.arange(0, m + 1, 13), leaves[:, 0],
+                                         leaves[:, 1] - 1)))
+        roots = direct[0][pick] + direct[1][pick]
         scale = np.maximum(1.0, np.abs(roots))
-        assert np.max(np.abs(fast_roots[pick] - roots) / scale) < 1e-14
-        assert np.max(np.abs(fast_weights[pick] - weights)) < 1e-14
+        assert np.max(np.abs((fast[0] + fast[1])[pick] - roots) / scale) < 1e-14
+        assert np.max(np.abs(fast[2][pick] - direct[2][pick])) < 1e-14
+
+    @pytest.mark.parametrize("kind", ["uniform", "clustered", "deflation", "offset"])
+    def test_only_the_outer_roots_sum_every_pole(self, kind):
+        # on a band within the Weyl bound, the brackets of roots 0 and m
+        # reach past every pole; each takes a leaf of its own, and every
+        # other leaf has far poles
+        head, arm, diag = two_level_bath(kind, 2000)
+        poles, zsq, _ = central_spin._deflate(head, arm, diag)
+        leaves = central_spin._secular_leaves(head, poles, zsq)[1]
+        m = poles.size
+        every = np.flatnonzero(leaves[:, 3] - leaves[:, 2] == m)
+        assert leaves.shape[0] > 2
+        assert every.tolist() == [0, leaves.shape[0] - 1]
+        assert leaves[every, :2].tolist() == [[0, 1], [m, m + 1]]
 
     def test_far_field_against_mpmath(self, monkeypatch):
         # leaves of 4 roots on a 20-pole bath, so most leaves have far poles
@@ -483,8 +487,9 @@ class TestTwoLevelSolve:
         assert not has_far_poles(head, arm, diag)
         poles, zsq, deflated = central_spin._deflate(head, arm, diag)
         ends, _ = central_spin._secular_leaves(head, poles, zsq)
-        origins, offsets, weights = central_spin._secular_block(
-            head, poles, zsq, np.arange(poles.size + 1), ends)
+        m = poles.size
+        origins, offsets, weights = central_spin._secular_roots(
+            head, poles, zsq, (ends, np.array([[0, m + 1, 0, m]])))
         evals = np.concatenate((origins + offsets, deflated))
         order = np.argsort(evals, kind="stable")
         mu, w = arrowhead_eigensystem(head, arm, diag)
@@ -552,15 +557,15 @@ class TestSurvivalAmplitude:
             tracemalloc.stop()
         # the (N+1)^2 eigenvector matrix alone would be 3.2 GB; the phase
         # tables take ~1 KB per spin at 401 points, the two-level solve
-        # (far tables in blocks of nodes) ~150 B
+        # (every root's state, far tables in blocks of nodes) ~330 B
         assert peak < 1500 * n
 
     @pytest.mark.parametrize("bufsize", [8192, 16384])
     @pytest.mark.parametrize("n, steps", [(100, 20000), (100, 400), (300, 4), (2000, 4)])
     def test_byte_estimate_bounds_the_peak(self, monkeypatch, n, steps, bufsize):
         # fig2 N = 100 at 20 001 points is led by the phase tables, the
-        # 300- and 2000-spin baths at 5 points by the secular solve, a
-        # leaf's near block and far tables (3 and 16 leaves); numpy's
+        # 300- and 2000-spin baths at 5 points by the secular solve, its
+        # per-root state, near block and far tables (5 and 18 leaves); numpy's
         # reduction buffer grows with its size setting (8192 by default)
         spec = fig2_spec(n) if n == 100 else random_spec(np.random.default_rng(n), n)
         assert has_far_poles(*aligned_arrowhead(spec)) == (n > 100)

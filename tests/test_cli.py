@@ -871,14 +871,14 @@ class TestMain:
 
     def test_oversized_central_exact_refused_fast_with_estimate(
             self, monkeypatch, tmp_path, capsys):
-        # 3.5 10^5 distinct splittings: ~1.1 10^9 secular pairs in the
+        # 4.2 10^5 distinct splittings: ~1.09 10^9 secular pairs in the
         # two-level solve alone.  The shared solve is made to raise, so a
         # missing or late refusal fails here instead of running.
         def never(*args):
             raise AssertionError("the oversize secular problem was started")
 
         monkeypatch.setattr(central_spin, "_secular_roots", never)
-        n = 350_000
+        n = 420_000
         g, splittings = np.full(n, 0.001), np.linspace(0.5, 1.5, n)
         omega = ", ".join(map(repr, splittings.tolist()))
         cfg = tmp_path / "cfg.txt"
