@@ -172,7 +172,10 @@ _ELEMENTS_PER_PAIR = 256
 #: Amplitude-sum (time, root) pairs per secular pair of work (~3 ns against
 #: 30-50 ns).
 _SUM_PAIRS_PER_PAIR = 12
-#: Far-table terms per secular pair of work (~1.6 ns against 30-50 ns).
+#: Far-table terms per secular pair of work.  A term costs ~3.8 ns (measured
+#: at 3.5e5 poles), over the ~1.6 ns this ratio assumes; the near sums cost
+#: less there (~16 ns a pair), so the whole estimate still bounds the solve
+#: (~35 ns a unit against 30-50 ns).
 _TABLE_ELEMENTS_PER_PAIR = 24
 #: Floats the secular iteration holds per root, for every root at once,
 #: beside its two (rows x near poles) block arrays (33.7-34.2 measured by

@@ -39,8 +39,8 @@ fig2                bath.N* (50 or 100), grid.*; the bath itself is baked in
 takes output.path.  A step too fine for the endpoints to resolve (times not
 strictly increasing) is refused with the grid's lines.  The dephase-* and
 central-sme models start at the preparation time, so they require
-grid.t0 >= 0.  A missing required key, or a key of another scenario, is
-reported like any other problem.
+grid.t0 >= 0.  A missing required key, or a key of another scenario or of
+the other spectral family, is reported like any other problem.
 
 A run whose largest phase passes 2**53 is refused, since no digit of the
 phase modulo 2 pi is left there: Omega max(|grid.t0|, |grid.t1|) > 2**53,
@@ -77,11 +77,12 @@ oracle-compare prints its verdict (the maximum amplitude deviation, the
 threshold, PASS or FAIL) to stderr, so stdout carries only the CSV, which
 is written on FAIL too.
 
-Exit codes: 0 success, 2 configuration error (including a phase past 2**53
-and a run over the work or byte cap), 3 numerical-quality abort (a trace or
-sum-rule drift, a secular root that does not converge, a quadrature error
-estimate over its target, or an oracle-compare FAIL) or an output.path that
-cannot be written.
+Exit codes: 0 success, 2 configuration error (including a phase past 2**53,
+a run over the work or byte cap, and an Ohmic run at finite temperature
+whose 1/(beta omega_c) or pi t/beta overflows), 3 numerical-quality abort
+(a trace or sum-rule drift, a secular root that does not converge, a
+quadrature error estimate over its target, or an oracle-compare FAIL) or an
+output.path that cannot be written.
 """
 
 from __future__ import annotations
@@ -311,6 +312,10 @@ def parse_config(text: str) -> ScenarioConfig:
     elif scenario == "dephase-correlated":
         family, J = get("spectral.family"), None
         eta, omega_c, table = get("spectral.eta"), get("spectral.omega_c"), get("spectral.table")
+        other_family = {"ohmic": ("spectral.table",),
+                        "tabulated": ("spectral.eta", "spectral.omega_c")}.get(family, ())
+        errors.extend(f"line {entries[key][1]}: key {key!r} does not apply to spectral.family "
+                      f"{family!r}" for key in other_family if key in entries)
         if family == "ohmic" and (eta is None or omega_c is None):
             errors.append("config: ohmic spectral density requires "
                           "spectral.eta and spectral.omega_c")
@@ -367,6 +372,8 @@ def parse_config(text: str) -> ScenarioConfig:
     grid = build(grid_keys, lambda: TimeGrid(*map(get, grid_keys, defaults)))
     if scenario in _FROM_PREPARATION and not get("grid.t0", 0.0) >= 0.0:
         errors.append(f"line {entries['grid.t0'][1]}: grid.t0 must be >= 0 for {scenario}")
+    if scenario == "dephase-correlated" and grid and params:
+        build(("spectral.omega_c", "thermo.beta", "grid.t1"), lambda: params.check_times(grid.t1))
 
     # omega bounds the frequencies whose phase omega t the scenario's model forms
     omega = max((m.phase_frequency for m in (params, spec) if m is not None), default=0.0)

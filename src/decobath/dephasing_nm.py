@@ -25,11 +25,10 @@ without adaptive quadrature:
   temperature, gamma_thermal = (eta/2) ln(1 + omega_c^2 t^2).  Expanding
   coth(beta w/2) = 1 + 2 sum_k exp(-k beta w) (Leggett et al., RMP 59, 1,
   1987) adds 2 eta [ln Gamma(1+x) - Re ln Gamma(1+x+it/beta)] at finite
-  temperature, x = 1/(beta omega_c); for t/beta <= (1+x)/8 that difference
-  is summed as its Hurwitz-zeta series instead, which has no cancellation.
-  ln Gamma(1+x) comes from ``math.lgamma``, the difference from Stirling's
-  series after a shift by recurrence, and zeta(2m, 1+x) from an
-  Euler-Maclaurin sum.
+  temperature, x = 1/(beta omega_c).  That difference is one form for every
+  t/beta: a shift by recurrence, then Stirling's series differenced term by
+  term as sums of terms >= 0, so it keeps full precision as t/beta -> 0.  A
+  run whose 1/(beta omega_c) or pi t/beta overflows the doubles is refused.
 * Tabulated (piecewise-linear) J = c0 + c1 w on each knot segment: Phi and
   the zero-temperature part of gamma_thermal are exact in Si, Ci and
   Cin(x) = int_0^x (1 - cos u)/u du, with the antiderivatives evaluated at
@@ -156,29 +155,14 @@ _AUX_RATIONAL = np.array([
     [65.89649441040477, 65.64649441040524, 66.0214944104048],
     [1.0, 1.0, 1.0],
 ])
-#: The Ohmic thermal excess uses its zeta series for t/beta <= (1 + x)/8,
-#: where 10 terms reach 64**-10.
-_ZETA_SERIES_RADIUS = 0.125
-_ZETA_SERIES_TERMS = 10
-#: B_2, B_4, ..., B_16 as (numerator, denominator): the Bernoulli numbers of
-#: Stirling's series and of the Euler-Maclaurin sum.  The coefficients below
-#: divide exact integers once, so each is the double nearest its true value.
-_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510))
-#: zeta(2m, z) sums this many terms, then Euler-Maclaurin's tail with the
-#: eight Bernoulli terms: at z + 10 >= 11 the next is below 1e-18 of zeta(2, z).
-_EM_TERMS = 10
-_EM_S = 2.0 * np.arange(1, _ZETA_SERIES_TERMS + 1)
-#: Row j - 1: B_2j/(2j)! s (s+1) ... (s+2j-2) for s = 2m.
-_EM_TABLE = np.array([[num * math.prod(range(s, s + 2 * j - 1)) / (den * math.factorial(2 * j))
-                       for s in range(2, 2 * _ZETA_SERIES_TERMS + 1, 2)]
-                      for j, (num, den) in enumerate(_BERNOULLI, 1)])
 #: Stirling's series for ln Gamma(w) is summed at Re w >= 10, where its eight
-#: terms B_2k/(2k (2k-1) w^(2k-1)) (Horner order) leave a remainder below 4e-18.
+#: terms c_j w^(1-2j), c_j = B_2j/(2j (2j-1)), leave a remainder below 4e-18.
+#: Each c_j divides exact integers once, so it is the double nearest its value.
 _STIRLING_MIN = 10.0
-_STIRLING = tuple(num / (den * 2 * k * (2 * k - 1))
-                  for k, (num, den) in reversed(list(enumerate(_BERNOULLI, 1))))
-#: Up to this y, the shift of :func:`_lngamma_drop` stays below (1 + y^2)^9.
-_SHIFT_Y_MAX = 1e15
+_STIRLING_M = np.arange(1.0, 16.0, 2.0)  # the powers 2j - 1
+_STIRLING = np.array([num / (den * m * (m + 1)) for m, (num, den) in zip(
+    _STIRLING_M, ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+                  (-3617, 510)))])
 
 
 class SpectralDensity:
@@ -311,6 +295,15 @@ class CorrelatedBathParams:
                 "zero temperature with omega0 = 0 leaves the preparation undefined"
             )
 
+    def check_times(self, t_max: float) -> None:
+        """Refuse (ValueError) a run to ``t_max`` that the model functions would refuse.
+
+        That is an Ohmic J at finite temperature whose thermal excess
+        overflows; nothing else depends on the times.
+        """
+        if self.J is not None and self.J.family == "ohmic" and not math.isinf(self.beta):
+            _ohmic_thermal_z(self.J, self.beta, t_max)
+
     @property
     def phase_frequency(self) -> float:
         """|omega0| or J's, the larger; 0 without J (a table that failed to load)."""
@@ -406,84 +399,62 @@ def gamma_thermal(t: float, J: SpectralDensity, beta: float) -> float:
     return _spectral_quad(J, f, coth_cap=cap)
 
 
-def _hurwitz_zeta_even(z: float) -> np.ndarray:
-    """zeta(2m, z) for m = 1 .. _ZETA_SERIES_TERMS at scalar z >= 1.
-
-    Euler-Maclaurin: the first _EM_TERMS terms summed, then at a = z +
-    _EM_TERMS the integral a^(1-s)/(s-1), half the next term and the
-    Bernoulli corrections of _EM_TABLE times a^(-s-2j+1), smallest first.
-    """
-    a = z + _EM_TERMS
-    j = np.arange(len(_EM_TABLE), 0, -1.0)
-    corrections = (a ** (1.0 - 2.0 * j))[:, None] * _EM_TABLE[::-1]
-    total = (corrections.sum(axis=0) + 0.5 + a / (_EM_S - 1.0)) * a ** -_EM_S
-    head = (z + np.arange(_EM_TERMS - 1, -1, -1.0))[:, None] ** -_EM_S
-    for term in head:  # smallest first
-        total += term
-    return total
-
-
-def _stirling_tail(w):
-    """Sum of B_2k / (2k (2k-1) w^(2k-1)) over Stirling's eight terms."""
-    v = 1.0 / w
-    v2 = v * v
-    acc = _STIRLING[0]
-    for c in _STIRLING[1:]:
-        acc = acc * v2 + c
-    return acc * v
+def _log1p_square(s):
+    """ln(1 + s^2) for s >= 0, as 2 ln s from s = 1e100 on, where s^2 could overflow."""
+    return np.where(s < 1e100, np.log1p(np.minimum(s, 1e100) ** 2),
+                    2.0 * np.log(np.maximum(s, 1e100)))
 
 
 def _lngamma_drop(z: float, y: np.ndarray) -> np.ndarray:
-    """ln Gamma(z) - Re ln Gamma(z + iy) for scalar z >= 1 and y >= 0.
+    """ln Gamma(z) - Re ln Gamma(z + iy) for scalar z >= 1 and y >= 0, in one form.
 
-    Both are shifted up by n = max(1, ceil(_STIRLING_MIN - z)) with Gamma(w +
-    n) = Gamma(w) prod_k (w + k): the shift is one log1p of prod_k (1 + y^2/(z
-    + k)^2) - 1, built without cancellation, and the two Stirling series at
-    a = z + n are differenced term by term.  Above y = _SHIFT_Y_MAX, where
-    that product could overflow, it is math.lgamma(z) minus the Stirling
-    series at z + iy, whose -pi y/2 leaves nothing to cancel.
+    Gamma(w + n) = Gamma(w) prod_k (w + k) shifts both arguments up by n >= 1
+    to a = z + n >= _STIRLING_MIN, which leaves (1/2) sum_{k<n} L(y/(z + k)),
+    L(s) = ln(1 + s^2).  Stirling's series at a and a + iy then differ by
+    -(a - 1/2) L(r)/2 + y arctan r + sum_j c_j a^-m D_j with r = y/a, m = 2j - 1
+    and D_j = 1 - Re (1 + ir)^-m = -expm1(-m L(r)/2) + 2 exp(-m L(r)/2)
+    sin^2(m arctan(r)/2): two terms >= 0, so no step cancels as y -> 0.
     """
-    drop = np.empty(y.shape)
-    near = y <= _SHIFT_Y_MAX
-    yn = y[near]
     n = max(1, math.ceil(_STIRLING_MIN - z))
-    # prod_k (1 + q_k) - 1 = sum_k q_k prod_{j<k} (1 + q_j), all terms positive
-    q = np.square(yn / (z + np.arange(n))[:, None])
-    shift = q[0] + (q[1:] * np.cumprod(1.0 + q[:-1], axis=0)).sum(axis=0)
     a = z + n
-    r = yn / a
-    drop[near] = (0.5 * np.log1p(shift) - 0.5 * (a - 0.5) * np.log1p(r * r) + yn * np.arctan(r)
-                  + (_stirling_tail(a) - _stirling_tail(a + 1j * yn).real))
-    if not near.all():
-        yf = y[~near]
-        w = z + 1j * yf
-        drop[~near] = (math.lgamma(z) - (z - 0.5) * np.log(np.abs(w)) + yf * np.arctan2(yf, z)
-                       + z - 0.5 * math.log(2.0 * math.pi) - _stirling_tail(w).real)
-    return drop
+    r = y / a
+    ln_mod, arg = 0.5 * _log1p_square(r), np.arctan(r)  # of 1 + ir
+    m_ln_mod, m_arg = _STIRLING_M[:, None] * ln_mod, _STIRLING_M[:, None] * arg
+    d = 2.0 * np.exp(-m_ln_mod) * np.sin(0.5 * m_arg) ** 2 - np.expm1(-m_ln_mod)
+    # a cumulative sum adds the rows in order at any T; sum pairs 8 or more at T = 1
+    tail = np.cumsum((_STIRLING * a ** -_STIRLING_M)[:, None] * d, axis=0)[-1]
+    shift = np.cumsum(_log1p_square(y / (z + np.arange(n))[:, None]), axis=0)[-1]
+    return 0.5 * shift - (a - 0.5) * ln_mod + y * arg + tail
+
+
+def _ohmic_thermal_z(J: SpectralDensity, beta: float, t_max: float) -> float:
+    """z = 1 + 1/(beta omega_c) of the Ohmic thermal excess at finite beta.
+
+    The excess grows as pi t/beta, so a ValueError refuses a run whose
+    1/(beta omega_c) or pi t_max/beta is not finite.
+    """
+    scale = beta * J.omega_c
+    if not (scale > 0.0 and 1.0 / scale < math.inf and math.pi * (t_max / beta) < math.inf):
+        raise ValueError(f"the Ohmic thermal excess overflows at beta = {beta!r}, "
+                         f"omega_c = {J.omega_c!r} and t up to {t_max!r}: "
+                         "1/(beta omega_c) and pi t/beta must be finite")
+    return 1.0 + 1.0 / scale
 
 
 def _ohmic_factors(t: np.ndarray, J: SpectralDensity, beta: float):
     """Phi and gamma_thermal of the Ohmic family at times t >= 0, in closed form."""
     eta, u = J.eta, J.omega_c * t
-    phi_t = eta * np.arctan(u)
-    # log1p(u^2)/2 equals ln u to double precision long before u^2 overflows
-    g1 = eta * np.where(u < 1e100, 0.5 * np.log1p(np.minimum(u, 1e100) ** 2),
-                        np.log(np.maximum(u, 1e100)))
+    phi_t, g1 = eta * np.arctan(u), eta * (0.5 * _log1p_square(u))
     if math.isinf(beta):
         return phi_t, g1
     # coth = 1 + 2 sum_k exp(-k beta w) turns the excess into
     # eta sum_{k>=1} ln(1 + y^2/(x+k)^2) = 2 eta [lnG(z) - Re lnG(z + iy)],
-    # y = t/beta, z = 1 + x; its Taylor series in y^2 has the coefficients
-    # (-1)^(m+1) zeta(2m, z)/m and converges for y < z.
-    z, y = 1.0 + 1.0 / (beta * J.omega_c), t / beta
-    m = np.arange(1, _ZETA_SERIES_TERMS + 1)
-    coeffs = (-1.0) ** (m + 1) * _hurwitz_zeta_even(z) / m
-    small = y <= _ZETA_SERIES_RADIUS * z
-    excess = np.empty(y.shape)
-    y_small = y[small]
-    excess[small] = y_small ** 2 * np.polynomial.polynomial.polyval(y_small ** 2, coeffs)
-    excess[~small] = 2.0 * _lngamma_drop(z, y[~small])
-    return phi_t, g1 + eta * excess
+    # y = t/beta, z = 1 + x
+    z, y = _ohmic_thermal_z(J, beta, float(t.max(initial=0.0))), t / beta
+    # blocks of ~_BLOCK_ELEMENTS (terms, points) elements bound the bytes held
+    step = _BLOCK_ELEMENTS // _STIRLING_M.size
+    drop = np.concatenate([_lngamma_drop(z, b) for b in np.split(y, range(step, y.size, step))])
+    return phi_t, g1 + eta * (2.0 * drop)
 
 
 def _horner(coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -288,7 +289,6 @@ def dense_measure(head, arm, diag):
 
 def mpmath_measure(head, arm, diag, dps=40):
     """Eigenvalues and |v_j0|^2 at ``dps`` digits, rounded to floats."""
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(dps):
         n = len(diag)
         a = mpmath.zeros(n + 1, n + 1)
@@ -650,7 +650,6 @@ class TestSurvivalAmplitude:
         assert np.max(np.abs(amp - direct)) <= scale
 
     def test_late_times_against_mpmath(self):
-        mpmath = pytest.importorskip("mpmath")
         spec = fig2_spec(100)
         grid = TimeGrid(-3.0, 1e3, 20000)
         amp = survival_amplitude(spec, grid)
@@ -1024,7 +1023,6 @@ class TestBesselWeights:
                                       (106, 850.0), (1000, 1e3), (124, 3e3), (3100, 3e3)])
     def test_against_mpmath_to_1e4(self, k, x):
         # scipy's jv itself is off by up to 9e-14 here (at k = 593, x = 9750)
-        mpmath = pytest.importorskip("mpmath")
         weights = self.table([0.0, x])
         with mpmath.workdps(25):
             reference = float(mpmath.besselj(k, mpmath.mpf(x), maxprec=60000))

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,25 @@ class TestParseConfig:
         cfg.write_text(text)
         assert main(["run", str(cfg)]) == 2
         assert f"line {line}: {key} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family,foreign", [
+        ("ohmic", "spectral.table = /nonexistent.csv"),
+        ("tabulated", "spectral.eta = 1"), ("tabulated", "spectral.omega_c = 5")])
+    def test_key_of_the_other_spectral_family_is_refused(self, family, foreign, tmp_path,
+                                                          capsys):
+        own = ("spectral.eta = 1\nspectral.omega_c = 5\n" if family == "ohmic"
+               else f"spectral.table = {_table(tmp_path)}\n")
+        text = ("scenario = dephase-correlated\nthermo.beta = 2\nbath.omega0 = 1\n"
+                f"spectral.family = {family}\n{own}{foreign}\n")
+        line, key = text.count("\n"), foreign.split(" =")[0]
+        message = f"line {line}: key {key!r} does not apply to spectral.family {family!r}"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.messages == [message]
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_beta_inf_is_zero_temperature(self):
         cfg = parse_config(
@@ -418,6 +438,18 @@ _REFUSALS = {
     "exact-steps-1e7": (_EXACT + "bath.omega0 = 1\ngrid.steps = 10000000\n", "grid.steps"),
     "fig2-steps-1e7": ("scenario = fig2\nbath.N = 50\ngrid.steps = 10000000\n",
                        "grid.steps"),
+    # the Ohmic thermal excess overflows: 1/(beta omega_c) (a product beta
+    # omega_c of 0 too) or pi t/beta past the doubles
+    "correlated-beta-1e-310": (_OHMIC + "thermo.beta = 1e-310\nbath.omega0 = 1\n",
+                               "spectral.omega_c", "thermo.beta"),
+    "correlated-omega_c-1e-300": (_OHMIC.replace("= 5", "= 1e-300")
+                                  + "thermo.beta = 1e-10\nbath.omega0 = 1\n",
+                                  "spectral.omega_c", "thermo.beta"),
+    "correlated-beta-omega_c-1e-200": (_OHMIC.replace("= 5", "= 1e-200")
+                                       + "thermo.beta = 1e-200\nbath.omega0 = 1\n",
+                                       "spectral.omega_c", "thermo.beta"),
+    "correlated-t1-1e300": (_OHMIC + "thermo.beta = 1e-10\nbath.omega0 = 0\ngrid.t1 = 1e300\n",
+                            "spectral.omega_c", "thermo.beta", "grid.t1"),
 }
 
 
@@ -428,9 +460,12 @@ def test_refusal_names_the_line_of_its_key(case, tmp_path, capsys):
     cfg, out = tmp_path / "cfg.txt", tmp_path / "out.csv"
     cfg.write_text(text + f"output.path = {out}\n")
     started = time.perf_counter()
-    assert main(["run", str(cfg)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(cfg)]) == 2
     assert time.perf_counter() - started < 0.5
     err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
     for key in keys:
         line = next(n for n, ln in enumerate(text.splitlines(), 1) if ln.startswith(f"{key} ="))
         assert any(re.match(rf"error: (line \d+: [\w.]+, )*line {line}: {re.escape(key)}\b", m)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -60,11 +61,10 @@ class TestSpectralDensity:
             SpectralDensity.ohmic(1.0, 0.0)
 
     def test_tail_bound_constant_is_e1_of_the_span(self):
-        mpmath = pytest.importorskip("mpmath")
         from decobath import dephasing_nm
 
-        with mpmath.workdps(40):
-            e1 = float(mpmath.e1(dephasing_nm._OHMIC_SPAN))
+        with mp.workdps(40):
+            e1 = float(mp.e1(dephasing_nm._OHMIC_SPAN))
         assert dephasing_nm._E1_OHMIC_SPAN == e1
         J = SpectralDensity.ohmic(0.8, 3.0)
         assert J._tail_bound(2.5) == 2.0 * 0.8 * 2.5 * e1
@@ -118,7 +118,6 @@ class TestGammaThermal:
             assert gamma_thermal(t, J, math.inf) == pytest.approx(exact, rel=1e-9)
 
     def test_finite_temperature_against_mpmath(self):
-        mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
         eta, omega_c, beta, t = 0.5, 1.7, 0.7, 2.3
         J = SpectralDensity.ohmic(eta, omega_c)
@@ -293,7 +292,6 @@ class TestReducedStates:
     def test_correlated_against_independent_mpmath_composition(self):
         # high-precision quadrature of the defining integrals, assembled
         # independently of the package code paths
-        mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
         eta, omega_c, beta, omega0, t = 1.0, 5.0, 2.0, 1.0, 1.0
         s = 1.0 / math.sqrt(2.0)
@@ -468,12 +466,14 @@ class TestClosedFormFactors:
 
     @pytest.mark.parametrize("eta,omega_c,beta,t", [
         (1.0, 1.0, 1e-3, 1e-3), (1.0, 5.0, 2.0, 1e-6), (0.6, 2.0, 0.5, 0.3),
-        (0.6, 2.0, 0.5, 40.0),
+        (0.6, 2.0, 0.5, 40.0), (1.0, 5.0, 1e-300, 0.05),
     ])
     def test_ohmic_small_time_against_mpmath(self, eta, omega_c, beta, t):
         # the plain ln Gamma difference loses 1.6e-9 and 2.7e-4 relative at
-        # the first two points; the zeta series keeps full precision there
-        mp = pytest.importorskip("mpmath")
+        # the first two points; the shifted form, whose Stirling differences
+        # are sums of terms >= 0, keeps full precision there.  At beta =
+        # 1e-300, t/beta = 5e298 and 1/(beta omega_c) = 2e299, whose squares
+        # are past the doubles; gamma_thermal ~ 1e298 is still finite
         mp.mp.dps = 40
         x, y = 1 / (mp.mpf(beta) * omega_c), mp.mpf(t) / beta
         u = mp.mpf(omega_c) * t
@@ -483,10 +483,22 @@ class TestClosedFormFactors:
         f = decoherence_factors(t, CorrelatedBathParams(J, beta, 1.0), state_with(0.0))
         assert float(f.gamma_thermal) == pytest.approx(float(reference), rel=1e-14)
 
+    @pytest.mark.parametrize("omega_c,beta,t", [(5.0, 1e-310, 1.0), (1e-200, 1e-200, 1.0),
+                                                (5.0, 1e-10, 1e300)])
+    def test_ohmic_thermal_overflow_is_refused(self, omega_c, beta, t):
+        # 1/(beta omega_c) or pi t/beta past the doubles: the same ValueError
+        # from the params' own check and from the model function
+        p = CorrelatedBathParams(SpectralDensity.ohmic(1.0, omega_c), beta, 1.0)
+        with pytest.raises(ValueError, match="the Ohmic thermal excess overflows"):
+            p.check_times(t)
+        with pytest.raises(ValueError, match="the Ohmic thermal excess overflows"):
+            decoherence_factors(np.array([0.0, t]), p, state_with(0.0))
+        if t > 1.0:  # only pi t/beta overflows: a shorter run is fine
+            p.check_times(1.0)
+
     @pytest.mark.parametrize("t", [1e-6, 1e-3, 2.0])
     def test_tabulated_small_time_against_mpmath(self, t):
         # Cin in place of ln(w) - Ci: the difference form loses 1.2e-2 at t = 1e-6
-        mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
         omega, values = [0.3, 0.8, 2.0, 3.0], [0.0, 0.5, 0.2, 0.0]
         phi_mp = gamma_mp = mp.mpf(0)
@@ -501,21 +513,32 @@ class TestClosedFormFactors:
         assert float(f.phi) == pytest.approx(float(phi_mp), rel=1e-13)
         assert float(f.gamma_thermal) == pytest.approx(float(gamma_mp), rel=1e-13)
 
+    @staticmethod
+    def assert_blocks_match_single_points(J, step):
+        # 2 step + 7 time points span three blocks of ``step`` points; each
+        # point's value must not depend on which block it fell in
+        p, psi = CorrelatedBathParams(J, 2.0, 1.0), state_with(0.2)
+        ts = np.linspace(0.0, 4.0, 2 * step + 7)
+        f = decoherence_factors(ts, p, psi)
+        for i in (0, 1, step - 1, step, ts.size // 2, ts.size - 1):
+            one = decoherence_factors(ts[i], p, psi)
+            assert (f.phi[i], f.gamma_thermal[i]) == (one.phi, one.gamma_thermal)
+
     def test_tabulated_blocks_match_single_points(self):
-        # many time points span several blocks; each point's value must not
-        # depend on which block it fell in
         from decobath.dephasing_nm import _BLOCK_ELEMENTS
 
         omega = np.linspace(0.05, 10.0, 80)
         values = omega * np.exp(-omega / 3.0)
         values[0] = values[-1] = 0.0
-        p = CorrelatedBathParams(SpectralDensity.tabulated(omega, values), 2.0, 1.0)
-        psi = state_with(0.2)
-        ts = np.linspace(0.0, 4.0, 2 * _BLOCK_ELEMENTS // 80 + 7)
-        f = decoherence_factors(ts, p, psi)
-        for i in (0, 1, ts.size // 2, ts.size - 1):
-            one = decoherence_factors(ts[i], p, psi)
-            assert (f.phi[i], f.gamma_thermal[i]) == (one.phi, one.gamma_thermal)
+        self.assert_blocks_match_single_points(SpectralDensity.tabulated(omega, values),
+                                               _BLOCK_ELEMENTS // 80)
+
+    def test_ohmic_blocks_match_single_points(self):
+        # the thermal excess holds its 8 Stirling terms per point
+        from decobath.dephasing_nm import _BLOCK_ELEMENTS
+
+        self.assert_blocks_match_single_points(SpectralDensity.ohmic(0.7, 5.0),
+                                               _BLOCK_ELEMENTS // 8)
 
     def test_tabulated_thermal_memory_is_blocked(self):
         import tracemalloc
@@ -574,7 +597,7 @@ class TestClosedFormFactors:
 
 
 class TestSpecialFunctions:
-    """The numpy Si/Ci, Hurwitz-zeta and log-Gamma forms against mpmath.
+    """The numpy Si/Ci and log-Gamma forms against mpmath.
 
     Each over the whole argument range its closed form reaches; the bounds
     are a few units in the last place of the value, or of its scale where
@@ -585,7 +608,6 @@ class TestSpecialFunctions:
     CI_ZEROS = (0.6165054856207162, 3.384180422551186, 6.427047744050823)
 
     def test_sici_against_mpmath(self):
-        mp = pytest.importorskip("mpmath")
         from decobath.dephasing_nm import _SICI_SERIES_MAX, _sici
 
         switch = _SICI_SERIES_MAX
@@ -604,30 +626,26 @@ class TestSpecialFunctions:
                 assert abs(c - ref_ci) <= 1e-15 * max(abs(ref_ci), 4.0 / max(xi, 1.0)), xi
                 assert abs(n - ref_cin) <= 1e-15 * ref_cin, xi
 
-    @pytest.mark.parametrize("z", [1.0 + 1e-12, 1.05, 1.1, 1.5, 1.9, 2.0, 3.7, 67.0])
-    def test_hurwitz_zeta_against_mpmath(self, z):
-        mp = pytest.importorskip("mpmath")
-        from decobath.dephasing_nm import _hurwitz_zeta_even
-
-        values = _hurwitz_zeta_even(z)
-        # mpmath's zeta(s, z) subtracts partial sums from zeta(s) at integer
-        # z, which costs it ~40 digits at z = 67
-        with mp.workdps(100):
-            for m, value in enumerate(values, 1):
-                reference = mp.zeta(2 * m, z)
-                assert abs(value - reference) <= 1e-15 * reference, m
-
-    @pytest.mark.parametrize("z", [1.0 + 1e-9, 1.1, 1.5, 2.0, 9.5, 10.0, 67.0])
+    @pytest.mark.parametrize("z", [1.0 + 1e-12, 1.0 + 1e-9, 1.05, 1.1, 1.5, 1.9, 2.0, 3.7,
+                                   9.5, 10.0, 67.0, 1e3])
     def test_lngamma_drop_against_mpmath(self, z):
-        # ln Gamma(z) - Re ln Gamma(z + iy) on the direct branch's y >= z/8,
-        # across the shift's limit; Re ln Gamma itself is lgamma(z) minus it
-        mp = pytest.importorskip("mpmath")
-        from decobath.dephasing_nm import _SHIFT_Y_MAX, _lngamma_drop
+        # ln Gamma(z) - Re ln Gamma(z + iy) from y = 0 up: ~6 points a decade
+        # from y = z/8, 60 log-spaced from 1e-150 to 1e300, and one ulp on
+        # either side of y = z/8, 1e15 and 1e100 (branch points of earlier
+        # forms) and of y = 1e100 z and 1e100 a, where the shift's first
+        # L(s) and L(y/a) turn to 2 ln s; Re ln Gamma itself is lgamma(z)
+        # minus it
+        from decobath.dephasing_nm import _STIRLING_MIN, _lngamma_drop
 
-        y = np.concatenate([np.geomspace(z / 8, 1e20, 120),
-                            [9.99, 10.0, _SHIFT_Y_MAX, np.nextafter(_SHIFT_Y_MAX, 2e15)]])
-        drops = _lngamma_drop(z, y)
-        with mp.workdps(40):
-            for yi, drop in zip(y, drops):
+        a = z + max(1, math.ceil(_STIRLING_MIN - z))
+        switches = (z / 8, 1e15, 1e100, 1e100 * z, 1e100 * a)
+        y = np.concatenate([np.geomspace(z / 8, 1e20, 120), [9.99, 10.0],
+                            np.geomspace(1e-150, 1e300, 60), np.ravel(
+            [(np.nextafter(s, 0.0), s, np.nextafter(s, np.inf)) for s in switches])])
+        drops = _lngamma_drop(z, np.append(0.0, y))
+        assert drops[0] == 0.0
+        for yi, drop in zip(y, drops[1:]):
+            # the reference loses ~2 log10(1/y) digits to cancellation as y -> 0
+            with mp.workdps(40 + 2 * max(0, round(-math.log10(yi)))):
                 reference = mp.loggamma(z) - mp.re(mp.loggamma(mp.mpc(z, yi)))
                 assert abs(drop - reference) <= 1e-15 * reference, yi

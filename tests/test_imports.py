@@ -70,11 +70,11 @@ def _run_configs(configs: dict, poisoned=()) -> dict:
 def correlated(tmp_path_factory):
     """dephase-correlated configs that reach every branch of its closed forms.
 
-    Ohmic at zero temperature, and at beta = 2 with grid points on both
-    sides of the zeta series' radius t/beta = 1.1/8 and, in ``ohmic-far``,
-    past the log-Gamma shift's t/beta = 1e15; tabulated at zero and at finite
-    temperature, on a table from w = 0 whose w t falls on both sides of the
-    Si/Ci series' x = 4.
+    Ohmic at zero temperature, and at beta = 2 from t/beta = 0 to 2 and, in
+    ``ohmic-far``, up to t/beta = 5e15, through the one log-Gamma form that
+    has no branch on t/beta; tabulated at zero and at finite temperature, on
+    a table from w = 0 whose w t falls on both sides of the Si/Ci series'
+    x = 4.
     """
     table = tmp_path_factory.mktemp("imports") / "J.csv"
     table.write_text("0,0\n1.0,0.6\n2.5,0.3\n6.0,0\n")
