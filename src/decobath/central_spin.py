@@ -50,11 +50,10 @@ initial state can reach through H's stored entries: S starts as the
 initial state's support and takes in the columns of its rows until they
 add no state, so only S's rows are ever built.  No entry connects S to
 the rest, so every amplitude outside S is exactly 0 and dropping it is
-exact; S is found, never assumed, so a start that H spreads over the
-whole register (a tilted field, a generic vector) runs on the whole
-register by the same code, and a leak out of the sector would show as a
-larger S.  It too passes its work and bytes to the work rule before any
-large allocation.
+exact; S is found, never assumed, so a generic start that H spreads over
+the whole register runs on the whole register by the same code, and a
+leak out of the sector would show as a larger S.  It too passes its work
+and bytes to the work rule before any large allocation.
 
 The module, the brute force included, needs numpy alone: H's rows are
 row-sorted (row, column, value) triplets, and each Chebyshev step is one
@@ -158,12 +157,10 @@ _POINT_WORK = 4096
 #: norms.  Bytes of the build of the block's rows per stored entry of H_SS
 #: (the build's per-term tables, its triplets and their renumbered copy),
 #: beside 32 per (state, spin) for the spin bits, the sigma_z signs and
-#: their products: 38-62 measured on whole registers from N = 4 to 10,
-#: 44-61 with a complex tilted field from N = 4 to 12; a sector block's few
-#: rows take the call's 6-14 KB of small arrays, within _CALL_BYTES.  The
-#: build is freed before the propagation allocates, and the estimate counts
-#: both, so it bounds the peak tilted too (by 1.27-3.99 at N = 4 to 12, 2
-#: and 101 points).
+#: their products: 38-62 measured on whole registers from N = 4 to 10; a
+#: sector block's few rows take the call's 6-14 KB of small arrays, within
+#: _CALL_BYTES.  The build is freed before the propagation allocates, and
+#: the estimate counts both.
 _POINT_FLOATS = 16
 _ENTRY_BYTES = 64
 #: Brute-force elements per secular (root, pole) pair of work (~0.16 ns
@@ -194,9 +191,12 @@ class SpinBathSpec:
 
     ``g`` and ``omega`` accept scalars (uniform over the bath) or length-N
     arrays; any other length, a bath size below 1 or a non-finite value is
-    refused with ValueError.  The bath starts in the all-|1> state of that
-    frame; a bath polarized along (c, d) enters only through
-    :func:`rotate_to_polarization` of the system amplitudes.
+    refused with ValueError.  The two arrays and their finiteness mask, 17
+    bytes a spin, go through ``trajectory.check_work`` before they are
+    formed, so a huge N is refused before any allocation.  The bath starts
+    in the all-|1> state of that frame; a bath polarized along (c, d)
+    enters only through :func:`rotate_to_polarization` of the system
+    amplitudes.
     """
 
     N: int
@@ -210,6 +210,8 @@ class SpinBathSpec:
         for name, values in (("g", g), ("omega", omega)):
             if values.shape not in ((), (1,), (self.N,)):
                 raise ValueError(f"{name} needs 1 or N = {self.N} values, got {values.size}")
+        check_work(-(-self.N // _ELEMENTS_PER_PAIR), 17 * self.N + _CALL_BYTES, self.N, 0,
+                   "bath spins")
         g = np.broadcast_to(g, (self.N,)).copy()
         omega = np.broadcast_to(omega, (self.N,)).copy()
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(omega))
@@ -307,8 +309,7 @@ def build_sector_hamiltonian(spec: SpinBathSpec) -> np.ndarray:
     solves.
 
     No CLI path builds it.  It stays as the tests' dense reference, under a
-    name the benchmark's tracer wraps until it reads a run report (ROADMAP
-    item 2).
+    name the benchmark's tracer wraps until it reads a run report.
     """
     n = spec.N
     g, omega = spec.g, spec.omega
@@ -629,8 +630,7 @@ def sector_eigensystem(h: np.ndarray):
     """Dense eigendecomposition of the sector Hamiltonian (LAPACK symmetric solver).
 
     No CLI path calls it.  It stays as the tests' dense reference, under a
-    name the benchmark's tracer wraps until it reads a run report (ROADMAP
-    item 2).
+    name the benchmark's tracer wraps until it reads a run report.
     """
     h = np.asarray(h, dtype=float)
     try:
@@ -816,7 +816,7 @@ def evolve_sector(spec: SpinBathSpec, grid: TimeGrid) -> SectorTrajectory:
 
     The name and :class:`SectorTrajectory` stay because the benchmark's
     tracer wraps ``central_spin.evolve_sector`` in place and reads its
-    ``amplitudes``, until it reads a run report (ROADMAP item 2).
+    ``amplitudes``, until it reads a run report.
     """
     times = grid.times
     origins, offsets, w = _shipped_measure(spec, grid, spec.N + 1)
@@ -860,23 +860,20 @@ def _spin_bits(indices: np.ndarray, n_spins: int) -> np.ndarray:
     return (indices[:, None] >> np.arange(n_spins)[None, :]) & 1
 
 
-def hamiltonian_rows(spec: SpinBathSpec, indices, field_unitary: Optional[np.ndarray] = None):
+def hamiltonian_rows(spec: SpinBathSpec, indices):
     """The rows ``indices`` of the 2^(N+1) register Hamiltonian, as triplets.
 
     Spin k occupies bit k of the basis index (bit set = spin in |1>); the
     system is spin 0.  ``indices`` are sorted register indices, and only
     their rows are built, so the cost follows the rows asked for, not the
-    register.  ``field_unitary`` optionally conjugates every single-spin
-    field term sigma_z -> R^dag sigma_z R, tilting the energy axis while the
-    Heisenberg couplings stay rotation invariant.  Restricted to N <= 12.
+    register.  Restricted to N <= 12.
 
     Returns (rows, cols, vals): H[rows[i], cols[i]] = vals[i] (complex) in
     register indices, sorted by row, no pair twice.  Row r holds its
-    diagonal first, then each entry r ^ x for the bit masks x of the terms
-    that connect r: the flip-flop of the system with bath spin k (bits 0
-    and k differ), and with a tilted field the flip of each single spin.  A
-    zero coupling is stored as a zero, so the pattern does not depend on
-    the values.
+    diagonal first, then each entry r ^ x for the bit masks x of the
+    flip-flops that connect r: the system with bath spin k, where bits 0
+    and k differ.  A zero coupling is stored as a zero, so the pattern does
+    not depend on the values.
     """
     n = spec.N
     if n > BRUTE_FORCE_MAX_N:
@@ -885,31 +882,15 @@ def hamiltonian_rows(spec: SpinBathSpec, indices, field_unitary: Optional[np.nda
     bits = _spin_bits(idx, n + 1)
     sz = 1.0 - 2.0 * bits  # +1 for |0>, -1 for |1>
     w_all = np.concatenate(([spec.omega0], spec.omega))
-
-    if field_unitary is None:
-        field = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    else:
-        r = np.asarray(field_unitary, dtype=complex)
-        if r.shape != (2, 2) or np.max(np.abs(r.conj().T @ r - np.eye(2))) > 1e-12:
-            raise ValueError("field_unitary must be a 2x2 unitary")
-        field = r.conj().T @ np.diag([1.0, -1.0]).astype(complex) @ r
-
-    # one column per term: the diagonal, the N flip-flops g_k (s0+ sk- +
-    # s0- sk+), and the N+1 field flips when the axis is tilted
-    f01 = field[0, 1]
-    flips = np.arange(n + 1) if f01 != 0.0 else np.arange(0)
-    masks = np.concatenate(([0], 1 | (1 << np.arange(1, n + 1)), 1 << flips))
-    vals = np.empty((idx.size, masks.size), dtype=complex)
-    # diagonal: field diagonal part + Heisenberg sigma_z sigma_z
-    f_diag = np.array([field[0, 0].real, field[1, 1].real])
-    diag = 0.5 * (w_all[None, :] * f_diag[bits]).sum(axis=1)
-    vals[:, 0] = diag + 0.5 * ((spec.g[None, :] * sz[:, [0]] * sz[:, 1:]).sum(axis=1))
-    vals[:, 1:n + 1] = spec.g
-    # <0|field|1> = f01 takes spin k from |1> to |0>; its conjugate back
-    vals[:, n + 1:] = np.where(bits[:, flips] == 0, 0.5 * w_all[flips] * f01,
-                               0.5 * w_all[flips] * np.conj(f01))
+    # one column per term: the diagonal and the N flip-flops g_k (s0+ sk- + s0- sk+)
+    masks = np.concatenate(([0], 1 | (1 << np.arange(1, n + 1))))
+    vals = np.empty((idx.size, n + 1), dtype=complex)
+    # diagonal: the fields along z and the Heisenberg sigma_z sigma_z
+    vals[:, 0] = (0.5 * (w_all[None, :] * sz).sum(axis=1)
+                  + 0.5 * ((spec.g[None, :] * sz[:, [0]] * sz[:, 1:]).sum(axis=1)))
+    vals[:, 1:] = spec.g
     stored = np.ones(vals.shape, dtype=bool)
-    stored[:, 1:n + 1] = bits[:, :1] != bits[:, 1:]
+    stored[:, 1:] = bits[:, :1] != bits[:, 1:]
     rows = np.repeat(idx, np.count_nonzero(stored, axis=1))
     return rows, (idx[:, None] ^ masks)[stored], vals[stored]
 
@@ -1057,7 +1038,7 @@ def _bessel_table(x: np.ndarray, degrees: np.ndarray, rows: int) -> np.ndarray:
     return table[:rows]
 
 
-def _closure_rows(spec: SpinBathSpec, support: np.ndarray, field_unitary):
+def _closure_rows(spec: SpinBathSpec, support: np.ndarray):
     """The closure S of the sorted ``support`` under H's stored pattern, and H_SS.
 
     S grows by the columns of its rows until they add no state; each level
@@ -1067,19 +1048,14 @@ def _closure_rows(spec: SpinBathSpec, support: np.ndarray, field_unitary):
     """
     levels, new = [], support
     while new.size:
-        levels.append(hamiltonian_rows(spec, new, field_unitary))
+        levels.append(hamiltonian_rows(spec, new))
         reached = np.union1d(support, levels[-1][1])
         new = np.setdiff1d(reached, support, assume_unique=True)
         support = reached
     return (support, *(np.concatenate(part) for part in zip(*levels)))
 
 
-def brute_force_evolve(
-    spec: SpinBathSpec,
-    initial: np.ndarray,
-    grid: TimeGrid,
-    field_unitary: Optional[np.ndarray] = None,
-) -> FullTrajectory:
+def brute_force_evolve(spec: SpinBathSpec, initial: np.ndarray, grid: TimeGrid) -> FullTrajectory:
     """Propagate ``initial`` on the full 2^(N+1) register exactly (N <= 12).
 
     The propagator runs on the block H_SS, where S is the closure of
@@ -1094,8 +1070,7 @@ def brute_force_evolve(
     in floating point: the block drops only multiplications of zeros.  A
     stored zero makes S larger, never smaller, and nothing about the model
     is assumed: a sector start gives its N+1 states (N+2 with the aligned
-    state), a tilted field or a generic vector the whole register, by the
-    same code.
+    state), a generic vector the whole register, by the same code.
 
     One Chebyshev expansion (Tal-Ezer & Kosloff 1984) serves the whole
     grid.  With [lo, hi] the Gershgorin bounds of the block's rows, c their
@@ -1121,7 +1096,7 @@ def brute_force_evolve(
     norm drift beyond BRUTE_FORCE_NORM_ABORT aborts.
     """
     initial = _unit_state(initial, spec.dim_full, "register")
-    support, rows, cols, vals = _closure_rows(spec, np.flatnonzero(initial), field_unitary)
+    support, rows, cols, vals = _closure_rows(spec, np.flatnonzero(initial))
     dim, size = spec.dim_full, support.size
     # the block's entries sorted by row, each row's in its built order, and
     # renumbered by position in S

@@ -54,7 +54,8 @@ one rule, ``trajectory.check_work``: at most ``trajectory.MAX_WORK`` (10**9)
 units of work, a secular (root, pole) pair each (about a minute in all on
 one Xeon core), and ``trajectory.MAX_BYTES`` (2**30) bytes of arrays held
 at once.  The estimates: time points x CSV columns for the render (checked
-here, naming grid.steps), the secular sums of central-exact and fig2, the
+here, naming grid.steps), a spin bath's per-spin arrays (checked before
+they exist, naming bath.N), the secular sums of central-exact and fig2, the
 mode sums of central-sme, oracle-compare's Chebyshev terms and states and
 its sector comparison, and a tabulated density's knots and quadrature
 panels.  A run over either cap exits with code 2, the estimate and the cap
@@ -73,16 +74,26 @@ prepend ``P0`` (survival probability); dephase-correlated appends
 ``gamma, Phi, chi``; oracle-compare emits ``t, ampDev, szDrift``.  Floats
 carry 17 significant digits (exact round trip), lines end with LF.
 
+central-exact and central-sme write the system state in the frame of the
+bath polarization (c, d): |1>' = c|0> + d|1> is parallel to the bath spins
+and |0>' = d*|0> - c*|1> orthogonal to them, so the columns hold
+rho' = R rho_lab R^dag with R = [[d, -c], [c*, d*]], and the lab-frame
+state is rho_lab = R^dag rho' R.  Row 0 is rho00 = |beta|^2,
+rho11 = |alpha|^2 and coherence alpha* beta, where (beta, alpha) = R (a, b)
+for system.a = a and system.b = b.  At the default polarization (0, 1),
+and in fig2, R is the identity.
+
 oracle-compare prints its verdict (the maximum amplitude deviation, the
 threshold, PASS or FAIL) to stderr, so stdout carries only the CSV, which
 is written on FAIL too.
 
 Exit codes: 0 success, 2 configuration error (including a phase past 2**53,
-a run over the work or byte cap, and an Ohmic run at finite temperature
-whose 1/(beta omega_c) or pi t/beta overflows), 3 numerical-quality abort
-(a trace or sum-rule drift, a secular root that does not converge, a
-quadrature error estimate over its target, or an oracle-compare FAIL) or an
-output.path that cannot be written.
+a run over the work or byte cap, an Ohmic run at finite temperature whose
+1/(beta omega_c) or pi t/beta overflows, and an Ohmic run whose
+gamma_thermal overflows or whose Phi passes 2**53 by grid.t1), 3
+numerical-quality abort (a trace or sum-rule drift, a secular root that
+does not converge, a quadrature error estimate over its target, or an
+oracle-compare FAIL) or an output.path that cannot be written.
 """
 
 from __future__ import annotations
@@ -373,7 +384,8 @@ def parse_config(text: str) -> ScenarioConfig:
     if scenario in _FROM_PREPARATION and not get("grid.t0", 0.0) >= 0.0:
         errors.append(f"line {entries['grid.t0'][1]}: grid.t0 must be >= 0 for {scenario}")
     if scenario == "dephase-correlated" and grid and params:
-        build(("spectral.omega_c", "thermo.beta", "grid.t1"), lambda: params.check_times(grid.t1))
+        build(("spectral.eta", "spectral.omega_c", "thermo.beta", "grid.t1"),
+              lambda: params.check_times(grid.t1))
 
     # omega bounds the frequencies whose phase omega t the scenario's model forms
     omega = max((m.phase_frequency for m in (params, spec) if m is not None), default=0.0)

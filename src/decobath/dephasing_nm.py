@@ -28,7 +28,9 @@ without adaptive quadrature:
   temperature, x = 1/(beta omega_c).  That difference is one form for every
   t/beta: a shift by recurrence, then Stirling's series differenced term by
   term as sums of terms >= 0, so it keeps full precision as t/beta -> 0.  A
-  run whose 1/(beta omega_c) or pi t/beta overflows the doubles is refused.
+  run whose 1/(beta omega_c) or pi t/beta overflows the doubles is refused,
+  and so, by :meth:`CorrelatedBathParams.check_times`, is one whose
+  gamma_thermal overflows or whose Phi passes 2**53.
 * Tabulated (piecewise-linear) J = c0 + c1 w on each knot segment: Phi and
   the zero-temperature part of gamma_thermal are exact in Si, Ci and
   Cin(x) = int_0^x (1 - cos u)/u du, with the antiderivatives evaluated at
@@ -296,13 +298,24 @@ class CorrelatedBathParams:
             )
 
     def check_times(self, t_max: float) -> None:
-        """Refuse (ValueError) a run to ``t_max`` that the model functions would refuse.
+        """Refuse (ValueError) a run to ``t_max`` whose Ohmic closed forms leave no digit.
 
-        That is an Ohmic J at finite temperature whose thermal excess
-        overflows; nothing else depends on the times.
+        That is an Ohmic J whose thermal excess overflows at finite
+        temperature (the model functions refuse it too), whose
+        gamma_thermal at ``t_max``, its largest value, is not finite
+        (omega_c t, or eta times its terms, past the doubles), or whose
+        Phi(t_max) = eta arctan(omega_c t_max) passes 2**53, where chi keeps
+        no digit of its winding.  Nothing else depends on the times.
         """
-        if self.J is not None and self.J.family == "ohmic" and not math.isinf(self.beta):
-            _ohmic_thermal_z(self.J, self.beta, t_max)
+        if self.J is None or self.J.family != "ohmic":
+            return
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi_max, gamma_max = _ohmic_factors(np.array([float(t_max)]), self.J, self.beta)
+        if not (gamma_max[0] < math.inf and phi_max[0] <= 2.0 ** 53):
+            raise ValueError(f"the Ohmic factors overflow at eta = {self.J.eta!r}, omega_c = "
+                             f"{self.J.omega_c!r} and t up to {t_max!r}: gamma_thermal reaches "
+                             f"{gamma_max[0]:.3g} and Phi {phi_max[0]:.3g}, where gamma_thermal "
+                             "must be finite and Phi at most 2**53")
 
     @property
     def phase_frequency(self) -> float:
@@ -333,7 +346,7 @@ def quad(*args, **kwargs):
 
     The name stays a module attribute only because the bench tracer wraps
     ``dephasing_nm.quad`` in place; it goes once the tracer patches through
-    a name table (ROADMAP item 2).
+    a name table.
     """
     return _scipy_integrate().quad(*args, **kwargs)
 

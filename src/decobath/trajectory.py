@@ -27,8 +27,9 @@ def check_work(work, nbytes, size, points: int, terms: str) -> None:
 
     The one work rule: every estimate of a run's size, taken before any
     large allocation, comes here.  ``size`` counts the ``terms`` the work
-    scales with; the WorkBudgetError names the estimate and the cap, and
-    the bytes when they bind.
+    scales with, ``points`` the time points (0 for an estimate taken before
+    any grid); the WorkBudgetError names the estimate and the cap, and the
+    bytes when they bind.
     """
     if work <= MAX_WORK and nbytes <= MAX_BYTES:
         return
@@ -39,8 +40,9 @@ def check_work(work, nbytes, size, points: int, terms: str) -> None:
     if work <= MAX_WORK:
         estimate, limit = f"{estimate} and {count(nbytes)} bytes", MAX_BYTES
     raise WorkBudgetError(
-        f"the run needs an estimated {estimate} ({count(size)} {terms}, {points} time "
-        f"points), above the cap of {limit}{' bytes' if limit == MAX_BYTES else ''}",
+        f"the run needs an estimated {estimate} ({count(size)} {terms}"
+        f"{f', {points} time points' if points else ''}), above the cap of {limit}"
+        f"{' bytes' if limit == MAX_BYTES else ''}",
         work, nbytes, size, points, limit)
 
 

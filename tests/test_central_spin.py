@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import reduce
 
 import mpmath
 import numpy as np
@@ -41,12 +42,12 @@ def rotate(a, b, c, d):
     return rotate_to_polarization(QubitAmplitudes(a, b), QubitAmplitudes(c, d))
 
 
-def full_csr(spec, field_unitary=None):
+def full_csr(spec):
     """The brute force's register Hamiltonian as a scipy CSR matrix, for the
     scipy references."""
     import scipy.sparse
 
-    rows, cols, vals = hamiltonian_rows(spec, np.arange(spec.dim_full), field_unitary)
+    rows, cols, vals = hamiltonian_rows(spec, np.arange(spec.dim_full))
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(spec.dim_full,) * 2)
 
 
@@ -117,6 +118,50 @@ class TestRotation:
             rotate(1.0, 1.0, 0.0, 1.0)
         with pytest.raises(NormalizationError):
             rotate(1.0, 0.0, 0.5, 0.5)
+
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    def test_central_exact_matches_a_lab_frame_evolution(self, seed):
+        # the production path, config text to CSV columns, against the same
+        # problem set up in the lab frame: every field along the bath's
+        # polarization axis R^dag sigma_z R, the bath in (c, d)^N, e^{-iHt}
+        # by eigh on Pauli Kronecker products (the system the first factor)
+        # and a partial trace; the CSV holds R rho_lab R^dag
+        rng = np.random.default_rng(seed)
+        n = 5
+        spec = random_spec(rng, n)
+        (a, b), (c, d) = random_pair(rng), random_pair(rng)
+        text = "".join(f"{key} = {value}\n" for key, value in [
+            ("scenario", "central-exact"), ("bath.N", n),
+            ("bath.g", ", ".join(map(repr, spec.g.tolist()))),
+            ("bath.omega", ", ".join(map(repr, spec.omega.tolist()))),
+            ("bath.omega0", repr(spec.omega0)),
+            *((key, repr(complex(z)).strip("()")) for key, z in [
+                ("system.a", a), ("system.b", b),
+                ("bath.polarization.c", c), ("bath.polarization.d", d)]),
+            ("grid.t1", 3.0), ("grid.steps", 30)])
+        traj = cli.run_scenario(cli.parse_config(text))
+
+        r = np.array([[d, -c], [np.conj(c), np.conj(d)]])
+        paulis = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+                  np.diag([1.0, -1.0])]
+
+        def on(k, op):
+            return reduce(np.kron, [op if j == k else np.eye(2) for j in range(n + 1)])
+
+        field = r.conj().T @ paulis[2] @ r
+        h = sum(0.5 * w * on(k, field) for k, w in enumerate([spec.omega0, *spec.omega]))
+        h = h + sum(0.5 * g * on(0, p) @ on(k, p)
+                    for k, g in enumerate(spec.g, start=1) for p in paulis)
+        evals, evecs = np.linalg.eigh(h)
+        psi0 = reduce(np.kron, [np.array([a, b])] + [np.array([c, d])] * n)
+        states = (np.exp(-1j * np.outer(traj.times, evals)) * (evecs.conj().T @ psi0)) @ evecs.T
+        system = states.reshape(traj.times.size, 2, 1 << n)
+        rho_lab = np.einsum("tia,tja->tij", system, system.conj())
+        rho = r @ rho_lab @ r.conj().T
+        cols = traj.columns
+        assert np.max(np.abs(cols["rho00"] - rho[:, 0, 0].real)) < 1e-12
+        assert np.max(np.abs(cols["rho11"] - rho[:, 1, 1].real)) < 1e-12
+        assert np.max(np.abs(cols["reCoh"] + 1j * cols["imCoh"] - rho[:, 0, 1])) < 1e-12
 
 
 class TestAlignedEnergy:
@@ -683,20 +728,15 @@ class TestBruteForce:
         ])
         assert np.max(np.abs(vec - explicit)) < 1e-15
 
-    @pytest.mark.parametrize("tilted", [False, True])
-    def test_full_hamiltonian_triplets_are_row_sorted_with_every_diagonal(self, tilted):
-        rng = np.random.default_rng(78)
-        spec = random_spec(rng, 5)
-        c, d = random_pair(rng)
-        r = np.array([[d, -c], [np.conj(c), np.conj(d)]]) if tilted else None
-        rows, cols, vals = hamiltonian_rows(spec, np.arange(spec.dim_full), r)
+    def test_full_hamiltonian_triplets_are_row_sorted_with_every_diagonal(self):
+        spec = random_spec(np.random.default_rng(78), 5)
+        rows, cols, vals = hamiltonian_rows(spec, np.arange(spec.dim_full))
         assert np.all(np.diff(rows) >= 0)
         assert np.unique(rows * spec.dim_full + cols).size == rows.size
         assert np.array_equal(rows[rows == cols], np.arange(spec.dim_full))
-        # the diagonal, the flip-flops (bits 0 and k differ: N/2 a state on
-        # average) and, with a tilted field, N+1 single-spin flips a state
-        flips = spec.dim_full * (spec.N + 1) if tilted else 0
-        assert rows.size == spec.dim_full * (1 + spec.N / 2) + flips
+        # the diagonal and the flip-flops (bits 0 and k differ: N/2 a state
+        # on average)
+        assert rows.size == spec.dim_full * (1 + spec.N / 2)
 
     def test_full_hamiltonian_hermitian(self):
         rng = np.random.default_rng(77)
@@ -757,57 +797,22 @@ class TestBruteForce:
         with pytest.raises(TraceDriftError, match=r"threshold -1$"):
             brute_force_evolve(spec, v, grid)
 
-    def test_basis_covariance_under_polarization_rotation(self):
-        # tilting every field axis by R and starting from a (c, d)-polarized
-        # bath is the same experiment as the z-axis problem in rotated labels
-        rng = np.random.default_rng(13)
-        n = 5
-        spec = random_spec(rng, n)
-        a, b = random_pair(rng)
-        c, d = random_pair(rng)
-        r = np.array([[d, -c], [np.conj(c), np.conj(d)]])
-        grid = TimeGrid(0.0, 3.0, 60)
-
-        tilted = brute_force_evolve(
-            spec, product_state([(a, b)] + [(c, d)] * n), grid, field_unitary=r
-        )
-        rot = rotate(a, b, c, d)
-        straight = brute_force_evolve(
-            spec,
-            product_state([(rot.beta, rot.alpha)] + [(0.0, 1.0)] * n),
-            grid,
-        )
-
-        def rotate_register(states):
-            out = states.reshape(states.shape[0], *([2] * (n + 1)))
-            for axis in range(1, n + 2):
-                out = np.moveaxis(np.tensordot(r, out, axes=(1, axis)), 0, axis)
-            return out.reshape(states.shape)
-
-        assert np.max(np.abs(rotate_register(tilted.register_states())
-                             - straight.register_states())) < 1e-10
-
-    @pytest.mark.parametrize("n, grid, tilted", [
-        (5, TimeGrid(0.0, 4.0, 40), False),
-        (4, TimeGrid(1.5, 6.0, 30), True),    # t0 > 0, complex H
-        (3, TimeGrid(-2.0, 3.0, 25), False),  # negative times: J_k(-x)
-        (6, TimeGrid(0.5, 3.0, 10), True),
+    @pytest.mark.parametrize("n, grid", [
+        (5, TimeGrid(0.0, 4.0, 40)),
+        (4, TimeGrid(1.5, 6.0, 30)),   # t0 > 0
+        (3, TimeGrid(-2.0, 3.0, 25)),  # negative times: J_k(-x)
+        (6, TimeGrid(0.5, 3.0, 10)),
     ])
-    def test_matches_expm_multiply_and_dense_expm(self, n, grid, tilted):
+    def test_matches_expm_multiply_and_dense_expm(self, n, grid):
         import scipy.linalg
         import scipy.sparse.linalg
 
         rng = np.random.default_rng(100 + n)
         spec = random_spec(rng, n)
-        r = None
-        if tilted:
-            c, d = random_pair(rng)
-            r = np.array([[d, -c], [np.conj(c), np.conj(d)]])
         v = rng.normal(size=spec.dim_full) + 1j * rng.normal(size=spec.dim_full)
         v /= np.linalg.norm(v)
-        h = full_csr(spec, r)
-        assert np.any(h.data.imag) == tilted
-        states = brute_force_evolve(spec, v, grid, field_unitary=r).register_states()
+        h = full_csr(spec)
+        states = brute_force_evolve(spec, v, grid).register_states()
         taylor = scipy.sparse.linalg.expm_multiply(
             -1j * h, v, start=grid.t0, stop=grid.t1, num=grid.steps + 1, endpoint=True)
         dense = h.toarray()
@@ -861,8 +866,8 @@ class TestInvariantBlock:
     """The brute force runs on the closure S of its start under H's pattern."""
 
     @staticmethod
-    def support(spec, v, field_unitary=None):
-        return brute_force_evolve(spec, v, TimeGrid(0.0, 0.1, 1), field_unitary).support
+    def support(spec, v):
+        return brute_force_evolve(spec, v, TimeGrid(0.0, 0.1, 1)).support
 
     @pytest.mark.parametrize("n", [4, 8, 12])
     def test_excitation_on_system_reaches_the_sector(self, n):
@@ -876,14 +881,9 @@ class TestInvariantBlock:
         v[aligned_index(6)] = 1.0
         assert np.array_equal(self.support(spec, v), [aligned_index(6)])
 
-    def test_tilted_field_and_random_start_reach_the_register(self):
+    def test_random_start_reaches_the_register(self):
         rng = np.random.default_rng(12)
         spec = random_spec(rng, 12)
-        c, d = random_pair(rng)
-        r = np.array([[d, -c], [np.conj(c), np.conj(d)]])
-        # the excitation on the system, its field tilted: H mixes every sector
-        v = product_state([(1.0, 0.0)] + [(0.0, 1.0)] * 12)
-        assert np.array_equal(self.support(spec, v, r), np.arange(spec.dim_full))
         v = rng.normal(size=spec.dim_full) + 1j * rng.normal(size=spec.dim_full)
         v /= np.linalg.norm(v)
         assert np.array_equal(self.support(spec, v), np.arange(spec.dim_full))
@@ -919,8 +919,8 @@ class TestInvariantBlock:
         # state in, and the drift of total sigma_z shows the leak
         build = central_spin.hamiltonian_rows
 
-        def leaky(spec, indices, field_unitary=None):
-            rows, cols, vals = build(spec, indices, field_unitary)
+        def leaky(spec, indices):
+            rows, cols, vals = build(spec, indices)
             i, j = sector_indices(spec.N)[0], aligned_index(spec.N) ^ 0b11
             # the leak's entries in the rows asked for, and no others
             asked = np.isin([i, j], indices)
@@ -943,9 +943,9 @@ class TestInvariantBlock:
         # 8192 rows of the register
         build, asked = central_spin.hamiltonian_rows, []
 
-        def spy(spec, indices, field_unitary=None):
+        def spy(spec, indices):
             asked.append(len(indices))
-            return build(spec, indices, field_unitary)
+            return build(spec, indices)
 
         monkeypatch.setattr(central_spin, "hamiltonian_rows", spy)
         spec = random_spec(np.random.default_rng(12), 12)
@@ -965,22 +965,19 @@ class TestInvariantBlock:
         assert np.allclose(full.sz_total(), (np.abs(states) ** 2 * sz).sum(axis=1),
                            rtol=0.0, atol=1e-14)
 
-    @pytest.mark.parametrize("start", ["sector", "random", "tilted"])
+    @pytest.mark.parametrize("start", ["sector", "random", "register-build"])
     def test_byte_estimate_bounds_the_peak(self, monkeypatch, start):
         # the N = 12 sector start is led by its per-point arrays (a Bessel
         # table of 65 orders), the random start by its 8192-amplitude states;
-        # a tilted field at 2 points is led by the build of all 8192 rows
-        # with complex entries, the least margin of the three
+        # a random start at 2 points is led by the build of all 8192 rows,
+        # the least margin of the three
         rng = np.random.default_rng(1212)
         spec = random_spec(rng, 12)
         v = product_state([(1.0, 0.0)] + [(0.0, 1.0)] * 12)
-        r, steps = None, 100
-        if start == "random":
+        steps = 1 if start == "register-build" else 100
+        if start != "sector":
             v = rng.normal(size=spec.dim_full) + 1j * rng.normal(size=spec.dim_full)
             v /= np.linalg.norm(v)
-        elif start == "tilted":
-            c, d = random_pair(rng)
-            r, steps = np.array([[d, -c], [np.conj(c), np.conj(d)]]), 1
         grid = TimeGrid(0.0, 2.0, steps)
         estimates = []
 
@@ -989,10 +986,10 @@ class TestInvariantBlock:
             check_work(work, nbytes, *args)
 
         monkeypatch.setattr(central_spin, "check_work", spy)
-        brute_force_evolve(spec, v, grid, r)  # first-call allocations are not the run's
+        brute_force_evolve(spec, v, grid)  # first-call allocations are not the run's
         tracemalloc.start()
         try:
-            full = brute_force_evolve(spec, v, grid, r)
+            full = brute_force_evolve(spec, v, grid)
             full.sz_total()
             peak = tracemalloc.get_traced_memory()[1]
         finally:

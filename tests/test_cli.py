@@ -395,6 +395,33 @@ def test_no_cell_is_negative_zero(case, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("\n") == len(parse_config(_SIGNED_ZERO_CASES[case]).grid.times) + 1
     assert re.search(r"(^|,)-0(,|$)", out, re.M) is None
+
+
+_FRAME_KEYS = ("system.a", "system.b", "bath.polarization.c", "bath.polarization.d")
+_FRAME_CASES = {
+    # the system along |0>, the bath along |0>: in the lab frame rho00 = 1
+    "orthogonal": ("1", "0", "1", "0"),
+    "generic": ("0.6+0.2j", "-0.3+0.7141428428542851j", "0.48-0.36j", "0.64+0.48j"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FRAME_CASES))
+@pytest.mark.parametrize("scenario", ["central-exact", "central-sme"])
+def test_central_rows_are_in_the_bath_polarization_frame(scenario, case):
+    """Row 0 is (|beta|^2, |alpha|^2, alpha* beta) with (beta, alpha) = R (a, b),
+    R = [[d, -c], [c*, d*]]: the bath-polarization frame, not the lab's."""
+    values = _FRAME_CASES[case]
+    text = (f"scenario = {scenario}\n{_BATH}bath.omega0 = 1\ngrid.t1 = 1\ngrid.steps = 4\n"
+            + "".join(f"{key} = {value}\n" for key, value in zip(_FRAME_KEYS, values)))
+    cols = run_scenario(parse_config(text)).columns
+    a, b, c, d = map(complex, values)
+    beta, alpha = np.array([[d, -c], [c.conjugate(), d.conjugate()]]) @ [a, b]
+    coh = alpha.conjugate() * beta
+    row = [cols[name][0] for name in ("rho00", "rho11", "reCoh", "imCoh")]
+    assert np.allclose(row, [abs(beta) ** 2, abs(alpha) ** 2, coh.real, coh.imag],
+                       rtol=0.0, atol=1e-15), row
+    if case == "orthogonal":
+        assert row == [0.0, 1.0, 0.0, 0.0]
 #: Configs once refused only at run time without a line, or with a traceback,
 #: or (exact-t1-1e300) run to numbers with no digit of their phase left:
 #: (text, the keys whose lines the refusal must name).
@@ -450,6 +477,17 @@ _REFUSALS = {
                                        "spectral.omega_c", "thermo.beta"),
     "correlated-t1-1e300": (_OHMIC + "thermo.beta = 1e-10\nbath.omega0 = 0\ngrid.t1 = 1e300\n",
                             "spectral.omega_c", "thermo.beta", "grid.t1"),
+    # gamma_thermal overflows: eta times the thermal excess, with Phi = 1.57e300
+    # past 2**53; and omega_c t at zero temperature
+    "correlated-eta-1e300": (_OHMIC.replace("eta = 1\n", "eta = 1e300\n")
+                             + "thermo.beta = 2\nbath.omega0 = 0\ngrid.t1 = 1e10\n",
+                             "spectral.eta", "grid.t1"),
+    "correlated-omega_c-1e200": (_OHMIC.replace("= 5", "= 1e200") + "thermo.beta = inf\n"
+                                 "bath.omega0 = 1e-300\ngrid.t1 = 1e200\n",
+                                 "spectral.omega_c", "grid.t1"),
+    # the bath's own arrays would take 17 TB: refused before they exist
+    "exact-N-1e12": ("scenario = central-exact\nbath.N = 1000000000000\nbath.g = 0.3\n"
+                     "bath.omega = 0.5\nbath.omega0 = 1\n", "bath.N"),
 }
 
 
@@ -491,7 +529,7 @@ def _hard_values(key: str):
 
     Large sizes are drawn too: far over the work caps of oracle-compare and
     of a tabulated density (grid.t1 = 1e8), over the CSV caps (grid.steps
-    = 10**7 and 2*10**9), and a bath of 10**5 spins.
+    = 10**7 and 2*10**9), and baths of 10**5 and 10**12 spins.
     """
     if key in ("grid.t0", "grid.t1"):
         return st.sampled_from([v for v in _SPECIAL if v not in ("1e200", "1e308")]
@@ -499,7 +537,7 @@ def _hard_values(key: str):
     if key == "grid.steps":
         return st.sampled_from(_SPECIAL + ["50", "10000000", "2000000000"])
     if cli._KINDS[key] is int:
-        return st.sampled_from(_SPECIAL + ["8", "100000"])
+        return st.sampled_from(_SPECIAL + ["8", "100000", "1000000000000"])
     if key == "spectral.family":
         return st.sampled_from(["tabulated", "text"])
     return st.sampled_from(_SPECIAL)
@@ -627,7 +665,8 @@ def test_run_peak_stays_within_its_byte_estimates(scenario, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert estimates[0] == 50_001 * cli._CSV_COLUMNS[scenario] * cli._CELL_BYTES
+    # the spin bath's own arrays are estimated as it is built, before the CSV
+    assert 50_001 * cli._CSV_COLUMNS[scenario] * cli._CELL_BYTES in estimates
     assert peak <= max(estimates), (peak, estimates)
 
 

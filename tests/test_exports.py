@@ -48,3 +48,36 @@ def test_names_the_docs_cite_resolve(source):
         if obj is None:
             stale.append(name)
     assert cited and stale == []
+
+
+_ROLE = re.compile(r":(?:func|class|meth|data|mod|exc):`~?([\w.]+)`")
+
+
+def _resolves(module, name: str) -> bool:
+    """``name`` of a role in ``module``'s source names an object.
+
+    A dotted name from ``decobath`` (``~decobath.errors.ConfigError``, or
+    ``.qstate`` for a module) is looked up from the package; any other
+    first in the module, then in each class the module defines.
+    """
+    if name.startswith((".", "decobath.")):
+        scopes, name = [decobath], name.removeprefix("decobath").lstrip(".")
+    else:
+        scopes = [module, *(obj for obj in vars(module).values()
+                            if isinstance(obj, type) and obj.__module__ == module.__name__)]
+    for scope in scopes:
+        obj = scope
+        for attr in name.split("."):
+            obj = getattr(obj, attr, None)
+        if obj is not None:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("name", ["decobath", *(f"decobath.{m}" for m in sorted(SUBMODULES))])
+def test_names_the_sources_cite_resolve(name):
+    """Every :func:, :class:, :meth:, :data:, :mod: and :exc: name in a module's
+    source, docstrings and comments alike, resolves."""
+    module = importlib.import_module(name)
+    cited = _ROLE.findall(Path(module.__file__).read_text(encoding="utf-8"))
+    assert [ref for ref in cited if not _resolves(module, ref)] == []
