@@ -61,9 +61,6 @@ __all__ = [
     "sme_discrepancy_report",
 ]
 
-#: Phases x = delta t below this take the kernels' leading terms, which are
-#: exact to rounding there; above it sin^2(x/2) cannot underflow.
-_SMALL_PHASE = 1e-100
 #: Oracle RK4 step ceiling: max over the grid of Gamma_d times the step.
 _GAMMA_D_STEP = 1e-3
 #: Mode-time products evaluated per block of time points, so memory stays
@@ -76,6 +73,11 @@ _ARC_SERIES = tuple((-1.0) ** k / math.factorial(2 * k + 3) for k in reversed(ra
 _TINY = np.finfo(float).tiny
 
 
+def _sinc(x):
+    """sin(x)/x, exactly 1 at x = 0."""
+    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+
+
 def channel_exponents(spec: SpinBathSpec, t) -> tuple[np.ndarray, np.ndarray]:
     """Decay and Lamb-phase exponents of the two channels at time(s) t.
 
@@ -86,50 +88,41 @@ def channel_exponents(spec: SpinBathSpec, t) -> tuple[np.ndarray, np.ndarray]:
     gamma_d = int Lambda.  Both sums share one pass over the time array in
     blocks of ``_BLOCK_ELEMENTS`` mode-time products, so memory stays flat in
     (time points) x (modes); a row's sums do not depend on the blocking, so
-    any block size gives the same bits.  With x = delta t, gamma_1's term is
-    the closed form 2 sin^2(x/2)/delta^2, or its leading term t^2/2 where
-    |x| < ``_SMALL_PHASE`` or delta^2 underflows to 0.  gamma_d's x - sin x
-    cancels whenever |x| is small, so for |x| < 1 it is x t^2 times the
-    series of (x - sin x)/x^3, which also gives exactly 0 at resonance.  A
-    scalar ``t`` gives scalars; a negative, NaN or infinite time is
-    refused.  The mode-time pairs (50-76 ns each, so one pair of work) and
-    the bytes of the per-time and per-mode arrays go through
-    ``trajectory.check_work`` before the first block.
+    any block size gives the same bits.  Each term has one form in the
+    phase x = delta t: gamma_1's is (g t q)^2 with q = sin(x/2)/(x/2),
+    and gamma_d's is (g t)^2 (x - sin x)/x^2, where x - sin x, which
+    cancels for small |x|, is a series in x for |x| < 1.  g t is formed
+    first, so neither g^2 nor t^2 under- or overflows on its own, and both
+    terms are exactly 0 at t = 0 and gamma_d's at resonance.  A scalar
+    ``t`` gives scalars; a negative, NaN or infinite time is refused.  The
+    mode-time pairs (50-76 ns each, so one pair of work) and the bytes of
+    the per-time and per-mode arrays go through ``trajectory.check_work``
+    before the first block.
     """
     t = nonnegative_times(t)
     flat = t.reshape(-1)
     check_work(flat.size * spec.N, 24 * flat.size + 64 * spec.N, spec.N, flat.size,
                "bath modes")
-    gsq = spec.g * spec.g
     delta = spec.omega0 - spec.omega
-    dsq = delta * delta
-    # a zero here is a resonance or an underflow, whose terms take t^2/2
-    vanished = dsq == 0.0
-    dsq[vanished] = 1.0
     gamma_1 = np.empty(flat.size)
     gamma_d = np.empty(flat.size)
     rows = max(1, _BLOCK_ELEMENTS // spec.N)
     for start in range(0, flat.size, rows):
         block = slice(start, start + rows)
         tb = flat[block, None]
-        x = delta * tb
-        s = np.sin(0.5 * x)
-        versin = 2.0 * s * s / dsq
-        ax = np.abs(x)
-        lead = (ax < _SMALL_PHASE) | vanished
-        if np.any(lead):
-            versin[lead] = np.broadcast_to(0.5 * tb * tb, x.shape)[lead]
-        arc = (x - np.sin(x)) / dsq
-        near = ax < 1.0
-        if np.any(near):
-            xn = x[near]
-            u = xn * xn
-            series = _ARC_SERIES[0]
-            for c in _ARC_SERIES[1:]:
-                series = series * u + c
-            arc[near] = xn * np.broadcast_to(tb * tb, x.shape)[near] * series
-        gamma_1[block] = 2.0 * np.sum(gsq * versin, axis=-1)
-        gamma_d[block] = np.sum(gsq * arc, axis=-1)
+        gt, x = spec.g * tb, delta * tb
+        gtq = gt * _sinc(0.5 * x)
+        # (x - sin x)/x^2, x times the series of (x - sin x)/x^3 where |x| < 1
+        near = np.abs(x) < 1.0
+        far = np.where(near, 1.0, x)
+        arc = (1.0 - np.sin(x) / far) / far
+        xn = x[near]
+        series = _ARC_SERIES[0]
+        for c in _ARC_SERIES[1:]:
+            series = series * (xn * xn) + c
+        arc[near] = xn * series
+        gamma_1[block] = np.sum(gtq * gtq, axis=-1)
+        gamma_d[block] = np.sum(gt * (gt * arc), axis=-1)
     return gamma_1.reshape(t.shape)[()], gamma_d.reshape(t.shape)[()]
 
 
@@ -139,23 +132,20 @@ def sme_rates(spec: SpinBathSpec, t) -> tuple[np.ndarray, np.ndarray, np.ndarray
     Arrays of t's shape (scalars for a scalar ``t``), as
     :func:`channel_exponents` gives its exponents; the Lamb-shift
     Hamiltonian is (omega_r/2) sigma_z + Lambda |0><0|.  ``Gamma_d(t) =
-    (sum g)^2 t`` exactly (linear in t), and all three vanish at t = 0.  A
-    mode whose phase delta_k t is below ``_SMALL_PHASE`` takes the kernels'
-    leading terms: a mode at exact resonance contributes g_k^2 t to Gamma_0
-    and nothing to Lambda.  For small t, Gamma_0(t) -> t sum_k g_k^2.  Each
+    (sum g)^2 t`` exactly (linear in t), and all three vanish at t = 0.
+    With x = delta_k t and q = sin(x/2)/(x/2), each mode adds g_k^2 t
+    sin(x)/x to Gamma_0 and g_k^2 t (x/2) q^2 to Lambda, one form at every
+    phase: a mode at exact resonance contributes g_k^2 t to Gamma_0 and
+    nothing to Lambda.  For small t, Gamma_0(t) -> t sum_k g_k^2.  Each
     time's mode sums are its own, so an array gives the bits of scalar calls.
     """
     t = nonnegative_times(t)
     tb = t[..., None]
-    delta = spec.omega0 - spec.omega
-    gsq = spec.g * spec.g
     gsum = float(spec.g.sum())
-    x = delta * tb
-    lead = np.abs(x) < _SMALL_PHASE
-    safe = np.where(delta == 0.0, 1.0, delta)
-    s = np.sin(0.5 * x)
-    gamma_0 = np.sum(gsq * np.where(lead, tb, np.sin(x) / safe), axis=-1)
-    lamb = np.sum(gsq * np.where(lead, 0.5 * x * tb, 2.0 * s * s / safe), axis=-1)
+    gt, x = spec.g * tb, (spec.omega0 - spec.omega) * tb
+    q = _sinc(0.5 * x)
+    gamma_0 = np.sum(gt * spec.g * _sinc(x), axis=-1)
+    lamb = np.sum(gt * spec.g * (0.5 * x * q * q), axis=-1)
     return gsum * gsum * t, gamma_0, lamb
 
 

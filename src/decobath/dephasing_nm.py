@@ -29,8 +29,9 @@ without adaptive quadrature:
   t/beta: a shift by recurrence, then Stirling's series differenced term by
   term as sums of terms >= 0, so it keeps full precision as t/beta -> 0.  A
   run whose 1/(beta omega_c) or pi t/beta overflows the doubles is refused,
-  and so, by :meth:`CorrelatedBathParams.check_times`, is one whose
-  gamma_thermal overflows or whose Phi passes 2**53.
+  and so is one whose gamma_thermal overflows or whose Phi passes 2**53:
+  the model functions raise the ValueError that
+  :meth:`CorrelatedBathParams.check_times` raises for the whole grid.
 * Tabulated (piecewise-linear) J = c0 + c1 w on each knot segment: Phi and
   the zero-temperature part of gamma_thermal are exact in Si, Ci and
   Cin(x) = int_0^x (1 - cos u)/u du, with the antiderivatives evaluated at
@@ -300,22 +301,11 @@ class CorrelatedBathParams:
     def check_times(self, t_max: float) -> None:
         """Refuse (ValueError) a run to ``t_max`` whose Ohmic closed forms leave no digit.
 
-        That is an Ohmic J whose thermal excess overflows at finite
-        temperature (the model functions refuse it too), whose
-        gamma_thermal at ``t_max``, its largest value, is not finite
-        (omega_c t, or eta times its terms, past the doubles), or whose
-        Phi(t_max) = eta arctan(omega_c t_max) passes 2**53, where chi keeps
-        no digit of its winding.  Nothing else depends on the times.
+        The Ohmic model functions refuse the same runs (see
+        :func:`_ohmic_factors`); nothing else depends on the times.
         """
-        if self.J is None or self.J.family != "ohmic":
-            return
-        with np.errstate(over="ignore", invalid="ignore"):
-            phi_max, gamma_max = _ohmic_factors(np.array([float(t_max)]), self.J, self.beta)
-        if not (gamma_max[0] < math.inf and phi_max[0] <= 2.0 ** 53):
-            raise ValueError(f"the Ohmic factors overflow at eta = {self.J.eta!r}, omega_c = "
-                             f"{self.J.omega_c!r} and t up to {t_max!r}: gamma_thermal reaches "
-                             f"{gamma_max[0]:.3g} and Phi {phi_max[0]:.3g}, where gamma_thermal "
-                             "must be finite and Phi at most 2**53")
+        if self.J is not None and self.J.family == "ohmic":
+            _ohmic_factors(np.array([float(t_max)]), self.J, self.beta)
 
     @property
     def phase_frequency(self) -> float:
@@ -455,19 +445,35 @@ def _ohmic_thermal_z(J: SpectralDensity, beta: float, t_max: float) -> float:
 
 
 def _ohmic_factors(t: np.ndarray, J: SpectralDensity, beta: float):
-    """Phi and gamma_thermal of the Ohmic family at times t >= 0, in closed form."""
-    eta, u = J.eta, J.omega_c * t
-    phi_t, g1 = eta * np.arctan(u), eta * (0.5 * _log1p_square(u))
-    if math.isinf(beta):
-        return phi_t, g1
-    # coth = 1 + 2 sum_k exp(-k beta w) turns the excess into
-    # eta sum_{k>=1} ln(1 + y^2/(x+k)^2) = 2 eta [lnG(z) - Re lnG(z + iy)],
-    # y = t/beta, z = 1 + x
-    z, y = _ohmic_thermal_z(J, beta, float(t.max(initial=0.0))), t / beta
-    # blocks of ~_BLOCK_ELEMENTS (terms, points) elements bound the bytes held
-    step = _BLOCK_ELEMENTS // _STIRLING_M.size
-    drop = np.concatenate([_lngamma_drop(z, b) for b in np.split(y, range(step, y.size, step))])
-    return phi_t, g1 + eta * (2.0 * drop)
+    """Phi and gamma_thermal of the Ohmic family at times t >= 0, in closed form.
+
+    Both grow with t.  A ValueError refuses times whose thermal excess
+    overflows (see :func:`_ohmic_thermal_z`), whose gamma_thermal is not
+    finite (omega_c t, or eta times its terms, past the doubles), or whose
+    Phi = eta arctan(omega_c t) passes 2**53, where chi keeps no digit of
+    its winding.
+    """
+    eta, t_max = J.eta, float(t.max(initial=0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = J.omega_c * t
+        phi_t, gamma_t = eta * np.arctan(u), eta * (0.5 * _log1p_square(u))
+        if not math.isinf(beta):
+            # coth = 1 + 2 sum_k exp(-k beta w) turns the excess into
+            # eta sum_{k>=1} ln(1 + y^2/(x+k)^2) = 2 eta [lnG(z) - Re lnG(z + iy)],
+            # y = t/beta, z = 1 + x
+            z, y = _ohmic_thermal_z(J, beta, t_max), t / beta
+            # blocks of ~_BLOCK_ELEMENTS (terms, points) elements bound the bytes held
+            step = _BLOCK_ELEMENTS // _STIRLING_M.size
+            drop = np.concatenate([_lngamma_drop(z, b)
+                                   for b in np.split(y, range(step, y.size, step))])
+            gamma_t = gamma_t + eta * (2.0 * drop)
+    phi_max, gamma_max = phi_t.max(initial=0.0), gamma_t.max(initial=0.0)
+    if not (gamma_max < math.inf and phi_max <= 2.0 ** 53):
+        raise ValueError(f"the Ohmic factors overflow at eta = {J.eta!r}, omega_c = "
+                         f"{J.omega_c!r} and t up to {t_max!r}: gamma_thermal reaches "
+                         f"{gamma_max:.3g} and Phi {phi_max:.3g}, where gamma_thermal "
+                         "must be finite and Phi at most 2**53")
+    return phi_t, gamma_t
 
 
 def _horner(coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:

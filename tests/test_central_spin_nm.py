@@ -53,7 +53,8 @@ class TestRates:
         assert np.all(lamb == 0.0)
 
     def test_near_resonant_mode_at_long_times(self):
-        # delta = 5e-11: the kernels switch on the phase delta t, not on |delta|
+        # delta = 5e-11: each kernel is one form in the phase delta t, so
+        # a tiny |delta| keeps full precision at any time
         ts = np.array([1e9, 1e11])
         _, gamma_0, lamb = sme_rates(spec_with([1.0], 0.0, [-5e-11]), ts)
         for t, g0, lam in zip(ts, gamma_0, lamb):
@@ -97,7 +98,7 @@ class TestRates:
 
     def test_array_equals_scalar_calls_bit_for_bit(self):
         rng = np.random.default_rng(27)
-        # a resonant mode and a tiny phase reach both kernel branches
+        # a resonant mode and a tiny phase: every time's sums are its own
         spec = spec_with(rng.uniform(0.05, 0.15, 12), 0.9,
                          [0.9, *rng.uniform(-1.0, 2.0, 11)])
         ts = np.concatenate(([0.0, 1e-120], rng.uniform(0.0, 50.0, 40))).reshape(6, 7)
@@ -202,7 +203,8 @@ _DETUNINGS = st.one_of(
 
 
 def _exponents_mp(spec, t):
-    """gamma_1, gamma_d and the sum of gamma_d's term magnitudes, in mpmath.
+    """gamma_1, gamma_d, Gamma_0 and Lambda in mpmath, each a pair of the
+    sum and the sum of its terms' magnitudes.
 
     Each term is taken at the phase x = delta t as the float product the
     code forms: near a zero of 1 - cos x, gamma_1's term is ill-conditioned
@@ -211,19 +213,23 @@ def _exponents_mp(spec, t):
     x - sin x lose to cancellation, so the reference itself does not cancel.
     """
     delta = spec.omega0 - spec.omega
-    ones, arcs = [], []
+    terms = [[], [], [], []]  # gamma_1, gamma_d, Gamma_0, Lambda
     for g, d in zip(spec.g, delta):
         x = float(d * t)
         if x == 0.0:  # resonance, t = 0, or a phase below the smallest double
-            ones.append(mpmath.mpf(g) ** 2 * mpmath.mpf(t) ** 2)
-            arcs.append(0)
+            gsq, t_mp = mpmath.mpf(g) ** 2, mpmath.mpf(t)
+            for column, term in zip(terms, (gsq * t_mp**2, 0, gsq * t_mp, 0)):
+                column.append(term)
             continue
         with mpmath.workdps(120 + 2 * max(0, -math.floor(math.log10(abs(x))))):
             gsq, d, x = mpmath.mpf(g) ** 2, mpmath.mpf(d), mpmath.mpf(x)
-            ones.append(2 * gsq * (1 - mpmath.cos(x)) / d**2)
-            arcs.append(gsq * (x - mpmath.sin(x)) / d**2)
+            versin = 1 - mpmath.cos(x)
+            for column, term in zip(terms, (2 * gsq * versin / d**2,
+                                            gsq * (x - mpmath.sin(x)) / d**2,
+                                            gsq * mpmath.sin(x) / d, gsq * versin / d)):
+                column.append(term)
     with mpmath.workdps(120):
-        return mpmath.fsum(ones), mpmath.fsum(arcs), mpmath.fsum(abs(a) for a in arcs)
+        return [(mpmath.fsum(c), mpmath.fsum(abs(a) for a in c)) for c in terms]
 
 
 class TestChannelExponents:
@@ -242,16 +248,23 @@ class TestChannelExponents:
     @example(modes=[(1.0, 1e-9)], omega0=0.0, times=[100.0])
     @example(modes=[(1.2, 0.9 - w) for w in (0.1, 0.4, 0.7, 1.0, 1.3, 1.6, 1.9, 2.2)],
              omega0=0.9, times=[1e-4])
+    # delta = 1e-158 and 1e-161 at t = 1e70, where delta^2 is subnormal:
+    # 2 sin^2(x/2)/delta^2 left gamma_1 off by 1.6e-8 and 1.2e-2; a resonant
+    # g = 1e-200 at t = 1e200, where g^2 underflows and t^2 overflows
+    @example(modes=[(1e-70, 1e-158)], omega0=0.0, times=[1e70])
+    @example(modes=[(1e-70, 1e-161)], omega0=0.0, times=[1e70])
+    @example(modes=[(1e-200, 0.0)], omega0=0.0, times=[1e200])
     def test_match_mpmath(self, modes, omega0, times):
         g, delta = np.array(modes).T
         spec = spec_with(g, omega0, omega0 - delta)
         got_1, got_d = channel_exponents(spec, np.array(times))
-        for t, g1, gd in zip(times, got_1, got_d):
-            ref_1, ref_d, mag_d = _exponents_mp(spec, t)
-            # gamma_d relative to its terms' magnitudes: they carry the sign
-            # of their detuning and may cancel
-            assert abs(g1 - ref_1) <= 1e-13 * ref_1 + 1e-300, (t, g1, ref_1)
-            assert abs(gd - ref_d) <= 1e-13 * mag_d + 1e-300, (t, gd, ref_d)
+        _, got_0, got_lamb = sme_rates(spec, np.array(times))
+        for t, *got in zip(times, got_1, got_d, got_0, got_lamb):
+            # each sum relative to its terms' magnitudes: gamma_d's and
+            # Lambda's carry the sign of their detuning and may cancel, as
+            # Gamma_0's may where sin x < 0
+            for value, (ref, mag) in zip(got, _exponents_mp(spec, t)):
+                assert abs(value - ref) <= 1e-13 * mag + 1e-300, (t, value, ref)
 
     def test_scalar_time_gives_scalars_equal_to_array_entries(self):
         rng = np.random.default_rng(8)

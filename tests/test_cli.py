@@ -10,6 +10,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -351,6 +352,27 @@ class TestRunScenario:
         assert cols["reCoh"][0] + 1j * cols["imCoh"][0] == psi.a * np.conj(psi.b)
         for name, value in (("rho00", 0.5), ("rho11", 0.5), ("reCoh", 0.0), ("imCoh", 0.0)):
             assert np.all(cols[name][1:] == value), name
+
+    @pytest.mark.parametrize("g,omega0,t1,steps", [("1e-70", "1e-161", "1e70", 4),
+                                                  ("1e-200", "0", "1e200", 2)],
+                             ids=["delta-squared-subnormal", "resonant-g-1e-200"])
+    def test_sme_extreme_phase_scales_run_clean(self, g, omega0, t1, steps, tmp_path):
+        # delta^2 = 1e-322 is subnormal (rho00 once came out 1.2% off), and
+        # at resonance g^2 underflows and t^2 overflows (once refused as
+        # non-finite populations): gamma_1(t1) is about 1 in both
+        text = (f"scenario = central-sme\nbath.N = 1\nbath.g = {g}\nbath.omega = 0\n"
+                f"bath.omega0 = {omega0}\ngrid.t1 = {t1}\ngrid.steps = {steps}\n")
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "out.csv"
+        cfg.write_text(text + f"output.path = {out}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", str(cfg)]) == 0
+        rho00 = Trajectory.read_csv(out).columns["rho00"]
+        with mpmath.workdps(60):
+            g, delta, t = (mpmath.mpf(float(v)) for v in (g, omega0, t1))
+            q = 1 if delta == 0 else mpmath.sin(delta * t / 2) / (delta * t / 2)
+            ref = rho00[0] * mpmath.exp(-(g * t * q) ** 2)  # rho00(0) = |beta|^2 exactly
+        assert abs(rho00[-1] - ref) <= 1e-15 * ref, (rho00[-1], ref)
 
 
 def test_readme_examples_run():

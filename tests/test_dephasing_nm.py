@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -495,6 +496,22 @@ class TestClosedFormFactors:
             decoherence_factors(np.array([0.0, t]), p, state_with(0.0))
         if t > 1.0:  # only pi t/beta overflows: a shorter run is fine
             p.check_times(1.0)
+
+    @pytest.mark.parametrize("eta,omega_c,beta,t", [(1e300, 5.0, 2.0, 1e10),
+                                                    (1.0, 1e200, math.inf, 1e200)])
+    def test_ohmic_factor_overflow_is_refused_by_every_entry_point(self, eta, omega_c, beta, t):
+        # eta times the thermal excess, or omega_c t, past the doubles: the
+        # ValueError of check_times from each model function, with no warning
+        p = CorrelatedBathParams(SpectralDensity.ohmic(eta, omega_c), beta, 1e-300)
+        psi, ts = state_with(0.0), np.array([0.0, t])
+        calls = [lambda: p.check_times(t), lambda: decoherence_factors(ts, p, psi),
+                 lambda: rho_correlated(ts, psi, p),
+                 lambda: rho_uncorrelated(ts, psi, p.J, beta, 0.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValueError, match="the Ohmic factors overflow"):
+                    call()
 
     @pytest.mark.parametrize("t", [1e-6, 1e-3, 2.0])
     def test_tabulated_small_time_against_mpmath(self, t):
