@@ -64,13 +64,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import NormalizationError, TraceDriftError
 from .qstate import ATOL_INTEGRATED, DensityMatrix2, QubitAmplitudes, unit_pair
-from .trajectory import TimeGrid, check_work, positive_count
+from .trajectory import TimeGrid, check_phase, check_work, positive_count
 
 __all__ = [
     "SpinBathSpec",
@@ -227,10 +228,11 @@ class SpinBathSpec:
     def dim_full(self) -> int:
         return 1 << (self.N + 1)
 
-    @property
+    @cached_property
     def phase_frequency(self) -> float:
         """|omega0| + max |omega_k| + 2 sum |g_k|: it bounds every Gershgorin disc
-        of the sector arrowhead and every detuning omega0 - omega_k."""
+        of the sector arrowhead and every detuning omega0 - omega_k (formed once,
+        as the model functions check every call's times with it)."""
         with np.errstate(over="ignore"):
             return (abs(self.omega0) + float(np.max(np.abs(self.omega)))
                     + 2.0 * float(np.sum(np.abs(self.g))))
@@ -697,12 +699,15 @@ def _shipped_measure(spec: SpinBathSpec, grid: TimeGrid, columns: int):
     column, the coefficient tables of :func:`evolve_sector`, one block's
     product and its per-time phase) go through ``trajectory.check_work``
     before any large allocation, each part counted as if all were held at
-    once, so the estimate bounds the peak.  A sum rule |sum_j w_j - 1|
-    above 1e-10 raises TraceDriftError.
+    once, so the estimate bounds the peak.  A grid whose largest phase
+    passes ``trajectory.PHASE_LIMIT`` is refused first
+    (``trajectory.check_phase``).  A sum rule |sum_j w_j - 1| above 1e-10
+    raises TraceDriftError.
 
     Returns (origins, offsets, w) of the roots of weight w_j > 0, in
     ascending order: mu_j = origins[j] + offsets[j] (:func:`_secular_roots`).
     """
+    check_phase(spec.phase_frequency, max(abs(grid.t0), abs(grid.t1)))
     head, diag = spec.omega0 - float(np.sum(spec.g)), spec.omega - spec.g
     poles, zsq, _ = _deflate(head, spec.g, diag)
     roots, points = poles.size + 1, grid.steps + 1

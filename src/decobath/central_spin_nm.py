@@ -51,7 +51,7 @@ import numpy as np
 from .central_spin import RotatedAmplitudes, SpinBathSpec
 from .lindblad import dissipator, integrate_master
 from .qstate import DensityMatrix2, SIGMA_MINUS, SIGMA_Z
-from .trajectory import TimeGrid, Trajectory, check_work, nonnegative_times
+from .trajectory import TimeGrid, Trajectory, check_phase, check_work, nonnegative_times
 
 __all__ = [
     "sme_rates",
@@ -94,13 +94,15 @@ def channel_exponents(spec: SpinBathSpec, t) -> tuple[np.ndarray, np.ndarray]:
     cancels for small |x|, is a series in x for |x| < 1.  g t is formed
     first, so neither g^2 nor t^2 under- or overflows on its own, and both
     terms are exactly 0 at t = 0 and gamma_d's at resonance.  A scalar
-    ``t`` gives scalars; a negative, NaN or infinite time is refused.  The
+    ``t`` gives scalars; a negative, NaN or infinite time is refused, and so
+    is one whose phase passes ``trajectory.PHASE_LIMIT``.  The
     mode-time pairs (50-76 ns each, so one pair of work) and the bytes of
     the per-time and per-mode arrays go through ``trajectory.check_work``
     before the first block.
     """
     t = nonnegative_times(t)
     flat = t.reshape(-1)
+    check_phase(spec.phase_frequency, flat.max(initial=0.0))
     check_work(flat.size * spec.N, 24 * flat.size + 64 * spec.N, spec.N, flat.size,
                "bath modes")
     delta = spec.omega0 - spec.omega
@@ -138,8 +140,15 @@ def sme_rates(spec: SpinBathSpec, t) -> tuple[np.ndarray, np.ndarray, np.ndarray
     phase: a mode at exact resonance contributes g_k^2 t to Gamma_0 and
     nothing to Lambda.  For small t, Gamma_0(t) -> t sum_k g_k^2.  Each
     time's mode sums are its own, so an array gives the bits of scalar calls.
+    The mode-time pairs (one pair of work each) and the bytes of the
+    arrays held at once (six (time, mode) arrays of floats and a mask, 49
+    bytes a pair measured, and 24 per time) go through
+    ``trajectory.check_work`` before any of them exists.
     """
     t = nonnegative_times(t)
+    check_phase(spec.phase_frequency, t.max(initial=0.0))
+    check_work(t.size * spec.N, 49 * t.size * spec.N + 24 * t.size, spec.N, t.size,
+               "bath modes")
     tb = t[..., None]
     gsum = float(spec.g.sum())
     gt, x = spec.g * tb, (spec.omega0 - spec.omega) * tb

@@ -47,7 +47,8 @@ phase modulo 2 pi is left there: Omega max(|grid.t0|, |grid.t1|) > 2**53,
 with Omega |bath.omega0| (dephase-markov), that or the top knot of a
 tabulated density (dephase-correlated), or |omega0| + max |omega_k| +
 2 sum |g_k| for a spin bath (central-*, fig2, oracle-compare's seeded bath).
-The refusal names the lines of the grid and frequency keys.
+The refusal names the lines of the grid and frequency keys; its rule,
+``trajectory.check_phase``, is the one the model functions apply.
 
 Every run's size is estimated before any large allocation and checked by
 one rule, ``trajectory.check_work``: at most ``trajectory.MAX_WORK`` (10**9)
@@ -110,7 +111,7 @@ import numpy as np
 from . import central_spin, central_spin_nm, dephasing_nm, lindblad
 from .errors import ConfigError, QuadratureError, TraceDriftError
 from .qstate import QubitAmplitudes, dephased, density_from_amplitudes
-from .trajectory import TimeGrid, Trajectory, check_work
+from .trajectory import TimeGrid, Trajectory, check_phase, check_work
 
 _GRID_KEYS = {"grid.t0": float, "grid.t1": float, "grid.steps": int, "output.path": str}
 _SYSTEM_KEYS = {"system.a": complex, "system.b": complex}
@@ -149,9 +150,6 @@ _KINDS = {"scenario": str, **{k: v for keys, _ in _SCHEMA.values() for k, v in k
 _FROM_PREPARATION = ("dephase-markov", "dephase-isotropic", "dephase-correlated",
                      "central-sme")
 _POLARIZATION_KEYS = ("bath.polarization.c", "bath.polarization.d")
-#: Beyond this a phase omega t is spaced >= 2 rad apart in doubles, so no
-#: digit of it modulo 2 pi is left.
-_PHASE_LIMIT = 2.0 ** 53
 #: The keys the phase bound is taken from: the grid's ends and each
 #: scenario's frequency keys (only those of the scenario at hand are given).
 _PHASE_KEYS = ("grid.t0", "grid.t1", *_BATH_REQUIRED, "spectral.table", "oracle.n",
@@ -389,11 +387,8 @@ def parse_config(text: str) -> ScenarioConfig:
 
     # omega bounds the frequencies whose phase omega t the scenario's model forms
     omega = max((m.phase_frequency for m in (params, spec) if m is not None), default=0.0)
-    phase = omega * max(abs(grid.t0), abs(grid.t1)) if grid else 0.0
-    if phase > _PHASE_LIMIT:
-        errors.append(f"{where(_PHASE_KEYS)}: the largest phase omega*t reaches "
-                      f"{phase:.3g}, over 2**53: no digit of it is left")
     if grid:
+        build(_PHASE_KEYS, lambda: check_phase(omega, max(abs(grid.t0), abs(grid.t1))))
         points, columns = grid.steps + 1, _CSV_COLUMNS[scenario]
         build(("grid.steps",), lambda: check_work(points * columns * _CELL_WORK,
                                                   points * columns * _CELL_BYTES,

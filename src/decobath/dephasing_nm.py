@@ -65,7 +65,7 @@ import numpy as np
 
 from .errors import DegenerateParametersError, QuadratureError
 from .qstate import DensityMatrix2, QubitAmplitudes, dephased
-from .trajectory import check_work, nonnegative_times
+from .trajectory import PHASE_LIMIT, check_phase, check_work, nonnegative_times
 
 __all__ = [
     "SpectralDensity",
@@ -468,7 +468,7 @@ def _ohmic_factors(t: np.ndarray, J: SpectralDensity, beta: float):
                                    for b in np.split(y, range(step, y.size, step))])
             gamma_t = gamma_t + eta * (2.0 * drop)
     phi_max, gamma_max = phi_t.max(initial=0.0), gamma_t.max(initial=0.0)
-    if not (gamma_max < math.inf and phi_max <= 2.0 ** 53):
+    if not (gamma_max < math.inf and phi_max <= PHASE_LIMIT):
         raise ValueError(f"the Ohmic factors overflow at eta = {J.eta!r}, omega_c = "
                          f"{J.omega_c!r} and t up to {t_max!r}: gamma_thermal reaches "
                          f"{gamma_max:.3g} and Phi {phi_max:.3g}, where gamma_thermal "
@@ -665,68 +665,58 @@ def _tabulated_factors(t: np.ndarray, J: SpectralDensity, beta: float):
 
 
 def _bath_weights(beta: float, omega0: float, z: float) -> tuple[float, float]:
-    """Stable evaluation of the two correlated-bath coefficients.
+    """The two correlated-bath coefficients: the slope R and the strength c.
 
-    Returns ``(R, c)`` where, with C = cosh(beta omega0 / 2) and
-    S = sinh(beta omega0 / 2),
+    With C = cosh(beta omega0 / 2) and S = sinh(beta omega0 / 2),
 
         R = (S - z C) / (C - z S)          (phase-shift slope),
         c = (1 - z^2) / (C - z S)^2        (correlation strength).
 
-    Both are computed from exp(-2|x|) so that no intermediate overflows.
+    One form for every x = beta omega0 / 2, from R(x, z) = -R(-x, -z) and
+    c(x, z) = c(-x, -z): with s = -1 for x < 0 and +1 otherwise, z_s = s z
+    and e = exp(-2|x|), the denominator times exp(-|x|) is
+    d = [(1 - z_s) + (1 + z_s) e]/2 and the numerator n = [(1 - z_s) -
+    (1 + z_s) e]/2, so R = s n/d and c = (1 - z)(1 + z) e/d^2.  Nothing
+    overflows, and e = 0 (|x| past the doubles) gives R = s and c = 0.
+    With z = tanh a, R = tanh(x - a), c = 1 - R^2 and d exp(|x|) =
+    cosh(x - a)/cosh(a) >= sqrt(1 - z^2), at least 2**-26 for a double
+    |z| < 1, so d never vanishes.  |z| >= 1, which the normalization slack
+    lets z pass by ~1e-12, returns (-sign z, 0): there e = 0 would give 0/0.
+    A vanishing R is +0, never -0, since the sign of a zero R sin Phi
+    picks chi = pi or -pi.
     """
-    if z >= 1.0:
-        return -1.0, 0.0
-    if z <= -1.0:
-        return 1.0, 0.0
+    if abs(z) >= 1.0:
+        return -math.copysign(1.0, z), 0.0
     x = 0.5 * beta * omega0
-    if math.isinf(x):
-        return (1.0, 0.0) if x > 0 else (-1.0, 0.0)
-    ax = abs(x)
-    e = math.exp(-2.0 * ax)
-    if x >= 0:
-        dhat = 0.5 * ((1.0 - z) + (1.0 + z) * e)
-        nhat = 0.5 * ((1.0 - z) - (1.0 + z) * e)
-    else:
-        dhat = 0.5 * ((1.0 - z) * e + (1.0 + z))
-        nhat = 0.5 * ((1.0 - z) * e - (1.0 + z))
-    if ax < 700.0 and dhat * math.exp(ax) < 1e-14:
-        raise DegenerateParametersError(
-            "cosh(beta omega0/2) - <sigma_z> sinh(beta omega0/2) is numerically zero"
-        )
-    r = nhat / dhat
-    # c = (1 - z^2) exp(-2|x|) / dhat^2; underflow of the exponential simply
-    # switches the correlation term off, which is the correct limit.
-    c = (1.0 - z) * (1.0 + z) * e / (dhat * dhat)
-    return r, c
+    s = -1.0 if x < 0 else 1.0
+    zs, e = s * z, math.exp(-2.0 * abs(x))
+    dhat = 0.5 * ((1.0 - zs) + (1.0 + zs) * e)
+    nhat = 0.5 * ((1.0 - zs) - (1.0 + zs) * e)
+    # dhat^2 >= 2**-108, so (1 - z^2) e scaled by 2**108 is normal wherever c is
+    c = (1.0 - z) * (1.0 + z) * (e * 2.0 ** 108) / (dhat * dhat) * 2.0 ** -108
+    return s * nhat / dhat + 0.0, c
 
 
-def _gamma_corr_from_phi(phi_t, r_c: tuple[float, float]) -> np.ndarray:
+def _gamma_corr_from_phi(phi_t, c: float) -> np.ndarray:
     """gamma_corr = -(1/2) ln(1 - c sin^2 Phi) >= 0, c of :func:`_bath_weights`.
 
     inf where the log argument is <= 0: the coherence is annihilated outright.
     """
-    _, c = r_c
     q = c * np.sin(phi_t) ** 2
     singular = q >= 1.0
     return np.where(singular, np.inf, -0.5 * np.log1p(-np.where(singular, 0.0, q)))
 
 
-def _chi_from_phi(phi_t, r_c: tuple[float, float]) -> np.ndarray:
+def _chi_from_phi(phi_t, r: float) -> np.ndarray:
     """The phase shift chi, tan chi = R tan Phi, continuous from chi(0) = 0.
 
-    R is that of :func:`_bath_weights`; the principal branch is lifted by the
-    winding of Phi.
+    R is that of :func:`_bath_weights`.  One form: the principal value
+    arctan2(R sin Phi, cos Phi) lifted by 2 pi sign(R) floor((Phi + pi)/(2 pi)),
+    the winding of Phi; at R = 0 the lift is 0 and chi is 0 or +-pi.
     """
-    r, _ = r_c
     # + 0.0: chi(0) is +0, not the -0 of a negative R
     principal = np.arctan2(r * np.sin(phi_t), np.cos(phi_t)) + 0.0
-    if r == 0.0:
-        # vanished slope: only the sign of cos Phi survives (0 or pi)
-        return principal
-    # lift the principal branch by the winding of Phi so chi is continuous
-    branch = np.floor((phi_t + math.pi) / (2.0 * math.pi))
-    return principal + 2.0 * math.pi * math.copysign(1.0, r) * branch
+    return principal + 2.0 * math.pi * np.sign(r) * np.floor((phi_t + math.pi) / (2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -763,13 +753,16 @@ def decoherence_factors(t, p: CorrelatedBathParams,
     forms in the module docstring, for the whole time array at once; an
     array ``t`` gives arrays of its shape.  A point where the correlation
     term annihilates the coherence (see :func:`_gamma_corr_from_phi`) gets
-    gamma_corr = inf and chi = nan.
+    gamma_corr = inf and chi = nan.  Times whose phase, at ``p``'s
+    ``phase_frequency``, passes ``trajectory.PHASE_LIMIT`` are refused
+    after the closed forms' own refusals.
     """
     t = nonnegative_times(t)
     phi_t, gamma1 = _spectral_factors(t, p.J, p.beta)
-    weights = _bath_weights(p.beta, p.omega0, psi0.bloch_z)
-    gamma2 = _gamma_corr_from_phi(phi_t, weights)
-    chi_t = np.where(np.isinf(gamma2), np.nan, _chi_from_phi(phi_t, weights))
+    check_phase(p.phase_frequency, t.max(initial=0.0))
+    r, c = _bath_weights(p.beta, p.omega0, psi0.bloch_z)
+    gamma2 = _gamma_corr_from_phi(phi_t, c)
+    chi_t = np.where(np.isinf(gamma2), np.nan, _chi_from_phi(phi_t, r))
     return DecoherenceFactors(*(a.reshape(t.shape) for a in (phi_t, gamma1, gamma2, chi_t)))
 
 
@@ -793,8 +786,10 @@ def rho_uncorrelated(t, psi0: QubitAmplitudes, J: SpectralDensity, beta: float,
     Identical structure to :func:`rho_correlated` with chi == 0 and
     gamma_corr == 0: the coherence is a b* exp(-i omega0 t) exp(-gamma_thermal),
     from the same closed forms.  An array ``t`` gives one batched state.  No
-    preparation is involved, so beta = inf with omega0 = 0 is allowed.
+    preparation is involved, so beta = inf with omega0 = 0 is allowed.  Times
+    are refused as :func:`decoherence_factors` refuses them.
     """
     t = nonnegative_times(t)
     _, gamma1 = _spectral_factors(t, J, beta)
+    check_phase(max(abs(omega0), J.phase_frequency), t.max(initial=0.0))
     return dephased(psi0, omega0 * t, gamma1.reshape(t.shape))

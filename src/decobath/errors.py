@@ -18,7 +18,7 @@ class QuadratureError(RuntimeError):
 
 
 class DegenerateParametersError(ValueError):
-    """Bath parameters make the phase-shift denominator vanish."""
+    """Zero temperature with omega0 = 0 leaves the correlated preparation undefined."""
 
 
 class TraceDriftError(RuntimeError):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import TraceDriftError
 from .qstate import DensityMatrix2, QubitAmplitudes, SIGMA_X, SIGMA_Y, SIGMA_Z, dephased
-from .trajectory import TimeGrid, nonnegative_times
+from .trajectory import TimeGrid, check_phase, nonnegative_times
 
 __all__ = [
     "DephasingParams",
@@ -119,9 +119,11 @@ def evolve_dephasing_markov(psi0: QubitAmplitudes, params: DephasingParams, t) -
     Populations stay at (|a|^2, |b|^2) for all times; the coherence is
     ``a b* exp(-i omega0 t) exp(-gamma t)``.  For gamma*t >> 1 the state is
     the statistical mixture diag(|a|^2, |b|^2): the measurement fixed point.
-    An array ``t`` gives one batched state with an entry per time.
+    An array ``t`` gives one batched state with an entry per time; times
+    whose phase omega0 t passes ``trajectory.PHASE_LIMIT`` are refused.
     """
     t = nonnegative_times(t)
+    check_phase(params.phase_frequency, t.max(initial=0.0))
     return dephased(psi0, params.omega0 * t, params.gamma * t)
 
 

@@ -17,6 +17,9 @@ _EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 MAX_WORK = 1_000_000_000
 #: Largest estimated bytes of the arrays one run holds at once.
 MAX_BYTES = 1 << 30
+#: Beyond this a phase omega t is spaced >= 2 rad apart in doubles, so no
+#: digit of it modulo 2 pi is left.
+PHASE_LIMIT = 2.0 ** 53
 #: Rows of one CSV block: a block's text is made, and written, at once.  Its
 #: cells' strings and lists (~150 B a cell) stay under 0.7 MB at 8 columns.
 _CSV_BLOCK_ROWS = 512
@@ -44,6 +47,21 @@ def check_work(work, nbytes, size, points: int, terms: str) -> None:
         f"{f', {points} time points' if points else ''}), above the cap of {limit}"
         f"{' bytes' if limit == MAX_BYTES else ''}",
         work, nbytes, size, points, limit)
+
+
+def check_phase(frequency, t_max) -> None:
+    """Refuse (ValueError) a run whose largest phase ``frequency * t_max`` passes ``PHASE_LIMIT``.
+
+    The one phase rule: the CLI checks each config with it, naming the lines
+    of the grid and frequency keys, and every model function that forms a
+    phase omega t checks its times with its model's ``phase_frequency``.
+    The product is formed in Python floats, so one past the doubles reads
+    inf, with no RuntimeWarning, and is refused too.
+    """
+    phase = float(frequency) * float(t_max)
+    if phase > PHASE_LIMIT:
+        raise ValueError(f"the largest phase omega*t reaches {phase:.3g}, over 2**53: "
+                         "no digit of it is left")
 
 
 def positive_count(value, name: str) -> int:

@@ -7,6 +7,7 @@ import pytest
 
 from decobath.dephasing_nm import (
     CorrelatedBathParams,
+    _bath_weights,
     SpectralDensity,
     decoherence_factors,
     gamma_thermal,
@@ -248,12 +249,84 @@ class TestGammaCorrAndChi:
         eta, omega_c = 1.2, 2.0
         t_star = math.tan(math.pi / (2.0 * eta)) / omega_c
         p = make_params(eta=eta, omega_c=omega_c, beta=2.0, omega0=0.0)
-        g = _gamma_corr_from_phi(np.array([0.3, math.pi / 2.0]), (0.0, 1.0))
+        g = _gamma_corr_from_phi(np.array([0.3, math.pi / 2.0]), 1.0)
         assert g[0] == pytest.approx(-math.log(math.cos(0.3)), rel=1e-14)
         assert g[1] == math.inf
         f = decoherence_factors(np.array([0.5 * t_star, t_star]), p, state_with(0.0))
         assert math.isinf(f.gamma_corr[1]) and math.isnan(f.chi[1])
         assert np.isfinite(f.gamma_corr[0]) and np.isfinite(f.chi[0])
+
+    @staticmethod
+    def _weight_draws():
+        """(x, z) pairs: x = +-10^[-12, 3.2], each with z drawn uniformly, z = tanh x,
+        z next to +-1 and z = +-(1 - 10^[-15, -1])."""
+        rng = np.random.default_rng(33)
+        xs = rng.choice([-1.0, 1.0], 1500) * 10.0 ** rng.uniform(-12.0, 3.2, 1500)
+        edges = (float(np.nextafter(1.0, 0.0)), float(np.nextafter(-1.0, 0.0)))
+        for i, x in enumerate(xs):
+            near = rng.choice([-1.0, 1.0]) * (1.0 - 10.0 ** rng.uniform(-15.0, -1.0))
+            for z in (rng.uniform(-1.0, 1.0), math.tanh(x), edges[i % 2], near):
+                yield float(x), float(z)
+
+    def test_bath_weights_match_mpmath(self):
+        # with z = tanh a: R = tanh(x - a) and c = sech^2(x - a) = 1 - R^2
+        worst_r = worst_c = worst_tiny = 0.0
+        with mp.workdps(60):
+            for x, z in self._weight_draws():
+                if abs(z) >= 1.0:
+                    continue
+                r, c = _bath_weights(2.0, x, z)  # x = beta omega0 / 2
+                u = mp.mpf(x) - mp.atanh(mp.mpf(z))
+                r_mp, c_mp = mp.tanh(u), mp.sech(u) ** 2
+                worst_r = max(worst_r, float(abs(r - r_mp)))
+                if c_mp >= mp.mpf("1e-290"):
+                    worst_c = max(worst_c, float(abs(c - c_mp) / c_mp))
+                else:
+                    worst_tiny = max(worst_tiny, float(abs(c - c_mp)))
+        assert worst_r <= 1e-15
+        assert worst_c <= 1e-15
+        assert worst_tiny <= 1e-300
+
+    def test_bath_weights_exact_properties(self):
+        for x, z in self._weight_draws():
+            r, c = _bath_weights(2.0, x, z)
+            assert abs(r) <= 1.0 and 0.0 <= c <= 1.0 + 1e-15, (x, z, r, c)
+            # R(x, z) = -R(-x, -z) and c(x, z) = c(-x, -z), exactly
+            assert _bath_weights(2.0, -x, -z) == (-r, c), (x, z)
+        for z in (0.0, 0.3, -0.9, float(np.nextafter(1.0, 0.0))):
+            assert _bath_weights(math.inf, 1.0, z) == (1.0, 0.0)
+            assert _bath_weights(math.inf, -1.0, z) == (-1.0, 0.0)
+        for z in (1.0, 1.0 + 1e-13, -1.0, -1.0 - 1e-13):
+            assert _bath_weights(2.0, 0.7, z) == (-math.copysign(1.0, z), 0.0)
+
+    def test_bath_weights_at_the_tightest_denominator(self):
+        # d exp(|x|) = cosh(x - a)/cosh(a) >= sqrt(1 - z^2), reached at x = a:
+        # 2**-26 for the largest double below 1
+        z = float(np.nextafter(1.0, 0.0))
+        x = math.atanh(z)
+        with mp.workdps(60):
+            a = mp.atanh(mp.mpf(z))
+            assert float(mp.cosh(mp.mpf(x) - a) / mp.cosh(a)) == pytest.approx(2.0 ** -26,
+                                                                                rel=1e-12)
+        r, c = _bath_weights(2.0, x, z)
+        assert math.isfinite(r) and math.isfinite(c)
+        assert abs(r) < 1e-14
+        assert math.sqrt((1.0 - z) * (1.0 + z) / c) == pytest.approx(2.0 ** -26, rel=1e-12)
+
+    def test_slope_is_never_negative_zero(self):
+        # x = -1e-20 and z = 0: the numerator is +0 and R = -(+0)/d before the + 0.0
+        r, _ = _bath_weights(2.0, -1e-20, 0.0)
+        assert r == 0.0 and math.copysign(1.0, r) == 1.0
+        # a R of -0 would flip chi between pi and -pi wherever cos Phi < 0
+        p = CorrelatedBathParams(SpectralDensity.ohmic(2.5, 5.0), 2.0, -1e-20)
+        psi = QubitAmplitudes(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
+        f = decoherence_factors(np.linspace(0.0, 4.0, 401), p, psi)
+        turned = np.cos(f.phi) < 0.0
+        assert np.count_nonzero(turned) == 386
+        assert np.array_equal(f.chi[turned], np.where(np.sin(f.phi[turned]) > 0.0,
+                                                      math.pi, -math.pi))
+        assert np.array_equal(f.chi[~turned], np.zeros(401 - 386))
+        assert not np.signbit(f.chi[~turned]).any()
 
     def test_degenerate_zero_temperature_zero_splitting(self):
         with pytest.raises(DegenerateParametersError):

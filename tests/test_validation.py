@@ -6,11 +6,15 @@ The five rules and their homes: a unit amplitude pair (``qstate.unit_pair``),
 a unit state vector (``central_spin._unit_state``), non-negative times
 (``trajectory.nonnegative_times``), a rate (``lindblad._check_rate``) and a
 positive integer count (``trajectory.positive_count``).  The work rule
-(``trajectory.check_work``) refuses a NaN estimate the same way.
+(``trajectory.check_work``) refuses a NaN estimate the same way, and the
+phase rule (``trajectory.check_phase``) refuses, in every model function
+that forms a phase omega t, the times the CLI refuses in a config.
 """
 
 import math
 import re
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from decobath import central_spin, central_spin_nm, dephasing_nm, lindblad
 from decobath.central_spin import RotatedAmplitudes, SpinBathSpec
 from decobath.errors import WorkBudgetError
 from decobath.qstate import QubitAmplitudes, density_from_amplitudes
-from decobath.trajectory import MAX_BYTES, MAX_WORK, TimeGrid, check_work
+from decobath.trajectory import MAX_BYTES, MAX_WORK, TimeGrid, check_phase, check_work
 
 NAN, INF = math.nan, math.inf
 NONFINITE = [NAN, INF, -INF]
@@ -212,3 +216,64 @@ def test_work_rule_refuses_over_either_cap_and_nan(work, nbytes, message):
 
 def test_work_rule_admits_a_run_at_both_caps():
     check_work(MAX_WORK, MAX_BYTES, 3, 5, "terms")
+
+
+# --- the phase rule: trajectory.check_phase -------------------------------------
+
+#: A tabulated density whose top knot (2) keeps its own phases small.
+TABLE = dephasing_nm.SpectralDensity.tabulated([0.0, 1.0, 2.0], [0.0, 0.5, 0.0])
+T_PHASE = 1e10
+
+
+def _spin_bath(omega0):
+    return SpinBathSpec(N=2, g=0.4, omega0=omega0, omega=[0.2, 0.9])
+
+
+#: Each entry point that forms a phase omega t, run to T_PHASE at a frequency
+#: omega: its bath's omega0, or the splitting of the Markov model.
+PHASE_ENTRIES = {
+    "channel_exponents": lambda w: central_spin_nm.channel_exponents(
+        _spin_bath(w), [0.0, T_PHASE]),
+    "sme_rates": lambda w: central_spin_nm.sme_rates(_spin_bath(w), [0.0, T_PHASE]),
+    "integrate_sme": lambda w: central_spin_nm.integrate_sme(_spin_bath(w), ROT,
+                                                             [0.0, T_PHASE]),
+    "survival_amplitude": lambda w: central_spin.survival_amplitude(
+        _spin_bath(w), TimeGrid(0.0, T_PHASE, 4)),
+    "evolve_sector": lambda w: central_spin.evolve_sector(_spin_bath(w),
+                                                          TimeGrid(0.0, T_PHASE, 4)),
+    "evolve_dephasing_markov": lambda w: lindblad.evolve_dephasing_markov(
+        PSI, lindblad.DephasingParams(0.5, w), [0.0, T_PHASE]),
+    "decoherence_factors": lambda w: dephasing_nm.decoherence_factors(
+        [0.0, T_PHASE], dephasing_nm.CorrelatedBathParams(TABLE, INF, w), PSI),
+    "rho_uncorrelated": lambda w: dephasing_nm.rho_uncorrelated(
+        [0.0, T_PHASE], PSI, TABLE, INF, w),
+}
+
+
+@pytest.mark.parametrize("entry", PHASE_ENTRIES)
+@pytest.mark.parametrize("omega, phase", [(1e20, "1e+30"), (1e300, "inf")],
+                         ids=["phase-1e30", "phase-overflows"])
+def test_phase_past_2_53_refused(entry, omega, phase):
+    """The CLI's refusal, with its text and no RuntimeWarning, from each model function."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        message = (rf"^the largest phase omega\*t reaches {re.escape(phase)}, "
+                   r"over 2\*\*53: no digit of it is left$")
+        with pytest.raises(ValueError, match=message):
+            PHASE_ENTRIES[entry](omega)
+
+
+def test_phase_rule_admits_2_53():
+    check_phase(2.0 ** 53, 1.0)
+    with pytest.raises(ValueError, match="reaches 9.01e\\+15"):
+        check_phase(2.0 ** 53, 1.0 + 2.0 ** -52)
+
+
+def test_sme_rates_refuses_an_oversize_run_before_allocating():
+    spec = SpinBathSpec(N=10 ** 5, g=0.1, omega0=1.0, omega=0.5)
+    times = np.linspace(0.0, 1.0, 10 ** 5)
+    started = time.perf_counter()
+    with pytest.raises(WorkBudgetError, match=r"estimated 10000000000 element pairs "
+                                              r"\(100000 bath modes, 100000 time points\)"):
+        central_spin_nm.sme_rates(spec, times)
+    assert time.perf_counter() - started < 0.5
